@@ -41,7 +41,13 @@ def as_box7(obj) -> np.ndarray:
 
 
 def as_box7_array(objs) -> np.ndarray:
-    """Stack boxes into an (N, 7) float array (N may be 0)."""
+    """Stack boxes into an (N, 7) float array (N may be 0).
+
+    A float (N, 7) ndarray is already in that form and is returned as is.
+    """
+    if isinstance(objs, np.ndarray) and objs.dtype == float and objs.ndim == 2 \
+            and objs.shape[1] == 7:
+        return objs
     if len(objs) == 0:
         return np.zeros((0, 7), dtype=float)
     return np.stack([as_box7(o) for o in objs])

@@ -10,6 +10,7 @@ id differs from the last id it was ever matched to.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,47 +44,6 @@ class FrameCounts:
         self.gt_count += other.gt_count
 
 
-def _gated_pairs(gt_boxes7, pred_boxes7, iou_threshold):
-    """Hungarian max-IoU matching gated at the threshold.
-
-    Boxes are (N, 7) arrays; returns [(row, col, iou)].
-    """
-    if gt_boxes7.shape[0] == 0 or pred_boxes7.shape[0] == 0:
-        return []
-    iou = geometry.iou_matrix(gt_boxes7, pred_boxes7)
-    pairs = assign.hungarian_min_cost(-iou)
-    return [(r, c, float(iou[r, c])) for r, c in pairs
-            if iou[r, c] >= iou_threshold]
-
-
-def match_frame(gt, pred, prev_matching=None,
-                iou_threshold: float = DEFAULT_IOU_THRESHOLD):
-    """Match one frame's predictions to ground truth.
-
-    gt: list of (object_id, box); pred: list of (track_id, box, score);
-    prev_matching: object_id -> last matched track id (carried across
-    frames by the caller). Returns (FrameCounts, pairs) where pairs is a
-    list of (object_id, track_id, iou).
-    """
-    prev_matching = prev_matching or {}
-    gt_boxes = geometry.as_box7_array([g[1] for g in gt])
-    pred_boxes = geometry.as_box7_array([p[1] for p in pred])
-
-    counts = FrameCounts(gt_count=len(gt))
-    pairs = []
-    for r, c, overlap in _gated_pairs(gt_boxes, pred_boxes, iou_threshold):
-        obj_id, tid = gt[r][0], pred[c][0]
-        counts.tp += 1
-        counts.matched_iou_sum += overlap
-        last = prev_matching.get(obj_id)
-        if last is not None and last != tid:
-            counts.idsw += 1
-        pairs.append((obj_id, tid, overlap))
-    counts.fn = len(gt) - counts.tp
-    counts.fp = len(pred) - counts.tp
-    return counts, pairs
-
-
 @dataclass
 class SequenceTally:
     """Accumulated counts plus MT bookkeeping for one evaluation pass."""
@@ -98,54 +58,92 @@ class SequenceTally:
         return self.totals.tp / self.totals.gt_count if self.totals.gt_count else 0.0
 
 
-def _prepare(gt_frames, pred_frames):
-    """Convert per-frame rows to id/box-array form once, for reuse across
-    score thresholds."""
-    gt_prep = [([g[0] for g in gt], geometry.as_box7_array([g[1] for g in gt]))
-               for gt in gt_frames]
-    pred_prep = [([p[0] for p in pred],
-                  geometry.as_box7_array([p[1] for p in pred]),
-                  np.array([p[2] for p in pred], dtype=float))
-                 for pred in pred_frames]
-    return gt_prep, pred_prep
+class _FrameMatcher:
+    """One frame's GT x prediction IoU matrix and its gated matchings.
+
+    The matrix is computed once. A score threshold only decides which
+    predictions are kept, and the kept set is fixed by how many survive,
+    so the gated Hungarian result is memoised per kept count. The kept
+    columns are sliced from the matrix in their original order, so the
+    solver sees exactly the matrix of the kept boxes alone.
+    """
+
+    def __init__(self, gt, pred, iou_threshold):
+        self.gt_ids = [g[0] for g in gt]
+        self.tids = [p[0] for p in pred]
+        self.scores = np.array([p[2] for p in pred], dtype=float)
+        # negated and ascending for bisect; a NaN score is never kept
+        self.neg_sorted = sorted(-self.scores[~np.isnan(self.scores)])
+        gt_boxes = geometry.as_box7_array([g[1] for g in gt])
+        pred_boxes = geometry.as_box7_array([p[1] for p in pred])
+        self.iou = (geometry.iou_matrix(gt_boxes, pred_boxes)
+                    if gt_boxes.shape[0] and pred_boxes.shape[0] else None)
+        self.iou_threshold = iou_threshold
+        self.memo = {}
+
+    def match(self, score_threshold):
+        """Predictions kept at the threshold (None keeps all), and the
+        gated pairs [(object_id, track_id, iou)] in GT row order."""
+        kept = (len(self.tids) if score_threshold is None
+                else bisect.bisect_right(self.neg_sorted, -score_threshold))
+        pairs = self.memo.get(kept)
+        if pairs is None:
+            pairs = self.memo[kept] = self._solve(score_threshold)
+        return kept, pairs
+
+    def _solve(self, score_threshold):
+        if self.iou is None:
+            return []
+        cols = (np.arange(len(self.tids)) if score_threshold is None
+                else np.flatnonzero(self.scores >= score_threshold))
+        if cols.shape[0] == 0:
+            return []
+        iou = self.iou[:, cols]
+        return [(self.gt_ids[r], self.tids[cols[c]], float(iou[r, c]))
+                for r, c in assign.hungarian_min_cost(-iou)
+                if iou[r, c] >= self.iou_threshold]
 
 
-def _evaluate_prepared(gt_prep, pred_prep, score_threshold,
-                       iou_threshold) -> SequenceTally:
+def _matchers(gt_frames, pred_frames, iou_threshold):
+    return [_FrameMatcher(gt, pred, iou_threshold)
+            for gt, pred in zip(gt_frames, pred_frames)]
+
+
+def _tally(matchers, score_threshold) -> SequenceTally:
+    """Walk the frames at one score threshold with id carry-over."""
     tally = SequenceTally()
+    present, matched = tally.frames_present, tally.frames_matched
     carry = {}
-    for (gt_ids, gt_boxes), (tids, pred_boxes, scores) in zip(gt_prep, pred_prep):
-        if score_threshold is not None and scores.shape[0]:
-            keep = scores >= score_threshold
-            pred_boxes = pred_boxes[keep]
-            tids = [t for t, k in zip(tids, keep) if k]
-        counts = FrameCounts(gt_count=len(gt_ids))
-        matched_objs = set()
-        for r, c, overlap in _gated_pairs(gt_boxes, pred_boxes, iou_threshold):
-            obj_id, tid = gt_ids[r], tids[c]
-            counts.tp += 1
-            counts.matched_iou_sum += overlap
+    for m in matchers:
+        kept, pairs = m.match(score_threshold)
+        idsw, iou_sum = 0, 0.0
+        for obj_id, tid, overlap in pairs:
+            iou_sum += overlap
             last = carry.get(obj_id)
             if last is not None and last != tid:
-                counts.idsw += 1
+                idsw += 1
             carry[obj_id] = tid
-            matched_objs.add(obj_id)
-        counts.fn = len(gt_ids) - counts.tp
-        counts.fp = len(tids) - counts.tp
+        n_gt, tp = len(m.gt_ids), len(pairs)
+        counts = FrameCounts(tp=tp, fp=kept - tp, fn=n_gt - tp, idsw=idsw,
+                             matched_iou_sum=iou_sum, gt_count=n_gt)
         tally.totals.add(counts)
         tally.per_frame.append(counts)
-        for obj_id in gt_ids:
-            tally.frames_present[obj_id] = tally.frames_present.get(obj_id, 0) + 1
+        matched_objs = {obj_id for obj_id, _, _ in pairs}
+        for obj_id in m.gt_ids:
+            present[obj_id] = present.get(obj_id, 0) + 1
             if obj_id in matched_objs:
-                tally.frames_matched[obj_id] = tally.frames_matched.get(obj_id, 0) + 1
+                matched[obj_id] = matched.get(obj_id, 0) + 1
     return tally
 
 
 def evaluate_sequence(gt_frames, pred_frames,
                       iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> SequenceTally:
-    """Run match_frame over a whole sequence with id carry-over."""
-    gt_prep, pred_prep = _prepare(gt_frames, pred_frames)
-    return _evaluate_prepared(gt_prep, pred_prep, None, iou_threshold)
+    """Match every frame (Hungarian on IoU, gated) with id carry-over.
+
+    gt_frames: per frame, a list of (object_id, box); pred_frames: per
+    frame, a list of (track_id, box, score).
+    """
+    return _tally(_matchers(gt_frames, pred_frames, iou_threshold), None)
 
 
 def mota_motp(totals: FrameCounts):
@@ -241,8 +239,10 @@ def amota_family(gt_frames, pred_frames,
     if gt_total == 0:
         raise NoGroundTruth("sequence has no ground-truth boxes")
 
-    gt_prep, pred_prep = _prepare(gt_frames, pred_frames)
-    full = _evaluate_prepared(gt_prep, pred_prep, None, iou_threshold)
+    # IoU matrices and matchings are shared by every threshold's pass
+    # within this call and dropped with it.
+    matchers = _matchers(gt_frames, pred_frames, iou_threshold)
+    full = _tally(matchers, None)
 
     # Scan candidate thresholds from the highest score down, assigning each
     # recall target the first (fewest-prediction) threshold that reaches
@@ -253,7 +253,7 @@ def amota_family(gt_frames, pred_frames,
     needed = {k for k, t in enumerate(targets) if t <= full.recall}
     chosen = {}
     for s in scores:
-        tally = _evaluate_prepared(gt_prep, pred_prep, s, iou_threshold)
+        tally = _tally(matchers, s)
         for k, target in enumerate(targets):
             if k not in chosen and tally.recall >= target:
                 chosen[k] = (s, tally)

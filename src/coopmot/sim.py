@@ -42,6 +42,9 @@ class ScenarioConfig:
             raise ValueError("num_frames must be >= 1")
         if self.num_objects < 0:
             raise ValueError("num_objects must be >= 0")
+        for key in ("sigma", "dropout", "occlusion_sectors"):
+            if len(getattr(self, key)) != len(AGENTS):
+                raise ValueError(f"{key} needs one entry per agent ({len(AGENTS)})")
         if any(s < 0 for s in self.sigma):
             raise ValueError("sigma must be >= 0")
         if any(not 0.0 <= p <= 1.0 for p in self.dropout):

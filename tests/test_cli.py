@@ -49,6 +49,22 @@ class TestSimulate:
         assert run_cli("simulate", "--config", str(bad),
                        "--out", str(tmp_path / "o")) == 2
 
+    @pytest.mark.parametrize("raw", [
+        {"sigma": [0.3]},
+        {"sigma": [0.3, 0.3, 9]},
+        {"dropout": [0.1]},
+        {"occlusion_sectors": [[], [], []]},
+    ])
+    def test_per_agent_list_length_exits_2(self, tmp_path, capsys, raw):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert run_cli("simulate", "--config", str(bad),
+                       "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "one entry per agent" in err
+        assert not (tmp_path / "o").exists()
+
     def test_same_seed_identical_files(self, tmp_path, scenario_cfg):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         run_cli("simulate", "--config", scenario_cfg, "--out", str(out1))

@@ -108,6 +108,30 @@ class TestIou3d:
         assert geometry.iou3d(d, t) == 1.0
 
 
+class TestAsBox7Array:
+    def test_float_array_returned_as_is(self, rng):
+        boxes = np.stack([rand_box7(rng) for _ in range(3)])
+        out = geometry.as_box7_array(boxes)
+        assert out is boxes
+        assert np.array_equal(out, boxes)
+
+    def test_zero_row_array(self):
+        out = geometry.as_box7_array(np.zeros((0, 7)))
+        assert out.shape == (0, 7) and out.dtype == float
+
+    def test_detection_list(self):
+        dets = [make_box(x=1.0), make_box(x=2.0, theta=0.5)]
+        out = geometry.as_box7_array(dets)
+        assert out.shape == (2, 7)
+        assert np.array_equal(out, np.stack([d.box7() for d in dets]))
+
+    def test_other_arrays_take_the_general_path(self):
+        ints = np.arange(14).reshape(2, 7)
+        assert np.array_equal(geometry.as_box7_array(ints), ints.astype(float))
+        wide = np.arange(16.0).reshape(2, 8)
+        assert np.array_equal(geometry.as_box7_array(wide), wide[:, :7])
+
+
 class TestIouMatrix:
     def test_empty_rows(self):
         m = geometry.iou_matrix([], [make_box(), make_box(x=3.0)])

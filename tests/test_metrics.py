@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from coopmot import geometry, metrics
 from conftest import make_box
@@ -101,27 +103,31 @@ def oracle_amota_family(gt_frames, pred_frames, num_thresholds=40):
 
 
 class TestMatchFrame:
+    """Single-frame matching, seen through one- and two-frame sequences."""
+
     def test_perfect_frame(self):
         gt = gt_row(0, [(0, 0.0, 0.0), (1, 30.0, 0.0)])
         pred = pred_row(0, [(10, 0.0, 0.0, 0.9), (11, 30.0, 0.0, 0.9)])
-        counts, pairs = metrics.match_frame(gt, pred)
+        tally = metrics.evaluate_sequence([gt], [pred])
+        counts = tally.per_frame[0]
         assert (counts.tp, counts.fp, counts.fn, counts.idsw) == (2, 0, 0, 0)
         assert counts.matched_iou_sum == 2.0
-        assert {(o, t) for o, t, _ in pairs} == {(0, 10), (1, 11)}
+        assert tally.frames_matched == {0: 1, 1: 1}
 
     def test_empty_predictions(self):
         gt = gt_row(0, [(0, 0.0, 0.0), (1, 30.0, 0.0)])
-        counts, pairs = metrics.match_frame(gt, [])
+        tally = metrics.evaluate_sequence([gt], [[]])
+        counts = tally.per_frame[0]
         assert (counts.tp, counts.fp, counts.fn) == (0, 0, 2)
-        assert pairs == []
+        assert tally.frames_matched == {}
 
     def test_id_switch_two_frame_trace(self):
         gt = gt_row(0, [(0, 0.0, 0.0)])
-        counts1, pairs1 = metrics.match_frame(gt, pred_row(0, [(1, 0.0, 0.0, 0.9)]))
-        assert counts1.idsw == 0
-        carry = {o: t for o, t, _ in pairs1}
-        counts2, _ = metrics.match_frame(gt, pred_row(0, [(2, 0.0, 0.0, 0.9)]), carry)
-        assert counts2.idsw == 1
+        tally = metrics.evaluate_sequence(
+            [gt, gt], [pred_row(0, [(1, 0.0, 0.0, 0.9)]),
+                       pred_row(0, [(2, 0.0, 0.0, 0.9)])])
+        assert [c.idsw for c in tally.per_frame] == [0, 1]
+        assert tally.totals.idsw == 1
 
     def test_tp_plus_fn_equals_gt(self, rng):
         for _ in range(100):
@@ -129,7 +135,8 @@ class TestMatchFrame:
                             enumerate(rng.uniform(-50, 50, (int(rng.integers(0, 5)), 2)))])
             pred = pred_row(0, [(k, float(x), float(y), 0.9) for k, (x, y) in
                                 enumerate(rng.uniform(-50, 50, (int(rng.integers(0, 5)), 2)))])
-            counts, _ = metrics.match_frame(gt, pred)
+            counts = metrics.evaluate_sequence([gt], [pred]).per_frame[0]
+            assert counts.tp == len(oracle_match(gt, pred, 0.25))
             assert counts.tp + counts.fn == counts.gt_count == len(gt)
             assert counts.tp + counts.fp == len(pred)
 
@@ -235,6 +242,47 @@ class TestAmotaFamily:
             mota_with, _ = metrics.mota_motp(with_fp.totals)
             mota_without, _ = metrics.mota_motp(without.totals)
             assert mota_without >= mota_with - 1e-12
+
+
+# Small random sequences: boxes on a coarse grid so that partial overlaps,
+# misses and id changes all occur, and scores from a short list so that
+# ties occur within and across frames.
+_coord = st.sampled_from([0.0, 1.0, 2.5, 4.0, 12.0])
+_frame = st.tuples(
+    st.lists(st.tuples(st.integers(0, 5), _coord, _coord), max_size=4,
+             unique_by=lambda g: g[0]),
+    st.lists(st.tuples(st.integers(0, 6), _coord, _coord,
+                       st.sampled_from([0.2, 0.5, 0.5, 0.9])),
+             max_size=5, unique_by=lambda p: p[0]))
+_sequences = st.lists(_frame, min_size=1, max_size=6)
+
+
+def _totals(tally):
+    t = tally.totals
+    return t.tp, t.fp, t.fn, t.idsw
+
+
+class TestSweepProperties:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_sequences)
+    def test_operating_points_match_filtered_passes(self, frames):
+        gt_frames = [gt_row(t, gt) for t, (gt, _) in enumerate(frames)]
+        pred_frames = [pred_row(t, pred) for t, (_, pred) in enumerate(frames)]
+        assume(any(gt_frames))
+        report = metrics.amota_family(gt_frames, pred_frames)
+        for point in report.operating_points:
+            if point.threshold is None:
+                continue
+            kept = [[p for p in row if p[2] >= point.threshold]
+                    for row in pred_frames]
+            tally = metrics.evaluate_sequence(gt_frames, kept)
+            assert (point.tp, point.fp, point.fn, point.idsw) == _totals(tally)
+        full = metrics.evaluate_sequence(gt_frames, pred_frames)
+        mota, motp = metrics.mota_motp(full.totals)
+        mt = metrics.mostly_tracked(full.frames_present, full.frames_matched)
+        assert (report.mota, report.motp, report.mt) == \
+            (100.0 * mota, 100.0 * motp, 100.0 * mt)
 
 
 class TestReportFormat:
