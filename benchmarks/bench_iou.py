@@ -2,6 +2,10 @@
 """Benchmark the compiled IoU kernel against the pure-numpy fallback.
 
 Usage: python3 benchmarks/bench_iou.py [--sizes 10,20,40,80] [--repeat 30]
+
+Boxes are spread over two squares: 80 m (+-40 m), where association-sized
+sets overlap often, and 200 m (+-100 m, the world of the dense benchmark
+workload), where almost every pair is rejected before the polygon clip.
 """
 
 import argparse
@@ -42,20 +46,22 @@ def main():
     sizes = [int(s) for s in args.sizes.split(",")]
 
     rng = np.random.default_rng(0)
-    print(f"{'N x N':>8} {'pure (ms)':>12} {'native (ms)':>12} {'speedup':>9}")
-    for n in sizes:
-        rows = random_boxes(rng, n)
-        cols = random_boxes(rng, n)
-        t_pure = bench(_pure, rows, cols, args.repeat)
-        if _native is None:
-            print(f"{n:>4}x{n:<3} {1e3 * t_pure:>12.3f} {'n/a':>12} {'n/a':>9}")
-            continue
-        t_native = bench(_native, rows, cols, args.repeat)
-        worst = np.max(np.abs(_native.iou3d_matrix(rows, cols)
-                              - _pure.iou3d_matrix(rows, cols)))
-        assert worst < 1e-12, f"backend mismatch: {worst}"
-        print(f"{n:>4}x{n:<3} {1e3 * t_pure:>12.3f} {1e3 * t_native:>12.3f} "
-              f"{t_pure / t_native:>8.1f}x")
+    print(f"{'side (m)':>8} {'N x N':>8} {'pure (ms)':>12} {'native (ms)':>12} "
+          f"{'speedup':>9}")
+    for spread in (40.0, 100.0):
+        for n in sizes:
+            rows = random_boxes(rng, n, spread)
+            cols = random_boxes(rng, n, spread)
+            t_pure = bench(_pure, rows, cols, args.repeat)
+            head = f"{2 * spread:>8.0f} {n:>4}x{n:<3} {1e3 * t_pure:>12.3f}"
+            if _native is None:
+                print(f"{head} {'n/a':>12} {'n/a':>9}")
+                continue
+            t_native = bench(_native, rows, cols, args.repeat)
+            worst = np.max(np.abs(_native.iou3d_matrix(rows, cols)
+                                  - _pure.iou3d_matrix(rows, cols)))
+            assert worst < 1e-12, f"backend mismatch: {worst}"
+            print(f"{head} {1e3 * t_native:>12.3f} {t_pure / t_native:>8.1f}x")
     if _native is None:
         print("compiled kernel not built; run: python3 setup.py build_ext --inplace")
 

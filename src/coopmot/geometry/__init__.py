@@ -9,7 +9,6 @@ benchmarks/bench_iou.py compares the two.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,40 +50,6 @@ def as_box7_array(objs) -> np.ndarray:
     if len(objs) == 0:
         return np.zeros((0, 7), dtype=float)
     return np.stack([as_box7(o) for o in objs])
-
-
-@dataclass(frozen=True)
-class BevPolygon:
-    """Convex birds-eye-view quad, counter-clockwise corners (4, 2)."""
-
-    corners: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.corners, dtype=float)
-        if c.shape != (4, 2):
-            raise ValueError(f"BEV polygon needs 4 corners, got {c.shape}")
-        if self.signed_area_of(c) <= 0.0:
-            raise ValueError("BEV polygon must be counter-clockwise with non-zero area")
-        edges = np.roll(c, -1, axis=0) - c
-        cross = edges[:, 0] * np.roll(edges, -1, axis=0)[:, 1] \
-            - edges[:, 1] * np.roll(edges, -1, axis=0)[:, 0]
-        if np.any(cross <= 0.0):
-            raise ValueError("BEV polygon must be convex")
-        object.__setattr__(self, "corners", c)
-
-    @staticmethod
-    def signed_area_of(corners) -> float:
-        x, y = corners[:, 0], corners[:, 1]
-        return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-    @property
-    def area(self) -> float:
-        return self.signed_area_of(self.corners)
-
-
-def box_to_bev(d) -> BevPolygon:
-    """BEV rectangle of a detection: extent l x w at (x, y), rotated by theta."""
-    return BevPolygon(_pure.bev_corners(as_box7(d)))
 
 
 def iou3d(a, b) -> float:

@@ -7,6 +7,18 @@ both backends agree to floating-point noise.
 Boxes are 7-vectors [x y z theta h w l]: centroid, yaw about z, extents.
 Overlap is BEV convex-polygon clipping (Sutherland-Hodgman) times the
 z-interval overlap.
+
+A pair is zero without clipping when its z-intervals do not overlap
+(dz <= 0) or its circumscribed BEV circles are apart (dx^2 + dy^2 >
+(ra + rb)^2). iou3d_matrix evaluates both rejections for the whole N x M
+block with numpy, using the operations of iou3d_pair in the same order
+(Python's min/max semantics, radii from math.hypot), so each entry of the
+gate is the float iou3d_pair would compute. The gate keeps a pair when
+neither rejection holds, written as their negation so that NaN comparisons
+keep a pair exactly as the scalar code does. Only the kept pairs reach the
+clip, with each box's corners and area computed once; the clip and volume
+arithmetic is one helper shared with iou3d_pair. The matrix is therefore
+equal, entry for entry, to calling iou3d_pair on every pair.
 """
 
 import math
@@ -79,20 +91,35 @@ def _polygon_area(poly):
     return 0.5 * abs(acc)
 
 
-def bev_overlap_area(a7, b7):
-    """BEV intersection area of two boxes (clipping noise clamped to 0)."""
-    pa = [tuple(p) for p in bev_corners(a7)]
-    pb = [tuple(p) for p in bev_corners(b7)]
+def _bev(box7):
+    """BEV corners of a box as (x, y) tuples, and their shoelace area."""
+    poly = [tuple(p) for p in bev_corners(box7).tolist()]
+    return poly, _polygon_area(poly)
+
+
+def _clipped_iou(pa, area_a, ha, pb, area_b, hb, dz):
+    """IoU of two boxes that passed both rejections.
+
+    pa/pb are BEV corner lists, area_a/area_b their shoelace areas, ha/hb
+    the box heights as z-interval widths and dz the z-overlap. Box volumes
+    come from the same shoelace formula as the intersection polygon so
+    that the self-overlap case is exactly 1.
+    """
     area = _polygon_area(_clip_polygon(pa, pb))
-    return 0.0 if area < AREA_EPS else area
+    if area < AREA_EPS:
+        return 0.0
+    inter_vol = area * dz
+    vol_a = area_a * ha
+    vol_b = area_b * hb
+    denom = vol_a + vol_b - inter_vol
+    if denom <= 0.0:
+        return 1.0
+    iou = inter_vol / denom
+    return min(max(iou, 0.0), 1.0)
 
 
 def iou3d_pair(a7, b7):
-    """3D IoU of two box 7-vectors; 0.0 when disjoint.
-
-    Box volumes are computed from the same shoelace formula as the
-    intersection polygon so that the self-overlap case is exactly 1.
-    """
+    """3D IoU of two box 7-vectors; 0.0 when disjoint."""
     za0, za1 = a7[2] - 0.5 * a7[4], a7[2] + 0.5 * a7[4]
     zb0, zb1 = b7[2] - 0.5 * b7[4], b7[2] + 0.5 * b7[4]
     dz = min(za1, zb1) - max(za0, zb0)
@@ -104,28 +131,40 @@ def iou3d_pair(a7, b7):
     dx, dy = a7[0] - b7[0], a7[1] - b7[1]
     if dx * dx + dy * dy > (ra + rb) * (ra + rb):
         return 0.0
-    pa = [tuple(p) for p in bev_corners(a7)]
-    pb = [tuple(p) for p in bev_corners(b7)]
-    area = _polygon_area(_clip_polygon(pa, pb))
-    if area < AREA_EPS:
-        return 0.0
-    inter_vol = area * dz
-    vol_a = _polygon_area(pa) * (za1 - za0)
-    vol_b = _polygon_area(pb) * (zb1 - zb0)
-    denom = vol_a + vol_b - inter_vol
-    if denom <= 0.0:
-        return 1.0
-    iou = inter_vol / denom
-    return min(max(iou, 0.0), 1.0)
+    return _clipped_iou(*_bev(a7), za1 - za0, *_bev(b7), zb1 - zb0, dz)
 
 
 def iou3d_matrix(rows, cols):
-    """Pairwise IoU matrix of two (N, 7) / (M, 7) box arrays."""
+    """Pairwise IoU matrix of two (N, 7) / (M, 7) box arrays.
+
+    Both rejections of iou3d_pair run on the whole block at once, and only
+    the pairs that pass both reach the polygon clip (see module docstring).
+    """
     rows = np.asarray(rows, dtype=float)
     cols = np.asarray(cols, dtype=float)
     n, m = rows.shape[0], cols.shape[0]
     out = np.zeros((n, m), dtype=float)
-    for i in range(n):
-        for j in range(m):
-            out[i, j] = iou3d_pair(rows[i], cols[j])
+    if n == 0 or m == 0:
+        return out
+    za0 = (rows[:, 2] - 0.5 * rows[:, 4])[:, None]
+    za1 = (rows[:, 2] + 0.5 * rows[:, 4])[:, None]
+    zb0 = (cols[:, 2] - 0.5 * cols[:, 4])[None, :]
+    zb1 = (cols[:, 2] + 0.5 * cols[:, 4])[None, :]
+    # min(za1, zb1) - max(za0, zb0) with Python's min/max, which keep the
+    # first argument unless the second compares smaller/larger (NaN too)
+    dz = np.where(zb1 < za1, zb1, za1) - np.where(zb0 > za0, zb0, za0)
+    ra = np.array([0.5 * math.hypot(w, l) for w, l in rows[:, 5:7].tolist()])
+    rb = np.array([0.5 * math.hypot(w, l) for w, l in cols[:, 5:7].tolist()])
+    dx = rows[:, 0][:, None] - cols[:, 0][None, :]
+    dy = rows[:, 1][:, None] - cols[:, 1][None, :]
+    rr = ra[:, None] + rb[None, :]
+    near = ~(dz <= 0.0) & ~(dx * dx + dy * dy > rr * rr)
+    ii, jj = np.nonzero(near)
+    row_bev = {i: _bev(rows[i]) for i in np.unique(ii).tolist()}
+    col_bev = {j: _bev(cols[j]) for j in np.unique(jj).tolist()}
+    ha = (za1 - za0)[:, 0].tolist()
+    hb = (zb1 - zb0)[0, :].tolist()
+    out[ii, jj] = [_clipped_iou(*row_bev[i], ha[i], *col_bev[j], hb[j], d)
+                   for i, j, d in zip(ii.tolist(), jj.tolist(),
+                                      dz[ii, jj].tolist())]
     return out

@@ -25,6 +25,18 @@ def test_matrix_parity(rng):
                          - _pure.iou3d_matrix(rows, cols))) < 1e-12
 
 
+def test_sparse_matrix_parity(rng):
+    # boxes spread over 100 m, as in dense scenes, where the pure kernel's
+    # gate rejects almost every pair; the first ten columns are jittered
+    # copies of rows so that some pairs do overlap
+    rows = np.stack([rand_box7(rng, center_scale=50.0) for _ in range(60)])
+    cols = np.stack([rand_box7(rng, center_scale=50.0) for _ in range(60)])
+    cols[:10] = rows[:10] + rng.normal(0.0, 0.5, (10, 7)) * [1, 1, 0, 1, 0, 0, 0]
+    expected = native.iou3d_matrix(rows, cols)
+    assert np.count_nonzero(expected) >= 10
+    assert np.max(np.abs(expected - _pure.iou3d_matrix(rows, cols))) < 1e-12
+
+
 def test_exact_cases_on_both_backends():
     a = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
     b = np.array([0.5, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0])

@@ -1,41 +1,83 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from coopmot import geometry
+from coopmot.geometry import _pure
 from conftest import make_box, mc_iou, rand_box7
+
+
+@dataclass(frozen=True)
+class BevPolygon:
+    """Convex birds-eye-view quad, counter-clockwise corners (4, 2).
+
+    Oracle for _pure.bev_corners: construction fails unless the corners
+    form a convex counter-clockwise quad with non-zero area.
+    """
+
+    corners: np.ndarray
+
+    def __post_init__(self):
+        c = np.asarray(self.corners, dtype=float)
+        if c.shape != (4, 2):
+            raise ValueError(f"BEV polygon needs 4 corners, got {c.shape}")
+        if self.signed_area_of(c) <= 0.0:
+            raise ValueError("BEV polygon must be counter-clockwise with non-zero area")
+        edges = np.roll(c, -1, axis=0) - c
+        cross = edges[:, 0] * np.roll(edges, -1, axis=0)[:, 1] \
+            - edges[:, 1] * np.roll(edges, -1, axis=0)[:, 0]
+        if np.any(cross <= 0.0):
+            raise ValueError("BEV polygon must be convex")
+        object.__setattr__(self, "corners", c)
+
+    @staticmethod
+    def signed_area_of(corners) -> float:
+        x, y = corners[:, 0], corners[:, 1]
+        return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+
+    @property
+    def area(self) -> float:
+        return self.signed_area_of(self.corners)
+
+
+def box_to_bev(d) -> BevPolygon:
+    """BEV rectangle of a detection: extent l x w at (x, y), rotated by theta."""
+    return BevPolygon(_pure.bev_corners(geometry.as_box7(d)))
 
 
 class TestBoxToBev:
     def test_axis_aligned(self):
-        poly = geometry.box_to_bev(make_box(l=2.0, w=1.0))
+        poly = box_to_bev(make_box(l=2.0, w=1.0))
         expected = {(1.0, 0.5), (-1.0, 0.5), (-1.0, -0.5), (1.0, -0.5)}
         got = {(round(x, 12), round(y, 12)) for x, y in poly.corners}
         assert got == expected
 
     def test_quarter_turn(self):
-        poly = geometry.box_to_bev(make_box(l=2.0, w=1.0, theta=math.pi / 2))
+        poly = box_to_bev(make_box(l=2.0, w=1.0, theta=math.pi / 2))
         got = {(round(x, 12), round(y, 12)) for x, y in poly.corners}
         assert got == {(0.5, 1.0), (-0.5, 1.0), (-0.5, -1.0), (0.5, -1.0)}
 
     def test_diagonal_square(self):
         # hand-rotated corners of an l=w=sqrt(2) square at 45 degrees
         s = math.sqrt(2.0)
-        poly = geometry.box_to_bev(make_box(l=s, w=s, theta=math.pi / 4))
+        poly = box_to_bev(make_box(l=s, w=s, theta=math.pi / 4))
         got = {(round(x, 12), round(y, 12)) for x, y in poly.corners}
         assert got == {(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)}
 
     def test_ccw_orientation_enforced(self):
-        poly = geometry.box_to_bev(make_box(l=3.0, w=2.0, theta=0.7))
+        poly = box_to_bev(make_box(l=3.0, w=2.0, theta=0.7))
         assert poly.area > 0
         with pytest.raises(ValueError):
-            geometry.BevPolygon(poly.corners[::-1].copy())
+            BevPolygon(poly.corners[::-1].copy())
 
     def test_non_convex_rejected(self):
         bowtie = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
-            geometry.BevPolygon(bowtie)
+            BevPolygon(bowtie)
 
 
 class TestIou3d:
@@ -152,3 +194,102 @@ class TestIouMatrix:
                 assert m[r, c] == geometry.iou3d(rows[r], cols[c])
         assert np.count_nonzero(m) == 1
         assert m[0, 1] > 0
+
+
+def pairwise_iou(rows, cols):
+    """The plain per-pair loop that _pure.iou3d_matrix must reproduce."""
+    out = np.zeros((len(rows), len(cols)))
+    for i, a in enumerate(rows):
+        for j, b in enumerate(cols):
+            out[i, j] = _pure.iou3d_pair(a, b)
+    return out
+
+
+def _box(center):
+    return st.tuples(center, center, st.floats(-1.0, 1.0),
+                     st.floats(-math.pi, math.pi), st.floats(0.5, 3.0),
+                     st.floats(0.5, 3.0), st.floats(0.5, 6.0))
+
+
+# Exact contacts of the two rejections: z-intervals [-1, 1] and [1, 3]
+# (dz == 0), and circumscribed circles of radius 2.5 (w=3, l=4) whose
+# centres are 5 apart (dx^2 + dy^2 == (ra + rb)^2 == 25).
+Z_TOUCH = [(0.0, 0.0, 0.0, 0.0, 2.0, 1.0, 1.0),
+           (0.25, 0.0, 2.0, 0.3, 2.0, 1.0, 1.0)]
+CIRCLE_TOUCH = [(0.0, 0.0, 0.0, 0.3, 1.0, 3.0, 4.0),
+                (3.0, 4.0, 0.0, 1.1, 1.0, 3.0, 4.0)]
+# A flat box: dz <= 0 against every box, itself included. Against a box
+# whose z is NaN, Python's min/max still give dz == 0, so it stays 0.
+FLAT = [(0.5, 0.0, 0.0, 0.0, 0.0, 2.0, 2.0)]
+
+
+@st.composite
+def box_sets(draw):
+    """Two box sets drawn from one pool of clustered, far-apart and touching
+    boxes, so that identical, overlapping and rejected pairs all occur;
+    sometimes one row of either set holds a NaN."""
+    pool = draw(st.lists(st.one_of(_box(st.floats(-3.0, 3.0)),
+                                   _box(st.floats(-200.0, 200.0))),
+                         max_size=10)) + Z_TOUCH + CIRCLE_TOUCH + FLAT
+    pick = st.lists(st.integers(0, len(pool) - 1), max_size=12)
+    rows = np.array([pool[k] for k in draw(pick)], dtype=float).reshape(-1, 7)
+    cols = np.array([pool[k] for k in draw(pick)], dtype=float).reshape(-1, 7)
+    side = (None, rows, cols)[draw(st.integers(0, 2))]
+    if side is not None and len(side):
+        row = draw(st.integers(0, len(side) - 1))
+        side[row, draw(st.sampled_from([slice(None), 0, 2, 4, 6]))] = np.nan
+    return rows, cols
+
+
+class TestPureMatrixGate:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(box_sets())
+    def test_matrix_equals_pairwise_loop(self, sets):
+        rows, cols = sets
+        m = _pure.iou3d_matrix(rows, cols)
+        assert m.shape == (len(rows), len(cols))
+        assert np.array_equal(m, pairwise_iou(rows, cols), equal_nan=True)
+        if np.isnan(rows).any() or np.isnan(cols).any():
+            return
+        assert np.all((m >= 0.0) & (m <= 1.0))
+        assert np.all(np.abs(m - _pure.iou3d_matrix(cols, rows).T) < 1e-12)
+        solid = rows[:, 4] > 0.0
+        assert np.all(np.diag(_pure.iou3d_matrix(rows, rows))[solid] == 1.0)
+
+    @pytest.mark.parametrize("n, m", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_sides(self, rng, n, m):
+        rows = np.array([rand_box7(rng) for _ in range(n)]).reshape(-1, 7)
+        cols = np.array([rand_box7(rng) for _ in range(m)]).reshape(-1, 7)
+        out = _pure.iou3d_matrix(rows, cols)
+        assert out.shape == (n, m) and out.dtype == float
+
+    def test_clip_runs_only_on_pairs_that_pass_both_rejections(
+            self, rng, monkeypatch):
+        rows = np.stack([rand_box7(rng, center_scale=60.0) for _ in range(40)]
+                        + [np.array(Z_TOUCH[0]), np.array(CIRCLE_TOUCH[0])])
+        cols = np.stack([rand_box7(rng, center_scale=60.0) for _ in range(50)]
+                        + [np.array(Z_TOUCH[1]), np.array(CIRCLE_TOUCH[1])])
+        cols[:8] = rows[:8] + rng.normal(0.0, 0.3, (8, 7)) * [1, 1, 0, 1, 0, 0, 0]
+        expected = 0
+        for a in rows:
+            for b in cols:
+                dz = min(a[2] + a[4] / 2, b[2] + b[4] / 2) \
+                    - max(a[2] - a[4] / 2, b[2] - b[4] / 2)
+                reach = (math.hypot(a[5], a[6]) + math.hypot(b[5], b[6])) / 2
+                if dz > 0 and math.hypot(a[0] - b[0], a[1] - b[1]) <= reach:
+                    expected += 1
+        calls = []
+        clip = _pure._clip_polygon
+
+        def counting_clip(subject, clip_poly):
+            calls.append(1)
+            return clip(subject, clip_poly)
+
+        monkeypatch.setattr(_pure, "_clip_polygon", counting_clip)
+        m = _pure.iou3d_matrix(rows, cols)
+        # the eight perturbed copies and the circle-touching pair pass; the
+        # z-touching pair does not
+        assert 9 <= expected < rows.shape[0] * cols.shape[0] // 50
+        assert len(calls) == expected
+        assert np.count_nonzero(m) >= 8
