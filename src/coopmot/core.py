@@ -65,7 +65,8 @@ class Detection:
                          self.h, self.w, self.l], dtype=float)
 
     def with_centroid(self, x: float, y: float, z: float) -> "Detection":
-        return replace(self, x=float(x), y=float(y), z=float(z))
+        return Detection(x, y, z, self.theta, self.h, self.w, self.l,
+                         self.score, self.agent_id, self.frame, self.local_index)
 
 
 def validate_detection(d: Detection) -> Detection:
@@ -214,10 +215,6 @@ def load_config(path) -> TrackerConfig:
     return config_from_dict(raw)
 
 
-def dump_config(cfg: TrackerConfig) -> str:
-    return json.dumps(cfg.to_dict(), indent=2, sort_keys=True)
-
-
 @dataclass(frozen=True)
 class FrameBundle:
     """All agents' detections for one frame, keyed by agent id.
@@ -240,6 +237,3 @@ class FrameBundle:
     @property
     def agents(self) -> list:
         return list(self.detections_by_agent.keys())
-
-    def total_detections(self) -> int:
-        return sum(len(v) for v in self.detections_by_agent.values())

@@ -27,11 +27,8 @@ else:
         BACKEND = "pure"
 
 
-def as_box7(obj) -> np.ndarray:
-    """Coerce a Detection, TrackState, or array-like to a box 7-vector."""
-    if isinstance(obj, core.Detection):
-        return obj.box7()
-    if isinstance(obj, core.TrackState):
+def _box7(obj) -> np.ndarray:
+    if isinstance(obj, (core.Detection, core.TrackState)):
         return obj.box7()
     arr = np.asarray(obj, dtype=float).reshape(-1)
     if arr.shape[0] < 7:
@@ -39,17 +36,32 @@ def as_box7(obj) -> np.ndarray:
     return arr[:7]
 
 
+def _finite(boxes: np.ndarray) -> np.ndarray:
+    if not np.isfinite(boxes).all():
+        raise ValueError("box has a non-finite value")
+    return boxes
+
+
+def as_box7(obj) -> np.ndarray:
+    """Coerce a Detection, TrackState, or array-like to a box 7-vector.
+
+    Raises ValueError when a box value is NaN or infinite.
+    """
+    return _finite(_box7(obj))
+
+
 def as_box7_array(objs) -> np.ndarray:
     """Stack boxes into an (N, 7) float array (N may be 0).
 
     A float (N, 7) ndarray is already in that form and is returned as is.
+    Raises ValueError when a box value is NaN or infinite.
     """
     if isinstance(objs, np.ndarray) and objs.dtype == float and objs.ndim == 2 \
             and objs.shape[1] == 7:
-        return objs
+        return _finite(objs)
     if len(objs) == 0:
         return np.zeros((0, 7), dtype=float)
-    return np.stack([as_box7(o) for o in objs])
+    return _finite(np.stack([_box7(o) for o in objs]))
 
 
 def iou3d(a, b) -> float:

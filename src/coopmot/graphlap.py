@@ -1,16 +1,11 @@
 """Detection-graph least-squares smoothing of box centroids.
 
-All detections of one frame form a fully connected graph. Each node's
-differential coordinates (sums of centroid differences to every other
-node) capture the relative geometry; anchor values inject absolute
-positions, using the partner agent's observation for cross-agent matched
-detections. Solving the stacked [Laplacian; identity] system in the
-least-squares sense refines every centroid per axis.
-
-Two anchor schemes are supported: the one-shot scheme ("aos") cross-swaps
-matched coordinates, and the two-stage scheme ("tsa") produces one anchor
-vector per agent, each anchoring both matched blocks with that agent's
-coordinates.
+The detections of one frame form a complete graph, Laplacian L = nI - 11^T.
+Refined centroids v solve [L; I] v = [L p; a] by least squares: L p keeps
+the relative geometry of the raw centroids p, the anchors a add absolute
+positions. As L^2 = nL, v = p + (r + n^2 mean(r)) / (n^2 + 1), r = a - p.
+One-shot anchors ("aos") cross-swap matched coordinates; two-stage anchors
+("tsa") are one vector per agent, anchoring both matched blocks with it.
 """
 
 from __future__ import annotations
@@ -21,8 +16,6 @@ import numpy as np
 
 from . import assign
 
-AXES = {"x": 0, "y": 1, "z": 2, 0: 0, 1: 1, 2: 2}
-
 SCHEME_AOS = "aos"
 SCHEME_TSA = "tsa"
 
@@ -32,26 +25,9 @@ class EmptyGraph(ValueError):
 
 
 @dataclass(frozen=True)
-class GraphNode:
-    """One detection's slot in the graph node ordering."""
-
-    agent_slot: int          # 0 = first agent, 1 = second agent
-    agent_id: str
-    local_index: int         # index into that agent's detection list
-    partner: int | None      # node index of the cross-agent match, if any
-
-    @property
-    def matched(self) -> bool:
-        return self.partner is not None
-
-
-@dataclass(frozen=True)
 class NodeIndexMap:
-    """Block-ordered node list: matched-i, matched-j, unmatched-i, unmatched-j.
-
-    The two matched blocks are pair-aligned: node k and node
-    num_matched + k form the k-th cross-agent pair.
-    """
+    """(agent slot, local index) per node in blocks matched-i, matched-j,
+    unmatched-i, unmatched-j; node k pairs with node num_matched + k."""
 
     nodes: tuple
     num_matched: int
@@ -62,223 +38,62 @@ class NodeIndexMap:
     def size(self) -> int:
         return len(self.nodes)
 
-    def __post_init__(self):
-        expected = 2 * self.num_matched + self.num_unmatched_i + self.num_unmatched_j
-        if expected != len(self.nodes):
-            raise ValueError(
-                f"block sizes {self.num_matched}/{self.num_unmatched_i}/"
-                f"{self.num_unmatched_j} do not cover {len(self.nodes)} nodes")
 
-
-def laplacian_complete(n: int) -> np.ndarray:
-    """Laplacian of the complete graph on n nodes (degree minus adjacency)."""
-    return float(n) * np.eye(n) - np.ones((n, n))
-
-
-def extended_laplacian(lap: np.ndarray) -> np.ndarray:
-    """Laplacian stacked over the identity, shape (2N, N)."""
-    n = lap.shape[0]
-    return np.vstack([lap, np.eye(n)])
-
-
-def build_graph(dets_i, dets_j, cross_match: assign.AssociationResult):
-    """Assemble the node map and complete-graph Laplacian for one frame.
-
-    cross_match is the detection-to-detection association of the two
-    agents' lists. Raises EmptyGraph when both lists are empty.
-    """
+def build_graph(dets_i, dets_j, cross_match: assign.AssociationResult) -> NodeIndexMap:
+    """Node order for one frame from the cross-agent association of the two
+    detection lists. Raises EmptyGraph when both lists are empty."""
     if len(dets_i) == 0 and len(dets_j) == 0:
         raise EmptyGraph("no detections from any agent")
-    agent_i = dets_i[0].agent_id if dets_i else ""
-    agent_j = dets_j[0].agent_id if dets_j else ""
-
     pairs = sorted(cross_match.matched_pairs)
-    m = len(pairs)
-    nodes = []
-    for k, (r, c) in enumerate(pairs):
-        nodes.append(GraphNode(0, agent_i, r, partner=m + k))
-    for k, (r, c) in enumerate(pairs):
-        nodes.append(GraphNode(1, agent_j, c, partner=k))
-    for r in sorted(cross_match.unmatched_rows):
-        nodes.append(GraphNode(0, agent_i, r, partner=None))
-    for c in sorted(cross_match.unmatched_cols):
-        nodes.append(GraphNode(1, agent_j, c, partner=None))
-
-    node_map = NodeIndexMap(
-        nodes=tuple(nodes),
-        num_matched=m,
-        num_unmatched_i=len(cross_match.unmatched_rows),
-        num_unmatched_j=len(cross_match.unmatched_cols),
-    )
-    return node_map, laplacian_complete(node_map.size)
-
-
-def node_detections(node_map: NodeIndexMap, dets_i, dets_j) -> list:
-    """Source detections in node order."""
-    lists = (dets_i, dets_j)
-    return [lists[nd.agent_slot][nd.local_index] for nd in node_map.nodes]
-
-
-def node_positions(node_map: NodeIndexMap, dets_i, dets_j) -> np.ndarray:
-    """Raw centroids (N, 3) in node order."""
-    dets = node_detections(node_map, dets_i, dets_j)
-    return np.array([[d.x, d.y, d.z] for d in dets], dtype=float)
-
-
-def differential_coords(node_map: NodeIndexMap, positions_axis) -> np.ndarray:
-    """Per-node sums of coordinate differences to all other nodes (L @ v)."""
-    v = np.asarray(positions_axis, dtype=float).reshape(-1)
-    if v.shape[0] != node_map.size:
-        raise ValueError(f"positions length {v.shape[0]} != node count {node_map.size}")
-    return laplacian_complete(node_map.size) @ v
-
-
-def _axis_values(node_map, dets_i, dets_j, axis):
-    ax = AXES[axis]
-    return node_positions(node_map, dets_i, dets_j)[:, ax]
-
-
-def anchors_aos(node_map: NodeIndexMap, dets_i, dets_j, axis) -> np.ndarray:
-    """One-shot anchors: matched nodes take the partner's coordinate,
-    unmatched nodes their own."""
-    raw = _axis_values(node_map, dets_i, dets_j, axis)
-    anchors = raw.copy()
-    m = node_map.num_matched
-    # pair-aligned swap between the two matched blocks
-    anchors[:m] = raw[m:2 * m]
-    anchors[m:2 * m] = raw[:m]
-    return anchors
-
-
-def anchors_tsa(node_map: NodeIndexMap, dets_i, dets_j, axis):
-    """Two-stage anchors (a_ij, a_ji).
-
-    a_ij anchors both matched blocks with the second agent's matched
-    coordinates, a_ji with the first agent's; unmatched blocks keep their
-    own coordinates in both.
-    """
-    raw = _axis_values(node_map, dets_i, dets_j, axis)
-    m = node_map.num_matched
-    a_ij = raw.copy()
-    a_ij[:m] = raw[m:2 * m]
-    a_ji = raw.copy()
-    a_ji[m:2 * m] = raw[:m]
-    return a_ij, a_ji
-
-
-def solve(l_ext: np.ndarray, b_axis) -> np.ndarray:
-    """Least-squares vertex positions for one axis.
-
-    Solves the normal equations (Lt L + I) v = Lt d + a of the stacked
-    system; the coefficient matrix is symmetric positive definite, so the
-    solution is unique.
-    """
-    l_ext = np.asarray(l_ext, dtype=float)
-    b = np.asarray(b_axis, dtype=float).reshape(-1)
-    n = l_ext.shape[1]
-    if l_ext.shape[0] != 2 * n or b.shape[0] != 2 * n:
-        raise ValueError(
-            f"extended system must be (2N, N) with b of length 2N, "
-            f"got {l_ext.shape} and {b.shape[0]}")
-    normal = l_ext.T @ l_ext
-    rhs = l_ext.T @ b
-    return np.linalg.solve(normal, rhs)
-
-
-@dataclass(frozen=True)
-class GraphProblem:
-    """Per-frame extended-Laplacian system for one anchor scheme.
-
-    delta, anchors are (3, N) stacked per axis x, y, z; b is (3, 2N).
-    """
-
-    n: int
-    lap: np.ndarray
-    lap_ext: np.ndarray
-    delta: np.ndarray
-    anchors: np.ndarray
-    b: np.ndarray
-
-    @classmethod
-    def assemble(cls, lap, delta_rows, anchor_rows) -> "GraphProblem":
-        delta = np.stack(delta_rows)
-        anchors = np.stack(anchor_rows)
-        return cls(n=lap.shape[0], lap=lap, lap_ext=extended_laplacian(lap),
-                   delta=delta, anchors=anchors,
-                   b=np.concatenate([delta, anchors], axis=1))
+    rows, cols = sorted(cross_match.unmatched_rows), sorted(cross_match.unmatched_cols)
+    nodes = ([(0, r) for r, _ in pairs] + [(1, c) for _, c in pairs]
+             + [(0, r) for r in rows] + [(1, c) for c in cols])
+    return NodeIndexMap(tuple(nodes), len(pairs), len(rows), len(cols))
 
 
 @dataclass(frozen=True)
 class RefinedDetectionSet:
-    """Smoothed boxes: solved centroids, all other attributes copied."""
+    """Smoothed boxes in node order: solved centroids, all else copied."""
 
     boxes: tuple
     node_map: NodeIndexMap
     scheme: str  # "aos", "tsa_ij" or "tsa_ji"
 
 
-def _solve_problem(problem: GraphProblem) -> np.ndarray:
-    # the three axis solves are independent
-    return np.stack([solve(problem.lap_ext, problem.b[ax]) for ax in range(3)], axis=1)
-
-
-def _refined_boxes(sources, centroids) -> tuple:
-    return tuple(d.with_centroid(*centroids[k]) for k, d in enumerate(sources))
-
-
 def refine(dets_i, dets_j, scheme: str, cross_iou_threshold: float,
            cross_match: assign.AssociationResult | None = None):
-    """Cross-associate, build the graph, and solve per axis.
-
-    Returns one RefinedDetectionSet for the "aos" scheme, or an
-    (ij, ji) pair for "tsa". Raises EmptyGraph when there is nothing to
-    refine.
-    """
+    """Cross-associate, build the graph and smooth every centroid: one
+    RefinedDetectionSet for "aos", an (ij, ji) pair for "tsa". Raises
+    EmptyGraph when there is nothing to refine."""
     if scheme not in (SCHEME_AOS, SCHEME_TSA):
         raise ValueError(f"unknown refinement scheme {scheme!r}")
     if cross_match is None:
         cross_match = assign.associate(dets_i, dets_j, cross_iou_threshold)
-    node_map, lap = build_graph(dets_i, dets_j, cross_match)
-    sources = node_detections(node_map, dets_i, dets_j)
-    positions = node_positions(node_map, dets_i, dets_j)
-    delta_rows = [lap @ positions[:, ax] for ax in range(3)]
-
+    node_map = build_graph(dets_i, dets_j, cross_match)
+    sources = [(dets_i, dets_j)[slot][k] for slot, k in node_map.nodes]
+    p = np.array([(d.x, d.y, d.z) for d in sources], dtype=float)
+    n, m = node_map.size, node_map.num_matched
+    # anchors per variant: aos swaps the matched blocks; tsa gives a_ij, a_ji
+    a = np.repeat(p[None], 1 if scheme == SCHEME_AOS else 2, axis=0)
+    a[0, :m] = p[m:2 * m]
+    a[-1, m:2 * m] = p[:m]
+    r = a - p
+    v = p + (r + n * r.sum(axis=1, keepdims=True)) / (n * n + 1)
+    boxes = [tuple(d.with_centroid(*c) for d, c in zip(sources, variant))
+             for variant in v.tolist()]
     if scheme == SCHEME_AOS:
-        anchor_rows = [anchors_aos(node_map, dets_i, dets_j, ax) for ax in range(3)]
-        problem = GraphProblem.assemble(lap, delta_rows, anchor_rows)
-        return RefinedDetectionSet(
-            boxes=_refined_boxes(sources, _solve_problem(problem)),
-            node_map=node_map, scheme="aos")
-
-    per_axis = [anchors_tsa(node_map, dets_i, dets_j, ax) for ax in range(3)]
-    problem_ij = GraphProblem.assemble(lap, delta_rows, [a[0] for a in per_axis])
-    problem_ji = GraphProblem.assemble(lap, delta_rows, [a[1] for a in per_axis])
-    set_ij = RefinedDetectionSet(
-        boxes=_refined_boxes(sources, _solve_problem(problem_ij)),
-        node_map=node_map, scheme="tsa_ij")
-    set_ji = RefinedDetectionSet(
-        boxes=_refined_boxes(sources, _solve_problem(problem_ji)),
-        node_map=node_map, scheme="tsa_ji")
-    return set_ij, set_ji
+        return RefinedDetectionSet(boxes[0], node_map, "aos")
+    return (RefinedDetectionSet(boxes[0], node_map, "tsa_ij"),
+            RefinedDetectionSet(boxes[1], node_map, "tsa_ji"))
 
 
 def collapse_matched(rset: RefinedDetectionSet):
-    """Merge each matched pair into one box (for dedup_matched_pairs).
-
-    Merged box: mean of the two refined centroids, non-positional
-    attributes from the higher-score member, score = max. Returns the box
-    list plus, per box, the tuple of node indices it came from.
-    """
-    m = rset.node_map.num_matched
-    boxes, groups = [], []
-    for k in range(m):
-        a, b = rset.boxes[k], rset.boxes[m + k]
-        keep = a if a.score >= b.score else b
-        merged = keep.with_centroid(0.5 * (a.x + b.x), 0.5 * (a.y + b.y),
-                                    0.5 * (a.z + b.z))
-        boxes.append(merged)
-        groups.append((k, m + k))
-    for idx in range(2 * m, rset.node_map.size):
-        boxes.append(rset.boxes[idx])
-        groups.append((idx,))
-    return boxes, groups
+    """Merge each matched pair into one box at its mean refined centroid, the
+    rest from the higher-score member (for dedup_matched_pairs). Returns the
+    boxes and, per box, the tuple of node indices it came from."""
+    m, boxes = rset.node_map.num_matched, rset.boxes
+    merged = [(a if a.score >= b.score else b).with_centroid(
+        0.5 * (a.x + b.x), 0.5 * (a.y + b.y), 0.5 * (a.z + b.z))
+        for a, b in zip(boxes[:m], boxes[m:2 * m])]
+    groups = [(k, m + k) for k in range(m)] + [(k,) for k in range(2 * m, len(boxes))]
+    return merged + list(boxes[2 * m:]), groups

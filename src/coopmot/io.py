@@ -57,12 +57,6 @@ def to_global(d: Detection, p: Pose) -> Detection:
         agent_id=d.agent_id, frame=d.frame, local_index=d.local_index))
 
 
-def inverse_pose(p: Pose) -> Pose:
-    c, s = math.cos(p.yaw), math.sin(p.yaw)
-    return Pose(x=-(c * p.x + s * p.y), y=-(-s * p.x + c * p.y),
-                z=-p.z, yaw=-p.yaw)
-
-
 def _iter_records(path, fields):
     with open(path, "r", encoding="utf-8") as fh:
         last_frame = None

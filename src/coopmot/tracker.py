@@ -154,8 +154,7 @@ def step_aos(ts: TrackSet, bundle: FrameBundle, cfg: TrackerConfig, model):
     return _single_stage_step(ts, _refined_aos_boxes(bundle, cfg), cfg, model)
 
 
-def step_tsa(ts: TrackSet, bundle: FrameBundle, cfg: TrackerConfig, model,
-             stage2_full_pool: bool = False):
+def step_tsa(ts: TrackSet, bundle: FrameBundle, cfg: TrackerConfig, model):
     """Two association stages over the two anchor variants.
 
     Stage 2 retries only tracks unmatched in stage 1, against the
@@ -164,8 +163,6 @@ def step_tsa(ts: TrackSet, bundle: FrameBundle, cfg: TrackerConfig, model,
     the step degenerates to the one-stage pipeline exactly. Stage 2 never
     initializes tracks (stage 1 already initialized every unmatched box;
     a second initialization of the same node would duplicate it).
-    stage2_full_pool=True instead offers every second-variant box to
-    stage 2, for ablation.
     """
     dets_i, dets_j = _split_agents(bundle)
     if not dets_i and not dets_j:
@@ -189,12 +186,9 @@ def step_tsa(ts: TrackSet, bundle: FrameBundle, cfg: TrackerConfig, model,
     born, next_id = _init_tracks([boxes_ij[c] for c in unmatched_cols],
                                  ts.next_id, model)
 
-    if stage2_full_pool:
-        stage2_boxes = boxes_ji
-    else:
-        unmatched_set = set(unmatched_cols)
-        stage2_boxes = [boxes_ji[c] for c in range(len(boxes_ji))
-                        if cross_matched[c] and c in unmatched_set]
+    unmatched_set = set(unmatched_cols)
+    stage2_boxes = [boxes_ji[c] for c in range(len(boxes_ji))
+                    if cross_matched[c] and c in unmatched_set]
     if unmatched_tracks and stage2_boxes:
         result2 = assign.associate(unmatched_tracks, stage2_boxes,
                                    cfg.iou_assoc_threshold)

@@ -1,9 +1,12 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from coopmot import assign, graphlap
 from coopmot.core import Detection
+from coopmot.io import Pose
 
 
 def make_box(x=0.0, y=0.0, z=0.0, theta=0.0, h=1.0, w=1.0, l=1.0,
@@ -89,6 +92,131 @@ def brute_max_gated_matching(iou, threshold):
         return max(skip, take)
 
     return best(edges, frozenset(), frozenset())
+
+
+def inverse_pose(p: Pose) -> Pose:
+    """The pose that undoes p under io.to_global."""
+    c, s = math.cos(p.yaw), math.sin(p.yaw)
+    return Pose(x=-(c * p.x + s * p.y), y=-(-s * p.x + c * p.y),
+                z=-p.z, yaw=-p.yaw)
+
+
+def total_detections(bundle) -> int:
+    """Detections of every agent in one FrameBundle."""
+    return sum(len(v) for v in bundle.detections_by_agent.values())
+
+
+def laplacian_complete(n):
+    """Laplacian of the complete graph on n nodes (degree minus adjacency)."""
+    return float(n) * np.eye(n) - np.ones((n, n))
+
+
+def differential_coords(positions):
+    """Per-node sums of coordinate differences to all other nodes."""
+    v = np.asarray(positions, dtype=float)
+    return (v[:, None] - v[None, :]).sum(axis=1)
+
+
+def stacked_lsq(positions, anchors):
+    """Least-squares solution of the explicit stacked system
+    [L; I] v = [L p; a], column by column, by pseudo-inverse."""
+    n = positions.shape[0]
+    l_ext = np.vstack([laplacian_complete(n), np.eye(n)])
+    return np.linalg.pinv(l_ext) @ np.concatenate([differential_coords(positions), anchors])
+
+
+VARIANTS = ("aos", "tsa_ij", "tsa_ji")
+
+
+def matching(n_i, n_j, pairs):
+    """AssociationResult naming the given (row, col) pairs; the rest unmatched."""
+    pairs = sorted(pairs)
+    rows = {r for r, _ in pairs}
+    cols = {c for _, c in pairs}
+    return assign.AssociationResult(
+        matched_pairs=tuple(pairs),
+        unmatched_rows=tuple(r for r in range(n_i) if r not in rows),
+        unmatched_cols=tuple(c for c in range(n_j) if c not in cols))
+
+
+def graph_frame(rng, n_i, n_j, m, scale=50.0, spread=1.5, coincident=False):
+    """Two agents' detections with m cross-agent pairs at random indices.
+
+    Returns (dets_i, dets_j, match). Each pair's j box sits near its i box
+    (on it when coincident); local_index is the index in the agent's list.
+    """
+    pos_i = rng.uniform(-scale, scale, (n_i, 3))
+    pos_j = rng.uniform(-scale, scale, (n_j, 3))
+    rows = rng.permutation(n_i)[:m]
+    cols = rng.permutation(n_j)[:m]
+    pos_j[cols] = pos_i[rows] + (0.0 if coincident else rng.normal(0, spread, (m, 3)))
+    dets_i = [make_box(*map(float, p), agent_id="i", local_index=k)
+              for k, p in enumerate(pos_i)]
+    dets_j = [make_box(*map(float, p), agent_id="j", local_index=k)
+              for k, p in enumerate(pos_j)]
+    return dets_i, dets_j, matching(n_i, n_j, zip(rows.tolist(), cols.tolist()))
+
+
+def random_graph_frame(rng, n_max, coincident=False):
+    """graph_frame with 1 <= N <= n_max detections in total and 0 <= m pairs."""
+    n = int(rng.integers(1, n_max + 1))
+    n_i = int(rng.integers(0, n + 1))
+    m = int(rng.integers(0, min(n_i, n - n_i) + 1))
+    return graph_frame(rng, n_i, n - n_i, m, coincident=coincident)
+
+
+def translated(dets, c):
+    """The detections moved by the vector c, identities kept."""
+    return [make_box(x=d.x + c[0], y=d.y + c[1], z=d.z + c[2], agent_id=d.agent_id,
+                     local_index=d.local_index) for d in dets]
+
+
+def permuted(dets_i, dets_j, match, perm_i, perm_j):
+    """Each agent's list reordered (new position k holds old perm[k]), with
+    the cross-agent pairs renamed to the new positions."""
+    inv_i, inv_j = np.argsort(perm_i), np.argsort(perm_j)
+    pairs = [(int(inv_i[r]), int(inv_j[c])) for r, c in match.matched_pairs]
+    return ([dets_i[k] for k in perm_i], [dets_j[k] for k in perm_j],
+            matching(len(dets_i), len(dets_j), pairs))
+
+
+def by_key(centroids, keys):
+    """Stack a {key: centroid} dict into an array in the order of keys."""
+    return np.array([centroids[k] for k in keys])
+
+
+def refined_centroids(dets_i, dets_j, match, variant):
+    """graphlap.refine's centroids for one anchor variant, keyed by
+    (agent_id, local_index)."""
+    out = graphlap.refine(dets_i, dets_j, "aos" if variant == "aos" else "tsa",
+                          0.25, cross_match=match)
+    rset = out if variant == "aos" else out[VARIANTS.index(variant) - 1]
+    assert rset.scheme == variant
+    return {(b.agent_id, b.local_index): np.array([b.x, b.y, b.z]) for b in rset.boxes}
+
+
+def oracle_system(dets_i, dets_j, match, variant):
+    """(keys, positions, anchors) with nodes in input order (agent i's list,
+    then agent j's) and anchors set pair by pair: aos swaps the two
+    centroids, tsa_ij gives both the j centroid, tsa_ji both the i one."""
+    dets = list(dets_i) + list(dets_j)
+    p = np.array([[d.x, d.y, d.z] for d in dets], dtype=float).reshape(-1, 3)
+    a = p.copy()
+    for r, c in match.matched_pairs:
+        i, j = r, len(dets_i) + c
+        if variant == "aos":
+            a[i], a[j] = p[j], p[i]
+        elif variant == "tsa_ij":
+            a[i], a[j] = p[j], p[j]
+        else:
+            a[i], a[j] = p[i], p[i]
+    return [(d.agent_id, d.local_index) for d in dets], p, a
+
+
+def oracle_centroids(dets_i, dets_j, match, variant):
+    """The centroids of refined_centroids, from the explicit stacked system."""
+    keys, p, a = oracle_system(dets_i, dets_j, match, variant)
+    return dict(zip(keys, stacked_lsq(p, a)))
 
 
 @pytest.fixture

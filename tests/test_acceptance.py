@@ -16,7 +16,9 @@ import pytest
 
 from coopmot import assign, cli, geometry, graphlap, kalman, metrics, sim, tracker
 from coopmot.core import Method, TrackerConfig, TrackStatus
-from conftest import brute_min_cost, make_box, mc_iou, rand_box7
+from conftest import (VARIANTS, brute_min_cost, by_key, make_box, mc_iou, oracle_centroids,
+                      permuted, rand_box7, random_graph_frame, refined_centroids,
+                      translated)
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -27,28 +29,20 @@ def _report(criterion, detail):
     print(f"ACCEPTANCE {criterion}: PASS ({detail})")
 
 
-def random_graph_instance(rng, n_max=50):
-    n = int(rng.integers(1, n_max + 1))
-    lap = graphlap.laplacian_complete(n)
-    positions = rng.uniform(-50, 50, n)
-    anchors = positions + rng.normal(0, 1.5, n)
-    delta = lap @ positions
-    return lap, delta, anchors
-
-
 def test_c01_laplacian_solver_matches_pinv_oracle(rng):
-    """200 random frames, N <= 50: relative error < 1e-8 vs pseudo-inverse."""
+    """200 random frames, N <= 50, every anchor variant: relative error
+    < 1e-8 vs the pseudo-inverse of the explicit stacked [L; I] system."""
     started = time.time()
     worst = 0.0
     for _ in range(200):
-        lap, delta, anchors = random_graph_instance(rng)
-        l_ext = graphlap.extended_laplacian(lap)
-        b = np.concatenate([delta, anchors])
-        v = graphlap.solve(l_ext, b)
-        expected = np.linalg.pinv(l_ext) @ b
-        rel = np.linalg.norm(v - expected) / max(np.linalg.norm(expected), 1e-30)
-        worst = max(worst, rel)
-        assert rel < 1e-8
+        frame = random_graph_frame(rng, n_max=50)
+        keys = [(d.agent_id, d.local_index) for d in frame[0] + frame[1]]
+        for variant in VARIANTS:
+            v = by_key(refined_centroids(*frame, variant), keys)
+            expected = by_key(oracle_centroids(*frame, variant), keys)
+            rel = np.linalg.norm(v - expected) / max(np.linalg.norm(expected), 1e-30)
+            worst = max(worst, rel)
+            assert rel < 1e-8
     elapsed = time.time() - started
     assert elapsed < 10.0
     _report(1, f"worst rel err {worst:.2e}, {elapsed:.2f}s")
@@ -72,28 +66,33 @@ def test_c02_closed_form_pair_solves():
 def test_c03_solver_invariants_fuzzed(rng):
     """Fixed point, translation and permutation equivariance, 1000 each."""
     for _ in range(1000):
-        lap, _, anchors = random_graph_instance(rng, n_max=12)
-        l_ext = graphlap.extended_laplacian(lap)
-        v = graphlap.solve(l_ext, np.concatenate([lap @ anchors, anchors]))
-        assert np.max(np.abs(v - anchors)) < 1e-9
+        # coincident partners: every anchor equals its node's centroid
+        frame = random_graph_frame(rng, n_max=12, coincident=True)
+        for variant in VARIANTS:
+            v = refined_centroids(*frame, variant)
+            for d in frame[0] + frame[1]:
+                assert np.max(np.abs(v[(d.agent_id, d.local_index)]
+                                     - [d.x, d.y, d.z])) < 1e-9
     for _ in range(1000):
-        lap, delta, anchors = random_graph_instance(rng, n_max=12)
-        l_ext = graphlap.extended_laplacian(lap)
-        c = rng.uniform(-100, 100)
-        v0 = graphlap.solve(l_ext, np.concatenate([delta, anchors]))
-        v1 = graphlap.solve(l_ext, np.concatenate([delta, anchors + c]))
-        assert np.max(np.abs(v1 - (v0 + c))) < 1e-9
+        dets_i, dets_j, match = random_graph_frame(rng, n_max=12)
+        c = rng.uniform(-100, 100, 3)
+        for variant in VARIANTS:
+            v0 = refined_centroids(dets_i, dets_j, match, variant)
+            v1 = refined_centroids(translated(dets_i, c), translated(dets_j, c),
+                                   match, variant)
+            assert max(np.max(np.abs(v1[k] - (v0[k] + c))) for k in v0) < 1e-9
     for _ in range(1000):
-        lap, delta, anchors = random_graph_instance(rng, n_max=12)
-        l_ext = graphlap.extended_laplacian(lap)
-        perm = rng.permutation(lap.shape[0])
-        v0 = graphlap.solve(l_ext, np.concatenate([delta, anchors]))
-        v1 = graphlap.solve(l_ext, np.concatenate([delta[perm], anchors[perm]]))
-        # 1e-12 at coordinate scale (absolute 1e-12 is finer than LAPACK
-        # can promise for ~50 m coordinates)
-        scale = max(1.0, float(np.max(np.abs(v0))))
-        assert np.max(np.abs(v1 - v0[perm])) < 1e-12 * scale
-    _report(3, "3000 fuzzed instances")
+        dets_i, dets_j, match = random_graph_frame(rng, n_max=12)
+        moved = permuted(dets_i, dets_j, match, rng.permutation(len(dets_i)),
+                         rng.permutation(len(dets_j)))
+        for variant in VARIANTS:
+            v0 = refined_centroids(dets_i, dets_j, match, variant)
+            v1 = refined_centroids(*moved, variant)
+            # 1e-12 at coordinate scale (absolute 1e-12 is finer than float
+            # rounding can promise for ~50 m coordinates)
+            scale = max(1.0, max(float(np.max(np.abs(v))) for v in v0.values()))
+            assert max(np.max(np.abs(v1[k] - v0[k])) for k in v0) < 1e-12 * scale
+    _report(3, "3000 fuzzed frames, three anchor variants each")
 
 
 def test_c04_hungarian_brute_force_optimality(rng):

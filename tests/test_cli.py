@@ -4,6 +4,7 @@ import os
 import pytest
 
 from coopmot import cli
+from conftest import inverse_pose
 
 
 def run_cli(*argv):
@@ -126,7 +127,7 @@ class TestTrack:
             bundles = cio.read_detections(sim_dir / f"detections_{agent}.jsonl")
             local = []
             for b in bundles:
-                per = {a: [cio.to_global(d, cio.inverse_pose(pose)) for d in dets]
+                per = {a: [cio.to_global(d, inverse_pose(pose)) for d in dets]
                        for a, dets in b.detections_by_agent.items()}
                 from coopmot.core import FrameBundle
                 local.append(FrameBundle(frame=b.frame, detections_by_agent=per))

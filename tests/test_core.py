@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from coopmot import core
-from conftest import make_box
+from conftest import make_box, total_detections
+
+
+def dump_config(cfg: core.TrackerConfig) -> str:
+    """The JSON text that core.load_config reads back as cfg."""
+    return json.dumps(cfg.to_dict(), indent=2, sort_keys=True)
 
 
 class TestValidateDetection:
@@ -104,7 +109,7 @@ class TestTrackerConfig:
         cfg = core.TrackerConfig(method=core.Method.AOS, min_hits=4,
                                  dedup_matched_pairs=True)
         path = tmp_path / "cfg.json"
-        path.write_text(core.dump_config(cfg))
+        path.write_text(dump_config(cfg))
         assert core.load_config(path) == cfg
 
     def test_round_trip_fuzz(self, tmp_path):
@@ -119,7 +124,7 @@ class TestTrackerConfig:
                 dedup_matched_pairs=bool(rng.integers(0, 2)),
                 warm_start=bool(rng.integers(0, 2)))
             path = tmp_path / "cfg.json"
-            path.write_text(core.dump_config(cfg))
+            path.write_text(dump_config(cfg))
             assert core.load_config(path) == cfg
 
 
@@ -144,4 +149,4 @@ class TestFrameBundle:
         b = core.FrameBundle(frame=0, detections_by_agent={
             "b": [make_box(agent_id="b")], "a": [make_box(agent_id="a")]})
         assert b.agents == ["b", "a"]
-        assert b.total_detections() == 2
+        assert total_detections(b) == 2

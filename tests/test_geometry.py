@@ -174,6 +174,38 @@ class TestAsBox7Array:
         assert np.array_equal(geometry.as_box7_array(wide), wide[:, :7])
 
 
+class TestNonFiniteBoxes:
+    # a NaN z against a zero-height box: the two kernels take the z-overlap
+    # min/max in different orders, so the kernel result would depend on
+    # argument order and backend; the coercion rejects the box instead
+    A = [0.0, 0.0, math.nan, 0.0, 1.0, 1.0, 1.0]
+    B = [0.5, 0.0, 0.0, 0.0, 0.0, 2.0, 2.0]
+
+    def test_nan_pair_raises_in_both_orders(self):
+        for a, b in ((self.A, self.B), (self.B, self.A)):
+            with pytest.raises(ValueError):
+                geometry.iou3d(a, b)
+            with pytest.raises(ValueError):
+                geometry.iou_matrix([a], [b])
+            with pytest.raises(ValueError):
+                geometry.iou_matrix(np.array([a]), np.array([b]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", range(7))
+    def test_every_field_checked(self, rng, bad, field):
+        boxes = np.stack([rand_box7(rng) for _ in range(3)])
+        boxes[1, field] = bad
+        with pytest.raises(ValueError):
+            geometry.as_box7_array(boxes)
+        with pytest.raises(ValueError):
+            geometry.as_box7_array(list(boxes))
+        with pytest.raises(ValueError):
+            geometry.as_box7(boxes[1])
+        det = make_box(*boxes[1])
+        with pytest.raises(ValueError):
+            geometry.iou_matrix([det], boxes[:1])
+
+
 class TestIouMatrix:
     def test_empty_rows(self):
         m = geometry.iou_matrix([], [make_box(), make_box(x=3.0)])

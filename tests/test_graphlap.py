@@ -1,24 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from coopmot import assign, graphlap
-from conftest import make_box
-
-
-def pinv_solve(lap, delta, anchors):
-    """Independent oracle: pseudo-inverse of the stacked system."""
-    l_ext = np.vstack([lap, np.eye(lap.shape[0])])
-    b = np.concatenate([delta, anchors])
-    return np.linalg.pinv(l_ext) @ b
-
-
-def random_instance(rng, n_max=12):
-    """Random complete-graph instance: (lap, delta, anchors, positions)."""
-    n = int(rng.integers(1, n_max + 1))
-    lap = graphlap.laplacian_complete(n)
-    positions = rng.uniform(-30, 30, n)
-    anchors = positions + rng.normal(0, 1.0, n)
-    return lap, lap @ positions, anchors, positions
+from conftest import (VARIANTS, by_key, differential_coords, graph_frame,
+                      laplacian_complete, make_box, matching, oracle_centroids,
+                      oracle_system, permuted, random_graph_frame, refined_centroids,
+                      translated)
 
 
 def cross_matched_pair(x_i=0.0, x_j=1.0):
@@ -27,28 +16,53 @@ def cross_matched_pair(x_i=0.0, x_j=1.0):
     return [a], [b]
 
 
+def centroids(rset):
+    return np.array([[b.x, b.y, b.z] for b in rset.boxes])
+
+
+def node_positions(rset, dets_i, dets_j):
+    """Raw centroids (N, 3) of the refined set's nodes, in node order."""
+    lists = (dets_i, dets_j)
+    return np.array([[lists[s][k].x, lists[s][k].y, lists[s][k].z]
+                     for s, k in rset.node_map.nodes])
+
+
+def implied_anchors(positions, refined):
+    """The anchors a for which the refined centroids solve the stacked
+    system: its normal equations (L^2 + I) v = L^2 p + a, solved for a."""
+    lap2 = laplacian_complete(len(positions)) @ laplacian_complete(len(positions))
+    return (lap2 + np.eye(len(positions))) @ refined - lap2 @ positions
+
+
+def anchors_of(rset, dets_i, dets_j):
+    return implied_anchors(node_positions(rset, dets_i, dets_j), centroids(rset))
+
+
 class TestBuildGraph:
     def test_two_node_matched(self):
         dets_i, dets_j = cross_matched_pair()
         match = assign.associate(dets_i, dets_j, 0.25)
-        node_map, lap = graphlap.build_graph(dets_i, dets_j, match)
+        node_map = graphlap.build_graph(dets_i, dets_j, match)
         assert node_map.size == 2
         assert node_map.num_matched == 1
-        assert np.array_equal(lap, [[1.0, -1.0], [-1.0, 1.0]])
+        assert node_map.nodes == ((0, 0), (1, 0))
+        assert np.array_equal(laplacian_complete(node_map.size), [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_three_nodes_no_matches(self):
         dets_i = [make_box(x=0.0), make_box(x=50.0)]
         dets_j = [make_box(x=100.0)]
         match = assign.associate(dets_i, dets_j, 0.25)
-        node_map, lap = graphlap.build_graph(dets_i, dets_j, match)
+        node_map = graphlap.build_graph(dets_i, dets_j, match)
         assert node_map.num_matched == 0
+        assert node_map.nodes == ((0, 0), (0, 1), (1, 0))
+        lap = laplacian_complete(node_map.size)
         assert np.array_equal(np.diag(lap), [2.0, 2.0, 2.0])
         off = lap[~np.eye(3, dtype=bool)]
         assert np.all(off == -1.0)
 
     def test_row_sums_zero(self, rng):
         for n in (1, 2, 5, 17, 40):
-            lap = graphlap.laplacian_complete(n)
+            lap = laplacian_complete(n)
             assert np.allclose(lap.sum(axis=1), 0.0)
             assert np.array_equal(lap, lap.T)
 
@@ -61,18 +75,17 @@ class TestBuildGraph:
                   make_box(x=0.1, agent_id="j", local_index=1),
                   make_box(x=300.0, agent_id="j", local_index=2)]
         match = assign.associate(dets_i, dets_j, 0.25)
-        node_map, _ = graphlap.build_graph(dets_i, dets_j, match)
+        node_map = graphlap.build_graph(dets_i, dets_j, match)
         m = node_map.num_matched
         assert m == 2
         assert node_map.num_unmatched_i == 1 and node_map.num_unmatched_j == 1
-        # pair alignment: node k and node m+k are partners
+        # pair alignment: node k and node m+k are partners, pairs by row
+        assert node_map.nodes[:2 * m] == ((0, 0), (0, 1), (1, 1), (1, 0))
+        assert node_map.nodes[2 * m:] == ((0, 2), (1, 2))
         for k in range(m):
-            a, b = node_map.nodes[k], node_map.nodes[m + k]
-            assert a.agent_slot == 0 and b.agent_slot == 1
-            assert a.partner == m + k and b.partner == k
-        assert node_map.nodes[2 * m].agent_slot == 0
-        assert node_map.nodes[2 * m].partner is None
-        assert node_map.nodes[2 * m + 1].agent_slot == 1
+            (si, r), (sj, c) = node_map.nodes[k], node_map.nodes[m + k]
+            assert si == 0 and sj == 1
+            assert abs(dets_i[r].x - dets_j[c].x) < 0.5
 
     def test_empty_graph_raises(self):
         match = assign.associate([], [], 0.25)
@@ -81,164 +94,218 @@ class TestBuildGraph:
 
     def test_spectrum_of_complete_graph(self):
         for n in (2, 3, 7, 25):
-            eig = np.linalg.eigvalsh(graphlap.laplacian_complete(n))
+            eig = np.linalg.eigvalsh(laplacian_complete(n))
             assert abs(eig[0]) < 1e-8
             assert np.max(np.abs(eig[1:] - n)) < 1e-8
 
 
 class TestDifferentialCoords:
-    def _map(self, n):
-        dets_i = [make_box(x=100.0 * k, local_index=k) for k in range(n)]
-        match = assign.associate(dets_i, [], 0.25)
-        node_map, _ = graphlap.build_graph(dets_i, [], match)
-        return node_map
+    """The oracle's right-hand side L p, by direct summation."""
 
     def test_constant_vector_in_kernel(self):
-        node_map = self._map(5)
-        assert np.allclose(graphlap.differential_coords(node_map, np.full(5, 3.7)), 0.0)
+        assert np.allclose(differential_coords(np.full(5, 3.7)), 0.0)
 
     def test_two_node_example(self):
-        node_map = self._map(2)
-        delta = graphlap.differential_coords(node_map, [0.0, 1.0])
+        delta = differential_coords([0.0, 1.0])
         assert np.array_equal(delta, [-1.0, 1.0])
-        # direct summation oracle
-        v = [0.0, 1.0]
-        direct = [sum(v[m] - v[n] for n in range(2)) for m in range(2)]
-        assert np.array_equal(delta, direct)
+        assert np.array_equal(delta, laplacian_complete(2) @ [0.0, 1.0])
 
     def test_translation_invariance(self, rng):
-        node_map = self._map(7)
-        v = rng.normal(size=7)
-        d0 = graphlap.differential_coords(node_map, v)
-        d1 = graphlap.differential_coords(node_map, v + 123.456)
+        v = rng.normal(size=(7, 3))
+        d0 = differential_coords(v)
+        d1 = differential_coords(v + 123.456)
         assert np.allclose(d0, d1, atol=1e-9)
 
     def test_equals_laplacian_product(self, rng):
         for n in (1, 3, 9):
-            node_map = self._map(n)
-            v = rng.normal(size=n)
-            assert np.array_equal(graphlap.differential_coords(node_map, v),
-                                  graphlap.laplacian_complete(n) @ v)
+            v = rng.normal(size=(n, 3))
+            assert np.allclose(differential_coords(v), laplacian_complete(n) @ v,
+                               rtol=0.0, atol=1e-12)
 
 
 class TestAnchors:
+    """Anchors recovered from refine's output through the normal equations."""
+
     def test_aos_matched_pair_swaps(self):
         dets_i, dets_j = cross_matched_pair(0.0, 1.0)
-        match = assign.associate(dets_i, dets_j, 0.25)
-        node_map, _ = graphlap.build_graph(dets_i, dets_j, match)
-        assert np.array_equal(graphlap.anchors_aos(node_map, dets_i, dets_j, "x"),
-                              [1.0, 0.0])
+        rset = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_AOS, 0.25)
+        assert np.allclose(anchors_of(rset, dets_i, dets_j)[:, 0], [1.0, 0.0],
+                           rtol=0.0, atol=1e-12)
 
     def test_aos_all_unmatched_self_anchors(self):
         dets_i = [make_box(x=0.0), make_box(x=50.0)]
         dets_j = [make_box(x=100.0)]
-        match = assign.associate(dets_i, dets_j, 0.25)
-        node_map, _ = graphlap.build_graph(dets_i, dets_j, match)
-        a = graphlap.anchors_aos(node_map, dets_i, dets_j, "x")
-        assert np.array_equal(a, [0.0, 50.0, 100.0])
+        rset = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_AOS, 0.25)
+        assert np.allclose(anchors_of(rset, dets_i, dets_j)[:, 0], [0.0, 50.0, 100.0],
+                           rtol=0.0, atol=1e-12)
+        # with every node self-anchored the output is the input, exactly
+        assert np.array_equal(centroids(rset), node_positions(rset, dets_i, dets_j))
 
     def test_aos_coincident_pair(self):
         dets_i, dets_j = cross_matched_pair(4.2, 4.2)
-        match = assign.associate(dets_i, dets_j, 0.25)
-        node_map, _ = graphlap.build_graph(dets_i, dets_j, match)
-        assert np.array_equal(graphlap.anchors_aos(node_map, dets_i, dets_j, 0),
-                              [4.2, 4.2])
+        rset = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_AOS, 0.25)
+        assert rset.node_map.num_matched == 1
+        assert np.array_equal(centroids(rset)[:, 0], [4.2, 4.2])
 
     def test_tsa_matched_pair(self):
         dets_i, dets_j = cross_matched_pair(0.0, 1.0)
-        match = assign.associate(dets_i, dets_j, 0.25)
-        node_map, _ = graphlap.build_graph(dets_i, dets_j, match)
-        a_ij, a_ji = graphlap.anchors_tsa(node_map, dets_i, dets_j, "x")
-        assert np.array_equal(a_ij, [1.0, 1.0])
-        assert np.array_equal(a_ji, [0.0, 0.0])
+        rset_ij, rset_ji = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_TSA, 0.25)
+        assert np.allclose(anchors_of(rset_ij, dets_i, dets_j)[:, 0], [1.0, 1.0],
+                           rtol=0.0, atol=1e-12)
+        assert np.allclose(anchors_of(rset_ji, dets_i, dets_j)[:, 0], [0.0, 0.0],
+                           rtol=0.0, atol=1e-12)
 
     def test_tsa_no_matches_degenerates(self):
         dets_i = [make_box(x=0.0)]
         dets_j = [make_box(x=100.0)]
-        match = assign.associate(dets_i, dets_j, 0.25)
-        node_map, _ = graphlap.build_graph(dets_i, dets_j, match)
-        a_ij, a_ji = graphlap.anchors_tsa(node_map, dets_i, dets_j, "x")
-        aos = graphlap.anchors_aos(node_map, dets_i, dets_j, "x")
-        assert np.array_equal(a_ij, [0.0, 100.0])
-        assert np.array_equal(a_ij, a_ji)
-        assert np.array_equal(a_ij, aos)
+        rset_ij, rset_ji = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_TSA, 0.25)
+        aos = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_AOS, 0.25)
+        assert np.array_equal(centroids(rset_ij)[:, 0], [0.0, 100.0])
+        assert np.array_equal(centroids(rset_ij), centroids(rset_ji))
+        assert np.array_equal(centroids(rset_ij), centroids(aos))
 
     def test_tsa_coincident_pair_equal(self):
         dets_i, dets_j = cross_matched_pair(-3.0, -3.0)
-        match = assign.associate(dets_i, dets_j, 0.25)
-        node_map, _ = graphlap.build_graph(dets_i, dets_j, match)
-        a_ij, a_ji = graphlap.anchors_tsa(node_map, dets_i, dets_j, "y")
-        assert np.array_equal(a_ij, a_ji)
+        rset_ij, rset_ji = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_TSA, 0.25)
+        assert np.array_equal(centroids(rset_ij)[:, 1], centroids(rset_ji)[:, 1])
 
 
 class TestSolve:
+    """The closed form against the explicit stacked system."""
+
     def test_single_node_returns_anchor(self):
-        lap = graphlap.laplacian_complete(1)
-        v = graphlap.solve(graphlap.extended_laplacian(lap), [0.0, 7.5])
-        assert v[0] == 7.5
+        d = make_box(x=7.5, y=-1.25, z=0.5, agent_id="j")
+        for variant in VARIANTS:
+            out = refined_centroids([], [d], matching(0, 1, []), variant)
+            assert np.array_equal(out[("j", 0)], [7.5, -1.25, 0.5])
 
     def test_fixed_point(self, rng):
+        # coincident partners anchor every node at its own centroid
         for _ in range(50):
-            lap, _, _, positions = random_instance(rng)
-            l_ext = graphlap.extended_laplacian(lap)
-            b = np.concatenate([lap @ positions, positions])
-            v = graphlap.solve(l_ext, b)
-            assert np.max(np.abs(v - positions)) < 1e-9
+            dets_i, dets_j, match = random_graph_frame(rng, 24, coincident=True)
+            keys, p, _ = oracle_system(dets_i, dets_j, match, "aos")
+            for variant in VARIANTS:
+                v = by_key(refined_centroids(dets_i, dets_j, match, variant), keys)
+                assert np.max(np.abs(v - p)) < 1e-9
 
     def test_two_node_closed_form(self):
-        lap = graphlap.laplacian_complete(2)
-        l_ext = graphlap.extended_laplacian(lap)
-        x = np.array([0.0, 1.0])
-        delta = lap @ x
-        v = graphlap.solve(l_ext, np.concatenate([delta, [1.0, 0.0]]))
-        assert np.max(np.abs(v - [0.2, 0.8])) < 1e-12
+        d_i = make_box(x=0.0, y=0.0, z=0.0, agent_id="i")
+        d_j = make_box(x=1.0, y=2.0, z=-0.5, agent_id="j")
+        out = refined_centroids([d_i], [d_j], matching(1, 1, [(0, 0)]), "aos")
+        gap = np.array([1.0, 2.0, -0.5])
+        assert np.max(np.abs(out[("i", 0)] - 0.2 * gap)) < 1e-12
+        assert np.max(np.abs(out[("j", 0)] - 0.8 * gap)) < 1e-12
 
     def test_normal_equation_residual(self, rng):
         for _ in range(100):
-            lap, delta, anchors, _ = random_instance(rng, n_max=50)
-            l_ext = graphlap.extended_laplacian(lap)
-            b = np.concatenate([delta, anchors])
-            v = graphlap.solve(l_ext, b)
-            normal = l_ext.T @ l_ext
-            rhs = l_ext.T @ b
-            resid = np.linalg.norm(normal @ v - rhs) / max(np.linalg.norm(rhs), 1e-30)
-            assert resid < 1e-9
+            dets_i, dets_j, match = random_graph_frame(rng, 50)
+            for variant in VARIANTS:
+                keys, p, a = oracle_system(dets_i, dets_j, match, variant)
+                v = by_key(refined_centroids(dets_i, dets_j, match, variant), keys)
+                lap2 = laplacian_complete(len(p)) @ laplacian_complete(len(p))
+                rhs = lap2 @ p + a
+                resid = np.linalg.norm((lap2 + np.eye(len(p))) @ v - rhs)
+                assert resid / max(np.linalg.norm(rhs), 1e-30) < 1e-9
 
     def test_matches_pinv_oracle(self, rng):
         for _ in range(100):
-            lap, delta, anchors, _ = random_instance(rng, n_max=50)
-            v = graphlap.solve(graphlap.extended_laplacian(lap),
-                               np.concatenate([delta, anchors]))
-            expected = pinv_solve(lap, delta, anchors)
-            rel = np.linalg.norm(v - expected) / max(np.linalg.norm(expected), 1e-30)
-            assert rel < 1e-8
+            dets_i, dets_j, match = random_graph_frame(rng, 50)
+            for variant in VARIANTS:
+                keys = oracle_system(dets_i, dets_j, match, variant)[0]
+                v = by_key(refined_centroids(dets_i, dets_j, match, variant), keys)
+                expected = by_key(oracle_centroids(dets_i, dets_j, match, variant), keys)
+                rel = np.linalg.norm(v - expected) / max(np.linalg.norm(expected), 1e-30)
+                assert rel < 1e-8
 
-    def test_shape_validation(self):
-        lap = graphlap.laplacian_complete(3)
-        with pytest.raises(ValueError):
-            graphlap.solve(graphlap.extended_laplacian(lap), np.zeros(5))
+    def test_shape_validation(self, rng):
+        # one refined box per detection, each detection exactly once
+        for _ in range(20):
+            dets_i, dets_j, match = random_graph_frame(rng, 20)
+            keys = {(d.agent_id, d.local_index) for d in dets_i + dets_j}
+            aos = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_AOS, 0.25,
+                                  cross_match=match)
+            for rset in (aos, *graphlap.refine(dets_i, dets_j, graphlap.SCHEME_TSA,
+                                               0.25, cross_match=match)):
+                assert rset.node_map.size == len(dets_i) + len(dets_j)
+                assert len(rset.boxes) == rset.node_map.size
+                assert {(b.agent_id, b.local_index) for b in rset.boxes} == keys
+
+
+def max_gap(a, b, shift=0.0):
+    return max(float(np.max(np.abs(a[k] - (b[k] + shift)))) for k in a)
 
 
 class TestSolveEquivariances:
     def test_translation(self, rng):
         for _ in range(200):
-            lap, delta, anchors, _ = random_instance(rng)
-            l_ext = graphlap.extended_laplacian(lap)
-            c = rng.uniform(-1000, 1000)
-            v0 = graphlap.solve(l_ext, np.concatenate([delta, anchors]))
-            v1 = graphlap.solve(l_ext, np.concatenate([delta, anchors + c]))
-            assert np.max(np.abs(v1 - (v0 + c))) < 1e-9 * max(1.0, abs(c))
+            dets_i, dets_j, match = random_graph_frame(rng, 12)
+            c = rng.uniform(-1000, 1000, 3)
+            for variant in VARIANTS:
+                v0 = refined_centroids(dets_i, dets_j, match, variant)
+                v1 = refined_centroids(translated(dets_i, c), translated(dets_j, c),
+                                       match, variant)
+                assert max_gap(v1, v0, c) < 1e-9 * max(1.0, float(np.max(np.abs(c))))
 
     def test_permutation(self, rng):
         for _ in range(200):
-            lap, delta, anchors, _ = random_instance(rng)
-            n = lap.shape[0]
-            perm = rng.permutation(n)
-            l_ext = graphlap.extended_laplacian(lap)
-            v0 = graphlap.solve(l_ext, np.concatenate([delta, anchors]))
-            v1 = graphlap.solve(l_ext, np.concatenate([delta[perm], anchors[perm]]))
-            scale = max(1.0, float(np.max(np.abs(v0))))
-            assert np.max(np.abs(v1 - v0[perm])) < 1e-12 * scale
+            dets_i, dets_j, match = random_graph_frame(rng, 12)
+            moved = permuted(dets_i, dets_j, match, rng.permutation(len(dets_i)),
+                             rng.permutation(len(dets_j)))
+            for variant in VARIANTS:
+                v0 = refined_centroids(dets_i, dets_j, match, variant)
+                v1 = refined_centroids(*moved, variant)
+                scale = max(1.0, max(float(np.max(np.abs(v))) for v in v0.values()))
+                assert max_gap(v1, v0) < 1e-12 * scale
+
+
+@st.composite
+def frames(draw):
+    """A frame of 1 <= N <= 60 detections over two agents with 0 <= m
+    cross-agent pairs, at coordinate scales from a millimetre to 10 km."""
+    n = draw(st.integers(1, 60))
+    n_i = draw(st.integers(0, n))
+    m = draw(st.integers(0, min(n_i, n - n_i)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 50.0, 1e4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return graph_frame(rng, n_i, n - n_i, m, scale=scale, spread=0.05 * scale)
+
+
+PROPERTY = settings(max_examples=40, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestRefineProperties:
+    @PROPERTY
+    @given(frames(), st.sampled_from(VARIANTS))
+    def test_matches_pinv_of_stacked_system(self, frame, variant):
+        keys = oracle_system(*frame, variant)[0]
+        v = by_key(refined_centroids(*frame, variant), keys)
+        expected = by_key(oracle_centroids(*frame, variant), keys)
+        assert np.linalg.norm(v - expected) <= 1e-9 * np.linalg.norm(expected)
+
+    @PROPERTY
+    @given(frames(), st.sampled_from(VARIANTS),
+           st.tuples(*[st.floats(-1e3, 1e3)] * 3))
+    def test_translation_equivariance(self, frame, variant, shift):
+        dets_i, dets_j, match = frame
+        c = np.array(shift)
+        v0 = refined_centroids(dets_i, dets_j, match, variant)
+        v1 = refined_centroids(translated(dets_i, c), translated(dets_j, c), match, variant)
+        scale = max(1.0, float(np.max(np.abs(c))),
+                    max(float(np.max(np.abs(v))) for v in v0.values()))
+        assert max_gap(v1, v0, c) <= 1e-12 * scale
+
+    @PROPERTY
+    @given(frames(), st.sampled_from(VARIANTS), st.integers(0, 2**32 - 1))
+    def test_permutation_equivariance(self, frame, variant, seed):
+        dets_i, dets_j, match = frame
+        rng = np.random.default_rng(seed)
+        moved = permuted(dets_i, dets_j, match, rng.permutation(len(dets_i)),
+                         rng.permutation(len(dets_j)))
+        v0 = refined_centroids(dets_i, dets_j, match, variant)
+        v1 = refined_centroids(*moved, variant)
+        scale = max(1.0, max(float(np.max(np.abs(v))) for v in v0.values()))
+        assert max_gap(v1, v0) <= 1e-12 * scale
 
 
 class TestRefine:
@@ -273,11 +340,12 @@ class TestRefine:
         dets_j = [make_box(x=0.5, theta=-0.2, h=1.4, w=1.9, l=4.3, score=0.75,
                            agent_id="j", frame=9, local_index=0)]
         rset = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_AOS, 0.25)
-        src = graphlap.node_detections(rset.node_map, dets_i, dets_j)
+        src = [(dets_i, dets_j)[s][k] for s, k in rset.node_map.nodes]
         for out, d in zip(rset.boxes, src):
             assert (out.theta, out.h, out.w, out.l, out.score) == \
                 (d.theta, d.h, d.w, d.l, d.score)
             assert out.agent_id == d.agent_id and out.frame == d.frame
+            assert out.local_index == d.local_index
 
     def test_empty_raises(self):
         with pytest.raises(graphlap.EmptyGraph):

@@ -7,7 +7,7 @@ import pytest
 from coopmot import io, sim
 from coopmot.core import Detection, FrameBundle
 from coopmot.tracker import FrameOutput
-from conftest import make_box
+from conftest import inverse_pose, make_box, total_detections
 
 
 @pytest.fixture
@@ -48,7 +48,7 @@ class TestToGlobal:
             d = make_box(x=rng.uniform(-10, 10), y=rng.uniform(-10, 10),
                          z=rng.uniform(-2, 2), theta=rng.uniform(-3, 3))
             p = io.Pose(*rng.uniform(-20, 20, 3), rng.uniform(-math.pi, math.pi))
-            back = io.to_global(io.to_global(d, p), io.inverse_pose(p))
+            back = io.to_global(io.to_global(d, p), inverse_pose(p))
             assert abs(back.x - d.x) < 1e-12
             assert abs(back.y - d.y) < 1e-12
             assert abs(back.z - d.z) < 1e-12
@@ -83,8 +83,8 @@ class TestDetectionsRoundTrip:
         path.write_text("".join(json.dumps(r) + "\n" for r in rows))
         bundles = io.read_detections(path)
         assert [b.frame for b in bundles] == [0, 1, 2, 3]
-        assert bundles[1].total_detections() == 0
-        assert bundles[2].total_detections() == 0
+        assert total_detections(bundles[1]) == 0
+        assert total_detections(bundles[2]) == 0
 
     def test_malformed_line_names_line(self, tmp_path):
         path = tmp_path / "detections.jsonl"
@@ -131,7 +131,7 @@ class TestDetectionsRoundTrip:
         merged = io.merge_detection_files(paths)
         assert len(merged) == len(bundles)
         for orig, rt in zip(bundles, merged):
-            assert rt.total_detections() == orig.total_detections()
+            assert total_detections(rt) == total_detections(orig)
             assert list(rt.detections_by_agent) == sorted(orig.detections_by_agent)
 
 

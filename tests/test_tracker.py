@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coopmot import graphlap, kalman, tracker
+from coopmot import assign, graphlap, kalman, tracker
 from coopmot.core import FrameBundle, Method, TrackerConfig, TrackStatus
 from conftest import make_box
 
@@ -147,17 +147,27 @@ class TestStepBaseline:
 
 
 class TestStepTsa:
-    def test_stage2_vacuous_when_stage1_matches_everything(self, model):
+    def test_stage2_vacuous_when_stage1_matches_everything(self, model, monkeypatch):
         cfg = TrackerConfig(method=Method.TSA)
         frames = static_object_frames(4)
-        ts_a = tracker.new_trackset()
-        ts_b = tracker.new_trackset()
-        for b in frames:
-            ts_a, out_a = tracker.step_tsa(ts_a, b, cfg, model)
-            ts_b, out_b = tracker.step_tsa(ts_b, b, cfg, model, stage2_full_pool=True)
-            # no unmatched tracks after stage 1, so the pool choice is moot
-            assert len(out_a.emitted) == len(out_b.emitted)
-            for x, y in zip(out_a.emitted, out_b.emitted):
+        plain = tracker.run_sequence(frames, cfg, model)
+        calls = []
+        real_associate = assign.associate
+
+        def counting(rows, cols, threshold):
+            calls.append((len(rows), len(cols)))
+            return real_associate(rows, cols, threshold)
+
+        monkeypatch.setattr(assign, "associate", counting)
+        ts = tracker.new_trackset()
+        for b, expected in zip(frames, plain):
+            calls.clear()
+            ts, out = tracker.step_tsa(ts, b, cfg, model)
+            # the cross-agent association and stage 1 only: no track is left
+            # unmatched after stage 1, so stage 2 never runs
+            assert len(calls) == 2
+            assert len(out.emitted) == len(expected.emitted)
+            for x, y in zip(out.emitted, expected.emitted):
                 assert x[0] == y[0] and x[2] == y[2]
                 assert np.array_equal(x[1], y[1])
 
