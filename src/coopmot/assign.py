@@ -52,8 +52,8 @@ def hungarian_min_cost(cost) -> list:
 def associate(rows, cols, iou_threshold: float) -> AssociationResult:
     """Match two box lists by maximum IoU, gated at iou_threshold.
 
-    Rows may be Detections, TrackStates (first seven state components are
-    the box) or 7-vectors. Hungarian runs on cost = -IoU; matched pairs
+    Rows and cols may be Detection lists or (N, 7) box arrays, such as the
+    track store's states[:, :7]. Hungarian runs on cost = -IoU; matched pairs
     whose IoU falls below the threshold are demoted to unmatched.
     """
     if not 0.0 < iou_threshold <= 1.0:

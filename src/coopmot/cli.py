@@ -28,7 +28,7 @@ def _manifest(out_dir: str, command: str, config: dict, inputs: list,
         "seed": seed,
         "inputs": [os.path.abspath(p) for p in inputs],
         "outputs": [os.path.abspath(p) for p in outputs],
-        "duration_sec": time.time() - started,
+        "duration_sec": time.perf_counter() - started,
     }
     path = os.path.join(out_dir, "run_manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -37,7 +37,7 @@ def _manifest(out_dir: str, command: str, config: dict, inputs: list,
 
 
 def cmd_simulate(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     try:
         if args.config:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -70,7 +70,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_track(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     try:
         cfg = core.load_config(args.config) if args.config else core.TrackerConfig()
         if args.method:
@@ -120,7 +120,7 @@ def _load_eval_inputs(tracks_path, gt_path):
 
 
 def cmd_eval(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     try:
         gt_frames, pred_frames = _load_eval_inputs(args.tracks, args.gt)
         report = metrics.amota_family(gt_frames, pred_frames)
@@ -141,7 +141,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     try:
         gt_frames, pred_frames = _load_eval_inputs(args.tracks, args.gt)
         if sum(len(f) for f in gt_frames) == 0:

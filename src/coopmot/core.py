@@ -1,8 +1,9 @@
 """Shared domain types, configuration and validation.
 
-All types here are immutable value objects: tracker steps and graph
-refinement return new instances instead of mutating in place, so they are
-safe to share across threads.
+All types here are immutable value objects. The arrays that flow between
+the pipeline stages (refined boxes, the kalman.Tracks store) follow the
+same rule: every step returns new arrays and never writes its inputs, so
+they are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -64,10 +65,6 @@ class Detection:
         return np.array([self.x, self.y, self.z, self.theta,
                          self.h, self.w, self.l], dtype=float)
 
-    def with_centroid(self, x: float, y: float, z: float) -> "Detection":
-        return Detection(x, y, z, self.theta, self.h, self.w, self.l,
-                         self.score, self.agent_id, self.frame, self.local_index)
-
 
 def validate_detection(d: Detection) -> Detection:
     """Return d with theta wrapped to [-pi, pi); reject degenerate boxes.
@@ -88,41 +85,6 @@ def validate_detection(d: Detection) -> Detection:
     if theta != d.theta:
         return replace(d, theta=theta)
     return d
-
-
-class TrackStatus(Enum):
-    TENTATIVE = "tentative"
-    CONFIRMED = "confirmed"
-    DEAD = "dead"
-
-
-@dataclass(frozen=True)
-class TrackState:
-    """Kalman-filtered track: 10-vector [x y z theta h w l ux uy uz].
-
-    Velocities are meters per frame, so the constant-velocity transition
-    needs no explicit dt. `covariance` is the 10x10 state covariance.
-    """
-
-    state: np.ndarray
-    covariance: np.ndarray
-    track_id: int
-    hits: int = 1
-    misses: int = 0
-    status: TrackStatus = TrackStatus.TENTATIVE
-    score: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "state", np.asarray(self.state, dtype=float).copy())
-        object.__setattr__(self, "covariance", np.asarray(self.covariance, dtype=float).copy())
-        if self.state.shape != (10,):
-            raise ValueError(f"track state must be a 10-vector, got {self.state.shape}")
-        if self.covariance.shape != (10, 10):
-            raise ValueError(f"track covariance must be 10x10, got {self.covariance.shape}")
-
-    def box7(self) -> np.ndarray:
-        """First seven state components, the box used for IoU association."""
-        return self.state[:7].copy()
 
 
 class Method(Enum):

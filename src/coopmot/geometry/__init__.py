@@ -28,7 +28,7 @@ else:
 
 
 def _box7(obj) -> np.ndarray:
-    if isinstance(obj, (core.Detection, core.TrackState)):
+    if isinstance(obj, core.Detection):
         return obj.box7()
     arr = np.asarray(obj, dtype=float).reshape(-1)
     if arr.shape[0] < 7:
@@ -43,7 +43,8 @@ def _finite(boxes: np.ndarray) -> np.ndarray:
 
 
 def as_box7(obj) -> np.ndarray:
-    """Coerce a Detection, TrackState, or array-like to a box 7-vector.
+    """Coerce a Detection or array-like to a box 7-vector (the first seven
+    entries, so a 10-entry track state gives its box).
 
     Raises ValueError when a box value is NaN or infinite.
     """
@@ -65,7 +66,7 @@ def as_box7_array(objs) -> np.ndarray:
 
 
 def iou3d(a, b) -> float:
-    """3D IoU of two boxes (Detections, TrackStates, or 7-vectors)."""
+    """3D IoU of two boxes (Detections or 7-vectors)."""
     return float(_kernel.iou3d_pair(as_box7(a), as_box7(b)))
 
 

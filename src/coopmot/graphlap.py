@@ -52,48 +52,52 @@ def build_graph(dets_i, dets_j, cross_match: assign.AssociationResult) -> NodeIn
 
 
 @dataclass(frozen=True)
-class RefinedDetectionSet:
-    """Smoothed boxes in node order: solved centroids, all else copied."""
+class Refined:
+    """Smoothed boxes of one frame in node order.
 
-    boxes: tuple
+    boxes is (variants, N, 7): one variant for "aos", (ij, ji) for "tsa";
+    the centroid columns are solved, the others copied from the detection.
+    scores is (N,), the detection scores.
+    """
+
+    boxes: np.ndarray
+    scores: np.ndarray
     node_map: NodeIndexMap
-    scheme: str  # "aos", "tsa_ij" or "tsa_ji"
 
 
 def refine(dets_i, dets_j, scheme: str, cross_iou_threshold: float,
-           cross_match: assign.AssociationResult | None = None):
-    """Cross-associate, build the graph and smooth every centroid: one
-    RefinedDetectionSet for "aos", an (ij, ji) pair for "tsa". Raises
-    EmptyGraph when there is nothing to refine."""
+           cross_match: assign.AssociationResult | None = None) -> Refined:
+    """Cross-associate, build the graph and smooth every centroid under one
+    anchor variant ("aos") or two ("tsa"). Raises EmptyGraph when there is
+    nothing to refine."""
     if scheme not in (SCHEME_AOS, SCHEME_TSA):
         raise ValueError(f"unknown refinement scheme {scheme!r}")
     if cross_match is None:
         cross_match = assign.associate(dets_i, dets_j, cross_iou_threshold)
     node_map = build_graph(dets_i, dets_j, cross_match)
     sources = [(dets_i, dets_j)[slot][k] for slot, k in node_map.nodes]
-    p = np.array([(d.x, d.y, d.z) for d in sources], dtype=float)
+    raw = np.array([(d.x, d.y, d.z, d.theta, d.h, d.w, d.l) for d in sources],
+                   dtype=float)
+    p = raw[:, :3]
     n, m = node_map.size, node_map.num_matched
     # anchors per variant: aos swaps the matched blocks; tsa gives a_ij, a_ji
     a = np.repeat(p[None], 1 if scheme == SCHEME_AOS else 2, axis=0)
     a[0, :m] = p[m:2 * m]
     a[-1, m:2 * m] = p[:m]
     r = a - p
-    v = p + (r + n * r.sum(axis=1, keepdims=True)) / (n * n + 1)
-    boxes = [tuple(d.with_centroid(*c) for d, c in zip(sources, variant))
-             for variant in v.tolist()]
-    if scheme == SCHEME_AOS:
-        return RefinedDetectionSet(boxes[0], node_map, "aos")
-    return (RefinedDetectionSet(boxes[0], node_map, "tsa_ij"),
-            RefinedDetectionSet(boxes[1], node_map, "tsa_ji"))
+    boxes = np.repeat(raw[None], len(a), axis=0)
+    boxes[..., :3] = p + (r + n * r.sum(axis=1, keepdims=True)) / (n * n + 1)
+    return Refined(boxes, np.array([d.score for d in sources], dtype=float), node_map)
 
 
-def collapse_matched(rset: RefinedDetectionSet):
+def collapse_matched(refined: Refined):
     """Merge each matched pair into one box at its mean refined centroid, the
-    rest from the higher-score member (for dedup_matched_pairs). Returns the
-    boxes and, per box, the tuple of node indices it came from."""
-    m, boxes = rset.node_map.num_matched, rset.boxes
-    merged = [(a if a.score >= b.score else b).with_centroid(
-        0.5 * (a.x + b.x), 0.5 * (a.y + b.y), 0.5 * (a.z + b.z))
-        for a, b in zip(boxes[:m], boxes[m:2 * m])]
-    groups = [(k, m + k) for k in range(m)] + [(k,) for k in range(2 * m, len(boxes))]
-    return merged + list(boxes[2 * m:]), groups
+    other columns and the score from the higher-score member (for
+    dedup_matched_pairs). Returns (variants, N - m, 7) boxes, the m merged
+    ones first, and their (N - m,) scores."""
+    m, boxes, scores = refined.node_map.num_matched, refined.boxes, refined.scores
+    first = scores[:m] >= scores[m:2 * m]
+    merged = np.where(first[:, None], boxes[:, :m], boxes[:, m:2 * m])
+    merged[..., :3] = 0.5 * (boxes[:, :m, :3] + boxes[:, m:2 * m, :3])
+    return (np.concatenate([merged, boxes[:, 2 * m:]], axis=1),
+            np.concatenate([np.where(first, scores[:m], scores[m:2 * m]), scores[2 * m:]]))

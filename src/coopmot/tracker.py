@@ -9,24 +9,27 @@ Three pipelines share the same association/update/lifecycle machinery:
   retries tracks left unmatched by the first, rescuing objects whose
   first-stage boxes were dragged off by the partner agent's data.
 
-Track states stored in a TrackSet are the predictions for the frame about
-to be processed; each step ends by predicting every live track for the
-next frame.
+Boxes travel as (N, 7) arrays with (N,) score arrays from refinement to
+association, births and the Kalman update. The track states stored in a
+TrackSet are the predictions for the frame about to be processed; each
+step ends by predicting every live track for the next frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import assign, graphlap, kalman
-from .core import FrameBundle, TrackerConfig, TrackStatus, Method
+from .core import FrameBundle, TrackerConfig, Method
 
 
 @dataclass(frozen=True)
 class TrackSet:
     """Live tracks plus the id counter and step index."""
 
-    tracks: tuple = ()
+    tracks: kalman.Tracks
     next_id: int = 1
     frame: int = 0
 
@@ -40,29 +43,25 @@ class FrameOutput:
 
 
 def new_trackset() -> TrackSet:
-    return TrackSet()
+    return TrackSet(kalman.init_track(np.zeros((0, kalman.MEAS_DIM)), (), 1,
+                                      kalman.default_model()))
 
 
-def manage_lifecycle(tracks, matched_ids, cfg: TrackerConfig) -> list:
+def manage_lifecycle(tracks: kalman.Tracks, matched, cfg: TrackerConfig) -> kalman.Tracks:
     """Confirm matched tracks, age unmatched ones, drop dead ones.
 
-    Matched tracks must already carry post-update counters (the Kalman
-    update increments hits and clears misses). Unmatched tracks get a
-    miss, lose their hit streak, and are dropped once misses reach
-    max_age. Confirmed status is never revoked short of death.
+    matched is a bool mask over the rows. Matched tracks must already carry
+    post-update counters (the Kalman update increments hits and clears
+    misses). Unmatched tracks get a miss, lose their hit streak, and are
+    dropped once misses reach max_age. Confirmed status is never revoked
+    short of death.
     """
-    survivors = []
-    for t in tracks:
-        if t.track_id in matched_ids:
-            confirmed = t.status is TrackStatus.CONFIRMED or t.hits >= cfg.min_hits
-            status = TrackStatus.CONFIRMED if confirmed else TrackStatus.TENTATIVE
-            survivors.append(replace(t, status=status))
-        else:
-            misses = t.misses + 1
-            if misses >= cfg.max_age:
-                continue
-            survivors.append(replace(t, misses=misses, hits=0))
-    return survivors
+    confirmed = np.where(matched, tracks.confirmed | (tracks.hits >= cfg.min_hits),
+                         tracks.confirmed)
+    misses = np.where(matched, tracks.misses, tracks.misses + 1)
+    hits = np.where(matched, tracks.hits, 0)
+    return replace(tracks, hits=hits, misses=misses, confirmed=confirmed).take(
+        matched | (misses < cfg.max_age))
 
 
 def _split_agents(bundle: FrameBundle):
@@ -75,83 +74,73 @@ def _split_agents(bundle: FrameBundle):
     return dets_i, dets_j
 
 
-def _emit(ts: TrackSet, tracks, cfg: TrackerConfig) -> FrameOutput:
+def _emit(ts: TrackSet, tracks: kalman.Tracks, cfg: TrackerConfig) -> FrameOutput:
     warm = cfg.warm_start and ts.frame < cfg.min_hits - 1
-    rows = []
-    for t in tracks:
-        if t.status is TrackStatus.CONFIRMED or warm:
-            rows.append((t.track_id, t.box7(), t.score))
-    rows.sort(key=lambda r: r[0])
-    return FrameOutput(frame=ts.frame, emitted=tuple(rows))
+    rows = np.flatnonzero(tracks.confirmed | warm)
+    return FrameOutput(frame=ts.frame, emitted=tuple(zip(
+        tracks.ids[rows].tolist(), tracks.states[rows, :kalman.MEAS_DIM],
+        tracks.scores[rows].tolist())))
 
 
-def _predict_all(tracks, model) -> tuple:
-    return tuple(kalman.predict(t, model) for t in tracks)
+def _matched(result: assign.AssociationResult):
+    """The matched (rows, cols) of an association as two index arrays."""
+    pairs = np.array(result.matched_pairs, dtype=int).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
 
 
-def _init_tracks(dets, start_id, model):
-    born = []
-    tid = start_id
-    for d in dets:
-        born.append(kalman.init_track(d, tid, model))
-        tid += 1
-    return born, tid
+def _associate_update(tracks, boxes, scores, cfg, model):
+    """One association round: (updated tracks, matched row mask, unmatched
+    box indices)."""
+    result = assign.associate(tracks.states[:, :kalman.MEAS_DIM], boxes,
+                              cfg.iou_assoc_threshold)
+    rows, cols = _matched(result)
+    matched = np.zeros(len(tracks), dtype=bool)
+    matched[rows] = True
+    tracks = kalman.update(tracks, rows, boxes[cols], scores[cols], model)
+    return tracks, matched, np.array(result.unmatched_cols, dtype=int)
 
 
-def _associate_update(tracks, det_boxes, cfg, model):
-    """One association round: returns (updated tracks in order, matched ids,
-    unmatched track list, unmatched detection indices)."""
-    result = assign.associate(tracks, det_boxes, cfg.iou_assoc_threshold)
-    by_row = {r: c for r, c in result.matched_pairs}
-    updated, matched_ids, unmatched_tracks = [], set(), []
-    for r, t in enumerate(tracks):
-        if r in by_row:
-            det = det_boxes[by_row[r]]
-            updated.append(kalman.update(t, det.box7(), model, score=det.score))
-            matched_ids.add(t.track_id)
-        else:
-            updated.append(t)
-            unmatched_tracks.append(t)
-    return updated, matched_ids, unmatched_tracks, list(result.unmatched_cols)
-
-
-def _finish_step(ts, tracks, matched_ids, born, cfg, model, next_id):
-    alive = manage_lifecycle(tracks, matched_ids, cfg) + born
+def _finish_step(ts, tracks, matched, born_boxes, born_scores, cfg, model):
+    born = kalman.init_track(born_boxes, born_scores, ts.next_id, model)
+    alive = manage_lifecycle(tracks, matched, cfg).concat(born)
     output = _emit(ts, alive, cfg)
-    predicted = _predict_all(alive, model)
-    return TrackSet(tracks=predicted, next_id=next_id, frame=ts.frame + 1), output
+    return TrackSet(kalman.predict(alive, model), ts.next_id + len(born),
+                    ts.frame + 1), output
 
 
-def _single_stage_step(ts: TrackSet, det_boxes, cfg, model):
-    tracks = list(ts.tracks)
-    updated, matched_ids, _, unmatched_cols = _associate_update(
-        tracks, det_boxes, cfg, model)
-    born, next_id = _init_tracks([det_boxes[c] for c in unmatched_cols],
-                                 ts.next_id, model)
-    return _finish_step(ts, updated, matched_ids, born, cfg, model, next_id)
+def _single_stage_step(ts: TrackSet, boxes, scores, cfg, model):
+    tracks, matched, unmatched_cols = _associate_update(ts.tracks, boxes, scores,
+                                                        cfg, model)
+    return _finish_step(ts, tracks, matched, boxes[unmatched_cols],
+                        scores[unmatched_cols], cfg, model)
 
 
 def step_baseline(ts: TrackSet, bundle: FrameBundle, cfg: TrackerConfig, model):
     """Early fusion without refinement: concatenate and associate."""
     dets = [d for agent in bundle.agents for d in bundle.detections_by_agent[agent]]
-    return _single_stage_step(ts, dets, cfg, model)
+    boxes = np.array([d.box7() for d in dets]).reshape(-1, kalman.MEAS_DIM)
+    return _single_stage_step(ts, boxes, np.array([d.score for d in dets], dtype=float),
+                              cfg, model)
 
 
-def _refined_aos_boxes(bundle, cfg):
+def _refined(bundle: FrameBundle, scheme: str, cfg: TrackerConfig):
+    """(variants, N, 7) refined boxes, their (N,) scores, and how many
+    leading boxes come from cross-matched nodes."""
     dets_i, dets_j = _split_agents(bundle)
     if not dets_i and not dets_j:
-        return []
-    rset = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_AOS,
-                           cfg.cross_agent_iou_threshold)
+        variants = 1 if scheme == graphlap.SCHEME_AOS else 2
+        return np.zeros((variants, 0, kalman.MEAS_DIM)), np.zeros(0), 0
+    refined = graphlap.refine(dets_i, dets_j, scheme, cfg.cross_agent_iou_threshold)
+    m = refined.node_map.num_matched
     if cfg.dedup_matched_pairs:
-        boxes, _ = graphlap.collapse_matched(rset)
-        return boxes
-    return list(rset.boxes)
+        return (*graphlap.collapse_matched(refined), m)
+    return refined.boxes, refined.scores, 2 * m
 
 
 def step_aos(ts: TrackSet, bundle: FrameBundle, cfg: TrackerConfig, model):
     """Refine with one-shot anchors, then a single association stage."""
-    return _single_stage_step(ts, _refined_aos_boxes(bundle, cfg), cfg, model)
+    boxes, scores, _ = _refined(bundle, graphlap.SCHEME_AOS, cfg)
+    return _single_stage_step(ts, boxes[0], scores, cfg, model)
 
 
 def step_tsa(ts: TrackSet, bundle: FrameBundle, cfg: TrackerConfig, model):
@@ -164,44 +153,22 @@ def step_tsa(ts: TrackSet, bundle: FrameBundle, cfg: TrackerConfig, model):
     initializes tracks (stage 1 already initialized every unmatched box;
     a second initialization of the same node would duplicate it).
     """
-    dets_i, dets_j = _split_agents(bundle)
-    if not dets_i and not dets_j:
-        return _single_stage_step(ts, [], cfg, model)
+    (boxes_ij, boxes_ji), scores, num_cross = _refined(bundle, graphlap.SCHEME_TSA, cfg)
 
-    rset_ij, rset_ji = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_TSA,
-                                       cfg.cross_agent_iou_threshold)
-    num_matched = rset_ij.node_map.num_matched
-    if cfg.dedup_matched_pairs:
-        boxes_ij, groups = graphlap.collapse_matched(rset_ij)
-        boxes_ji, _ = graphlap.collapse_matched(rset_ji)
-    else:
-        boxes_ij = list(rset_ij.boxes)
-        boxes_ji = list(rset_ji.boxes)
-        groups = [(k,) for k in range(rset_ij.node_map.size)]
-    cross_matched = [g[0] < 2 * num_matched for g in groups]
+    tracks, matched, unmatched_cols = _associate_update(ts.tracks, boxes_ij, scores,
+                                                        cfg, model)
+    stage2_rows = np.flatnonzero(~matched)
+    candidates = unmatched_cols[unmatched_cols < num_cross]
+    if len(stage2_rows) and len(candidates):
+        result = assign.associate(tracks.states[stage2_rows, :kalman.MEAS_DIM],
+                                  boxes_ji[candidates], cfg.iou_assoc_threshold)
+        rows, cols = _matched(result)
+        rows, cols = stage2_rows[rows], candidates[cols]
+        tracks = kalman.update(tracks, rows, boxes_ji[cols], scores[cols], model)
+        matched[rows] = True
 
-    tracks = list(ts.tracks)
-    updated, matched_ids, unmatched_tracks, unmatched_cols = _associate_update(
-        tracks, boxes_ij, cfg, model)
-    born, next_id = _init_tracks([boxes_ij[c] for c in unmatched_cols],
-                                 ts.next_id, model)
-
-    unmatched_set = set(unmatched_cols)
-    stage2_boxes = [boxes_ji[c] for c in range(len(boxes_ji))
-                    if cross_matched[c] and c in unmatched_set]
-    if unmatched_tracks and stage2_boxes:
-        result2 = assign.associate(unmatched_tracks, stage2_boxes,
-                                   cfg.iou_assoc_threshold)
-        stage2_updates = {}
-        for r, c in result2.matched_pairs:
-            t = unmatched_tracks[r]
-            det = stage2_boxes[c]
-            stage2_updates[t.track_id] = kalman.update(t, det.box7(), model,
-                                                       score=det.score)
-            matched_ids.add(t.track_id)
-        updated = [stage2_updates.get(t.track_id, t) for t in updated]
-
-    return _finish_step(ts, updated, matched_ids, born, cfg, model, next_id)
+    return _finish_step(ts, tracks, matched, boxes_ij[unmatched_cols],
+                        scores[unmatched_cols], cfg, model)
 
 
 _STEPS = {

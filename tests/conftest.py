@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from coopmot import assign, graphlap
-from coopmot.core import Detection
+from coopmot import assign, graphlap, kalman
+from coopmot.core import Detection, wrap_angle
 from coopmot.io import Pose
 
 
@@ -14,6 +14,52 @@ def make_box(x=0.0, y=0.0, z=0.0, theta=0.0, h=1.0, w=1.0, l=1.0,
     return Detection(x=x, y=y, z=z, theta=theta, h=h, w=w, l=l,
                      score=score, agent_id=agent_id, frame=frame,
                      local_index=local_index)
+
+
+def born(d, model, track_id=1):
+    """A one-row kalman.Tracks store initialized from the Detection d."""
+    return kalman.init_track([d.box7()], [d.score], track_id, model)
+
+
+def track_store(states, covariances):
+    """A kalman.Tracks store of the given states (T, 10) and covariances
+    (T, 10, 10), one row for a single (10,) state: ids 1..T, one hit, no
+    misses, tentative, score 1."""
+    states = np.array(states, dtype=float).reshape(-1, 10)
+    t = len(states)
+    return kalman.Tracks(states, np.array(covariances, dtype=float).reshape(t, 10, 10),
+                         np.arange(1, t + 1), np.ones(t, dtype=int), np.zeros(t, dtype=int),
+                         np.zeros(t, dtype=bool), np.ones(t))
+
+
+def reference_predict(state, cov, model):
+    """One track's predict, as the filter computed it track by track:
+    the oracle for the batched kalman.predict."""
+    state = model.F @ state
+    state[3] = wrap_angle(state[3])
+    cov = model.F @ cov @ model.F.T + model.Q
+    return state, 0.5 * (cov + cov.T)
+
+
+def reference_update(state, cov, z, model):
+    """One track's measurement update with a box 7-vector, as the filter
+    computed it track by track: the oracle for the batched kalman.update."""
+    innovation = z - model.H @ state
+    if model.orientation_correction:
+        residual = wrap_angle(z[3] - state[3])
+        if residual > np.pi / 2:
+            residual -= np.pi
+        elif residual < -np.pi / 2:
+            residual += np.pi
+        innovation[3] = residual
+    else:
+        innovation[3] = wrap_angle(innovation[3])
+    chol = np.linalg.cholesky(model.H @ cov @ model.H.T + model.R)
+    gain = np.linalg.solve(chol.T, np.linalg.solve(chol, model.H @ cov)).T
+    state = state + gain @ innovation
+    state[3] = wrap_angle(state[3])
+    cov = cov - gain @ model.H @ cov
+    return state, 0.5 * (cov + cov.T)
 
 
 def rand_box7(rng, center_scale=2.0, extent_lo=0.5, extent_hi=4.0):
@@ -186,13 +232,15 @@ def by_key(centroids, keys):
 
 
 def refined_centroids(dets_i, dets_j, match, variant):
-    """graphlap.refine's centroids for one anchor variant, keyed by
-    (agent_id, local_index)."""
-    out = graphlap.refine(dets_i, dets_j, "aos" if variant == "aos" else "tsa",
-                          0.25, cross_match=match)
-    rset = out if variant == "aos" else out[VARIANTS.index(variant) - 1]
-    assert rset.scheme == variant
-    return {(b.agent_id, b.local_index): np.array([b.x, b.y, b.z]) for b in rset.boxes}
+    """graphlap.refine's centroids for one anchor variant, keyed by the
+    (agent_id, local_index) of each node's detection."""
+    refined = graphlap.refine(dets_i, dets_j, "aos" if variant == "aos" else "tsa",
+                              0.25, cross_match=match)
+    assert len(refined.boxes) == (1 if variant == "aos" else 2)
+    boxes = refined.boxes[max(VARIANTS.index(variant) - 1, 0)]
+    lists = (dets_i, dets_j)
+    return {(lists[s][k].agent_id, lists[s][k].local_index): box[:3]
+            for (s, k), box in zip(refined.node_map.nodes, boxes)}
 
 
 def oracle_system(dets_i, dets_j, match, variant):

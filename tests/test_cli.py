@@ -38,6 +38,17 @@ class TestSimulate:
         assert manifest["command"] == "simulate"
         assert manifest["seed"] == 5
 
+    def test_manifest_duration_from_monotonic_clock(self, tmp_path, scenario_cfg,
+                                                    monkeypatch):
+        # the wall clock steps back an hour at every read; the duration must
+        # still be a non-negative float
+        wall = iter(range(10**9, 0, -3600))
+        monkeypatch.setattr(cli.time, "time", lambda: float(next(wall)))
+        out = tmp_path / "sim"
+        assert run_cli("simulate", "--config", scenario_cfg, "--out", str(out)) == 0
+        duration = json.loads((out / "run_manifest.json").read_text())["duration_sec"]
+        assert isinstance(duration, float) and duration >= 0.0
+
     def test_invalid_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"num_frames": 0}')

@@ -128,18 +128,6 @@ class TestTrackerConfig:
             assert core.load_config(path) == cfg
 
 
-class TestTrackState:
-    def test_shape_checks(self):
-        with pytest.raises(ValueError):
-            core.TrackState(state=np.zeros(7), covariance=np.eye(10), track_id=1)
-        with pytest.raises(ValueError):
-            core.TrackState(state=np.zeros(10), covariance=np.eye(7), track_id=1)
-
-    def test_box7(self):
-        t = core.TrackState(state=np.arange(10.0), covariance=np.eye(10), track_id=1)
-        assert np.array_equal(t.box7(), np.arange(7.0))
-
-
 class TestFrameBundle:
     def test_frame_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -141,13 +141,14 @@ class TestIou3d:
             assert np.isfinite(v) and 0.0 <= v <= 1.0
 
     def test_accepts_detections_trackstates_and_vectors(self):
-        from coopmot.core import TrackState
+        # a track state row (10 entries) is read as its first seven, the box
+        from coopmot import kalman
         d = make_box(x=1.0, l=2.0)
         v = d.box7()
-        t = TrackState(state=np.concatenate([v, np.zeros(3)]),
-                       covariance=np.eye(10), track_id=1)
+        t = kalman.init_track([v], [1.0], 1, kalman.default_model())
         assert geometry.iou3d(d, v) == 1.0
-        assert geometry.iou3d(d, t) == 1.0
+        assert geometry.iou3d(d, t.states[0]) == 1.0
+        assert geometry.iou_matrix([d], t.states[:, :7]).tolist() == [[1.0]]
 
 
 class TestAsBox7Array:

@@ -16,15 +16,16 @@ def cross_matched_pair(x_i=0.0, x_j=1.0):
     return [a], [b]
 
 
-def centroids(rset):
-    return np.array([[b.x, b.y, b.z] for b in rset.boxes])
+def centroids(refined, variant=0):
+    """Refined centroids (N, 3) of one anchor variant, in node order."""
+    return refined.boxes[variant, :, :3]
 
 
-def node_positions(rset, dets_i, dets_j):
-    """Raw centroids (N, 3) of the refined set's nodes, in node order."""
+def node_positions(refined, dets_i, dets_j):
+    """Raw centroids (N, 3) of the refined nodes, in node order."""
     lists = (dets_i, dets_j)
     return np.array([[lists[s][k].x, lists[s][k].y, lists[s][k].z]
-                     for s, k in rset.node_map.nodes])
+                     for s, k in refined.node_map.nodes])
 
 
 def implied_anchors(positions, refined):
@@ -34,8 +35,9 @@ def implied_anchors(positions, refined):
     return (lap2 + np.eye(len(positions))) @ refined - lap2 @ positions
 
 
-def anchors_of(rset, dets_i, dets_j):
-    return implied_anchors(node_positions(rset, dets_i, dets_j), centroids(rset))
+def anchors_of(refined, variant, dets_i, dets_j):
+    return implied_anchors(node_positions(refined, dets_i, dets_j),
+                           centroids(refined, variant))
 
 
 class TestBuildGraph:
@@ -128,46 +130,46 @@ class TestAnchors:
 
     def test_aos_matched_pair_swaps(self):
         dets_i, dets_j = cross_matched_pair(0.0, 1.0)
-        rset = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_AOS, 0.25)
-        assert np.allclose(anchors_of(rset, dets_i, dets_j)[:, 0], [1.0, 0.0],
+        refined = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_AOS, 0.25)
+        assert np.allclose(anchors_of(refined, 0, dets_i, dets_j)[:, 0], [1.0, 0.0],
                            rtol=0.0, atol=1e-12)
 
     def test_aos_all_unmatched_self_anchors(self):
         dets_i = [make_box(x=0.0), make_box(x=50.0)]
         dets_j = [make_box(x=100.0)]
-        rset = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_AOS, 0.25)
-        assert np.allclose(anchors_of(rset, dets_i, dets_j)[:, 0], [0.0, 50.0, 100.0],
-                           rtol=0.0, atol=1e-12)
+        refined = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_AOS, 0.25)
+        assert np.allclose(anchors_of(refined, 0, dets_i, dets_j)[:, 0],
+                           [0.0, 50.0, 100.0], rtol=0.0, atol=1e-12)
         # with every node self-anchored the output is the input, exactly
-        assert np.array_equal(centroids(rset), node_positions(rset, dets_i, dets_j))
+        assert np.array_equal(centroids(refined), node_positions(refined, dets_i, dets_j))
 
     def test_aos_coincident_pair(self):
         dets_i, dets_j = cross_matched_pair(4.2, 4.2)
-        rset = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_AOS, 0.25)
-        assert rset.node_map.num_matched == 1
-        assert np.array_equal(centroids(rset)[:, 0], [4.2, 4.2])
+        refined = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_AOS, 0.25)
+        assert refined.node_map.num_matched == 1
+        assert np.array_equal(centroids(refined)[:, 0], [4.2, 4.2])
 
     def test_tsa_matched_pair(self):
         dets_i, dets_j = cross_matched_pair(0.0, 1.0)
-        rset_ij, rset_ji = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_TSA, 0.25)
-        assert np.allclose(anchors_of(rset_ij, dets_i, dets_j)[:, 0], [1.0, 1.0],
+        refined = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_TSA, 0.25)
+        assert np.allclose(anchors_of(refined, 0, dets_i, dets_j)[:, 0], [1.0, 1.0],
                            rtol=0.0, atol=1e-12)
-        assert np.allclose(anchors_of(rset_ji, dets_i, dets_j)[:, 0], [0.0, 0.0],
+        assert np.allclose(anchors_of(refined, 1, dets_i, dets_j)[:, 0], [0.0, 0.0],
                            rtol=0.0, atol=1e-12)
 
     def test_tsa_no_matches_degenerates(self):
         dets_i = [make_box(x=0.0)]
         dets_j = [make_box(x=100.0)]
-        rset_ij, rset_ji = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_TSA, 0.25)
+        tsa = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_TSA, 0.25)
         aos = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_AOS, 0.25)
-        assert np.array_equal(centroids(rset_ij)[:, 0], [0.0, 100.0])
-        assert np.array_equal(centroids(rset_ij), centroids(rset_ji))
-        assert np.array_equal(centroids(rset_ij), centroids(aos))
+        assert np.array_equal(centroids(tsa, 0)[:, 0], [0.0, 100.0])
+        assert np.array_equal(centroids(tsa, 0), centroids(tsa, 1))
+        assert np.array_equal(centroids(tsa, 0), centroids(aos))
 
     def test_tsa_coincident_pair_equal(self):
         dets_i, dets_j = cross_matched_pair(-3.0, -3.0)
-        rset_ij, rset_ji = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_TSA, 0.25)
-        assert np.array_equal(centroids(rset_ij)[:, 1], centroids(rset_ji)[:, 1])
+        refined = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_TSA, 0.25)
+        assert np.array_equal(centroids(refined, 0)[:, 1], centroids(refined, 1)[:, 1])
 
 
 class TestSolve:
@@ -221,14 +223,14 @@ class TestSolve:
         # one refined box per detection, each detection exactly once
         for _ in range(20):
             dets_i, dets_j, match = random_graph_frame(rng, 20)
-            keys = {(d.agent_id, d.local_index) for d in dets_i + dets_j}
-            aos = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_AOS, 0.25,
-                                  cross_match=match)
-            for rset in (aos, *graphlap.refine(dets_i, dets_j, graphlap.SCHEME_TSA,
-                                               0.25, cross_match=match)):
-                assert rset.node_map.size == len(dets_i) + len(dets_j)
-                assert len(rset.boxes) == rset.node_map.size
-                assert {(b.agent_id, b.local_index) for b in rset.boxes} == keys
+            n = len(dets_i) + len(dets_j)
+            keys = [(0, k) for k in range(len(dets_i))] + [(1, k) for k in range(len(dets_j))]
+            for scheme, variants in ((graphlap.SCHEME_AOS, 1), (graphlap.SCHEME_TSA, 2)):
+                refined = graphlap.refine(dets_i, dets_j, scheme, 0.25, cross_match=match)
+                assert refined.node_map.size == n
+                assert refined.boxes.shape == (variants, n, 7)
+                assert refined.scores.shape == (n,)
+                assert sorted(refined.node_map.nodes) == keys
 
 
 def max_gap(a, b, shift=0.0):
@@ -311,41 +313,56 @@ class TestRefineProperties:
 class TestRefine:
     def test_single_detection_identity(self):
         d = make_box(x=3.0, y=-2.0, z=1.0, theta=0.4, score=0.9)
-        rset = graphlap.refine([d], [], graphlap.SCHEME_AOS, 0.25)
-        assert len(rset.boxes) == 1
-        out = rset.boxes[0]
-        assert (out.x, out.y, out.z) == (3.0, -2.0, 1.0)
-        assert out.theta == d.theta and out.score == d.score
+        refined = graphlap.refine([d], [], graphlap.SCHEME_AOS, 0.25)
+        assert refined.boxes.shape == (1, 1, 7)
+        out = refined.boxes[0, 0]
+        assert tuple(out[:3]) == (3.0, -2.0, 1.0)
+        assert out[3] == d.theta and refined.scores[0] == d.score
 
     def test_matched_pair_aos_closed_form(self):
         dets_i, dets_j = cross_matched_pair(0.0, 1.0)
-        rset = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_AOS, 0.25)
-        xs = [b.x for b in rset.boxes]
+        refined = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_AOS, 0.25)
+        xs = refined.boxes[0, :, 0]
         assert abs(xs[0] - 0.2) < 1e-12
         assert abs(xs[1] - 0.8) < 1e-12
-        assert rset.scheme == "aos"
+        assert len(refined.boxes) == 1  # one anchor variant
 
     def test_matched_pair_tsa_closed_forms(self):
         dets_i, dets_j = cross_matched_pair(0.0, 1.0)
-        rset_ij, rset_ji = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_TSA, 0.25)
-        xs_ij = [b.x for b in rset_ij.boxes]
-        xs_ji = [b.x for b in rset_ji.boxes]
+        refined = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_TSA, 0.25)
+        assert len(refined.boxes) == 2  # variants ij, ji
+        xs_ij, xs_ji = refined.boxes[:, :, 0]
         assert abs(xs_ij[0] - 0.6) < 1e-12 and abs(xs_ij[1] - 1.4) < 1e-12
         assert abs(xs_ji[0] - (-0.4)) < 1e-12 and abs(xs_ji[1] - 0.4) < 1e-12
-        assert rset_ij.scheme == "tsa_ij" and rset_ji.scheme == "tsa_ji"
 
     def test_non_centroid_attributes_copied(self, rng):
         dets_i = [make_box(x=0.0, theta=0.3, h=1.5, w=1.7, l=4.1, score=0.65,
                            agent_id="i", frame=9, local_index=0)]
         dets_j = [make_box(x=0.5, theta=-0.2, h=1.4, w=1.9, l=4.3, score=0.75,
                            agent_id="j", frame=9, local_index=0)]
-        rset = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_AOS, 0.25)
-        src = [(dets_i, dets_j)[s][k] for s, k in rset.node_map.nodes]
-        for out, d in zip(rset.boxes, src):
-            assert (out.theta, out.h, out.w, out.l, out.score) == \
-                (d.theta, d.h, d.w, d.l, d.score)
-            assert out.agent_id == d.agent_id and out.frame == d.frame
-            assert out.local_index == d.local_index
+        for scheme in (graphlap.SCHEME_AOS, graphlap.SCHEME_TSA):
+            refined = graphlap.refine(dets_i, dets_j, scheme, 0.25)
+            src = [(dets_i, dets_j)[s][k] for s, k in refined.node_map.nodes]
+            assert refined.scores.tolist() == [d.score for d in src]
+            for boxes in refined.boxes:
+                assert boxes[:, 3:].tolist() == [[d.theta, d.h, d.w, d.l] for d in src]
+
+    def test_collapse_matched_merges_pairs(self):
+        # one pair (the j member scores higher) plus one unmatched box per agent
+        dets_i = [make_box(x=0.0, theta=0.1, l=4.0, score=0.5, agent_id="i"),
+                  make_box(x=60.0, score=0.3, agent_id="i", local_index=1)]
+        dets_j = [make_box(x=0.4, theta=0.2, l=4.2, score=0.8, agent_id="j"),
+                  make_box(x=-60.0, score=0.4, agent_id="j", local_index=1)]
+        for scheme in (graphlap.SCHEME_AOS, graphlap.SCHEME_TSA):
+            refined = graphlap.refine(dets_i, dets_j, scheme, 0.25)
+            assert refined.node_map.num_matched == 1
+            boxes, scores = graphlap.collapse_matched(refined)
+            assert boxes.shape == (len(refined.boxes), 3, 7)
+            assert scores.tolist() == [0.8, 0.3, 0.4]
+            for merged, full in zip(boxes, refined.boxes):
+                assert np.array_equal(merged[0, :3], 0.5 * (full[0, :3] + full[1, :3]))
+                assert np.array_equal(merged[0, 3:], full[1, 3:])  # higher score: j
+                assert np.array_equal(merged[1:], full[2:])
 
     def test_empty_raises(self):
         with pytest.raises(graphlap.EmptyGraph):
@@ -365,10 +382,13 @@ class TestRefine:
         shuffled = [dets_i[p] for p in perm]
         other = graphlap.refine(shuffled, dets_j, graphlap.SCHEME_AOS, 0.25)
 
-        def key(box):
-            return (round(box.x, 8), round(box.y, 8), round(box.z, 8), box.agent_id)
+        def keys(refined):
+            # rounded centroid and agent slot of every refined box
+            return sorted((round(box[0], 8), round(box[1], 8), round(box[2], 8), slot)
+                          for (slot, _), box in zip(refined.node_map.nodes,
+                                                    refined.boxes[0].tolist()))
 
-        assert sorted(map(key, base.boxes)) == sorted(map(key, other.boxes))
+        assert keys(base) == keys(other)
 
 
 class TestVarianceReduction:
@@ -388,10 +408,10 @@ class TestVarianceReduction:
                            h=6.0, w=8.0, l=8.0, agent_id="i")
             d_j = make_box(x=noisy[1, 0], y=noisy[1, 1], z=noisy[1, 2],
                            h=6.0, w=8.0, l=8.0, agent_id="j")
-            rset = graphlap.refine([d_i], [d_j], graphlap.SCHEME_AOS, 0.05)
-            assert rset.node_map.num_matched == 1
-            for b in rset.boxes:
-                err = np.array([b.x, b.y, b.z]) - mu
+            refined = graphlap.refine([d_i], [d_j], graphlap.SCHEME_AOS, 0.05)
+            assert refined.node_map.num_matched == 1
+            for b in refined.boxes[0]:
+                err = b[:3] - mu
                 sq += float(err @ err)
                 count += 3
         mse = sq / count

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from coopmot import assign, graphlap, kalman, tracker
-from coopmot.core import FrameBundle, Method, TrackerConfig, TrackStatus
-from conftest import make_box
+from coopmot.core import FrameBundle, Method, TrackerConfig
+from conftest import born, make_box
 
 CAR = dict(h=1.6, w=1.8, l=4.5)
 
@@ -24,6 +26,19 @@ def static_object_frames(n, agents=("a", "b"), pos=(0.0, 0.0)):
     return [bundle(t, {a: [pos] for a in agents}) for t in range(n)]
 
 
+MATCHED, UNMATCHED = np.array([True]), np.array([False])
+
+
+def rematch(tracks, model):
+    """Update the single track of a store with its own box."""
+    return kalman.update(tracks, [0], tracks.states[:, :7], tracks.scores, model)
+
+
+def counters_by_id(tracks):
+    """{track id: (hits, misses)} of a store."""
+    return dict(zip(tracks.ids.tolist(), zip(tracks.hits.tolist(), tracks.misses.tolist())))
+
+
 @pytest.fixture
 def model():
     return kalman.default_model()
@@ -32,47 +47,47 @@ def model():
 class TestManageLifecycle:
     def test_confirm_at_third_consecutive_match(self, model):
         cfg = TrackerConfig()
-        t = kalman.init_track(make_box(**CAR), 1, model)
-        assert t.hits == 1
-        tracks = tracker.manage_lifecycle([t], {1}, cfg)
-        assert tracks[0].status is TrackStatus.TENTATIVE
+        t = born(make_box(**CAR), model)
+        assert t.hits.tolist() == [1]
+        tracks = tracker.manage_lifecycle(t, MATCHED, cfg)
+        assert tracks.confirmed.tolist() == [False]  # tentative
         for expected_hits in (2, 3):
-            t = kalman.update(tracks[0], tracks[0].state[:7], model)
-            assert t.hits == expected_hits
-            tracks = tracker.manage_lifecycle([t], {1}, cfg)
-        assert tracks[0].status is TrackStatus.CONFIRMED
+            t = rematch(tracks, model)
+            assert t.hits.tolist() == [expected_hits]
+            tracks = tracker.manage_lifecycle(t, MATCHED, cfg)
+        assert tracks.confirmed.tolist() == [True]
 
     def test_dead_after_two_consecutive_misses(self, model):
         cfg = TrackerConfig()
-        t = kalman.init_track(make_box(**CAR), 1, model)
-        tracks = tracker.manage_lifecycle([t], set(), cfg)
-        assert len(tracks) == 1 and tracks[0].misses == 1
-        tracks = tracker.manage_lifecycle(tracks, set(), cfg)
-        assert tracks == []
+        t = born(make_box(**CAR), model)
+        tracks = tracker.manage_lifecycle(t, UNMATCHED, cfg)
+        assert len(tracks) == 1 and tracks.misses.tolist() == [1]
+        tracks = tracker.manage_lifecycle(tracks, UNMATCHED, cfg)
+        assert len(tracks) == 0
 
     def test_match_after_miss_resets(self, model):
         cfg = TrackerConfig()
-        t = kalman.init_track(make_box(**CAR), 1, model)
-        tracks = tracker.manage_lifecycle([t], set(), cfg)
-        assert tracks[0].misses == 1 and tracks[0].hits == 0
-        t = kalman.update(tracks[0], tracks[0].state[:7], model)
-        tracks = tracker.manage_lifecycle([t], {1}, cfg)
-        assert tracks[0].misses == 0
+        t = born(make_box(**CAR), model)
+        tracks = tracker.manage_lifecycle(t, UNMATCHED, cfg)
+        assert tracks.misses.tolist() == [1] and tracks.hits.tolist() == [0]
+        t = rematch(tracks, model)
+        tracks = tracker.manage_lifecycle(t, MATCHED, cfg)
+        assert tracks.misses.tolist() == [0]
         assert len(tracks) == 1
 
     def test_confirmed_not_demoted_by_later_miss(self, model):
         cfg = TrackerConfig(max_age=5)
-        t = kalman.init_track(make_box(**CAR), 1, model)
+        t = born(make_box(**CAR), model)
         for _ in range(3):
-            tracks = tracker.manage_lifecycle([t], {1}, cfg)
-            t = kalman.update(tracks[0], tracks[0].state[:7], model)
-        tracks = tracker.manage_lifecycle([t], {1}, cfg)
-        assert tracks[0].status is TrackStatus.CONFIRMED
-        tracks = tracker.manage_lifecycle(tracks, set(), cfg)
-        assert tracks[0].status is TrackStatus.CONFIRMED  # still alive, still confirmed
-        t = kalman.update(tracks[0], tracks[0].state[:7], model)
-        tracks = tracker.manage_lifecycle([t], {1}, cfg)
-        assert tracks[0].status is TrackStatus.CONFIRMED
+            tracks = tracker.manage_lifecycle(t, MATCHED, cfg)
+            t = rematch(tracks, model)
+        tracks = tracker.manage_lifecycle(t, MATCHED, cfg)
+        assert tracks.confirmed.tolist() == [True]
+        tracks = tracker.manage_lifecycle(tracks, UNMATCHED, cfg)
+        assert tracks.confirmed.tolist() == [True]  # still alive, still confirmed
+        t = rematch(tracks, model)
+        tracks = tracker.manage_lifecycle(t, MATCHED, cfg)
+        assert tracks.confirmed.tolist() == [True]
 
 
 class TestStepAos:
@@ -82,7 +97,7 @@ class TestStepAos:
                                    FrameBundle(frame=0, detections_by_agent={}),
                                    cfg, model)
         assert out.emitted == ()
-        assert ts.tracks == ()
+        assert len(ts.tracks) == 0
 
     def test_noiseless_static_object_confirms_at_frame_three(self, model):
         # both agents see one object; the pair dedups to a single box, so
@@ -93,8 +108,7 @@ class TestStepAos:
         confirmed_by_frame = []
         for b in static_object_frames(4):
             ts, out = tracker.step_aos(ts, b, cfg, model)
-            confirmed = [t for t in ts.tracks if t.status is TrackStatus.CONFIRMED]
-            confirmed_by_frame.append(len(confirmed))
+            confirmed_by_frame.append(int(ts.tracks.confirmed.sum()))
         assert confirmed_by_frame == [0, 0, 1, 1]
         assert len(ts.tracks) == 1
 
@@ -105,9 +119,8 @@ class TestStepAos:
         ts = tracker.new_trackset()
         for b in static_object_frames(3):
             ts, _ = tracker.step_aos(ts, b, cfg, model)
-        statuses = [t.status for t in ts.tracks]
         assert len(ts.tracks) == 2
-        assert all(s is TrackStatus.CONFIRMED for s in statuses)
+        assert ts.tracks.confirmed.all()
 
     def test_track_terminated_after_max_age_misses(self, model):
         cfg = TrackerConfig(method=Method.AOS, dedup_matched_pairs=True)
@@ -134,8 +147,8 @@ class TestStepBaseline:
         for b in static_object_frames(3, agents=("a",)):
             ts, out = tracker.step_baseline(ts, b, cfg, model)
         assert len(ts.tracks) == 1
-        assert ts.tracks[0].status is TrackStatus.CONFIRMED
-        assert out.emitted[0][0] == ts.tracks[0].track_id
+        assert ts.tracks.confirmed.tolist() == [True]
+        assert out.emitted[0][0] == ts.tracks.ids[0]
 
     def test_duplicate_detection_spawns_second_track(self, model):
         cfg = TrackerConfig(method=Method.BASELINE)
@@ -143,7 +156,7 @@ class TestStepBaseline:
         ts, _ = tracker.step_baseline(ts, static_object_frames(1)[0], cfg, model)
         # one matched the (empty) track set; both initialize
         assert len(ts.tracks) == 2
-        assert all(t.status is TrackStatus.TENTATIVE for t in ts.tracks)
+        assert not ts.tracks.confirmed.any()  # both tentative
 
 
 class TestStepTsa:
@@ -199,27 +212,28 @@ class TestStepTsa:
         for b in static_object_frames(3):
             ts, _ = tracker.step_tsa(ts, b, cfg, model)
         assert len(ts.tracks) == 2  # coincident twin, no dedup
-        track_ids = {t.track_id for t in ts.tracks}
-        hits_before = {t.track_id: t.hits for t in ts.tracks}
+        hits_before = {tid: hits for tid, (hits, _) in counters_by_id(ts.tracks).items()}
 
         degraded = bundle(3, {"a": [(0.0, 0.0)], "b": [(3.2, 1.1)]})
 
         # stage 1 alone misses the track: feed only the first-variant boxes
-        rset_ij, _ = graphlap.refine(
+        refined = graphlap.refine(
             list(degraded.detections_by_agent["a"]),
             list(degraded.detections_by_agent["b"]),
             graphlap.SCHEME_TSA, cfg.cross_agent_iou_threshold)
-        ts_stage1, _ = tracker._single_stage_step(ts, list(rset_ij.boxes), cfg, model)
-        survivors_stage1 = {t.track_id: t for t in ts_stage1.tracks
-                            if t.track_id in track_ids}
-        assert any(t.misses == 1 for t in survivors_stage1.values())
+        ts_stage1, _ = tracker._single_stage_step(ts, refined.boxes[0], refined.scores,
+                                                  cfg, model)
+        survivors_stage1 = {tid: c for tid, c in counters_by_id(ts_stage1.tracks).items()
+                            if tid in hits_before}
+        assert any(misses == 1 for _, misses in survivors_stage1.values())
 
         # the full two-stage step recovers it: no miss recorded
         ts_full, _ = tracker.step_tsa(ts, degraded, cfg, model)
-        survivors = {t.track_id: t for t in ts_full.tracks if t.track_id in track_ids}
+        survivors = {tid: c for tid, c in counters_by_id(ts_full.tracks).items()
+                     if tid in hits_before}
         assert len(survivors) == 2
-        rescued = [t for t in survivors.values()
-                   if t.misses == 0 and t.hits == hits_before[t.track_id] + 1]
+        rescued = [tid for tid, (hits, misses) in survivors.items()
+                   if misses == 0 and hits == hits_before[tid] + 1]
         assert rescued
 
 
@@ -254,7 +268,7 @@ class TestRunSequence:
         seen = []
         for b in frames:
             ts, _ = tracker.step_baseline(ts, b, cfg, model)
-            seen.extend(t.track_id for t in ts.tracks)
+            seen.extend(ts.tracks.ids.tolist())
         # ids are unique per birth: the multiset of distinct ids only grows
         assert ts.next_id - 1 == len(set(seen))
 
@@ -317,3 +331,63 @@ class TestRunSequence:
             return sorted(map(tuple, trajs.values()))
 
         assert trajectories(out_a) == trajectories(out_b)
+
+
+@st.composite
+def scenes(draw):
+    """A small two-agent scene: 1-10 frames over a pool of up to 5 moving
+    objects; each agent sees each object with probability 0.6 (jittered),
+    so frames with matches, misses, empty agents and empty frames occur."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    num_objects = draw(st.integers(1, 5))
+    start = rng.uniform(-8.0, 8.0, (num_objects, 2))
+    velocity = rng.uniform(-0.6, 0.6, (num_objects, 2))
+    jitter = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    frames = []
+    for t in range(draw(st.integers(1, 10))):
+        seen = {}
+        for agent in ("a", "b"):
+            pos = start + t * velocity + rng.normal(0.0, jitter, start.shape)
+            keep = rng.uniform(size=num_objects) < 0.6
+            seen[agent] = [(float(x), float(y), float(s)) for (x, y), s
+                           in zip(pos[keep], rng.uniform(0.1, 1.0, num_objects)[keep])]
+        frames.append(bundle(t, seen))
+    return frames, TrackerConfig(min_hits=draw(st.integers(1, 3)),
+                                 max_age=draw(st.integers(1, 3)),
+                                 warm_start=draw(st.booleans()))
+
+
+def rows(outputs):
+    return [(o.frame, [(tid, box.tolist(), score) for tid, box, score in o.emitted])
+            for o in outputs]
+
+
+class TestTrackerProperties:
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @pytest.mark.parametrize("dedup", [False, True])
+    @pytest.mark.parametrize("method", list(Method))
+    @given(scene=scenes())
+    def test_id_invariants_and_replay(self, method, dedup, scene):
+        frames, base = scene
+        cfg = TrackerConfig(method=method, dedup_matched_pairs=dedup,
+                            min_hits=base.min_hits, max_age=base.max_age,
+                            warm_start=base.warm_start)
+        model = kalman.default_model()
+        step = tracker._STEPS[method]
+        ts = tracker.new_trackset()
+        born_ids, dropped, outputs = set(), set(), []
+        for b in frames:
+            before = set(ts.tracks.ids.tolist())
+            ts, out = step(ts, b, cfg, model)
+            outputs.append(out)
+            ids = [row[0] for row in out.emitted]
+            alive = ts.tracks.ids.tolist()
+            assert ids == sorted(set(ids))  # unique, ascending
+            assert alive == sorted(set(alive))
+            assert not (set(ids) | set(alive)) & dropped  # never back once dropped
+            dropped |= before - set(alive)
+            born_ids |= set(alive)
+        assert ts.next_id - 1 == len(born_ids)
+        assert born_ids == set(range(1, ts.next_id))
+        assert rows(outputs) == rows(tracker.run_sequence(frames, cfg, model))
+        assert rows(outputs) == rows(tracker.run_sequence(frames, cfg, model))
