@@ -16,19 +16,21 @@ class NonFiniteCost(ValueError):
 
 @dataclass(frozen=True)
 class AssociationResult:
-    """One-to-one matching between two index sets.
+    """One-to-one matching between two index sets, as int index arrays.
 
-    matched_pairs, unmatched_rows and unmatched_cols partition both index
-    sets exactly; no index appears twice.
+    Row matched_rows[k] pairs with column matched_cols[k], in ascending
+    row order. The matched and unmatched rows (and columns) partition each
+    index set exactly; unmatched indices are ascending.
     """
 
-    matched_pairs: tuple
-    unmatched_rows: tuple
-    unmatched_cols: tuple
+    matched_rows: np.ndarray
+    matched_cols: np.ndarray
+    unmatched_rows: np.ndarray
+    unmatched_cols: np.ndarray
 
     @property
     def num_matched(self) -> int:
-        return len(self.matched_pairs)
+        return len(self.matched_rows)
 
 
 def hungarian_min_cost(cost) -> list:
@@ -59,12 +61,11 @@ def associate(rows, cols, iou_threshold: float) -> AssociationResult:
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold {iou_threshold} not in (0, 1]")
     iou = geometry.iou_matrix(rows, cols)
-    pairs = hungarian_min_cost(-iou) if iou.size else []
-    matched = [(r, c) for r, c in pairs if iou[r, c] >= iou_threshold]
-    matched_rows = {r for r, _ in matched}
-    matched_cols = {c for _, c in matched}
-    return AssociationResult(
-        matched_pairs=tuple(matched),
-        unmatched_rows=tuple(r for r in range(len(rows)) if r not in matched_rows),
-        unmatched_cols=tuple(c for c in range(len(cols)) if c not in matched_cols),
-    )
+    pairs = np.array(hungarian_min_cost(-iou) if iou.size else [], dtype=int).reshape(-1, 2)
+    matched_rows, matched_cols = pairs[iou[pairs[:, 0], pairs[:, 1]] >= iou_threshold].T
+    free_rows = np.ones(iou.shape[0], dtype=bool)
+    free_rows[matched_rows] = False
+    free_cols = np.ones(iou.shape[1], dtype=bool)
+    free_cols[matched_cols] = False
+    return AssociationResult(matched_rows, matched_cols,
+                             np.flatnonzero(free_rows), np.flatnonzero(free_cols))

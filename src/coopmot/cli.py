@@ -1,8 +1,9 @@
 """Command-line entry point: simulate -> track -> eval -> analyze.
 
-Exit codes: 0 success, 1 data error, 2 usage or config error. Every
-command writes a run_manifest.json beside its outputs with enough
-information to reproduce the run.
+Exit codes: 0 success, 1 data error, 2 usage or config error or an
+output path that cannot be written. Every command writes a
+run_manifest.json beside its outputs with enough information to
+reproduce the run.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ def _manifest(out_dir: str, command: str, config: dict, inputs: list,
         fh.write("\n")
 
 
+def _cannot_write(path, exc) -> int:
+    print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+    return 2
+
+
 def cmd_simulate(args) -> int:
     started = time.perf_counter()
     try:
@@ -47,25 +53,28 @@ def cmd_simulate(args) -> int:
             cfg = sim.ScenarioConfig()
         if args.seed is not None:
             cfg = sim.scenario_from_dict({**cfg.to_dict(), "seed": args.seed})
+        gt_frames, bundles = sim.generate(cfg)
     except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
         print(f"error: invalid scenario config: {exc}", file=sys.stderr)
         return 2
 
-    gt_frames, bundles = sim.generate(cfg)
-    os.makedirs(args.out, exist_ok=True)
-    gt_path = os.path.join(args.out, "gt.jsonl")
-    io.write_gt(gt_path, gt_frames)
-    outputs = [gt_path]
-    for agent in sim.AGENTS:
-        agent_bundles = [
-            core.FrameBundle(frame=b.frame, detections_by_agent={
-                agent: b.detections_by_agent.get(agent, [])})
-            for b in bundles]
-        path = os.path.join(args.out, f"detections_{agent}.jsonl")
-        io.write_detections(path, agent_bundles)
-        outputs.append(path)
-    _manifest(args.out, "simulate", cfg.to_dict(),
-              [args.config] if args.config else [], outputs, cfg.seed, started)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        gt_path = os.path.join(args.out, "gt.jsonl")
+        io.write_gt(gt_path, gt_frames)
+        outputs = [gt_path]
+        for agent in sim.AGENTS:
+            agent_bundles = [
+                core.FrameBundle(frame=b.frame, detections_by_agent={
+                    agent: b.detections_by_agent.get(agent, [])})
+                for b in bundles]
+            path = os.path.join(args.out, f"detections_{agent}.jsonl")
+            io.write_detections(path, agent_bundles)
+            outputs.append(path)
+        _manifest(args.out, "simulate", cfg.to_dict(),
+                  [args.config] if args.config else [], outputs, cfg.seed, started)
+    except OSError as exc:
+        return _cannot_write(args.out, exc)
     return 0
 
 
@@ -101,11 +110,14 @@ def cmd_track(args) -> int:
         return 1
 
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
-    os.makedirs(out_dir, exist_ok=True)
-    io.write_tracks(args.out, outputs)
-    _manifest(out_dir, "track", cfg.to_dict(),
-              det_paths + ([args.poses] if args.poses else []),
-              [args.out], None, started)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        io.write_tracks(args.out, outputs)
+        _manifest(out_dir, "track", cfg.to_dict(),
+                  det_paths + ([args.poses] if args.poses else []),
+                  [args.out], None, started)
+    except OSError as exc:
+        return _cannot_write(args.out, exc)
     return 0
 
 
@@ -129,14 +141,17 @@ def cmd_eval(args) -> int:
         return 1
 
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
-    os.makedirs(out_dir, exist_ok=True)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
-    if args.table:
-        print(report.format_table(args.label))
-    _manifest(out_dir, "eval", {}, [args.tracks, args.gt], [args.out],
-              None, started)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(report.to_dict(), fh, indent=2)
+            fh.write("\n")
+        if args.table:
+            print(report.format_table(args.label))
+        _manifest(out_dir, "eval", {}, [args.tracks, args.gt], [args.out],
+                  None, started)
+    except OSError as exc:
+        return _cannot_write(args.out, exc)
     return 0
 
 
@@ -157,15 +172,18 @@ def cmd_analyze(args) -> int:
             continue
         bins.setdefault(counts.tp, []).append(counts.matched_iou_sum / counts.tp)
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
-    os.makedirs(out_dir, exist_ok=True)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tp_count", "mean_motp", "frequency"])
-        for tp_count in sorted(bins):
-            vals = bins[tp_count]
-            writer.writerow([tp_count, repr(sum(vals) / len(vals)), len(vals)])
-    _manifest(out_dir, "analyze", {}, [args.tracks, args.gt], [args.out],
-              None, started)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["tp_count", "mean_motp", "frequency"])
+            for tp_count in sorted(bins):
+                vals = bins[tp_count]
+                writer.writerow([tp_count, repr(sum(vals) / len(vals)), len(vals)])
+        _manifest(out_dir, "analyze", {}, [args.tracks, args.gt], [args.out],
+                  None, started)
+    except OSError as exc:
+        return _cannot_write(args.out, exc)
     return 0
 
 

@@ -56,9 +56,6 @@ class Detection:
     w: float
     l: float
     score: float = 1.0
-    agent_id: str = ""
-    frame: int = 0
-    local_index: int = 0
 
     def box7(self) -> np.ndarray:
         """The [x y z theta h w l] vector."""
@@ -79,8 +76,6 @@ def validate_detection(d: Detection) -> Detection:
         raise InvalidBox(f"non-positive extent (h={d.h}, w={d.w}, l={d.l})")
     if not 0.0 <= d.score <= 1.0:
         raise InvalidBox(f"score {d.score} outside [0, 1]")
-    if d.frame < 0:
-        raise InvalidBox(f"negative frame index {d.frame}")
     theta = wrap_angle(d.theta)
     if theta != d.theta:
         return replace(d, theta=theta)
@@ -187,15 +182,3 @@ class FrameBundle:
 
     frame: int
     detections_by_agent: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for agent, dets in self.detections_by_agent.items():
-            for d in dets:
-                if d.frame != self.frame:
-                    raise ValueError(
-                        f"detection frame {d.frame} does not match bundle frame "
-                        f"{self.frame} (agent {agent})")
-
-    @property
-    def agents(self) -> list:
-        return list(self.detections_by_agent.keys())

@@ -3,7 +3,6 @@
 The IoU kernel has two interchangeable backends: a compiled Cython module
 (built by setup.py) and a pure-numpy fallback. The compiled one is chosen
 at import when available; set COOPMOT_PURE=1 to force the fallback.
-benchmarks/bench_iou.py compares the two.
 """
 
 from __future__ import annotations

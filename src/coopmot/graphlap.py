@@ -26,29 +26,27 @@ class EmptyGraph(ValueError):
 
 @dataclass(frozen=True)
 class NodeIndexMap:
-    """(agent slot, local index) per node in blocks matched-i, matched-j,
-    unmatched-i, unmatched-j; node k pairs with node num_matched + k."""
+    """Row per node into the stacked [agent i; agent j] boxes, in blocks
+    matched-i, matched-j, unmatched-i, unmatched-j; node k pairs with node
+    num_matched + k."""
 
-    nodes: tuple
+    nodes: np.ndarray
     num_matched: int
-    num_unmatched_i: int
-    num_unmatched_j: int
 
     @property
     def size(self) -> int:
         return len(self.nodes)
 
 
-def build_graph(dets_i, dets_j, cross_match: assign.AssociationResult) -> NodeIndexMap:
-    """Node order for one frame from the cross-agent association of the two
-    detection lists. Raises EmptyGraph when both lists are empty."""
-    if len(dets_i) == 0 and len(dets_j) == 0:
+def build_graph(num_i: int, num_j: int, cross_match: assign.AssociationResult) -> NodeIndexMap:
+    """Node order for one frame of num_i + num_j stacked boxes from the
+    cross-agent association of agent i's rows with agent j's. Raises
+    EmptyGraph when both agents have no detections."""
+    if num_i == 0 and num_j == 0:
         raise EmptyGraph("no detections from any agent")
-    pairs = sorted(cross_match.matched_pairs)
-    rows, cols = sorted(cross_match.unmatched_rows), sorted(cross_match.unmatched_cols)
-    nodes = ([(0, r) for r, _ in pairs] + [(1, c) for _, c in pairs]
-             + [(0, r) for r in rows] + [(1, c) for c in cols])
-    return NodeIndexMap(tuple(nodes), len(pairs), len(rows), len(cols))
+    nodes = np.concatenate([cross_match.matched_rows, num_i + cross_match.matched_cols,
+                            cross_match.unmatched_rows, num_i + cross_match.unmatched_cols])
+    return NodeIndexMap(nodes, cross_match.num_matched)
 
 
 @dataclass(frozen=True)
@@ -65,19 +63,18 @@ class Refined:
     node_map: NodeIndexMap
 
 
-def refine(dets_i, dets_j, scheme: str, cross_iou_threshold: float,
+def refine(boxes, scores, num_i: int, scheme: str, cross_iou_threshold: float,
            cross_match: assign.AssociationResult | None = None) -> Refined:
     """Cross-associate, build the graph and smooth every centroid under one
-    anchor variant ("aos") or two ("tsa"). Raises EmptyGraph when there is
-    nothing to refine."""
+    anchor variant ("aos") or two ("tsa"). boxes (N, 7) and scores (N,) stack
+    agent i's num_i detections over agent j's. Raises EmptyGraph when there
+    is nothing to refine."""
     if scheme not in (SCHEME_AOS, SCHEME_TSA):
         raise ValueError(f"unknown refinement scheme {scheme!r}")
     if cross_match is None:
-        cross_match = assign.associate(dets_i, dets_j, cross_iou_threshold)
-    node_map = build_graph(dets_i, dets_j, cross_match)
-    sources = [(dets_i, dets_j)[slot][k] for slot, k in node_map.nodes]
-    raw = np.array([(d.x, d.y, d.z, d.theta, d.h, d.w, d.l) for d in sources],
-                   dtype=float)
+        cross_match = assign.associate(boxes[:num_i], boxes[num_i:], cross_iou_threshold)
+    node_map = build_graph(num_i, len(boxes) - num_i, cross_match)
+    raw = boxes[node_map.nodes]
     p = raw[:, :3]
     n, m = node_map.size, node_map.num_matched
     # anchors per variant: aos swaps the matched blocks; tsa gives a_ij, a_ji
@@ -85,9 +82,9 @@ def refine(dets_i, dets_j, scheme: str, cross_iou_threshold: float,
     a[0, :m] = p[m:2 * m]
     a[-1, m:2 * m] = p[:m]
     r = a - p
-    boxes = np.repeat(raw[None], len(a), axis=0)
-    boxes[..., :3] = p + (r + n * r.sum(axis=1, keepdims=True)) / (n * n + 1)
-    return Refined(boxes, np.array([d.score for d in sources], dtype=float), node_map)
+    refined = np.repeat(raw[None], len(a), axis=0)
+    refined[..., :3] = p + (r + n * r.sum(axis=1, keepdims=True)) / (n * n + 1)
+    return Refined(refined, scores[node_map.nodes], node_map)
 
 
 def collapse_matched(refined: Refined):

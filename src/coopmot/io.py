@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import Detection, FrameBundle, InvalidBox, validate_detection, wrap_angle
 
@@ -53,8 +53,7 @@ def to_global(d: Detection, p: Pose) -> Detection:
     gz = d.z + p.z
     return validate_detection(Detection(
         x=gx, y=gy, z=gz, theta=d.theta + p.yaw,
-        h=d.h, w=d.w, l=d.l, score=d.score,
-        agent_id=d.agent_id, frame=d.frame, local_index=d.local_index))
+        h=d.h, w=d.w, l=d.l, score=d.score))
 
 
 def _iter_records(path, fields):
@@ -96,12 +95,11 @@ def _float_fields(path, lineno, rec, names):
 BOX_FIELDS = ("x", "y", "z", "theta", "h", "w", "l")
 
 
-def _detection(path, lineno, rec, agent, score, frame, local_index):
+def _detection(path, lineno, rec, score):
     x, y, z, theta, h, w, l = _float_fields(path, lineno, rec, BOX_FIELDS)
     try:
         return validate_detection(Detection(
-            x=x, y=y, z=z, theta=theta, h=h, w=w, l=l, score=score,
-            agent_id=agent, frame=frame, local_index=local_index))
+            x=x, y=y, z=z, theta=theta, h=h, w=w, l=l, score=score))
     except InvalidBox as exc:
         raise ParseError(f"{path}: line {lineno}: {exc}") from exc
 
@@ -115,9 +113,7 @@ def read_detections(path) -> list:
             raise ParseError(f"{path}: line {lineno}: bad agent {rec['agent']!r}")
         (score,) = _float_fields(path, lineno, rec, ("score",))
         per_agent = frames.setdefault(rec["frame"], {})
-        dets = per_agent.setdefault(agent, [])
-        dets.append(_detection(path, lineno, rec, agent, score,
-                               rec["frame"], len(dets)))
+        per_agent.setdefault(agent, []).append(_detection(path, lineno, rec, score))
     return _as_bundles(frames)
 
 
@@ -140,11 +136,7 @@ def merge_detection_files(paths) -> list:
         for bundle in read_detections(path):
             per_agent = frames.setdefault(bundle.frame, {})
             for agent, dets in bundle.detections_by_agent.items():
-                existing = per_agent.setdefault(agent, [])
-                for d in dets:
-                    if d.local_index != len(existing):
-                        d = replace(d, local_index=len(existing))
-                    existing.append(d)
+                per_agent.setdefault(agent, []).extend(dets)
     return _as_bundles(frames)
 
 
@@ -167,9 +159,8 @@ def read_gt(path) -> list:
         oid = rec["object_id"]
         if not isinstance(oid, int):
             raise ParseError(f"{path}: line {lineno}: bad object_id {oid!r}")
-        row = frames.setdefault(rec["frame"], [])
-        row.append((oid, _detection(path, lineno, rec, "gt", 1.0,
-                                    rec["frame"], len(row))))
+        frames.setdefault(rec["frame"], []).append(
+            (oid, _detection(path, lineno, rec, 1.0)))
     if not frames:
         return []
     return [frames.get(t, []) for t in range(max(frames) + 1)]
@@ -194,23 +185,20 @@ def read_tracks(path) -> list:
         if not isinstance(tid, int):
             raise ParseError(f"{path}: line {lineno}: bad track_id {tid!r}")
         (score,) = _float_fields(path, lineno, rec, ("score",))
-        row = frames.setdefault(rec["frame"], [])
-        d = _detection(path, lineno, rec, f"track{tid}", score,
-                       rec["frame"], len(row))
-        row.append((tid, d, score))
+        frames.setdefault(rec["frame"], []).append(
+            (tid, _detection(path, lineno, rec, score), score))
     if not frames:
         return []
     return [frames.get(t, []) for t in range(max(frames) + 1)]
 
 
 def write_tracks(path, outputs) -> None:
-    """Write FrameOutputs (or (frame, rows) pairs) as a tracks file."""
+    """Write FrameOutputs as a tracks file."""
     with open(path, "w", encoding="utf-8") as fh:
         for out in outputs:
-            frame, rows = (out.frame, out.emitted) if hasattr(out, "emitted") else out
-            for tid, box, score in rows:
+            for tid, box, score in out.emitted:
                 fh.write(json.dumps({
-                    "frame": frame, "track_id": int(tid),
+                    "frame": out.frame, "track_id": int(tid),
                     "x": float(box[0]), "y": float(box[1]), "z": float(box[2]),
                     "theta": float(box[3]), "h": float(box[4]),
                     "w": float(box[5]), "l": float(box[6]),

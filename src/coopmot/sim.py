@@ -10,6 +10,7 @@ independent Gaussian noise. Everything is deterministic per seed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,12 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for key in ("num_objects", "num_frames", "seed"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.num_frames < 1:
             raise ValueError("num_frames must be >= 1")
         if self.num_objects < 0:
@@ -45,6 +52,9 @@ class ScenarioConfig:
         for key in ("sigma", "dropout", "occlusion_sectors"):
             if len(getattr(self, key)) != len(AGENTS):
                 raise ValueError(f"{key} needs one entry per agent ({len(AGENTS)})")
+        for sector in (s for sectors in self.occlusion_sectors for s in sectors):
+            if len(sector) != 2:
+                raise ValueError(f"occlusion sector {list(sector)} is not a (lo, hi) pair")
         if any(s < 0 for s in self.sigma):
             raise ValueError("sigma must be >= 0")
         if any(not 0.0 <= p <= 1.0 for p in self.dropout):
@@ -143,8 +153,7 @@ def generate(cfg: ScenarioConfig):
             positions.append(pos)
             gt_row.append((oid, Detection(
                 x=pos[0], y=pos[1], z=pos[2], theta=obj.theta,
-                h=CAR_H, w=CAR_W, l=CAR_L, score=1.0,
-                agent_id="gt", frame=t, local_index=oid)))
+                h=CAR_H, w=CAR_W, l=CAR_L, score=1.0)))
         gt_frames.append(gt_row)
 
         per_agent = {}
@@ -164,38 +173,7 @@ def generate(cfg: ScenarioConfig):
                 score = min(1.0, max(0.0, cfg.score_base + cfg.score_jitter * jitter))
                 dets.append(validate_detection(Detection(
                     x=noisy[0], y=noisy[1], z=noisy[2], theta=obj.theta,
-                    h=CAR_H, w=CAR_W, l=CAR_L, score=score,
-                    agent_id=agent, frame=t, local_index=len(dets))))
+                    h=CAR_H, w=CAR_W, l=CAR_L, score=score)))
             per_agent[agent] = dets
         bundles.append(FrameBundle(frame=t, detections_by_agent=per_agent))
     return gt_frames, bundles
-
-
-def noise_stats(gt_frames, bundles) -> dict:
-    """Per-agent centroid RMSE of detections against nearest ground truth."""
-    sq = {}
-    count = {}
-    for gt_row, bundle in zip(gt_frames, bundles):
-        if not gt_row:
-            continue
-        gt_pos = np.array([[d.x, d.y, d.z] for _, d in gt_row])
-        for agent, dets in bundle.detections_by_agent.items():
-            for d in dets:
-                p = np.array([d.x, d.y, d.z])
-                nearest = gt_pos[np.argmin(np.linalg.norm(gt_pos - p, axis=1))]
-                err = p - nearest
-                sq.setdefault(agent, np.zeros(3))
-                sq[agent] += err ** 2
-                count[agent] = count.get(agent, 0) + 1
-    stats = {}
-    for agent, acc in sq.items():
-        n = count[agent]
-        per_axis = np.sqrt(acc / n)
-        stats[agent] = {
-            "rmse_x": float(per_axis[0]),
-            "rmse_y": float(per_axis[1]),
-            "rmse_z": float(per_axis[2]),
-            "rmse": float(np.sqrt(acc.sum() / (3 * n))),
-            "count": n,
-        }
-    return stats

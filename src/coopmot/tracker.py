@@ -9,8 +9,9 @@ Three pipelines share the same association/update/lifecycle machinery:
   retries tracks left unmatched by the first, rescuing objects whose
   first-stage boxes were dragged off by the partner agent's data.
 
-Boxes travel as (N, 7) arrays with (N,) score arrays from refinement to
-association, births and the Kalman update. The track states stored in a
+Each step stacks the frame's detections once into (N, 7) box and (N,)
+score arrays; refinement, association, births and the Kalman update all
+work on those arrays. The track states stored in a
 TrackSet are the predictions for the frame about to be processed; each
 step ends by predicting every live track for the next frame.
 """
@@ -64,14 +65,14 @@ def manage_lifecycle(tracks: kalman.Tracks, matched, cfg: TrackerConfig) -> kalm
         matched | (misses < cfg.max_age))
 
 
-def _split_agents(bundle: FrameBundle):
-    agents = bundle.agents
-    if len(agents) > 2:
-        raise ValueError(
-            f"pipelines support at most two agents, bundle has {len(agents)}")
-    dets_i = list(bundle.detections_by_agent[agents[0]]) if len(agents) >= 1 else []
-    dets_j = list(bundle.detections_by_agent[agents[1]]) if len(agents) >= 2 else []
-    return dets_i, dets_j
+def _stacked(bundle: FrameBundle):
+    """Every agent's detections stacked in agent order: (N, 7) boxes, (N,)
+    scores and the detection count of each agent."""
+    agents = bundle.detections_by_agent.values()
+    table = np.array([(d.x, d.y, d.z, d.theta, d.h, d.w, d.l, d.score)
+                      for dets in agents for d in dets], dtype=float).reshape(-1, 8)
+    sizes = [len(dets) for dets in agents]
+    return table[:, :kalman.MEAS_DIM], table[:, kalman.MEAS_DIM], sizes
 
 
 def _emit(ts: TrackSet, tracks: kalman.Tracks, cfg: TrackerConfig) -> FrameOutput:
@@ -82,22 +83,16 @@ def _emit(ts: TrackSet, tracks: kalman.Tracks, cfg: TrackerConfig) -> FrameOutpu
         tracks.scores[rows].tolist())))
 
 
-def _matched(result: assign.AssociationResult):
-    """The matched (rows, cols) of an association as two index arrays."""
-    pairs = np.array(result.matched_pairs, dtype=int).reshape(-1, 2)
-    return pairs[:, 0], pairs[:, 1]
-
-
 def _associate_update(tracks, boxes, scores, cfg, model):
     """One association round: (updated tracks, matched row mask, unmatched
     box indices)."""
     result = assign.associate(tracks.states[:, :kalman.MEAS_DIM], boxes,
                               cfg.iou_assoc_threshold)
-    rows, cols = _matched(result)
+    rows, cols = result.matched_rows, result.matched_cols
     matched = np.zeros(len(tracks), dtype=bool)
     matched[rows] = True
     tracks = kalman.update(tracks, rows, boxes[cols], scores[cols], model)
-    return tracks, matched, np.array(result.unmatched_cols, dtype=int)
+    return tracks, matched, result.unmatched_cols
 
 
 def _finish_step(ts, tracks, matched, born_boxes, born_scores, cfg, model):
@@ -117,20 +112,21 @@ def _single_stage_step(ts: TrackSet, boxes, scores, cfg, model):
 
 def step_baseline(ts: TrackSet, bundle: FrameBundle, cfg: TrackerConfig, model):
     """Early fusion without refinement: concatenate and associate."""
-    dets = [d for agent in bundle.agents for d in bundle.detections_by_agent[agent]]
-    boxes = np.array([d.box7() for d in dets]).reshape(-1, kalman.MEAS_DIM)
-    return _single_stage_step(ts, boxes, np.array([d.score for d in dets], dtype=float),
-                              cfg, model)
+    boxes, scores, _ = _stacked(bundle)
+    return _single_stage_step(ts, boxes, scores, cfg, model)
 
 
 def _refined(bundle: FrameBundle, scheme: str, cfg: TrackerConfig):
     """(variants, N, 7) refined boxes, their (N,) scores, and how many
     leading boxes come from cross-matched nodes."""
-    dets_i, dets_j = _split_agents(bundle)
-    if not dets_i and not dets_j:
+    boxes, scores, sizes = _stacked(bundle)
+    if len(sizes) > 2:
+        raise ValueError(f"pipelines support at most two agents, bundle has {len(sizes)}")
+    if len(boxes) == 0:
         variants = 1 if scheme == graphlap.SCHEME_AOS else 2
         return np.zeros((variants, 0, kalman.MEAS_DIM)), np.zeros(0), 0
-    refined = graphlap.refine(dets_i, dets_j, scheme, cfg.cross_agent_iou_threshold)
+    refined = graphlap.refine(boxes, scores, sizes[0], scheme,
+                              cfg.cross_agent_iou_threshold)
     m = refined.node_map.num_matched
     if cfg.dedup_matched_pairs:
         return (*graphlap.collapse_matched(refined), m)
@@ -162,8 +158,7 @@ def step_tsa(ts: TrackSet, bundle: FrameBundle, cfg: TrackerConfig, model):
     if len(stage2_rows) and len(candidates):
         result = assign.associate(tracks.states[stage2_rows, :kalman.MEAS_DIM],
                                   boxes_ji[candidates], cfg.iou_assoc_threshold)
-        rows, cols = _matched(result)
-        rows, cols = stage2_rows[rows], candidates[cols]
+        rows, cols = stage2_rows[result.matched_rows], candidates[result.matched_cols]
         tracks = kalman.update(tracks, rows, boxes_ji[cols], scores[cols], model)
         matched[rows] = True
 

@@ -9,11 +9,8 @@ from coopmot.core import Detection, wrap_angle
 from coopmot.io import Pose
 
 
-def make_box(x=0.0, y=0.0, z=0.0, theta=0.0, h=1.0, w=1.0, l=1.0,
-             score=1.0, agent_id="a", frame=0, local_index=0):
-    return Detection(x=x, y=y, z=z, theta=theta, h=h, w=w, l=l,
-                     score=score, agent_id=agent_id, frame=frame,
-                     local_index=local_index)
+def make_box(x=0.0, y=0.0, z=0.0, theta=0.0, h=1.0, w=1.0, l=1.0, score=1.0):
+    return Detection(x=x, y=y, z=z, theta=theta, h=h, w=w, l=l, score=score)
 
 
 def born(d, model, track_id=1):
@@ -176,30 +173,46 @@ VARIANTS = ("aos", "tsa_ij", "tsa_ji")
 
 def matching(n_i, n_j, pairs):
     """AssociationResult naming the given (row, col) pairs; the rest unmatched."""
-    pairs = sorted(pairs)
-    rows = {r for r, _ in pairs}
-    cols = {c for _, c in pairs}
-    return assign.AssociationResult(
-        matched_pairs=tuple(pairs),
-        unmatched_rows=tuple(r for r in range(n_i) if r not in rows),
-        unmatched_cols=tuple(c for c in range(n_j) if c not in cols))
+    pairs = np.array(sorted(pairs), dtype=int).reshape(-1, 2)
+    free_i, free_j = np.ones(n_i, dtype=bool), np.ones(n_j, dtype=bool)
+    free_i[pairs[:, 0]] = False
+    free_j[pairs[:, 1]] = False
+    return assign.AssociationResult(pairs[:, 0], pairs[:, 1],
+                                    np.flatnonzero(free_i), np.flatnonzero(free_j))
+
+
+def matched_pairs(result):
+    """The matched (row, col) pairs of an AssociationResult, as a list."""
+    return list(zip(result.matched_rows.tolist(), result.matched_cols.tolist()))
+
+
+def stacked(dets_i, dets_j):
+    """graphlap.refine's inputs for two agents' Detection lists: the (N, 7)
+    boxes and (N,) scores of agent i's list over agent j's, and agent i's
+    count."""
+    dets = list(dets_i) + list(dets_j)
+    boxes = np.array([d.box7() for d in dets]).reshape(-1, 7)
+    return boxes, np.array([d.score for d in dets], dtype=float), len(dets_i)
+
+
+def node_keys(dets_i, dets_j):
+    """The (agent slot, position) key of every stacked row."""
+    return [(0, k) for k in range(len(dets_i))] + [(1, k) for k in range(len(dets_j))]
 
 
 def graph_frame(rng, n_i, n_j, m, scale=50.0, spread=1.5, coincident=False):
     """Two agents' detections with m cross-agent pairs at random indices.
 
     Returns (dets_i, dets_j, match). Each pair's j box sits near its i box
-    (on it when coincident); local_index is the index in the agent's list.
+    (on it when coincident).
     """
     pos_i = rng.uniform(-scale, scale, (n_i, 3))
     pos_j = rng.uniform(-scale, scale, (n_j, 3))
     rows = rng.permutation(n_i)[:m]
     cols = rng.permutation(n_j)[:m]
     pos_j[cols] = pos_i[rows] + (0.0 if coincident else rng.normal(0, spread, (m, 3)))
-    dets_i = [make_box(*map(float, p), agent_id="i", local_index=k)
-              for k, p in enumerate(pos_i)]
-    dets_j = [make_box(*map(float, p), agent_id="j", local_index=k)
-              for k, p in enumerate(pos_j)]
+    dets_i = [make_box(*map(float, p)) for p in pos_i]
+    dets_j = [make_box(*map(float, p)) for p in pos_j]
     return dets_i, dets_j, matching(n_i, n_j, zip(rows.tolist(), cols.tolist()))
 
 
@@ -212,18 +225,24 @@ def random_graph_frame(rng, n_max, coincident=False):
 
 
 def translated(dets, c):
-    """The detections moved by the vector c, identities kept."""
-    return [make_box(x=d.x + c[0], y=d.y + c[1], z=d.z + c[2], agent_id=d.agent_id,
-                     local_index=d.local_index) for d in dets]
+    """The detections moved by the vector c, each at its position."""
+    return [make_box(x=d.x + c[0], y=d.y + c[1], z=d.z + c[2]) for d in dets]
 
 
 def permuted(dets_i, dets_j, match, perm_i, perm_j):
     """Each agent's list reordered (new position k holds old perm[k]), with
     the cross-agent pairs renamed to the new positions."""
     inv_i, inv_j = np.argsort(perm_i), np.argsort(perm_j)
-    pairs = [(int(inv_i[r]), int(inv_j[c])) for r, c in match.matched_pairs]
+    pairs = [(int(inv_i[r]), int(inv_j[c])) for r, c in matched_pairs(match)]
     return ([dets_i[k] for k in perm_i], [dets_j[k] for k in perm_j],
             matching(len(dets_i), len(dets_j), pairs))
+
+
+def unpermuted(centroids, perm_i, perm_j):
+    """Centroids of a permuted frame keyed back by (agent slot, position) in
+    the original lists."""
+    perms = (perm_i, perm_j)
+    return {(s, int(perms[s][k])): v for (s, k), v in centroids.items()}
 
 
 def by_key(centroids, keys):
@@ -233,14 +252,13 @@ def by_key(centroids, keys):
 
 def refined_centroids(dets_i, dets_j, match, variant):
     """graphlap.refine's centroids for one anchor variant, keyed by the
-    (agent_id, local_index) of each node's detection."""
-    refined = graphlap.refine(dets_i, dets_j, "aos" if variant == "aos" else "tsa",
-                              0.25, cross_match=match)
+    (agent slot, position) of each node's detection."""
+    refined = graphlap.refine(*stacked(dets_i, dets_j),
+                              "aos" if variant == "aos" else "tsa", 0.25, cross_match=match)
     assert len(refined.boxes) == (1 if variant == "aos" else 2)
     boxes = refined.boxes[max(VARIANTS.index(variant) - 1, 0)]
-    lists = (dets_i, dets_j)
-    return {(lists[s][k].agent_id, lists[s][k].local_index): box[:3]
-            for (s, k), box in zip(refined.node_map.nodes, boxes)}
+    keys = node_keys(dets_i, dets_j)
+    return {keys[n]: box[:3] for n, box in zip(refined.node_map.nodes, boxes)}
 
 
 def oracle_system(dets_i, dets_j, match, variant):
@@ -250,7 +268,7 @@ def oracle_system(dets_i, dets_j, match, variant):
     dets = list(dets_i) + list(dets_j)
     p = np.array([[d.x, d.y, d.z] for d in dets], dtype=float).reshape(-1, 3)
     a = p.copy()
-    for r, c in match.matched_pairs:
+    for r, c in matched_pairs(match):
         i, j = r, len(dets_i) + c
         if variant == "aos":
             a[i], a[j] = p[j], p[i]
@@ -258,7 +276,7 @@ def oracle_system(dets_i, dets_j, match, variant):
             a[i], a[j] = p[j], p[j]
         else:
             a[i], a[j] = p[i], p[i]
-    return [(d.agent_id, d.local_index) for d in dets], p, a
+    return node_keys(dets_i, dets_j), p, a
 
 
 def oracle_centroids(dets_i, dets_j, match, variant):

@@ -17,8 +17,9 @@ import pytest
 from coopmot import assign, cli, geometry, graphlap, kalman, metrics, sim, tracker
 from coopmot.core import Method, TrackerConfig
 from conftest import (VARIANTS, born, brute_min_cost, by_key, make_box, mc_iou,
-                      oracle_centroids, permuted, rand_box7, random_graph_frame,
-                      refined_centroids, track_store, translated)
+                      node_keys, oracle_centroids, permuted, rand_box7,
+                      random_graph_frame, refined_centroids, stacked, track_store,
+                      translated, unpermuted)
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -36,7 +37,7 @@ def test_c01_laplacian_solver_matches_pinv_oracle(rng):
     worst = 0.0
     for _ in range(200):
         frame = random_graph_frame(rng, n_max=50)
-        keys = [(d.agent_id, d.local_index) for d in frame[0] + frame[1]]
+        keys = node_keys(*frame[:2])
         for variant in VARIANTS:
             v = by_key(refined_centroids(*frame, variant), keys)
             expected = by_key(oracle_centroids(*frame, variant), keys)
@@ -50,12 +51,12 @@ def test_c01_laplacian_solver_matches_pinv_oracle(rng):
 
 def test_c02_closed_form_pair_solves():
     """N=2 matched pair reproduces the derived closed forms to 1e-12."""
-    d_i = [make_box(x=0.0, h=2.0, w=2.0, l=2.0, agent_id="i")]
-    d_j = [make_box(x=1.0, h=2.0, w=2.0, l=2.0, agent_id="j")]
-    (aos,) = graphlap.refine(d_i, d_j, graphlap.SCHEME_AOS, 0.25).boxes
+    d_i = [make_box(x=0.0, h=2.0, w=2.0, l=2.0)]
+    d_j = [make_box(x=1.0, h=2.0, w=2.0, l=2.0)]
+    (aos,) = graphlap.refine(*stacked(d_i, d_j), graphlap.SCHEME_AOS, 0.25).boxes
     assert abs(aos[0, 0] - 0.2) < 1e-12
     assert abs(aos[1, 0] - 0.8) < 1e-12
-    g_ij, g_ji = graphlap.refine(d_i, d_j, graphlap.SCHEME_TSA, 0.25).boxes
+    g_ij, g_ji = graphlap.refine(*stacked(d_i, d_j), graphlap.SCHEME_TSA, 0.25).boxes
     assert abs(g_ij[0, 0] - 0.6) < 1e-12
     assert abs(g_ij[1, 0] - 1.4) < 1e-12
     assert abs(g_ji[0, 0] - (-0.4)) < 1e-12
@@ -70,9 +71,8 @@ def test_c03_solver_invariants_fuzzed(rng):
         frame = random_graph_frame(rng, n_max=12, coincident=True)
         for variant in VARIANTS:
             v = refined_centroids(*frame, variant)
-            for d in frame[0] + frame[1]:
-                assert np.max(np.abs(v[(d.agent_id, d.local_index)]
-                                     - [d.x, d.y, d.z])) < 1e-9
+            for key, d in zip(node_keys(*frame[:2]), frame[0] + frame[1]):
+                assert np.max(np.abs(v[key] - [d.x, d.y, d.z])) < 1e-9
     for _ in range(1000):
         dets_i, dets_j, match = random_graph_frame(rng, n_max=12)
         c = rng.uniform(-100, 100, 3)
@@ -83,11 +83,11 @@ def test_c03_solver_invariants_fuzzed(rng):
             assert max(np.max(np.abs(v1[k] - (v0[k] + c))) for k in v0) < 1e-9
     for _ in range(1000):
         dets_i, dets_j, match = random_graph_frame(rng, n_max=12)
-        moved = permuted(dets_i, dets_j, match, rng.permutation(len(dets_i)),
-                         rng.permutation(len(dets_j)))
+        perm_i, perm_j = rng.permutation(len(dets_i)), rng.permutation(len(dets_j))
+        moved = permuted(dets_i, dets_j, match, perm_i, perm_j)
         for variant in VARIANTS:
             v0 = refined_centroids(dets_i, dets_j, match, variant)
-            v1 = refined_centroids(*moved, variant)
+            v1 = unpermuted(refined_centroids(*moved, variant), perm_i, perm_j)
             # 1e-12 at coordinate scale (absolute 1e-12 is finer than float
             # rounding can promise for ~50 m coordinates)
             scale = max(1.0, max(float(np.max(np.abs(v))) for v in v0.values()))
@@ -168,10 +168,10 @@ def test_c07_matched_pair_noise_reduction(rng):
         mu = rng.uniform(-20, 20, 3)
         noisy = mu + sigma * rng.normal(size=(2, 3))
         d_i = make_box(x=noisy[0, 0], y=noisy[0, 1], z=noisy[0, 2],
-                       h=6.0, w=8.0, l=8.0, agent_id="i")
+                       h=6.0, w=8.0, l=8.0)
         d_j = make_box(x=noisy[1, 0], y=noisy[1, 1], z=noisy[1, 2],
-                       h=6.0, w=8.0, l=8.0, agent_id="j")
-        refined = graphlap.refine([d_i], [d_j], graphlap.SCHEME_AOS, 0.05)
+                       h=6.0, w=8.0, l=8.0)
+        refined = graphlap.refine(*stacked([d_i], [d_j]), graphlap.SCHEME_AOS, 0.05)
         assert refined.node_map.num_matched == 1
         for bx in refined.boxes[0]:
             err = bx[:3] - mu
@@ -251,7 +251,7 @@ def test_c10_lifecycle_conformance():
     cfg = TrackerConfig(method=Method.BASELINE, warm_start=False)
 
     def frame(t, present):
-        dets = {"a": [make_box(frame=t, agent_id="a", **CAR)] if present else []}
+        dets = {"a": [make_box(**CAR)] if present else []}
         from coopmot.core import FrameBundle
         return FrameBundle(frame=t, detections_by_agent=dets)
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from coopmot import assign, geometry
-from conftest import brute_max_gated_matching, brute_min_cost, make_box, rand_box7
+from conftest import (brute_max_gated_matching, brute_min_cost, make_box, matched_pairs,
+                      rand_box7)
 
 
 class TestHungarian:
@@ -46,15 +47,15 @@ class TestHungarian:
 class TestAssociate:
     def test_identical_singletons_match(self):
         res = assign.associate([make_box()], [make_box()], 0.25)
-        assert res.matched_pairs == ((0, 0),)
-        assert res.unmatched_rows == ()
-        assert res.unmatched_cols == ()
+        assert matched_pairs(res) == [(0, 0)]
+        assert res.unmatched_rows.tolist() == []
+        assert res.unmatched_cols.tolist() == []
 
     def test_disjoint_singletons_unmatched(self):
         res = assign.associate([make_box()], [make_box(x=10.0)], 0.25)
-        assert res.matched_pairs == ()
-        assert res.unmatched_rows == (0,)
-        assert res.unmatched_cols == (0,)
+        assert matched_pairs(res) == []
+        assert res.unmatched_rows.tolist() == [0]
+        assert res.unmatched_cols.tolist() == [0]
 
     def test_three_by_three_two_gated_pairs(self):
         rows = [make_box(x=0.0), make_box(x=50.0), make_box(x=100.0)]
@@ -62,9 +63,9 @@ class TestAssociate:
         iou = geometry.iou_matrix(rows, cols)
         assert np.count_nonzero(iou >= 0.25) == 2
         res = assign.associate(rows, cols, 0.25)
-        assert set(res.matched_pairs) == {(0, 0), (1, 1)}
-        assert res.unmatched_rows == (2,)
-        assert res.unmatched_cols == (2,)
+        assert set(matched_pairs(res)) == {(0, 0), (1, 1)}
+        assert res.unmatched_rows.tolist() == [2]
+        assert res.unmatched_cols.tolist() == [2]
 
     def test_matched_pairs_all_gated(self, rng):
         for _ in range(50):
@@ -72,7 +73,7 @@ class TestAssociate:
             cols = [rand_box7(rng, center_scale=3) for _ in range(int(rng.integers(0, 6)))]
             res = assign.associate(rows, cols, 0.25)
             iou = geometry.iou_matrix(rows, cols)
-            for r, c in res.matched_pairs:
+            for r, c in matched_pairs(res):
                 assert iou[r, c] >= 0.25
 
     def test_partition_invariant(self, rng):
@@ -80,12 +81,12 @@ class TestAssociate:
             rows = [rand_box7(rng, center_scale=3) for _ in range(int(rng.integers(0, 7)))]
             cols = [rand_box7(rng, center_scale=3) for _ in range(int(rng.integers(0, 7)))]
             res = assign.associate(rows, cols, 0.25)
-            used_r = [r for r, _ in res.matched_pairs]
-            used_c = [c for _, c in res.matched_pairs]
+            used_r = res.matched_rows.tolist()
+            used_c = res.matched_cols.tolist()
             assert len(set(used_r)) == len(used_r)
             assert len(set(used_c)) == len(used_c)
-            assert sorted(used_r + list(res.unmatched_rows)) == list(range(len(rows)))
-            assert sorted(used_c + list(res.unmatched_cols)) == list(range(len(cols)))
+            assert sorted(used_r + res.unmatched_rows.tolist()) == list(range(len(rows)))
+            assert sorted(used_c + res.unmatched_cols.tolist()) == list(range(len(cols)))
 
     def test_global_optimum_dominates_gated_matchings(self, rng):
         # The ungated assignment maximizes total IoU over every matching,

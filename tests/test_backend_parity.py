@@ -1,4 +1,16 @@
-"""The compiled and pure IoU kernels must agree to floating-point noise."""
+"""The compiled and pure IoU kernels must agree to floating-point noise.
+
+When the compiled kernel is not installed, the tracked _native.c is built
+once per session into a pytest temp directory and loaded from there by
+file path; nothing is built into the source tree. The module skips only
+when no C compiler or no Python headers are available.
+"""
+
+import importlib.util
+import os
+import shutil
+import subprocess
+import sysconfig
 
 import numpy as np
 import pytest
@@ -7,25 +19,49 @@ from coopmot import geometry
 from coopmot.geometry import _pure
 from conftest import rand_box7
 
-native = pytest.importorskip("coopmot.geometry._native",
-                             reason="compiled kernel not built")
+
+def _build_native(build_dir):
+    """Compile the tracked _native.c into build_dir and load it."""
+    compiler = shutil.which((sysconfig.get_config_var("CC") or "cc").split()[0])
+    include = sysconfig.get_paths()["include"]
+    if compiler is None or not os.path.exists(os.path.join(include, "Python.h")):
+        pytest.skip("no C compiler or Python headers to build the compiled kernel")
+    source = os.path.join(os.path.dirname(_pure.__file__), "_native.c")
+    target = os.path.join(build_dir, "_native" + sysconfig.get_config_var("EXT_SUFFIX"))
+    build = subprocess.run([compiler, "-shared", "-fPIC", "-O2", "-I", include,
+                            "-I", np.get_include(), source, "-o", target],
+                           capture_output=True, text=True)
+    assert build.returncode == 0, build.stderr
+    spec = importlib.util.spec_from_file_location("coopmot.geometry._native", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def test_pair_parity(rng):
+@pytest.fixture(scope="session")
+def native(tmp_path_factory):
+    try:
+        from coopmot.geometry import _native
+    except ImportError:
+        return _build_native(str(tmp_path_factory.mktemp("native")))
+    return _native
+
+
+def test_pair_parity(native, rng):
     for _ in range(2000):
         a = rand_box7(rng, center_scale=3.0)
         b = rand_box7(rng, center_scale=3.0)
         assert abs(native.iou3d_pair(a, b) - _pure.iou3d_pair(a, b)) < 1e-12
 
 
-def test_matrix_parity(rng):
+def test_matrix_parity(native, rng):
     rows = np.stack([rand_box7(rng, center_scale=5.0) for _ in range(25)])
     cols = np.stack([rand_box7(rng, center_scale=5.0) for _ in range(30)])
     assert np.max(np.abs(native.iou3d_matrix(rows, cols)
                          - _pure.iou3d_matrix(rows, cols))) < 1e-12
 
 
-def test_sparse_matrix_parity(rng):
+def test_sparse_matrix_parity(native, rng):
     # boxes spread over 100 m, as in dense scenes, where the pure kernel's
     # gate rejects almost every pair; the first ten columns are jittered
     # copies of rows so that some pairs do overlap
@@ -37,7 +73,7 @@ def test_sparse_matrix_parity(rng):
     assert np.max(np.abs(expected - _pure.iou3d_matrix(rows, cols))) < 1e-12
 
 
-def test_exact_cases_on_both_backends():
+def test_exact_cases_on_both_backends(native):
     a = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
     b = np.array([0.5, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
     for kernel in (native, _pure):

@@ -61,20 +61,24 @@ class TestSimulate:
         assert run_cli("simulate", "--config", str(bad),
                        "--out", str(tmp_path / "o")) == 2
 
-    @pytest.mark.parametrize("raw", [
-        {"sigma": [0.3]},
-        {"sigma": [0.3, 0.3, 9]},
-        {"dropout": [0.1]},
-        {"occlusion_sectors": [[], [], []]},
-    ])
-    def test_per_agent_list_length_exits_2(self, tmp_path, capsys, raw):
+    @pytest.mark.parametrize("raw, message", [
+        ({"sigma": [0.3]}, "one entry per agent"),
+        ({"sigma": [0.3, 0.3, 9]}, "one entry per agent"),
+        ({"dropout": [0.1]}, "one entry per agent"),
+        ({"occlusion_sectors": [[], [], []]}, "one entry per agent"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"num_frames": 2.5}, "num_frames must be an integer"),
+        ({"occlusion_sectors": [[[1, 2, 3]], []]}, "is not a (lo, hi) pair"),
+        ({"num_objects": 500}, "world too small"),
+    ], ids=[f"raw{k}" for k in range(8)])
+    def test_per_agent_list_length_exits_2(self, tmp_path, capsys, raw, message):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
         assert run_cli("simulate", "--config", str(bad),
                        "--out", str(tmp_path / "o")) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
-        assert "one entry per agent" in err
+        assert message in err
         assert not (tmp_path / "o").exists()
 
     def test_same_seed_identical_files(self, tmp_path, scenario_cfg):
@@ -282,6 +286,24 @@ class TestEvalAndAnalyze:
         tally = metrics.evaluate_sequence(gt_frames, pred_frames)
         frames_with_tp = sum(1 for c in tally.per_frame if c.tp >= 1)
         assert sum(int(r[2]) for r in rows) == frames_with_tp
+
+
+@pytest.mark.parametrize("command", ["simulate", "track", "eval", "analyze"])
+def test_unwritable_output_exits_2(tmp_path, capsys, scenario_cfg, command):
+    sim_dir, tracks = tmp_path / "sim", tmp_path / "tracks.jsonl"
+    run_cli("simulate", "--config", scenario_cfg, "--out", str(sim_dir))
+    run_cli("track", "--detections", str(sim_dir), "--out", str(tracks))
+    capsys.readouterr()
+    gt = str(sim_dir / "gt.jsonl")
+    # simulate needs a directory and gets a file; the others get a directory
+    argv = {"simulate": ["--config", scenario_cfg, "--out", gt],
+            "track": ["--detections", str(sim_dir), "--out", str(sim_dir)],
+            "eval": ["--tracks", str(tracks), "--gt", gt, "--out", str(sim_dir)],
+            "analyze": ["--tracks", str(tracks), "--gt", gt, "--out", str(sim_dir)]}
+    assert run_cli(command, *argv[command]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: cannot write ")
 
 
 class TestDeterminism:

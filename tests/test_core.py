@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from coopmot import core
+from coopmot import core, tracker
 from conftest import make_box, total_detections
 
 
@@ -129,12 +129,11 @@ class TestTrackerConfig:
 
 
 class TestFrameBundle:
-    def test_frame_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            core.FrameBundle(frame=3, detections_by_agent={"a": [make_box(frame=2)]})
-
     def test_agents_in_insertion_order(self):
+        # the pipelines stack agents in insertion order: agent b's box is
+        # born first and takes track id 1
         b = core.FrameBundle(frame=0, detections_by_agent={
-            "b": [make_box(agent_id="b")], "a": [make_box(agent_id="a")]})
-        assert b.agents == ["b", "a"]
+            "b": [make_box(x=5.0)], "a": [make_box()]})
         assert total_detections(b) == 2
+        out = tracker.run_sequence([b], core.TrackerConfig(method=core.Method.BASELINE))
+        assert [(tid, box[0]) for tid, box, _ in out[0].emitted] == [(1, 5.0), (2, 0.0)]

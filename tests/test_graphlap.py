@@ -7,12 +7,12 @@ from coopmot import assign, graphlap
 from conftest import (VARIANTS, by_key, differential_coords, graph_frame,
                       laplacian_complete, make_box, matching, oracle_centroids,
                       oracle_system, permuted, random_graph_frame, refined_centroids,
-                      translated)
+                      stacked, translated, unpermuted)
 
 
 def cross_matched_pair(x_i=0.0, x_j=1.0):
-    a = make_box(x=x_i, h=2.0, w=2.0, l=2.0, agent_id="i")
-    b = make_box(x=x_j, h=2.0, w=2.0, l=2.0, agent_id="j")
+    a = make_box(x=x_i, h=2.0, w=2.0, l=2.0)
+    b = make_box(x=x_j, h=2.0, w=2.0, l=2.0)
     return [a], [b]
 
 
@@ -23,9 +23,7 @@ def centroids(refined, variant=0):
 
 def node_positions(refined, dets_i, dets_j):
     """Raw centroids (N, 3) of the refined nodes, in node order."""
-    lists = (dets_i, dets_j)
-    return np.array([[lists[s][k].x, lists[s][k].y, lists[s][k].z]
-                     for s, k in refined.node_map.nodes])
+    return stacked(dets_i, dets_j)[0][refined.node_map.nodes, :3]
 
 
 def implied_anchors(positions, refined):
@@ -44,19 +42,19 @@ class TestBuildGraph:
     def test_two_node_matched(self):
         dets_i, dets_j = cross_matched_pair()
         match = assign.associate(dets_i, dets_j, 0.25)
-        node_map = graphlap.build_graph(dets_i, dets_j, match)
+        node_map = graphlap.build_graph(len(dets_i), len(dets_j), match)
         assert node_map.size == 2
         assert node_map.num_matched == 1
-        assert node_map.nodes == ((0, 0), (1, 0))
+        assert node_map.nodes.tolist() == [0, 1]
         assert np.array_equal(laplacian_complete(node_map.size), [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_three_nodes_no_matches(self):
         dets_i = [make_box(x=0.0), make_box(x=50.0)]
         dets_j = [make_box(x=100.0)]
         match = assign.associate(dets_i, dets_j, 0.25)
-        node_map = graphlap.build_graph(dets_i, dets_j, match)
+        node_map = graphlap.build_graph(len(dets_i), len(dets_j), match)
         assert node_map.num_matched == 0
-        assert node_map.nodes == ((0, 0), (0, 1), (1, 0))
+        assert node_map.nodes.tolist() == [0, 1, 2]
         lap = laplacian_complete(node_map.size)
         assert np.array_equal(np.diag(lap), [2.0, 2.0, 2.0])
         off = lap[~np.eye(3, dtype=bool)]
@@ -70,29 +68,26 @@ class TestBuildGraph:
 
     def test_block_ordering(self):
         # two matched pairs plus one unmatched on each side
-        dets_i = [make_box(x=0.0, agent_id="i", local_index=0),
-                  make_box(x=50.0, agent_id="i", local_index=1),
-                  make_box(x=200.0, agent_id="i", local_index=2)]
-        dets_j = [make_box(x=50.2, agent_id="j", local_index=0),
-                  make_box(x=0.1, agent_id="j", local_index=1),
-                  make_box(x=300.0, agent_id="j", local_index=2)]
+        dets_i = [make_box(x=0.0), make_box(x=50.0), make_box(x=200.0)]
+        dets_j = [make_box(x=50.2), make_box(x=0.1), make_box(x=300.0)]
         match = assign.associate(dets_i, dets_j, 0.25)
-        node_map = graphlap.build_graph(dets_i, dets_j, match)
+        node_map = graphlap.build_graph(len(dets_i), len(dets_j), match)
         m = node_map.num_matched
         assert m == 2
-        assert node_map.num_unmatched_i == 1 and node_map.num_unmatched_j == 1
         # pair alignment: node k and node m+k are partners, pairs by row
-        assert node_map.nodes[:2 * m] == ((0, 0), (0, 1), (1, 1), (1, 0))
-        assert node_map.nodes[2 * m:] == ((0, 2), (1, 2))
+        # stacked rows: agent i's 0-2, then agent j's 3-5
+        assert node_map.nodes[:2 * m].tolist() == [0, 1, 4, 3]
+        assert node_map.nodes[2 * m:].tolist() == [2, 5]
+        dets = dets_i + dets_j
         for k in range(m):
-            (si, r), (sj, c) = node_map.nodes[k], node_map.nodes[m + k]
-            assert si == 0 and sj == 1
-            assert abs(dets_i[r].x - dets_j[c].x) < 0.5
+            r, c = node_map.nodes[k], node_map.nodes[m + k]
+            assert r < 3 <= c
+            assert abs(dets[r].x - dets[c].x) < 0.5
 
     def test_empty_graph_raises(self):
         match = assign.associate([], [], 0.25)
         with pytest.raises(graphlap.EmptyGraph):
-            graphlap.build_graph([], [], match)
+            graphlap.build_graph(0, 0, match)
 
     def test_spectrum_of_complete_graph(self):
         for n in (2, 3, 7, 25):
@@ -130,14 +125,14 @@ class TestAnchors:
 
     def test_aos_matched_pair_swaps(self):
         dets_i, dets_j = cross_matched_pair(0.0, 1.0)
-        refined = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_AOS, 0.25)
+        refined = graphlap.refine(*stacked(dets_i, dets_j), graphlap.SCHEME_AOS, 0.25)
         assert np.allclose(anchors_of(refined, 0, dets_i, dets_j)[:, 0], [1.0, 0.0],
                            rtol=0.0, atol=1e-12)
 
     def test_aos_all_unmatched_self_anchors(self):
         dets_i = [make_box(x=0.0), make_box(x=50.0)]
         dets_j = [make_box(x=100.0)]
-        refined = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_AOS, 0.25)
+        refined = graphlap.refine(*stacked(dets_i, dets_j), graphlap.SCHEME_AOS, 0.25)
         assert np.allclose(anchors_of(refined, 0, dets_i, dets_j)[:, 0],
                            [0.0, 50.0, 100.0], rtol=0.0, atol=1e-12)
         # with every node self-anchored the output is the input, exactly
@@ -145,13 +140,13 @@ class TestAnchors:
 
     def test_aos_coincident_pair(self):
         dets_i, dets_j = cross_matched_pair(4.2, 4.2)
-        refined = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_AOS, 0.25)
+        refined = graphlap.refine(*stacked(dets_i, dets_j), graphlap.SCHEME_AOS, 0.25)
         assert refined.node_map.num_matched == 1
         assert np.array_equal(centroids(refined)[:, 0], [4.2, 4.2])
 
     def test_tsa_matched_pair(self):
         dets_i, dets_j = cross_matched_pair(0.0, 1.0)
-        refined = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_TSA, 0.25)
+        refined = graphlap.refine(*stacked(dets_i, dets_j), graphlap.SCHEME_TSA, 0.25)
         assert np.allclose(anchors_of(refined, 0, dets_i, dets_j)[:, 0], [1.0, 1.0],
                            rtol=0.0, atol=1e-12)
         assert np.allclose(anchors_of(refined, 1, dets_i, dets_j)[:, 0], [0.0, 0.0],
@@ -160,15 +155,15 @@ class TestAnchors:
     def test_tsa_no_matches_degenerates(self):
         dets_i = [make_box(x=0.0)]
         dets_j = [make_box(x=100.0)]
-        tsa = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_TSA, 0.25)
-        aos = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_AOS, 0.25)
+        tsa = graphlap.refine(*stacked(dets_i, dets_j), graphlap.SCHEME_TSA, 0.25)
+        aos = graphlap.refine(*stacked(dets_i, dets_j), graphlap.SCHEME_AOS, 0.25)
         assert np.array_equal(centroids(tsa, 0)[:, 0], [0.0, 100.0])
         assert np.array_equal(centroids(tsa, 0), centroids(tsa, 1))
         assert np.array_equal(centroids(tsa, 0), centroids(aos))
 
     def test_tsa_coincident_pair_equal(self):
         dets_i, dets_j = cross_matched_pair(-3.0, -3.0)
-        refined = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_TSA, 0.25)
+        refined = graphlap.refine(*stacked(dets_i, dets_j), graphlap.SCHEME_TSA, 0.25)
         assert np.array_equal(centroids(refined, 0)[:, 1], centroids(refined, 1)[:, 1])
 
 
@@ -176,10 +171,10 @@ class TestSolve:
     """The closed form against the explicit stacked system."""
 
     def test_single_node_returns_anchor(self):
-        d = make_box(x=7.5, y=-1.25, z=0.5, agent_id="j")
+        d = make_box(x=7.5, y=-1.25, z=0.5)
         for variant in VARIANTS:
             out = refined_centroids([], [d], matching(0, 1, []), variant)
-            assert np.array_equal(out[("j", 0)], [7.5, -1.25, 0.5])
+            assert np.array_equal(out[(1, 0)], [7.5, -1.25, 0.5])
 
     def test_fixed_point(self, rng):
         # coincident partners anchor every node at its own centroid
@@ -191,12 +186,12 @@ class TestSolve:
                 assert np.max(np.abs(v - p)) < 1e-9
 
     def test_two_node_closed_form(self):
-        d_i = make_box(x=0.0, y=0.0, z=0.0, agent_id="i")
-        d_j = make_box(x=1.0, y=2.0, z=-0.5, agent_id="j")
+        d_i = make_box(x=0.0, y=0.0, z=0.0)
+        d_j = make_box(x=1.0, y=2.0, z=-0.5)
         out = refined_centroids([d_i], [d_j], matching(1, 1, [(0, 0)]), "aos")
         gap = np.array([1.0, 2.0, -0.5])
-        assert np.max(np.abs(out[("i", 0)] - 0.2 * gap)) < 1e-12
-        assert np.max(np.abs(out[("j", 0)] - 0.8 * gap)) < 1e-12
+        assert np.max(np.abs(out[(0, 0)] - 0.2 * gap)) < 1e-12
+        assert np.max(np.abs(out[(1, 0)] - 0.8 * gap)) < 1e-12
 
     def test_normal_equation_residual(self, rng):
         for _ in range(100):
@@ -224,13 +219,13 @@ class TestSolve:
         for _ in range(20):
             dets_i, dets_j, match = random_graph_frame(rng, 20)
             n = len(dets_i) + len(dets_j)
-            keys = [(0, k) for k in range(len(dets_i))] + [(1, k) for k in range(len(dets_j))]
             for scheme, variants in ((graphlap.SCHEME_AOS, 1), (graphlap.SCHEME_TSA, 2)):
-                refined = graphlap.refine(dets_i, dets_j, scheme, 0.25, cross_match=match)
+                refined = graphlap.refine(*stacked(dets_i, dets_j), scheme, 0.25,
+                                          cross_match=match)
                 assert refined.node_map.size == n
                 assert refined.boxes.shape == (variants, n, 7)
                 assert refined.scores.shape == (n,)
-                assert sorted(refined.node_map.nodes) == keys
+                assert sorted(refined.node_map.nodes.tolist()) == list(range(n))
 
 
 def max_gap(a, b, shift=0.0):
@@ -251,11 +246,11 @@ class TestSolveEquivariances:
     def test_permutation(self, rng):
         for _ in range(200):
             dets_i, dets_j, match = random_graph_frame(rng, 12)
-            moved = permuted(dets_i, dets_j, match, rng.permutation(len(dets_i)),
-                             rng.permutation(len(dets_j)))
+            perm_i, perm_j = rng.permutation(len(dets_i)), rng.permutation(len(dets_j))
+            moved = permuted(dets_i, dets_j, match, perm_i, perm_j)
             for variant in VARIANTS:
                 v0 = refined_centroids(dets_i, dets_j, match, variant)
-                v1 = refined_centroids(*moved, variant)
+                v1 = unpermuted(refined_centroids(*moved, variant), perm_i, perm_j)
                 scale = max(1.0, max(float(np.max(np.abs(v))) for v in v0.values()))
                 assert max_gap(v1, v0) < 1e-12 * scale
 
@@ -302,10 +297,10 @@ class TestRefineProperties:
     def test_permutation_equivariance(self, frame, variant, seed):
         dets_i, dets_j, match = frame
         rng = np.random.default_rng(seed)
-        moved = permuted(dets_i, dets_j, match, rng.permutation(len(dets_i)),
-                         rng.permutation(len(dets_j)))
+        perm_i, perm_j = rng.permutation(len(dets_i)), rng.permutation(len(dets_j))
+        moved = permuted(dets_i, dets_j, match, perm_i, perm_j)
         v0 = refined_centroids(dets_i, dets_j, match, variant)
-        v1 = refined_centroids(*moved, variant)
+        v1 = unpermuted(refined_centroids(*moved, variant), perm_i, perm_j)
         scale = max(1.0, max(float(np.max(np.abs(v))) for v in v0.values()))
         assert max_gap(v1, v0) <= 1e-12 * scale
 
@@ -313,7 +308,7 @@ class TestRefineProperties:
 class TestRefine:
     def test_single_detection_identity(self):
         d = make_box(x=3.0, y=-2.0, z=1.0, theta=0.4, score=0.9)
-        refined = graphlap.refine([d], [], graphlap.SCHEME_AOS, 0.25)
+        refined = graphlap.refine(*stacked([d], []), graphlap.SCHEME_AOS, 0.25)
         assert refined.boxes.shape == (1, 1, 7)
         out = refined.boxes[0, 0]
         assert tuple(out[:3]) == (3.0, -2.0, 1.0)
@@ -321,7 +316,7 @@ class TestRefine:
 
     def test_matched_pair_aos_closed_form(self):
         dets_i, dets_j = cross_matched_pair(0.0, 1.0)
-        refined = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_AOS, 0.25)
+        refined = graphlap.refine(*stacked(dets_i, dets_j), graphlap.SCHEME_AOS, 0.25)
         xs = refined.boxes[0, :, 0]
         assert abs(xs[0] - 0.2) < 1e-12
         assert abs(xs[1] - 0.8) < 1e-12
@@ -329,32 +324,30 @@ class TestRefine:
 
     def test_matched_pair_tsa_closed_forms(self):
         dets_i, dets_j = cross_matched_pair(0.0, 1.0)
-        refined = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_TSA, 0.25)
+        refined = graphlap.refine(*stacked(dets_i, dets_j), graphlap.SCHEME_TSA, 0.25)
         assert len(refined.boxes) == 2  # variants ij, ji
         xs_ij, xs_ji = refined.boxes[:, :, 0]
         assert abs(xs_ij[0] - 0.6) < 1e-12 and abs(xs_ij[1] - 1.4) < 1e-12
         assert abs(xs_ji[0] - (-0.4)) < 1e-12 and abs(xs_ji[1] - 0.4) < 1e-12
 
     def test_non_centroid_attributes_copied(self, rng):
-        dets_i = [make_box(x=0.0, theta=0.3, h=1.5, w=1.7, l=4.1, score=0.65,
-                           agent_id="i", frame=9, local_index=0)]
-        dets_j = [make_box(x=0.5, theta=-0.2, h=1.4, w=1.9, l=4.3, score=0.75,
-                           agent_id="j", frame=9, local_index=0)]
+        dets_i = [make_box(x=0.0, theta=0.3, h=1.5, w=1.7, l=4.1, score=0.65)]
+        dets_j = [make_box(x=0.5, theta=-0.2, h=1.4, w=1.9, l=4.3, score=0.75)]
         for scheme in (graphlap.SCHEME_AOS, graphlap.SCHEME_TSA):
-            refined = graphlap.refine(dets_i, dets_j, scheme, 0.25)
-            src = [(dets_i, dets_j)[s][k] for s, k in refined.node_map.nodes]
+            refined = graphlap.refine(*stacked(dets_i, dets_j), scheme, 0.25)
+            src = [(dets_i + dets_j)[k] for k in refined.node_map.nodes]
             assert refined.scores.tolist() == [d.score for d in src]
             for boxes in refined.boxes:
                 assert boxes[:, 3:].tolist() == [[d.theta, d.h, d.w, d.l] for d in src]
 
     def test_collapse_matched_merges_pairs(self):
         # one pair (the j member scores higher) plus one unmatched box per agent
-        dets_i = [make_box(x=0.0, theta=0.1, l=4.0, score=0.5, agent_id="i"),
-                  make_box(x=60.0, score=0.3, agent_id="i", local_index=1)]
-        dets_j = [make_box(x=0.4, theta=0.2, l=4.2, score=0.8, agent_id="j"),
-                  make_box(x=-60.0, score=0.4, agent_id="j", local_index=1)]
+        dets_i = [make_box(x=0.0, theta=0.1, l=4.0, score=0.5),
+                  make_box(x=60.0, score=0.3)]
+        dets_j = [make_box(x=0.4, theta=0.2, l=4.2, score=0.8),
+                  make_box(x=-60.0, score=0.4)]
         for scheme in (graphlap.SCHEME_AOS, graphlap.SCHEME_TSA):
-            refined = graphlap.refine(dets_i, dets_j, scheme, 0.25)
+            refined = graphlap.refine(*stacked(dets_i, dets_j), scheme, 0.25)
             assert refined.node_map.num_matched == 1
             boxes, scores = graphlap.collapse_matched(refined)
             assert boxes.shape == (len(refined.boxes), 3, 7)
@@ -366,27 +359,27 @@ class TestRefine:
 
     def test_empty_raises(self):
         with pytest.raises(graphlap.EmptyGraph):
-            graphlap.refine([], [], graphlap.SCHEME_AOS, 0.25)
+            graphlap.refine(*stacked([], []), graphlap.SCHEME_AOS, 0.25)
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
-            graphlap.refine([make_box()], [], "bogus", 0.25)
+            graphlap.refine(*stacked([make_box()], []), "bogus", 0.25)
 
     def test_permutation_of_inputs_permutes_outputs(self, rng):
-        dets_i = [make_box(x=float(x), y=float(y), agent_id="i", local_index=k)
+        dets_i = [make_box(x=float(x), y=float(y))
                   for k, (x, y) in enumerate(rng.uniform(-40, 40, (5, 2)))]
-        dets_j = [make_box(x=d.x + rng.uniform(-0.3, 0.3), y=d.y, agent_id="j",
-                           local_index=k) for k, d in enumerate(dets_i[:3])]
-        base = graphlap.refine(dets_i, dets_j, graphlap.SCHEME_AOS, 0.25)
+        dets_j = [make_box(x=d.x + rng.uniform(-0.3, 0.3), y=d.y) for d in dets_i[:3]]
+        base = graphlap.refine(*stacked(dets_i, dets_j), graphlap.SCHEME_AOS, 0.25)
         perm = rng.permutation(len(dets_i))
         shuffled = [dets_i[p] for p in perm]
-        other = graphlap.refine(shuffled, dets_j, graphlap.SCHEME_AOS, 0.25)
+        other = graphlap.refine(*stacked(shuffled, dets_j), graphlap.SCHEME_AOS, 0.25)
 
         def keys(refined):
             # rounded centroid and agent slot of every refined box
-            return sorted((round(box[0], 8), round(box[1], 8), round(box[2], 8), slot)
-                          for (slot, _), box in zip(refined.node_map.nodes,
-                                                    refined.boxes[0].tolist()))
+            return sorted((round(box[0], 8), round(box[1], 8), round(box[2], 8),
+                           node >= len(dets_i))
+                          for node, box in zip(refined.node_map.nodes.tolist(),
+                                               refined.boxes[0].tolist()))
 
         assert keys(base) == keys(other)
 
@@ -405,10 +398,10 @@ class TestVarianceReduction:
             # boxes large enough (and gate loose enough) that the pair
             # always cross-matches; the property is about the smoothing
             d_i = make_box(x=noisy[0, 0], y=noisy[0, 1], z=noisy[0, 2],
-                           h=6.0, w=8.0, l=8.0, agent_id="i")
+                           h=6.0, w=8.0, l=8.0)
             d_j = make_box(x=noisy[1, 0], y=noisy[1, 1], z=noisy[1, 2],
-                           h=6.0, w=8.0, l=8.0, agent_id="j")
-            refined = graphlap.refine([d_i], [d_j], graphlap.SCHEME_AOS, 0.05)
+                           h=6.0, w=8.0, l=8.0)
+            refined = graphlap.refine(*stacked([d_i], [d_j]), graphlap.SCHEME_AOS, 0.05)
             assert refined.node_map.num_matched == 1
             for b in refined.boxes[0]:
                 err = b[:3] - mu

@@ -181,8 +181,8 @@ class TestPoses:
         back = io.read_poses(path)
         assert back == poses
 
-        local = [FrameBundle(frame=0, detections_by_agent={"a": [make_box(x=1.0, frame=0)]}),
-                 FrameBundle(frame=1, detections_by_agent={"a": [make_box(x=1.0, frame=1)]})]
+        local = [FrameBundle(frame=0, detections_by_agent={"a": [make_box(x=1.0)]}),
+                 FrameBundle(frame=1, detections_by_agent={"a": [make_box(x=1.0)]})]
         out = io.apply_poses(local, poses)
         assert out[0].detections_by_agent["a"][0] == io.to_global(
             local[0].detections_by_agent["a"][0], poses[(0, "a")])

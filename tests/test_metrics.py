@@ -11,12 +11,12 @@ from conftest import make_box
 CAR = dict(h=1.6, w=1.8, l=4.5)
 
 
-def gt_row(frame, entries):
-    return [(oid, make_box(x=x, y=y, frame=frame, **CAR)) for oid, x, y in entries]
+def gt_row(entries):
+    return [(oid, make_box(x=x, y=y, **CAR)) for oid, x, y in entries]
 
 
-def pred_row(frame, entries):
-    return [(tid, make_box(x=x, y=y, frame=frame, score=s, **CAR), s)
+def pred_row(entries):
+    return [(tid, make_box(x=x, y=y, score=s, **CAR), s)
             for tid, x, y, s in entries]
 
 
@@ -26,13 +26,13 @@ def dropout_sequence():
     gt_frames, pred_frames = [], []
     for t in range(10):
         x0, x1 = 2.0 * t, 100.0 - 2.0 * t
-        gt_frames.append(gt_row(t, [(0, x0, 0.0), (1, x1, 30.0)]))
+        gt_frames.append(gt_row([(0, x0, 0.0), (1, x1, 30.0)]))
         preds = [(1, x0, 0.0, 0.9)]
         if t <= 4:
             preds.append((2, x1, 30.0, 0.8))
         elif t >= 7:
             preds.append((3, x1, 30.0, 0.7))
-        pred_frames.append(pred_row(t, preds))
+        pred_frames.append(pred_row(preds))
     return gt_frames, pred_frames
 
 
@@ -106,8 +106,8 @@ class TestMatchFrame:
     """Single-frame matching, seen through one- and two-frame sequences."""
 
     def test_perfect_frame(self):
-        gt = gt_row(0, [(0, 0.0, 0.0), (1, 30.0, 0.0)])
-        pred = pred_row(0, [(10, 0.0, 0.0, 0.9), (11, 30.0, 0.0, 0.9)])
+        gt = gt_row([(0, 0.0, 0.0), (1, 30.0, 0.0)])
+        pred = pred_row([(10, 0.0, 0.0, 0.9), (11, 30.0, 0.0, 0.9)])
         tally = metrics.evaluate_sequence([gt], [pred])
         counts = tally.per_frame[0]
         assert (counts.tp, counts.fp, counts.fn, counts.idsw) == (2, 0, 0, 0)
@@ -115,25 +115,25 @@ class TestMatchFrame:
         assert tally.frames_matched == {0: 1, 1: 1}
 
     def test_empty_predictions(self):
-        gt = gt_row(0, [(0, 0.0, 0.0), (1, 30.0, 0.0)])
+        gt = gt_row([(0, 0.0, 0.0), (1, 30.0, 0.0)])
         tally = metrics.evaluate_sequence([gt], [[]])
         counts = tally.per_frame[0]
         assert (counts.tp, counts.fp, counts.fn) == (0, 0, 2)
         assert tally.frames_matched == {}
 
     def test_id_switch_two_frame_trace(self):
-        gt = gt_row(0, [(0, 0.0, 0.0)])
+        gt = gt_row([(0, 0.0, 0.0)])
         tally = metrics.evaluate_sequence(
-            [gt, gt], [pred_row(0, [(1, 0.0, 0.0, 0.9)]),
-                       pred_row(0, [(2, 0.0, 0.0, 0.9)])])
+            [gt, gt], [pred_row([(1, 0.0, 0.0, 0.9)]),
+                       pred_row([(2, 0.0, 0.0, 0.9)])])
         assert [c.idsw for c in tally.per_frame] == [0, 1]
         assert tally.totals.idsw == 1
 
     def test_tp_plus_fn_equals_gt(self, rng):
         for _ in range(100):
-            gt = gt_row(0, [(k, float(x), float(y)) for k, (x, y) in
+            gt = gt_row([(k, float(x), float(y)) for k, (x, y) in
                             enumerate(rng.uniform(-50, 50, (int(rng.integers(0, 5)), 2)))])
-            pred = pred_row(0, [(k, float(x), float(y), 0.9) for k, (x, y) in
+            pred = pred_row([(k, float(x), float(y), 0.9) for k, (x, y) in
                                 enumerate(rng.uniform(-50, 50, (int(rng.integers(0, 5)), 2)))])
             counts = metrics.evaluate_sequence([gt], [pred]).per_frame[0]
             assert counts.tp == len(oracle_match(gt, pred, 0.25))
@@ -234,7 +234,7 @@ class TestAmotaFamily:
             gt_frames, pred_frames = dropout_sequence()
             # inject a far-away false positive in a random frame
             t = int(rng.integers(0, len(pred_frames)))
-            fp_pred = (99, make_box(x=500.0, y=500.0, frame=t, score=0.9, **CAR), 0.9)
+            fp_pred = (99, make_box(x=500.0, y=500.0, score=0.9, **CAR), 0.9)
             noisy = [list(row) for row in pred_frames]
             noisy[t] = list(noisy[t]) + [fp_pred]
             with_fp = metrics.evaluate_sequence(gt_frames, noisy)
@@ -267,8 +267,8 @@ class TestSweepProperties:
               suppress_health_check=[HealthCheck.too_slow])
     @given(_sequences)
     def test_operating_points_match_filtered_passes(self, frames):
-        gt_frames = [gt_row(t, gt) for t, (gt, _) in enumerate(frames)]
-        pred_frames = [pred_row(t, pred) for t, (_, pred) in enumerate(frames)]
+        gt_frames = [gt_row(gt) for gt, _ in frames]
+        pred_frames = [pred_row(pred) for _, pred in frames]
         assume(any(gt_frames))
         report = metrics.amota_family(gt_frames, pred_frames)
         for point in report.operating_points:

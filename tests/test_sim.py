@@ -86,13 +86,24 @@ class TestGenerate:
             sim.scenario_from_dict({"bogus_key": 1})
 
 
+def centroid_errors(gt_frames, bundles, agent):
+    """(K, 3) detection-minus-truth centroids of one agent. With no dropout
+    and no occlusion, an agent's k-th detection in a frame is object k."""
+    return np.array([[d.x - g.x, d.y - g.y, d.z - g.z]
+                     for gt_row, b in zip(gt_frames, bundles)
+                     for (_, g), d in zip(gt_row, b.detections_by_agent[agent], strict=True)])
+
+
+def rmse(errors, axis=None):
+    return np.sqrt(np.mean(errors ** 2, axis=axis))
+
+
 class TestNoiseStats:
     def test_zero_noise_zero_rmse(self):
         cfg = sim.ScenarioConfig(num_objects=4, num_frames=5, sigma=(0.0, 0.0))
         gt_frames, bundles = sim.generate(cfg)
-        stats = sim.noise_stats(gt_frames, bundles)
-        assert stats["agent0"]["rmse"] == 0.0
-        assert stats["agent1"]["rmse"] == 0.0
+        for agent in sim.AGENTS:
+            assert rmse(centroid_errors(gt_frames, bundles, agent)) == 0.0
 
     def test_recovers_sigma_half(self):
         # 10 static objects x 1000 frames = 10k samples per agent
@@ -100,16 +111,15 @@ class TestNoiseStats:
                                  speed_min=0.0, speed_max=0.0,
                                  sigma=(0.5, 0.5), world_extent=200.0, seed=17)
         gt_frames, bundles = sim.generate(cfg)
-        stats = sim.noise_stats(gt_frames, bundles)
-        for agent in ("agent0", "agent1"):
-            assert stats[agent]["count"] == 10_000
-            for axis in ("rmse_x", "rmse_y", "rmse_z"):
-                assert abs(stats[agent][axis] - 0.5) < 0.05 * 0.5
+        for agent in sim.AGENTS:
+            errors = centroid_errors(gt_frames, bundles, agent)
+            assert len(errors) == 10_000
+            assert np.all(np.abs(rmse(errors, axis=0) - 0.5) < 0.05 * 0.5)
 
     def test_per_agent_rmse_ordering(self):
         cfg = sim.ScenarioConfig(num_objects=6, num_frames=200,
                                  speed_min=0.0, speed_max=0.0,
                                  sigma=(0.2, 0.6), world_extent=150.0, seed=5)
         gt_frames, bundles = sim.generate(cfg)
-        stats = sim.noise_stats(gt_frames, bundles)
-        assert stats["agent0"]["rmse"] < stats["agent1"]["rmse"]
+        assert (rmse(centroid_errors(gt_frames, bundles, "agent0"))
+                < rmse(centroid_errors(gt_frames, bundles, "agent1")))

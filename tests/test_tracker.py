@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from coopmot import assign, graphlap, kalman, tracker
 from coopmot.core import FrameBundle, Method, TrackerConfig
-from conftest import born, make_box
+from conftest import born, make_box, stacked
 
 CAR = dict(h=1.6, w=1.8, l=4.5)
 
@@ -13,12 +13,9 @@ CAR = dict(h=1.6, w=1.8, l=4.5)
 def bundle(frame, agent_dets):
     by_agent = {}
     for agent, rows in agent_dets.items():
-        dets = []
-        for k, row in enumerate(rows):
-            x, y = row[:2]
-            dets.append(make_box(x=x, y=y, z=0.8, score=row[2] if len(row) > 2 else 0.9,
-                                 agent_id=agent, frame=frame, local_index=k, **CAR))
-        by_agent[agent] = dets
+        by_agent[agent] = [make_box(x=row[0], y=row[1], z=0.8,
+                                    score=row[2] if len(row) > 2 else 0.9, **CAR)
+                           for row in rows]
     return FrameBundle(frame=frame, detections_by_agent=by_agent)
 
 
@@ -218,8 +215,7 @@ class TestStepTsa:
 
         # stage 1 alone misses the track: feed only the first-variant boxes
         refined = graphlap.refine(
-            list(degraded.detections_by_agent["a"]),
-            list(degraded.detections_by_agent["b"]),
+            *stacked(degraded.detections_by_agent["a"], degraded.detections_by_agent["b"]),
             graphlap.SCHEME_TSA, cfg.cross_agent_iou_threshold)
         ts_stage1, _ = tracker._single_stage_step(ts, refined.boxes[0], refined.scores,
                                                   cfg, model)
