@@ -1,8 +1,9 @@
 """Build script for the compiled IoU kernel.
 
-The extension is optional: if Cython or a C compiler is unavailable the
-package installs anyway and falls back to the pure-numpy kernel at import
-time (see coopmot.geometry).
+The extension is optional: if a C compiler is unavailable the package
+installs anyway and falls back to the pure-numpy kernel at import time
+(see coopmot.geometry). With Cython installed the kernel is regenerated
+from _native.pyx; without it, the committed _native.c is compiled.
 
 To compile in a source checkout:  python setup.py build_ext --inplace
 """
@@ -28,19 +29,14 @@ class optional_build_ext(build_ext):
                   "pure-python fallback will be used" % (ext.name, exc))
 
 
-ext_modules = []
+_SOURCE = "src/coopmot/geometry/_native"
+_EXTENSION = dict(name="coopmot.geometry._native", include_dirs=[np.get_include()])
 try:
     from Cython.Build import cythonize
-    ext_modules = cythonize(
-        [Extension(
-            "coopmot.geometry._native",
-            ["src/coopmot/geometry/_native.pyx"],
-            include_dirs=[np.get_include()],
-        )],
-        language_level=3,
-    )
+    ext_modules = cythonize([Extension(sources=[_SOURCE + ".pyx"], **_EXTENSION)],
+                            language_level=3)
 except ImportError:
-    pass
+    ext_modules = [Extension(sources=[_SOURCE + ".c"], **_EXTENSION)]
 
 setup(
     ext_modules=ext_modules,

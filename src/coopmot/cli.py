@@ -105,7 +105,7 @@ def cmd_track(args) -> int:
                 poses.update(io.read_poses(p))
             bundles = io.apply_poses(bundles, poses)
         outputs = tracker.run_sequence(bundles, cfg)
-    except (io.ParseError, ValueError) as exc:
+    except (OSError, io.ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -110,15 +110,7 @@ class TrackerConfig:
             raise ConfigParse(f"max_age {self.max_age} must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method.value,
-            "iou_assoc_threshold": self.iou_assoc_threshold,
-            "cross_agent_iou_threshold": self.cross_agent_iou_threshold,
-            "min_hits": self.min_hits,
-            "max_age": self.max_age,
-            "dedup_matched_pairs": self.dedup_matched_pairs,
-            "warm_start": self.warm_start,
-        }
+        return {**asdict(self), "method": self.method.value}
 
 
 _CONFIG_TYPES = {

@@ -218,15 +218,6 @@ def read_poses(path) -> dict:
     return poses
 
 
-def write_poses(path, poses: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for (frame, agent), p in sorted(poses.items()):
-            fh.write(json.dumps({
-                "frame": frame, "agent": agent,
-                "x": p.x, "y": p.y, "z": p.z, "yaw": p.yaw,
-            }) + "\n")
-
-
 def apply_poses(bundles, poses: dict) -> list:
     """Project agent-local bundles into the global frame.
 

@@ -76,7 +76,6 @@ class KalmanModel:
     Q: np.ndarray
     R: np.ndarray
     P0: np.ndarray
-    orientation_correction: bool = True
 
     def __post_init__(self):
         for name, mat, shape in (("F", self.F, (10, 10)), ("H", self.H, (7, 10)),
@@ -88,13 +87,12 @@ class KalmanModel:
             object.__setattr__(self, name, arr.copy())
 
 
-def default_model(orientation_correction: bool = True) -> KalmanModel:
+def default_model() -> KalmanModel:
     p0 = np.diag([10.0] * 7 + [1000.0] * 3)
     q = np.diag([0.0] * 7 + [0.01] * 3)
     r = np.eye(MEAS_DIM)
     return KalmanModel(F=_transition_matrix(), H=_measurement_matrix(),
-                       Q=q, R=r, P0=p0,
-                       orientation_correction=orientation_correction)
+                       Q=q, R=r, P0=p0)
 
 
 def _wrap(theta: np.ndarray) -> np.ndarray:
@@ -159,10 +157,7 @@ def update(tracks: Tracks, rows, z, scores, model: KalmanModel) -> Tracks:
 
     x_pred, p_pred = tracks.states[rows], tracks.covariances[rows]
     innovation = z - _mat_vec(model.H, x_pred)
-    if model.orientation_correction:
-        innovation[:, 3] = _orientation_residual(z[:, 3], x_pred[:, 3])
-    else:
-        innovation[:, 3] = _wrap(innovation[:, 3])
+    innovation[:, 3] = _orientation_residual(z[:, 3], x_pred[:, 3])
 
     s = model.H @ p_pred @ model.H.T + model.R
     try:

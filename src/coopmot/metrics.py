@@ -11,7 +11,7 @@ id differs from the last id it was ever matched to.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -179,15 +179,7 @@ class OperatingPoint:
     idsw: int
 
     def to_dict(self) -> dict:
-        return {
-            "recall_target": self.recall_target,
-            "threshold": self.threshold,
-            "recall": self.recall,
-            "mota": self.mota,
-            "motp": self.motp,
-            "smota": self.smota,
-            "tp": self.tp, "fp": self.fp, "fn": self.fn, "idsw": self.idsw,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -203,15 +195,7 @@ class MetricsReport:
     operating_points: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "amota": self.amota,
-            "amotp": self.amotp,
-            "samota": self.samota,
-            "mota": self.mota,
-            "motp": self.motp,
-            "mt": self.mt,
-            "operating_points": [p.to_dict() for p in self.operating_points],
-        }
+        return asdict(self)
 
     def format_table(self, label: str = "run") -> str:
         header = f"{'Method':<24}{'AMOTA (%)':>11}{'AMOTP (%)':>11}{'sAMOTA (%)':>12}{'MT (%)':>9}"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -63,20 +63,7 @@ class ScenarioConfig:
             raise ValueError("need 0 <= speed_min <= speed_max")
 
     def to_dict(self) -> dict:
-        return {
-            "num_objects": self.num_objects,
-            "num_frames": self.num_frames,
-            "speed_min": self.speed_min,
-            "speed_max": self.speed_max,
-            "world_extent": self.world_extent,
-            "sigma": list(self.sigma),
-            "dropout": list(self.dropout),
-            "occlusion_sectors": [[list(s) for s in sect]
-                                  for sect in self.occlusion_sectors],
-            "score_base": self.score_base,
-            "score_jitter": self.score_jitter,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def scenario_from_dict(raw: dict) -> ScenarioConfig:

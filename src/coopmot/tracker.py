@@ -1,12 +1,12 @@
 """Frame-by-frame tracking pipelines and track lifecycle management.
 
-Three pipelines share the same association/update/lifecycle machinery:
+One step function serves the three pipelines; they differ only in the
+boxes a frame offers the tracks:
 
-* baseline: concatenate all agents' raw detections, single association.
-* aos: smooth all detections with cross-swapped anchors, single
-  association of the refined set with tracks.
-* tsa: two refined sets (one per anchoring agent); the second stage
-  retries tracks left unmatched by the first, rescuing objects whose
+* baseline: all agents' raw detections, concatenated.
+* aos: all detections smoothed with cross-swapped anchors.
+* tsa: two refined sets (one per anchoring agent). A second association
+  stage retries tracks left unmatched by the first, rescuing objects whose
   first-stage boxes were dragged off by the partner agent's data.
 
 Each step stacks the frame's detections once into (N, 7) box and (N,)
@@ -83,48 +83,18 @@ def _emit(ts: TrackSet, tracks: kalman.Tracks, cfg: TrackerConfig) -> FrameOutpu
         tracks.scores[rows].tolist())))
 
 
-def _associate_update(tracks, boxes, scores, cfg, model):
-    """One association round: (updated tracks, matched row mask, unmatched
-    box indices)."""
-    result = assign.associate(tracks.states[:, :kalman.MEAS_DIM], boxes,
-                              cfg.iou_assoc_threshold)
-    rows, cols = result.matched_rows, result.matched_cols
-    matched = np.zeros(len(tracks), dtype=bool)
-    matched[rows] = True
-    tracks = kalman.update(tracks, rows, boxes[cols], scores[cols], model)
-    return tracks, matched, result.unmatched_cols
+def _candidates(bundle: FrameBundle, cfg: TrackerConfig):
+    """The boxes the frame offers the tracks: (variants, N, 7) boxes, their
+    (N,) scores, and how many leading boxes come from cross-matched nodes.
 
-
-def _finish_step(ts, tracks, matched, born_boxes, born_scores, cfg, model):
-    born = kalman.init_track(born_boxes, born_scores, ts.next_id, model)
-    alive = manage_lifecycle(tracks, matched, cfg).concat(born)
-    output = _emit(ts, alive, cfg)
-    return TrackSet(kalman.predict(alive, model), ts.next_id + len(born),
-                    ts.frame + 1), output
-
-
-def _single_stage_step(ts: TrackSet, boxes, scores, cfg, model):
-    tracks, matched, unmatched_cols = _associate_update(ts.tracks, boxes, scores,
-                                                        cfg, model)
-    return _finish_step(ts, tracks, matched, boxes[unmatched_cols],
-                        scores[unmatched_cols], cfg, model)
-
-
-def step_baseline(ts: TrackSet, bundle: FrameBundle, cfg: TrackerConfig, model):
-    """Early fusion without refinement: concatenate and associate."""
-    boxes, scores, _ = _stacked(bundle)
-    return _single_stage_step(ts, boxes, scores, cfg, model)
-
-
-def _refined(bundle: FrameBundle, scheme: str, cfg: TrackerConfig):
-    """(variants, N, 7) refined boxes, their (N,) scores, and how many
-    leading boxes come from cross-matched nodes."""
+    baseline offers the raw boxes, aos one refined variant, tsa the ij and
+    ji variants (one variant when the frame is empty)."""
     boxes, scores, sizes = _stacked(bundle)
-    if len(sizes) > 2:
+    if cfg.method is not Method.BASELINE and len(sizes) > 2:
         raise ValueError(f"pipelines support at most two agents, bundle has {len(sizes)}")
-    if len(boxes) == 0:
-        variants = 1 if scheme == graphlap.SCHEME_AOS else 2
-        return np.zeros((variants, 0, kalman.MEAS_DIM)), np.zeros(0), 0
+    if cfg.method is Method.BASELINE or len(boxes) == 0:
+        return boxes[None], scores, 0
+    scheme = graphlap.SCHEME_AOS if cfg.method is Method.AOS else graphlap.SCHEME_TSA
     refined = graphlap.refine(boxes, scores, sizes[0], scheme,
                               cfg.cross_agent_iou_threshold)
     m = refined.node_map.num_matched
@@ -133,51 +103,47 @@ def _refined(bundle: FrameBundle, scheme: str, cfg: TrackerConfig):
     return refined.boxes, refined.scores, 2 * m
 
 
-def step_aos(ts: TrackSet, bundle: FrameBundle, cfg: TrackerConfig, model):
-    """Refine with one-shot anchors, then a single association stage."""
-    boxes, scores, _ = _refined(bundle, graphlap.SCHEME_AOS, cfg)
-    return _single_stage_step(ts, boxes[0], scores, cfg, model)
+def step(ts: TrackSet, bundle: FrameBundle, cfg: TrackerConfig, model):
+    """Associate, update, age and birth tracks for one frame.
 
-
-def step_tsa(ts: TrackSet, bundle: FrameBundle, cfg: TrackerConfig, model):
-    """Two association stages over the two anchor variants.
-
-    Stage 2 retries only tracks unmatched in stage 1, against the
-    second-variant boxes of cross-matched nodes whose stage-1 box went
-    unmatched; with no cross-agent matches the second stage is empty and
-    the step degenerates to the one-stage pipeline exactly. Stage 2 never
-    initializes tracks (stage 1 already initialized every unmatched box;
-    a second initialization of the same node would duplicate it).
+    Stage 1 associates every track with the first-variant boxes. When a
+    second variant exists (tsa), stage 2 retries only the tracks stage 1
+    left unmatched, against the second-variant boxes of cross-matched nodes
+    whose stage-1 box went unmatched; with no cross-agent matches it is
+    empty. Stage 2 never starts tracks: stage 1's unmatched boxes already
+    did, and a second birth of the same node would duplicate it.
     """
-    (boxes_ij, boxes_ji), scores, num_cross = _refined(bundle, graphlap.SCHEME_TSA, cfg)
+    boxes, scores, num_cross = _candidates(bundle, cfg)
+    tracks = ts.tracks
+    result = assign.associate(tracks.states[:, :kalman.MEAS_DIM], boxes[0],
+                              cfg.iou_assoc_threshold)
+    rows, cols = result.matched_rows, result.matched_cols
+    matched = np.zeros(len(tracks), dtype=bool)
+    matched[rows] = True
+    tracks = kalman.update(tracks, rows, boxes[0, cols], scores[cols], model)
+    unmatched_cols = result.unmatched_cols
 
-    tracks, matched, unmatched_cols = _associate_update(ts.tracks, boxes_ij, scores,
-                                                        cfg, model)
     stage2_rows = np.flatnonzero(~matched)
-    candidates = unmatched_cols[unmatched_cols < num_cross]
-    if len(stage2_rows) and len(candidates):
+    retry = unmatched_cols[unmatched_cols < num_cross]
+    if len(boxes) > 1 and len(stage2_rows) and len(retry):
         result = assign.associate(tracks.states[stage2_rows, :kalman.MEAS_DIM],
-                                  boxes_ji[candidates], cfg.iou_assoc_threshold)
-        rows, cols = stage2_rows[result.matched_rows], candidates[result.matched_cols]
-        tracks = kalman.update(tracks, rows, boxes_ji[cols], scores[cols], model)
+                                  boxes[1, retry], cfg.iou_assoc_threshold)
+        rows, cols = stage2_rows[result.matched_rows], retry[result.matched_cols]
+        tracks = kalman.update(tracks, rows, boxes[1, cols], scores[cols], model)
         matched[rows] = True
 
-    return _finish_step(ts, tracks, matched, boxes_ij[unmatched_cols],
-                        scores[unmatched_cols], cfg, model)
-
-
-_STEPS = {
-    Method.BASELINE: step_baseline,
-    Method.AOS: step_aos,
-    Method.TSA: step_tsa,
-}
+    born = kalman.init_track(boxes[0, unmatched_cols], scores[unmatched_cols],
+                             ts.next_id, model)
+    alive = manage_lifecycle(tracks, matched, cfg).concat(born)
+    output = _emit(ts, alive, cfg)
+    return TrackSet(kalman.predict(alive, model), ts.next_id + len(born),
+                    ts.frame + 1), output
 
 
 def run_sequence(frames, cfg: TrackerConfig, model=None) -> list:
     """Fold the configured pipeline over an ordered frame sequence."""
     if model is None:
         model = kalman.default_model()
-    step = _STEPS[cfg.method]
     ts = new_trackset()
     outputs = []
     for bundle in frames:

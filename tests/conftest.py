@@ -1,10 +1,11 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
-from coopmot import assign, graphlap, kalman
+from coopmot import assign, geometry, graphlap, kalman
 from coopmot.core import Detection, wrap_angle
 from coopmot.io import Pose
 
@@ -42,21 +43,33 @@ def reference_update(state, cov, z, model):
     """One track's measurement update with a box 7-vector, as the filter
     computed it track by track: the oracle for the batched kalman.update."""
     innovation = z - model.H @ state
-    if model.orientation_correction:
-        residual = wrap_angle(z[3] - state[3])
-        if residual > np.pi / 2:
-            residual -= np.pi
-        elif residual < -np.pi / 2:
-            residual += np.pi
-        innovation[3] = residual
-    else:
-        innovation[3] = wrap_angle(innovation[3])
+    residual = wrap_angle(z[3] - state[3])
+    if residual > np.pi / 2:
+        residual -= np.pi
+    elif residual < -np.pi / 2:
+        residual += np.pi
+    innovation[3] = residual
     chol = np.linalg.cholesky(model.H @ cov @ model.H.T + model.R)
     gain = np.linalg.solve(chol.T, np.linalg.solve(chol, model.H @ cov)).T
     state = state + gain @ innovation
     state[3] = wrap_angle(state[3])
     cov = cov - gain @ model.H @ cov
     return state, 0.5 * (cov + cov.T)
+
+
+def iou3d(a, b) -> float:
+    """3D IoU of two boxes (Detections or 7-vectors), through iou_matrix."""
+    return float(geometry.iou_matrix([a], [b])[0, 0])
+
+
+def write_poses(path, poses: dict) -> None:
+    """Write {(frame, agent): Pose} as the poses JSONL that io.read_poses reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for (frame, agent), p in sorted(poses.items()):
+            fh.write(json.dumps({
+                "frame": frame, "agent": agent,
+                "x": p.x, "y": p.y, "z": p.z, "yaw": p.yaw,
+            }) + "\n")
 
 
 def rand_box7(rng, center_scale=2.0, extent_lo=0.5, extent_hi=4.0):

@@ -16,7 +16,7 @@ import pytest
 
 from coopmot import assign, cli, geometry, graphlap, kalman, metrics, sim, tracker
 from coopmot.core import Method, TrackerConfig
-from conftest import (VARIANTS, born, brute_min_cost, by_key, make_box, mc_iou,
+from conftest import (VARIANTS, born, brute_min_cost, by_key, iou3d, make_box, mc_iou,
                       node_keys, oracle_centroids, permuted, rand_box7,
                       random_graph_frame, refined_centroids, stacked, track_store,
                       translated, unpermuted)
@@ -114,7 +114,7 @@ def test_c05_iou_monte_carlo_oracle(rng):
     for _ in range(100):
         a = rand_box7(rng, center_scale=1.5)
         b = rand_box7(rng, center_scale=1.5)
-        err = abs(geometry.iou3d(a, b) - mc_iou(a, b, rng, n=100_000))
+        err = abs(iou3d(a, b) - mc_iou(a, b, rng, n=100_000))
         worst = max(worst, err)
         assert err < 0.02
     _report(5, f"worst abs err {worst:.4f} (backend: {geometry.BACKEND})")
@@ -259,7 +259,7 @@ def test_c10_lifecycle_conformance():
     ts = tracker.new_trackset()
     statuses = []
     for t in range(4):
-        ts, _ = tracker.step_baseline(ts, frame(t, True), cfg, model)
+        ts, _ = tracker.step(ts, frame(t, True), cfg, model)
         statuses.append(ts.tracks.confirmed.tolist())
     assert statuses[0] == [False]  # tentative
     assert statuses[1] == [False]
@@ -271,10 +271,10 @@ def test_c10_lifecycle_conformance():
         ts = tracker.new_trackset()
         t_abs = 0
         for _ in range(3):
-            ts, _ = tracker.step_baseline(ts, frame(t_abs, True), cfg, model)
+            ts, _ = tracker.step(ts, frame(t_abs, True), cfg, model)
             t_abs += 1
         for _ in range(misses_before_death):
-            ts, _ = tracker.step_baseline(ts, frame(t_abs, False), cfg, model)
+            ts, _ = tracker.step(ts, frame(t_abs, False), cfg, model)
             t_abs += 1
         assert len(ts.tracks) == (1 if misses_before_death < 2 else 0)
 
@@ -282,7 +282,7 @@ def test_c10_lifecycle_conformance():
     ts = tracker.new_trackset()
     pattern = [True, True, True, False, True, False, True]
     for t, present in enumerate(pattern):
-        ts, _ = tracker.step_baseline(ts, frame(t, present), cfg, model)
+        ts, _ = tracker.step(ts, frame(t, present), cfg, model)
     assert len(ts.tracks) == 1
     _report(10, "hits=3 confirmation, age=2 termination")
 

@@ -4,7 +4,7 @@ import os
 import pytest
 
 from coopmot import cli
-from conftest import inverse_pose
+from conftest import inverse_pose, write_poses
 
 
 def run_cli(*argv):
@@ -105,6 +105,21 @@ class TestTrack:
                        "--detections", str(tmp_path / "nope"),
                        "--out", str(tmp_path / "t.jsonl")) == 1
 
+    @pytest.mark.parametrize("unreadable", ["detections_zz.jsonl", "poses_a.jsonl"])
+    def test_input_directory_exits_1(self, tmp_path, capsys, scenario_cfg, unreadable):
+        # a directory whose name matches an input glob cannot be read as a file
+        sim_dir, poses_dir = tmp_path / "sim", tmp_path / "poses"
+        run_cli("simulate", "--config", scenario_cfg, "--out", str(sim_dir))
+        poses = unreadable.startswith("poses")
+        os.makedirs((poses_dir if poses else sim_dir) / unreadable)
+        capsys.readouterr()
+        assert run_cli("track", "--detections", str(sim_dir),
+                       "--out", str(tmp_path / "t.jsonl"),
+                       *(["--poses", str(poses_dir)] if poses else [])) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and unreadable in err
+
     def test_unknown_method_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("track", "--method", "bogus",
@@ -149,7 +164,7 @@ class TestTrack:
                 for a in per:
                     poses[(b.frame, a)] = pose
             cio.write_detections(local_dir / f"detections_{agent}.jsonl", local)
-        cio.write_poses(poses_dir / "poses.jsonl", poses)
+        write_poses(poses_dir / "poses.jsonl", poses)
 
         local_tracks = tmp_path / "tracks_local.jsonl"
         assert run_cli("track", "--method", "aos", "--detections", str(local_dir),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from coopmot import geometry
 from coopmot.geometry import _pure
-from conftest import make_box, mc_iou, rand_box7
+from conftest import iou3d, make_box, mc_iou, rand_box7
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class BevPolygon:
 
 def box_to_bev(d) -> BevPolygon:
     """BEV rectangle of a detection: extent l x w at (x, y), rotated by theta."""
-    return BevPolygon(_pure.bev_corners(geometry.as_box7(d)))
+    return BevPolygon(_pure.bev_corners(geometry.as_box7_array([d])[0]))
 
 
 class TestBoxToBev:
@@ -84,27 +84,27 @@ class TestIou3d:
     def test_identical_boxes_exactly_one(self, rng):
         for _ in range(20):
             b = rand_box7(rng)
-            assert geometry.iou3d(b, b) == 1.0
+            assert iou3d(b, b) == 1.0
 
     def test_disjoint_z_ranges(self):
         a = make_box(z=0.0, h=1.0)
         b = make_box(z=5.0, h=1.0)
-        assert geometry.iou3d(a, b) == 0.0
+        assert iou3d(a, b) == 0.0
 
     def test_offset_unit_cubes(self):
         a = make_box()
         b = make_box(x=0.5)
-        assert abs(geometry.iou3d(a, b) - 1.0 / 3.0) < 1e-12
+        assert abs(iou3d(a, b) - 1.0 / 3.0) < 1e-12
 
     def test_symmetry(self, rng):
         for _ in range(200):
             a, b = rand_box7(rng), rand_box7(rng)
-            assert abs(geometry.iou3d(a, b) - geometry.iou3d(b, a)) < 1e-12
+            assert abs(iou3d(a, b) - iou3d(b, a)) < 1e-12
 
     def test_rigid_motion_invariance(self, rng):
         for _ in range(100):
             a, b = rand_box7(rng), rand_box7(rng)
-            base = geometry.iou3d(a, b)
+            base = iou3d(a, b)
             yaw = rng.uniform(-np.pi, np.pi)
             tx, ty = rng.uniform(-50, 50, 2)
             c, s = np.cos(yaw), np.sin(yaw)
@@ -116,14 +116,14 @@ class TestIou3d:
                 out[3] = v[3] + yaw
                 return out
 
-            assert abs(geometry.iou3d(moved(a), moved(b)) - base) < 1e-9
+            assert abs(iou3d(moved(a), moved(b)) - base) < 1e-9
 
     def test_monte_carlo_oracle(self, rng):
         for _ in range(100):
             a = rand_box7(rng, center_scale=1.5)
             b = rand_box7(rng, center_scale=1.5)
             estimate = mc_iou(a, b, rng, n=100_000)
-            assert abs(geometry.iou3d(a, b) - estimate) < 0.02
+            assert abs(iou3d(a, b) - estimate) < 0.02
 
     def test_near_identical_boxes_stay_finite(self, rng):
         # regression: edges collinear with the clip line used to divide by
@@ -132,12 +132,12 @@ class TestIou3d:
         other = base.copy()
         other[0] -= 1.85e-6
         other[1] -= 4.45e-6
-        v = geometry.iou3d(base, other)
+        v = iou3d(base, other)
         assert np.isfinite(v) and 0.99 < v <= 1.0
         for _ in range(500):
             a = rand_box7(rng)
             b = a + rng.normal(0, 1e-9, 7) * np.array([1, 1, 1, 1, 0, 0, 0])
-            v = geometry.iou3d(a, b)
+            v = iou3d(a, b)
             assert np.isfinite(v) and 0.0 <= v <= 1.0
 
     def test_accepts_detections_trackstates_and_vectors(self):
@@ -146,8 +146,8 @@ class TestIou3d:
         d = make_box(x=1.0, l=2.0)
         v = d.box7()
         t = kalman.init_track([v], [1.0], 1, kalman.default_model())
-        assert geometry.iou3d(d, v) == 1.0
-        assert geometry.iou3d(d, t.states[0]) == 1.0
+        assert iou3d(d, v) == 1.0
+        assert iou3d(d, t.states[0]) == 1.0
         assert geometry.iou_matrix([d], t.states[:, :7]).tolist() == [[1.0]]
 
 
@@ -185,8 +185,6 @@ class TestNonFiniteBoxes:
     def test_nan_pair_raises_in_both_orders(self):
         for a, b in ((self.A, self.B), (self.B, self.A)):
             with pytest.raises(ValueError):
-                geometry.iou3d(a, b)
-            with pytest.raises(ValueError):
                 geometry.iou_matrix([a], [b])
             with pytest.raises(ValueError):
                 geometry.iou_matrix(np.array([a]), np.array([b]))
@@ -201,10 +199,15 @@ class TestNonFiniteBoxes:
         with pytest.raises(ValueError):
             geometry.as_box7_array(list(boxes))
         with pytest.raises(ValueError):
-            geometry.as_box7(boxes[1])
+            geometry.as_box7_array([boxes[1]])
         det = make_box(*boxes[1])
         with pytest.raises(ValueError):
             geometry.iou_matrix([det], boxes[:1])
+
+
+def kernel_pair(a, b):
+    """The active kernel's per-pair IoU of two boxes."""
+    return geometry._kernel.iou3d_pair(*geometry.as_box7_array([a, b]))
 
 
 class TestIouMatrix:
@@ -216,7 +219,7 @@ class TestIouMatrix:
         a, b = make_box(), make_box(x=0.3)
         m = geometry.iou_matrix([a], [b])
         assert m.shape == (1, 1)
-        assert m[0, 0] == geometry.iou3d(a, b)
+        assert m[0, 0] == kernel_pair(a, b)
 
     def test_two_by_two_single_overlap(self):
         rows = [make_box(x=0.0), make_box(x=100.0)]
@@ -224,7 +227,7 @@ class TestIouMatrix:
         m = geometry.iou_matrix(rows, cols)
         for r in range(2):
             for c in range(2):
-                assert m[r, c] == geometry.iou3d(rows[r], cols[c])
+                assert m[r, c] == kernel_pair(rows[r], cols[c])
         assert np.count_nonzero(m) == 1
         assert m[0, 1] > 0
 

@@ -7,7 +7,7 @@ import pytest
 from coopmot import io, sim
 from coopmot.core import Detection, FrameBundle
 from coopmot.tracker import FrameOutput
-from conftest import inverse_pose, make_box, total_detections
+from conftest import inverse_pose, make_box, total_detections, write_poses
 
 
 @pytest.fixture
@@ -177,7 +177,7 @@ class TestPoses:
         poses = {(0, "a"): io.Pose(1.0, 2.0, 0.0, 0.5),
                  (1, "a"): io.Pose(1.5, 2.0, 0.0, 0.6)}
         path = tmp_path / "poses_a.jsonl"
-        io.write_poses(path, poses)
+        write_poses(path, poses)
         back = io.read_poses(path)
         assert back == poses
 

@@ -259,11 +259,10 @@ class TestBatchedOracle:
     """The batched filter against the per-track formulas, row by row."""
 
     @ORACLE
-    @given(stores(), st.booleans(), st.integers(1, 4), st.integers(1, 4))
-    def test_rows_equal_reference_and_inputs_untouched(self, case, correction,
-                                                       min_hits, max_age):
+    @given(stores(), st.integers(1, 4), st.integers(1, 4))
+    def test_rows_equal_reference_and_inputs_untouched(self, case, min_hits, max_age):
         tracks, rows, z, scores = case
-        model = kalman.default_model(orientation_correction=correction)
+        model = kalman.default_model()
 
         saved = columns(tracks)
         pred = kalman.predict(tracks, model)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from coopmot import geometry, metrics
-from conftest import make_box
+from coopmot import metrics
+from conftest import iou3d, make_box
 
 CAR = dict(h=1.6, w=1.8, l=4.5)
 
@@ -40,7 +40,7 @@ def oracle_match(gt, pred, iou_threshold):
     """Brute-force max-total-IoU matching, then gate (independent route)."""
     if not gt or not pred:
         return []
-    iou = np.array([[geometry.iou3d(g[1], p[1]) for p in pred] for g in gt])
+    iou = np.array([[iou3d(g[1], p[1]) for p in pred] for g in gt])
     n, m = iou.shape
     best_total, best_pairs = -1.0, []
     rows = range(n)

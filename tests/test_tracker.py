@@ -3,9 +3,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from coopmot import assign, graphlap, kalman, tracker
+from coopmot import assign, kalman, tracker
 from coopmot.core import FrameBundle, Method, TrackerConfig
-from conftest import born, make_box, stacked
+from conftest import born, make_box
 
 CAR = dict(h=1.6, w=1.8, l=4.5)
 
@@ -90,9 +90,9 @@ class TestManageLifecycle:
 class TestStepAos:
     def test_empty_bundle_empty_tracks(self, model):
         cfg = TrackerConfig(method=Method.AOS)
-        ts, out = tracker.step_aos(tracker.new_trackset(),
-                                   FrameBundle(frame=0, detections_by_agent={}),
-                                   cfg, model)
+        ts, out = tracker.step(tracker.new_trackset(),
+                               FrameBundle(frame=0, detections_by_agent={}),
+                               cfg, model)
         assert out.emitted == ()
         assert len(ts.tracks) == 0
 
@@ -104,7 +104,7 @@ class TestStepAos:
         ts = tracker.new_trackset()
         confirmed_by_frame = []
         for b in static_object_frames(4):
-            ts, out = tracker.step_aos(ts, b, cfg, model)
+            ts, out = tracker.step(ts, b, cfg, model)
             confirmed_by_frame.append(int(ts.tracks.confirmed.sum()))
         assert confirmed_by_frame == [0, 0, 1, 1]
         assert len(ts.tracks) == 1
@@ -115,7 +115,7 @@ class TestStepAos:
         cfg = TrackerConfig(method=Method.AOS, warm_start=False)
         ts = tracker.new_trackset()
         for b in static_object_frames(3):
-            ts, _ = tracker.step_aos(ts, b, cfg, model)
+            ts, _ = tracker.step(ts, b, cfg, model)
         assert len(ts.tracks) == 2
         assert ts.tracks.confirmed.all()
 
@@ -123,18 +123,18 @@ class TestStepAos:
         cfg = TrackerConfig(method=Method.AOS, dedup_matched_pairs=True)
         ts = tracker.new_trackset()
         for b in static_object_frames(3):
-            ts, _ = tracker.step_aos(ts, b, cfg, model)
+            ts, _ = tracker.step(ts, b, cfg, model)
         assert len(ts.tracks) == 1
         for t_abs in range(3, 6):
             empty = FrameBundle(frame=t_abs, detections_by_agent={"a": [], "b": []})
-            ts, _ = tracker.step_aos(ts, empty, cfg, model)
+            ts, _ = tracker.step(ts, empty, cfg, model)
         assert len(ts.tracks) == 0
 
     def test_more_than_two_agents_rejected(self, model):
         cfg = TrackerConfig(method=Method.AOS)
         b = bundle(0, {"a": [(0, 0)], "b": [(0, 0)], "c": [(0, 0)]})
         with pytest.raises(ValueError):
-            tracker.step_aos(tracker.new_trackset(), b, cfg, model)
+            tracker.step(tracker.new_trackset(), b, cfg, model)
 
 
 class TestStepBaseline:
@@ -142,7 +142,7 @@ class TestStepBaseline:
         cfg = TrackerConfig(method=Method.BASELINE, warm_start=False)
         ts = tracker.new_trackset()
         for b in static_object_frames(3, agents=("a",)):
-            ts, out = tracker.step_baseline(ts, b, cfg, model)
+            ts, out = tracker.step(ts, b, cfg, model)
         assert len(ts.tracks) == 1
         assert ts.tracks.confirmed.tolist() == [True]
         assert out.emitted[0][0] == ts.tracks.ids[0]
@@ -150,7 +150,7 @@ class TestStepBaseline:
     def test_duplicate_detection_spawns_second_track(self, model):
         cfg = TrackerConfig(method=Method.BASELINE)
         ts = tracker.new_trackset()
-        ts, _ = tracker.step_baseline(ts, static_object_frames(1)[0], cfg, model)
+        ts, _ = tracker.step(ts, static_object_frames(1)[0], cfg, model)
         # one matched the (empty) track set; both initialize
         assert len(ts.tracks) == 2
         assert not ts.tracks.confirmed.any()  # both tentative
@@ -172,7 +172,7 @@ class TestStepTsa:
         ts = tracker.new_trackset()
         for b, expected in zip(frames, plain):
             calls.clear()
-            ts, out = tracker.step_tsa(ts, b, cfg, model)
+            ts, out = tracker.step(ts, b, cfg, model)
             # the cross-agent association and stage 1 only: no track is left
             # unmatched after stage 1, so stage 2 never runs
             assert len(calls) == 2
@@ -198,7 +198,7 @@ class TestStepTsa:
                 assert ida == idb and sa == sb
                 assert np.array_equal(boxa, boxb)
 
-    def test_stage2_rescues_track_missed_in_stage1(self, model):
+    def test_stage2_rescues_track_missed_in_stage1(self, model, monkeypatch):
         # Cross-matched pair with a large offset: the first-variant box is
         # dragged 0.6*d off the track and misses the 0.25 gate, while the
         # second-variant box (-0.4*d) still overlaps. Verified geometry:
@@ -207,24 +207,28 @@ class TestStepTsa:
                             warm_start=False)
         ts = tracker.new_trackset()
         for b in static_object_frames(3):
-            ts, _ = tracker.step_tsa(ts, b, cfg, model)
+            ts, _ = tracker.step(ts, b, cfg, model)
         assert len(ts.tracks) == 2  # coincident twin, no dedup
         hits_before = {tid: hits for tid, (hits, _) in counters_by_id(ts.tracks).items()}
 
         degraded = bundle(3, {"a": [(0.0, 0.0)], "b": [(3.2, 1.1)]})
 
-        # stage 1 alone misses the track: feed only the first-variant boxes
-        refined = graphlap.refine(
-            *stacked(degraded.detections_by_agent["a"], degraded.detections_by_agent["b"]),
-            graphlap.SCHEME_TSA, cfg.cross_agent_iou_threshold)
-        ts_stage1, _ = tracker._single_stage_step(ts, refined.boxes[0], refined.scores,
-                                                  cfg, model)
+        # stage 1 alone misses the track: offer only the first-variant boxes
+        real_candidates = tracker._candidates
+
+        def first_variant(b, c):
+            boxes, scores, num_cross = real_candidates(b, c)
+            return boxes[:1], scores, num_cross
+
+        monkeypatch.setattr(tracker, "_candidates", first_variant)
+        ts_stage1, _ = tracker.step(ts, degraded, cfg, model)
+        monkeypatch.undo()
         survivors_stage1 = {tid: c for tid, c in counters_by_id(ts_stage1.tracks).items()
                             if tid in hits_before}
         assert any(misses == 1 for _, misses in survivors_stage1.values())
 
         # the full two-stage step recovers it: no miss recorded
-        ts_full, _ = tracker.step_tsa(ts, degraded, cfg, model)
+        ts_full, _ = tracker.step(ts, degraded, cfg, model)
         survivors = {tid: c for tid, c in counters_by_id(ts_full.tracks).items()
                      if tid in hits_before}
         assert len(survivors) == 2
@@ -263,7 +267,7 @@ class TestRunSequence:
         ts = tracker.new_trackset()
         seen = []
         for b in frames:
-            ts, _ = tracker.step_baseline(ts, b, cfg, model)
+            ts, _ = tracker.step(ts, b, cfg, model)
             seen.extend(ts.tracks.ids.tolist())
         # ids are unique per birth: the multiset of distinct ids only grows
         assert ts.next_id - 1 == len(set(seen))
@@ -369,12 +373,11 @@ class TestTrackerProperties:
                             min_hits=base.min_hits, max_age=base.max_age,
                             warm_start=base.warm_start)
         model = kalman.default_model()
-        step = tracker._STEPS[method]
         ts = tracker.new_trackset()
         born_ids, dropped, outputs = set(), set(), []
         for b in frames:
             before = set(ts.tracks.ids.tolist())
-            ts, out = step(ts, b, cfg, model)
+            ts, out = tracker.step(ts, b, cfg, model)
             outputs.append(out)
             ids = [row[0] for row in out.emitted]
             alive = ts.tracks.ids.tolist()
