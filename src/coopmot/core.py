@@ -159,7 +159,7 @@ def load_config(path) -> TrackerConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigParse(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigParse(f"cannot parse config {path}: {exc}") from exc
     return config_from_dict(raw)
 

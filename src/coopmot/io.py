@@ -7,10 +7,12 @@ One JSON object per line. Field names are part of the interface:
 * ground truth: {"frame","object_id","x","y","z","theta","h","w","l"}
 * tracks:     {"frame","track_id","x","y","z","theta","h","w","l","score"}
 
-Angles are radians, lengths meters. Floats are written with full repr
-precision so every file round-trips losslessly. Frame indices must be
-non-decreasing within a file; readers return dense frame lists from 0 to
-the maximum index, with gaps as empty frames.
+Files are UTF-8. Angles are radians, lengths meters. Floats are written
+with full repr precision so every file round-trips losslessly. Frames and
+ids are JSON integers (not booleans). Frame indices must be non-decreasing
+within a file; readers return dense frame lists from 0 to the maximum
+index, with gaps as empty frames. Every error on a line is a ParseError
+that reads "<path>: line N: <reason>".
 """
 
 from __future__ import annotations
@@ -56,77 +58,90 @@ def to_global(d: Detection, p: Pose) -> Detection:
         h=d.h, w=d.w, l=d.l, score=d.score))
 
 
-def _iter_records(path, fields):
-    with open(path, "r", encoding="utf-8") as fh:
-        last_frame = None
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+BOX_FIELDS = ("x", "y", "z", "theta", "h", "w", "l")
+
+
+def _records(path, key, fields):
+    """Yield (where, frame, key value, floats) for each record of a file.
+
+    where is the "<path>: line N" prefix of messages about the line; floats
+    holds the numeric fields in the order of fields. Every check on a line
+    is made here: UTF-8, JSON, object, fields present, frame index, frame
+    order, the key field (a non-empty agent string or an integer id) and
+    numeric fields. JSON booleans are neither frames, ids nor numbers.
+    """
+    last_frame = 0
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            where = f"{path}: line {lineno}"
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{where}: not UTF-8 ({exc})") from exc
             if not line:
                 continue
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: line {lineno}: invalid JSON ({exc})") from exc
+                raise ParseError(f"{where}: invalid JSON ({exc})") from exc
             if not isinstance(rec, dict):
-                raise ParseError(f"{path}: line {lineno}: expected an object")
-            missing = [f for f in fields if f not in rec]
+                raise ParseError(f"{where}: expected an object")
+            missing = [f for f in ("frame", key) + fields if f not in rec]
             if missing:
-                raise ParseError(f"{path}: line {lineno}: missing fields {missing}")
-            frame = rec["frame"]
-            if not isinstance(frame, int) or frame < 0:
-                raise ParseError(f"{path}: line {lineno}: bad frame index {frame!r}")
-            if last_frame is not None and frame < last_frame:
-                raise FrameOrderError(
-                    f"{path}: line {lineno}: frame {frame} after frame {last_frame}")
+                raise ParseError(f"{where}: missing fields {missing}")
+            frame, value = rec["frame"], rec[key]
+            if type(frame) is not int or frame < 0:
+                raise ParseError(f"{where}: bad frame index {frame!r}")
+            if frame < last_frame:
+                raise FrameOrderError(f"{where}: frame {frame} after frame {last_frame}")
             last_frame = frame
-            yield lineno, rec
+            ok = isinstance(value, str) and value if key == "agent" else type(value) is int
+            if not ok:
+                raise ParseError(f"{where}: bad {key} {value!r}")
+            floats = []
+            for name in fields:
+                v = rec[name]
+                if isinstance(v, bool) or not isinstance(v, (int, float)):
+                    raise ParseError(f"{where}: field {name!r} must be a number")
+                floats.append(float(v))
+            yield where, frame, value, floats
 
 
-def _float_fields(path, lineno, rec, names):
-    out = []
-    for name in names:
-        v = rec[name]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ParseError(f"{path}: line {lineno}: field {name!r} must be a number")
-        out.append(float(v))
-    return out
+def _dense(frames: dict, empty) -> list:
+    """The values of {frame: value} as a list indexed from 0 to the largest
+    frame, with empty() at the frames in between that have none."""
+    return [frames[t] if t in frames else empty()
+            for t in range(max(frames, default=-1) + 1)]
 
 
-BOX_FIELDS = ("x", "y", "z", "theta", "h", "w", "l")
-
-
-def _detection(path, lineno, rec, score):
-    x, y, z, theta, h, w, l = _float_fields(path, lineno, rec, BOX_FIELDS)
+def _detection(where, floats) -> Detection:
+    """The validated Detection of a record's box (and score) floats."""
     try:
-        return validate_detection(Detection(
-            x=x, y=y, z=z, theta=theta, h=h, w=w, l=l, score=score))
+        return validate_detection(Detection(*floats))
     except InvalidBox as exc:
-        raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+        raise ParseError(f"{where}: {exc}") from exc
+
+
+def _write(path, records) -> None:
+    """Write dicts as one JSON object per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec) + "\n")
+
+
+def _bundles(frames: dict) -> list:
+    """Dense, agent-sorted FrameBundles of {frame: {agent: detections}}."""
+    return [FrameBundle(frame=t, detections_by_agent=dict(sorted(per_agent.items())))
+            for t, per_agent in enumerate(_dense(frames, dict))]
 
 
 def read_detections(path) -> list:
     """Read a detection file into dense, agent-sorted FrameBundles."""
     frames = {}
-    for lineno, rec in _iter_records(path, ("frame", "agent") + BOX_FIELDS + ("score",)):
-        agent = rec["agent"]
-        if not isinstance(agent, str) or not agent:
-            raise ParseError(f"{path}: line {lineno}: bad agent {rec['agent']!r}")
-        (score,) = _float_fields(path, lineno, rec, ("score",))
-        per_agent = frames.setdefault(rec["frame"], {})
-        per_agent.setdefault(agent, []).append(_detection(path, lineno, rec, score))
-    return _as_bundles(frames)
-
-
-def _as_bundles(frames: dict) -> list:
-    if not frames:
-        return []
-    max_frame = max(frames)
-    bundles = []
-    for t in range(max_frame + 1):
-        per_agent = frames.get(t, {})
-        ordered = {agent: per_agent[agent] for agent in sorted(per_agent)}
-        bundles.append(FrameBundle(frame=t, detections_by_agent=ordered))
-    return bundles
+    for where, frame, agent, floats in _records(path, "agent", BOX_FIELDS + ("score",)):
+        frames.setdefault(frame, {}).setdefault(agent, []).append(
+            _detection(where, floats))
+    return _bundles(frames)
 
 
 def merge_detection_files(paths) -> list:
@@ -137,84 +152,61 @@ def merge_detection_files(paths) -> list:
             per_agent = frames.setdefault(bundle.frame, {})
             for agent, dets in bundle.detections_by_agent.items():
                 per_agent.setdefault(agent, []).extend(dets)
-    return _as_bundles(frames)
+    return _bundles(frames)
 
 
 def write_detections(path, bundles) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for bundle in bundles:
-            for agent, dets in bundle.detections_by_agent.items():
-                for d in dets:
-                    fh.write(json.dumps({
-                        "frame": bundle.frame, "agent": agent,
-                        "x": d.x, "y": d.y, "z": d.z, "theta": d.theta,
-                        "h": d.h, "w": d.w, "l": d.l, "score": d.score,
-                    }) + "\n")
+    _write(path, ({
+        "frame": bundle.frame, "agent": agent,
+        "x": d.x, "y": d.y, "z": d.z, "theta": d.theta,
+        "h": d.h, "w": d.w, "l": d.l, "score": d.score,
+    } for bundle in bundles for agent, dets in bundle.detections_by_agent.items()
+        for d in dets))
 
 
 def read_gt(path) -> list:
     """Read ground truth as per-frame lists of (object_id, Detection)."""
     frames = {}
-    for lineno, rec in _iter_records(path, ("frame", "object_id") + BOX_FIELDS):
-        oid = rec["object_id"]
-        if not isinstance(oid, int):
-            raise ParseError(f"{path}: line {lineno}: bad object_id {oid!r}")
-        frames.setdefault(rec["frame"], []).append(
-            (oid, _detection(path, lineno, rec, 1.0)))
-    if not frames:
-        return []
-    return [frames.get(t, []) for t in range(max(frames) + 1)]
+    for where, frame, oid, floats in _records(path, "object_id", BOX_FIELDS):
+        frames.setdefault(frame, []).append((oid, _detection(where, floats)))
+    return _dense(frames, list)
 
 
 def write_gt(path, gt_frames) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for t, row in enumerate(gt_frames):
-            for oid, d in row:
-                fh.write(json.dumps({
-                    "frame": t, "object_id": oid,
-                    "x": d.x, "y": d.y, "z": d.z, "theta": d.theta,
-                    "h": d.h, "w": d.w, "l": d.l,
-                }) + "\n")
+    _write(path, ({
+        "frame": t, "object_id": oid,
+        "x": d.x, "y": d.y, "z": d.z, "theta": d.theta,
+        "h": d.h, "w": d.w, "l": d.l,
+    } for t, row in enumerate(gt_frames) for oid, d in row))
 
 
 def read_tracks(path) -> list:
     """Read tracker output as per-frame lists of (track_id, Detection, score)."""
     frames = {}
-    for lineno, rec in _iter_records(path, ("frame", "track_id") + BOX_FIELDS + ("score",)):
-        tid = rec["track_id"]
-        if not isinstance(tid, int):
-            raise ParseError(f"{path}: line {lineno}: bad track_id {tid!r}")
-        (score,) = _float_fields(path, lineno, rec, ("score",))
-        frames.setdefault(rec["frame"], []).append(
-            (tid, _detection(path, lineno, rec, score), score))
-    if not frames:
-        return []
-    return [frames.get(t, []) for t in range(max(frames) + 1)]
+    for where, frame, tid, floats in _records(path, "track_id", BOX_FIELDS + ("score",)):
+        frames.setdefault(frame, []).append((tid, _detection(where, floats), floats[-1]))
+    return _dense(frames, list)
 
 
 def write_tracks(path, outputs) -> None:
     """Write FrameOutputs as a tracks file."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for out in outputs:
-            for tid, box, score in out.emitted:
-                fh.write(json.dumps({
-                    "frame": out.frame, "track_id": int(tid),
-                    "x": float(box[0]), "y": float(box[1]), "z": float(box[2]),
-                    "theta": float(box[3]), "h": float(box[4]),
-                    "w": float(box[5]), "l": float(box[6]),
-                    "score": float(score),
-                }) + "\n")
+    _write(path, ({
+        "frame": out.frame, "track_id": int(tid),
+        "x": float(box[0]), "y": float(box[1]), "z": float(box[2]),
+        "theta": float(box[3]), "h": float(box[4]),
+        "w": float(box[5]), "l": float(box[6]),
+        "score": float(score),
+    } for out in outputs for tid, box, score in out.emitted))
 
 
 def read_poses(path) -> dict:
     """Read poses keyed by (frame, agent)."""
     poses = {}
-    for lineno, rec in _iter_records(path, ("frame", "agent", "x", "y", "z", "yaw")):
-        agent = rec["agent"]
-        if not isinstance(agent, str) or not agent:
-            raise ParseError(f"{path}: line {lineno}: bad agent {agent!r}")
-        x, y, z, yaw = _float_fields(path, lineno, rec, ("x", "y", "z", "yaw"))
-        poses[(rec["frame"], agent)] = Pose(x=x, y=y, z=z, yaw=yaw)
+    for where, frame, agent, floats in _records(path, "agent", ("x", "y", "z", "yaw")):
+        try:
+            poses[(frame, agent)] = Pose(*floats)
+        except ValueError as exc:
+            raise ParseError(f"{where}: {exc}") from exc
     return poses
 
 

@@ -340,3 +340,127 @@ class TestDeterminism:
                             read_bytes(sim_dir / "detections_agent1.jsonl"),
                             read_bytes(tracks), read_bytes(report)))
         assert outputs[0] == outputs[1]
+
+
+BOX = {"x": 0.0, "y": 0.0, "z": 0.0, "theta": 0.0, "h": 1.0, "w": 1.0, "l": 1.0}
+GOOD = {
+    "detections": {"frame": 0, "agent": "a", **BOX, "score": 0.5},
+    "gt": {"frame": 0, "object_id": 1, **BOX},
+    "tracks": {"frame": 0, "track_id": 1, **BOX, "score": 0.5},
+    "poses": {"frame": 0, "agent": "a", "x": 0.0, "y": 0.0, "z": 0.0, "yaw": 0.0},
+}
+DROP = object()
+
+
+def record(kind, **changes):
+    """One JSONL line of kind's valid record with the changes applied; a
+    change to DROP removes the field."""
+    rec = {**GOOD[kind], **changes}
+    return json.dumps({k: v for k, v in rec.items() if v is not DROP}) + "\n"
+
+
+NOT_UTF8 = b'{"frame": 0, "agent": "\xff"}\n'
+
+# (id, command, input replaced, its content, exit code, message fragment).
+# Every other input of the command is valid: one detection, one pose, one
+# GT box and one track at frame 0, and empty configs.
+MALFORMED = [
+    ("bad-json", "track", "detections", "{broken\n", 1, "line 1: invalid JSON"),
+    ("not-object", "eval", "gt", "[1, 2]\n", 1, "line 1: expected an object"),
+    ("missing-field", "analyze", "tracks", record("tracks", h=DROP), 1,
+     "line 1: missing fields ['h']"),
+    ("string-number", "track", "detections", record("detections", x="1.0"), 1,
+     "line 1: field 'x' must be a number"),
+    ("bool-number", "eval", "tracks", record("tracks", score=True), 1,
+     "line 1: field 'score' must be a number"),
+    ("frame-negative", "track", "detections", record("detections", frame=-1), 1,
+     "line 1: bad frame index -1"),
+    ("frame-float", "eval", "gt", record("gt", frame=1.5), 1,
+     "line 1: bad frame index 1.5"),
+    ("frame-string", "analyze", "tracks", record("tracks", frame="0"), 1,
+     "line 1: bad frame index '0'"),
+    ("frames-decreasing", "track", "detections",
+     record("detections", frame=1) + record("detections"), 1,
+     "line 2: frame 0 after frame 1"),
+    ("empty-agent", "track", "detections", record("detections", agent=""), 1,
+     "line 1: bad agent ''"),
+    ("agent-not-string", "track", "poses", record("poses", agent=7), 1,
+     "line 1: bad agent 7"),
+    ("object-id-string", "eval", "gt", record("gt", object_id="7"), 1,
+     "line 1: bad object_id '7'"),
+    ("track-id-float", "analyze", "tracks", record("tracks", track_id=1.5), 1,
+     "line 1: bad track_id 1.5"),
+    ("zero-height", "track", "detections", record("detections", h=0.0), 1,
+     "line 1: non-positive extent"),
+    ("score-above-one", "eval", "tracks", record("tracks", score=1.5), 1,
+     "line 1: score 1.5 outside [0, 1]"),
+    ("nan-box", "eval", "gt", record("gt", z=float("nan")), 1,
+     "line 1: non-finite field in detection"),
+    ("pose-missing-field", "track", "poses", record("poses", yaw=DROP), 1,
+     "line 1: missing fields ['yaw']"),
+    ("missing-pose", "track", "poses", record("poses", agent="b"), 1,
+     "missing pose for frame 0, agent a"),
+    ("config-bad-json", "track", "config", "{", 2, "cannot parse config"),
+    ("config-unknown-key", "track", "config", '{"gain": 1}', 2,
+     "unknown config keys: ['gain']"),
+    ("config-wrong-type", "track", "config", '{"min_hits": "3"}', 2,
+     "config key 'min_hits' has wrong type"),
+    ("config-bad-method", "track", "config", '{"method": "kalman"}', 2,
+     "unknown method 'kalman'"),
+    ("scenario-not-utf8", "simulate", "scenario", b"\xff", 2,
+     "invalid scenario config"),
+    # a file that is not UTF-8 is a data error naming the file and line, or
+    # a config error
+    ("detections-not-utf8", "track", "detections", NOT_UTF8, 1,
+     "detections_a.jsonl: line 1: not UTF-8"),
+    ("gt-not-utf8", "eval", "gt", record("gt").encode() + NOT_UTF8, 1,
+     "gt.jsonl: line 2: not UTF-8"),
+    ("tracks-not-utf8", "analyze", "tracks", NOT_UTF8, 1,
+     "tracks.jsonl: line 1: not UTF-8"),
+    ("config-not-utf8", "track", "config", b"\xff", 2, "cannot parse config"),
+    # JSON booleans are not integers
+    ("frame-bool", "eval", "gt", record("gt", frame=True, object_id=True), 1,
+     "gt.jsonl: line 1: bad frame index True"),
+    ("object-id-bool", "eval", "gt", record("gt", object_id=True), 1,
+     "gt.jsonl: line 1: bad object_id True"),
+    ("track-id-bool", "analyze", "tracks", record("tracks", track_id=False), 1,
+     "tracks.jsonl: line 1: bad track_id False"),
+    # a pose error names its file and line
+    ("pose-nan-yaw", "track", "poses", record("poses", yaw=float("nan")), 1,
+     "poses_a.jsonl: line 1: non-finite pose"),
+]
+
+
+def run_malformed(tmp_path, command, kind, content):
+    """Run command on valid inputs with the kind input replaced by content;
+    return its exit code."""
+    paths = {"detections": tmp_path / "det" / "detections_a.jsonl",
+             "poses": tmp_path / "poses" / "poses_a.jsonl",
+             "gt": tmp_path / "gt.jsonl", "tracks": tmp_path / "tracks.jsonl",
+             "config": tmp_path / "tracker.json",
+             "scenario": tmp_path / "scenario.json"}
+    for name, path in paths.items():
+        os.makedirs(path.parent, exist_ok=True)
+        data = content if name == kind else (record(name) if name in GOOD else "{}")
+        path.write_bytes(data if isinstance(data, bytes) else data.encode())
+    out = str(tmp_path / "out" / "result")
+    argv = {"simulate": ["--config", str(paths["scenario"]), "--out", out],
+            "track": ["--detections", str(paths["detections"].parent), "--out", out,
+                      "--poses", str(paths["poses"].parent),
+                      "--config", str(paths["config"])],
+            "eval": ["--tracks", str(paths["tracks"]), "--gt", str(paths["gt"]),
+                     "--out", out],
+            "analyze": ["--tracks", str(paths["tracks"]), "--gt", str(paths["gt"]),
+                        "--out", out]}[command]
+    return run_cli(command, *argv)
+
+
+@pytest.mark.parametrize("command, kind, content, code, fragment",
+                         [row[1:] for row in MALFORMED], ids=[row[0] for row in MALFORMED])
+def test_malformed_input_one_line_error(tmp_path, capsys, command, kind, content,
+                                        code, fragment):
+    assert run_malformed(tmp_path, command, kind, content) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and fragment in err

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopmot import io, sim
 from coopmot.core import Detection, FrameBundle
@@ -191,3 +193,78 @@ class TestPoses:
         local = [FrameBundle(frame=0, detections_by_agent={"a": [make_box()]})]
         with pytest.raises(io.ParseError, match="missing pose"):
             io.apply_poses(local, {})
+
+
+# Write then read returns every field bit for bit; repr tells -0.0 from 0.0.
+ROUND_TRIP = settings(max_examples=50, deadline=None)
+SPECIAL = st.sampled_from([0.1 + 0.2, 1e-17, -0.0, 1e300, -1.7976931348623157e308])
+COORD = st.floats(allow_nan=False, allow_infinity=False) | SPECIAL
+EXTENT = (st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+          | st.sampled_from([0.1 + 0.2, 1e-17, 1e300]))
+ANGLE = st.floats(min_value=-math.pi, max_value=math.pi, exclude_max=True)
+SCORE = st.floats(min_value=0.0, max_value=1.0)
+IDS = st.integers(-2**63, 2**63)
+
+
+def detections(score=SCORE):
+    return st.builds(Detection, COORD, COORD, COORD, ANGLE, EXTENT, EXTENT, EXTENT, score)
+
+
+def fields(d) -> tuple:
+    return tuple(map(repr, (d.x, d.y, d.z, d.theta, d.h, d.w, d.l, d.score)))
+
+
+@st.composite
+def bundle_lists(draw):
+    agents = st.dictionaries(st.text(min_size=1, max_size=4),
+                             st.lists(detections(), min_size=1, max_size=3), max_size=3)
+    return [FrameBundle(frame=t, detections_by_agent=dict(sorted(draw(agents).items())))
+            for t in range(draw(st.integers(0, 4)))]
+
+
+class TestRoundTripProperty:
+    @ROUND_TRIP
+    @given(bundle_lists())
+    def test_detections(self, tmp_path_factory, bundles):
+        path = tmp_path_factory.mktemp("rt") / "detections.jsonl"
+        io.write_detections(path, bundles)
+
+        def flat(bs):
+            return [(b.frame, agent, fields(d))
+                    for b in bs for agent, dets in b.detections_by_agent.items() for d in dets]
+        assert flat(io.read_detections(path)) == flat(bundles)
+
+    @ROUND_TRIP
+    @given(st.lists(st.lists(st.tuples(IDS, detections(st.just(1.0))), max_size=3),
+                    max_size=4))
+    def test_gt(self, tmp_path_factory, gt_frames):
+        path = tmp_path_factory.mktemp("rt") / "gt.jsonl"
+        io.write_gt(path, gt_frames)
+
+        def flat(frames):
+            return [(t, oid, fields(d)) for t, row in enumerate(frames) for oid, d in row]
+        assert flat(io.read_gt(path)) == flat(gt_frames)
+
+    @ROUND_TRIP
+    @given(st.lists(st.lists(st.tuples(IDS, detections()), max_size=3), max_size=4))
+    def test_tracks(self, tmp_path_factory, rows):
+        outputs = [FrameOutput(frame=t, emitted=tuple(
+            (tid, d.box7(), d.score) for tid, d in row)) for t, row in enumerate(rows)]
+        path = tmp_path_factory.mktemp("rt") / "tracks.jsonl"
+        io.write_tracks(path, outputs)
+        back = io.read_tracks(path)
+        assert [(t, tid, fields(d), repr(score)) for t, row in enumerate(back)
+                for tid, d, score in row] == \
+            [(t, tid, fields(d), repr(d.score)) for t, row in enumerate(rows)
+             for tid, d in row]
+
+    @ROUND_TRIP
+    @given(st.dictionaries(st.tuples(st.integers(0, 5), st.text(min_size=1, max_size=4)),
+                           st.builds(io.Pose, COORD, COORD, COORD, ANGLE), max_size=6))
+    def test_poses(self, tmp_path_factory, poses):
+        path = tmp_path_factory.mktemp("rt") / "poses.jsonl"
+        write_poses(path, poses)
+
+        def flat(ps):
+            return {k: tuple(map(repr, (p.x, p.y, p.z, p.yaw))) for k, p in ps.items()}
+        assert flat(io.read_poses(path)) == flat(poses)
