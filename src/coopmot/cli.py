@@ -16,7 +16,9 @@ import os
 import sys
 import time
 
-from . import __version__, core, io, metrics, sim, tracker
+import numpy as np
+
+from . import __version__, core, geometry, io, metrics, sim, tracker
 
 
 def _manifest(out_dir: str, command: str, config: dict, inputs: list,
@@ -30,6 +32,9 @@ def _manifest(out_dir: str, command: str, config: dict, inputs: list,
         "inputs": [os.path.abspath(p) for p in inputs],
         "outputs": [os.path.abspath(p) for p in outputs],
         "duration_sec": time.perf_counter() - started,
+        "backend": geometry.BACKEND,
+        "numpy": np.__version__,
+        "python": sys.version.split()[0],
     }
     path = os.path.join(out_dir, "run_manifest.json")
     with open(path, "w", encoding="utf-8") as fh:

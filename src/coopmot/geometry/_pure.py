@@ -158,7 +158,9 @@ def iou3d_matrix(rows, cols):
     dx = rows[:, 0][:, None] - cols[:, 0][None, :]
     dy = rows[:, 1][:, None] - cols[:, 1][None, :]
     rr = ra[:, None] + rb[None, :]
-    near = ~(dz <= 0.0) & ~(dx * dx + dy * dy > rr * rr)
+    # huge finite boxes square to inf here, as Python floats do in iou3d_pair
+    with np.errstate(over="ignore"):
+        near = ~(dz <= 0.0) & ~(dx * dx + dy * dy > rr * rr)
     ii, jj = np.nonzero(near)
     row_bev = {i: _bev(rows[i]) for i in np.unique(ii).tolist()}
     col_bev = {j: _bev(cols[j]) for j in np.unique(jj).tolist()}

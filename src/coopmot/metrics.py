@@ -105,6 +105,7 @@ class _FrameMatcher:
 
 
 def _matchers(gt_frames, pred_frames, iou_threshold):
+    assign.check_iou_threshold(iou_threshold)
     return [_FrameMatcher(gt, pred, iou_threshold)
             for gt, pred in zip(gt_frames, pred_frames)]
 
@@ -141,7 +142,8 @@ def evaluate_sequence(gt_frames, pred_frames,
     """Match every frame (Hungarian on IoU, gated) with id carry-over.
 
     gt_frames: per frame, a list of (object_id, box); pred_frames: per
-    frame, a list of (track_id, box, score).
+    frame, a list of (track_id, box, score). Raises ValueError when
+    iou_threshold is not in (0, 1].
     """
     return _tally(_matchers(gt_frames, pred_frames, iou_threshold), None)
 
@@ -217,7 +219,8 @@ def amota_family(gt_frames, pred_frames,
 
     For each target r = k/num_thresholds the score threshold achieving
     recall >= r with the fewest predictions is selected (the highest such
-    threshold); targets no threshold can reach contribute zero.
+    threshold); targets no threshold can reach contribute zero. Raises
+    ValueError when iou_threshold is not in (0, 1].
     """
     gt_total = sum(len(f) for f in gt_frames)
     if gt_total == 0:

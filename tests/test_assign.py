@@ -1,5 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from coopmot import assign, geometry
 from conftest import (brute_max_gated_matching, brute_min_cost, make_box, matched_pairs,
@@ -42,6 +48,101 @@ class TestHungarian:
     def test_deterministic(self, rng):
         cost = rng.uniform(0, 1, size=(5, 6))
         assert assign.hungarian_min_cost(cost) == assign.hungarian_min_cost(cost)
+
+
+def scipy_pairs(cost):
+    """scipy's (row, col) pairs of cost, sorted by row."""
+    rows, cols = linear_sum_assignment(cost)
+    return sorted(zip(rows.tolist(), cols.tolist()))
+
+
+def nonzero(cost, pairs):
+    return [(r, c) for r, c in pairs if cost[r, c] != 0.0]
+
+
+def per_component_scipy_pairs(cost):
+    """scipy run on each connected component of the nonzero entries alone
+    (rows and columns in ascending order), zero-cost pairs dropped."""
+    n, m = cost.shape
+    ii, jj = np.nonzero(cost)
+    graph = coo_matrix((np.ones(len(ii)), (ii, n + jj)), shape=(n + m, n + m))
+    labels = connected_components(graph, directed=False)[1]
+    pairs = []
+    for label in np.unique(labels[ii]):
+        rows = np.flatnonzero(labels[:n] == label)
+        cols = np.flatnonzero(labels[n:] == label)
+        sub = cost[np.ix_(rows, cols)]
+        pairs += [(int(rows[a]), int(cols[b])) for a, b in nonzero(sub, scipy_pairs(sub))]
+    return sorted(pairs)
+
+
+@st.composite
+def sparse_costs(draw, continuous):
+    """A -IoU-like matrix: a random pattern of negative entries in each of
+    a few diagonal blocks (empty, 1 x k, k x 1 and blocks with no nonzero
+    entry included), then rows and columns shuffled so the blocks
+    interleave. Continuous values have no ties; integer values force them."""
+    shapes = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=4))
+    n, m = sum(r for r, _ in shapes), sum(c for _, c in shapes)
+    cost = np.zeros((n, m))
+    r0 = c0 = 0
+    for r, c in shapes:
+        mask = draw(arrays(bool, (r, c)))
+        if continuous:
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            values = rng.uniform(0.01, 1.0, (r, c))
+        else:
+            values = draw(arrays(float, (r, c), elements=st.integers(1, 3).map(float)))
+        cost[r0:r0 + r, c0:c0 + c] = np.where(mask, -values, 0.0)
+        r0, c0 = r0 + r, c0 + c
+    rows = draw(st.permutations(range(n)))
+    cols = draw(st.permutations(range(m)))
+    return cost[np.ix_(rows, cols)]
+
+
+def integer_grids(lo, hi):
+    return st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+        lambda shape: arrays(float, shape, elements=st.integers(lo, hi).map(float)))
+
+
+ORACLE = settings(max_examples=150, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestHungarianAgainstScipy:
+    @ORACLE
+    @given(sparse_costs(continuous=True))
+    def test_continuous_nonzero_pairs_equal_scipy(self, cost):
+        pairs = assign.hungarian_min_cost(cost)
+        assert pairs == nonzero(cost, pairs)  # no zero-cost filler pairs
+        assert pairs == nonzero(cost, scipy_pairs(cost))
+
+    @ORACLE
+    @given(sparse_costs(continuous=False))
+    def test_integer_total_equals_scipy(self, cost):
+        pairs = assign.hungarian_min_cost(cost)
+        rows, cols = [r for r, _ in pairs], [c for _, c in pairs]
+        assert rows == sorted(set(rows)) and len(set(cols)) == len(cols)
+        assert sum(cost[r, c] for r, c in pairs) == sum(
+            cost[r, c] for r, c in scipy_pairs(cost))
+
+    @ORACLE
+    @given(sparse_costs(continuous=False))
+    def test_integer_ties_broken_as_scipy_per_component(self, cost):
+        assert assign.hungarian_min_cost(cost) == per_component_scipy_pairs(cost)
+
+    @ORACLE
+    @given(integer_grids(-2, 2))
+    def test_positive_entry_ties_broken_as_scipy(self, cost):
+        # with a positive entry the whole matrix is one problem
+        assume((cost > 0).any())
+        assert assign.hungarian_min_cost(cost) == scipy_pairs(cost)
+
+    @ORACLE
+    @given(integer_grids(-3, -1))
+    def test_all_negative_ties_broken_as_scipy(self, cost):
+        # every entry nonzero: one component, solved as scipy solves it
+        assert assign.hungarian_min_cost(cost) == scipy_pairs(cost)
 
 
 class TestAssociate:

@@ -1,9 +1,15 @@
 import json
 import os
+import subprocess
+import sys
+import textwrap
+import warnings
 
+import numpy as np
 import pytest
 
-from coopmot import cli
+import coopmot
+from coopmot import cli, geometry
 from conftest import inverse_pose, write_poses
 
 
@@ -48,6 +54,15 @@ class TestSimulate:
         assert run_cli("simulate", "--config", scenario_cfg, "--out", str(out)) == 0
         duration = json.loads((out / "run_manifest.json").read_text())["duration_sec"]
         assert isinstance(duration, float) and duration >= 0.0
+
+    def test_manifest_records_environment(self, tmp_path, scenario_cfg):
+        out = tmp_path / "sim"
+        assert run_cli("simulate", "--config", scenario_cfg, "--out", str(out)) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["backend"] == geometry.BACKEND
+        assert manifest["numpy"] == np.__version__
+        assert manifest["python"] == sys.version.split()[0]
+        assert "scipy" not in manifest
 
     def test_invalid_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -464,3 +479,57 @@ def test_malformed_input_one_line_error(tmp_path, capsys, command, kind, content
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert err.startswith("error: ") and fragment in err
+
+
+@pytest.mark.parametrize("method", ["baseline", "aos", "tsa"])
+def test_huge_finite_boxes_no_warning(tmp_path, capsys, method):
+    # finite but huge: the IoU gate squares distances and radii to inf
+    det = tmp_path / "det"
+    det.mkdir()
+    for agent, changes in (("a", {"x": 1e308}),
+                           ("b", {"h": 1e308, "w": 1e308, "l": 1e308})):
+        (det / f"detections_{agent}.jsonl").write_text("".join(
+            record("detections", frame=f, agent=agent, **changes) for f in range(3)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("track", "--method", method, "--detections", str(det),
+                       "--out", str(tmp_path / "tracks.jsonl"))
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 1 and err == "error: cost matrix has non-finite entries\n"
+
+
+NO_SCIPY = textwrap.dedent("""
+    import sys
+
+    class NoScipy:
+        def find_spec(self, name, path=None, target=None):
+            if name == "scipy" or name.startswith("scipy."):
+                raise ImportError(f"{name} is not installed")
+            return None
+
+    sys.meta_path.insert(0, NoScipy())
+    from coopmot import cli
+    assert "scipy" not in sys.modules
+    config, out = sys.argv[1:3]
+    assert cli.main(["simulate", "--config", config, "--out", out + "/sim"]) == 0
+    assert cli.main(["track", "--method", "tsa", "--detections", out + "/sim",
+                     "--out", out + "/tracks.jsonl"]) == 0
+    assert cli.main(["analyze", "--tracks", out + "/tracks.jsonl",
+                     "--gt", out + "/sim/gt.jsonl", "--out", out + "/motp.csv"]) == 0
+    assert "scipy" not in sys.modules
+""")
+
+
+def test_runs_without_scipy(tmp_path, scenario_cfg):
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               [os.path.dirname(os.path.dirname(coopmot.__file__)),
+                os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, scenario_cfg, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "motp.csv").exists()

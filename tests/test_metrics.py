@@ -140,6 +140,13 @@ class TestMatchFrame:
             assert counts.tp + counts.fn == counts.gt_count == len(gt)
             assert counts.tp + counts.fp == len(pred)
 
+    @pytest.mark.parametrize("threshold", [0.0, -0.1, 1.5, float("nan")])
+    def test_iou_threshold_outside_unit_interval_rejected(self, threshold):
+        gt = gt_row([(0, 0.0, 0.0)])
+        with pytest.raises(ValueError, match="iou_threshold"):
+            metrics.evaluate_sequence([gt], [pred_row([(1, 9.0, 0.0, 0.9)])],
+                                      iou_threshold=threshold)
+
 
 class TestMotaMotp:
     def test_perfect(self):
@@ -193,6 +200,12 @@ class TestAmotaFamily:
     def test_no_ground_truth(self):
         with pytest.raises(metrics.NoGroundTruth):
             metrics.amota_family([[], []], [[], []])
+
+    @pytest.mark.parametrize("threshold", [0.0, -0.1, 1.5, float("nan")])
+    def test_iou_threshold_outside_unit_interval_rejected(self, threshold):
+        gt_frames, pred_frames = dropout_sequence()
+        with pytest.raises(ValueError, match="iou_threshold"):
+            metrics.amota_family(gt_frames, pred_frames, iou_threshold=threshold)
 
     def test_dropout_sequence_matches_oracle_exactly(self):
         gt_frames, pred_frames = dropout_sequence()
