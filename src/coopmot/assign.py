@@ -209,11 +209,14 @@ def associate(rows, cols, iou_threshold: float) -> AssociationResult:
     """
     check_iou_threshold(iou_threshold)
     iou = geometry.iou_matrix(rows, cols)
-    pairs = np.array(hungarian_min_cost(-iou) if iou.size else [], dtype=int).reshape(-1, 2)
-    matched_rows, matched_cols = pairs[iou[pairs[:, 0], pairs[:, 1]] >= iou_threshold].T
-    free_rows = np.ones(iou.shape[0], dtype=bool)
-    free_rows[matched_rows] = False
-    free_cols = np.ones(iou.shape[1], dtype=bool)
-    free_cols[matched_cols] = False
-    return AssociationResult(matched_rows, matched_cols,
-                             np.flatnonzero(free_rows), np.flatnonzero(free_cols))
+    overlap = iou.item
+    matched_rows, matched_cols = [], []
+    for r, c in hungarian_min_cost(-iou) if iou.size else []:
+        if overlap(r, c) >= iou_threshold:
+            matched_rows.append(r)
+            matched_cols.append(c)
+    n_rows, n_cols = iou.shape
+    return AssociationResult(
+        np.array(matched_rows, dtype=int), np.array(matched_cols, dtype=int),
+        np.array(sorted(set(range(n_rows)).difference(matched_rows)), dtype=int),
+        np.array(sorted(set(range(n_cols)).difference(matched_cols)), dtype=int))

@@ -11,6 +11,7 @@ id differs from the last id it was ever matched to.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -72,8 +73,7 @@ class _FrameMatcher:
         self.gt_ids = [g[0] for g in gt]
         self.tids = [p[0] for p in pred]
         self.scores = np.array([p[2] for p in pred], dtype=float)
-        # negated and ascending for bisect; a NaN score is never kept
-        self.neg_sorted = sorted(-self.scores[~np.isnan(self.scores)])
+        self.neg_sorted = sorted(-self.scores)  # ascending for bisect
         gt_boxes = geometry.as_box7_array([g[1] for g in gt])
         pred_boxes = geometry.as_box7_array([p[1] for p in pred])
         self.iou = (geometry.iou_matrix(gt_boxes, pred_boxes)
@@ -105,9 +105,16 @@ class _FrameMatcher:
 
 
 def _matchers(gt_frames, pred_frames, iou_threshold):
+    """One _FrameMatcher per frame. Raises ValueError when iou_threshold is
+    not in (0, 1] or a prediction score is NaN or infinite."""
     assign.check_iou_threshold(iou_threshold)
-    return [_FrameMatcher(gt, pred, iou_threshold)
-            for gt, pred in zip(gt_frames, pred_frames)]
+    matchers = []
+    for t, (gt, pred) in enumerate(zip(gt_frames, pred_frames)):
+        for p in pred:
+            if not math.isfinite(p[2]):
+                raise ValueError(f"frame {t}: prediction score {p[2]} is not finite")
+        matchers.append(_FrameMatcher(gt, pred, iou_threshold))
+    return matchers
 
 
 def _tally(matchers, score_threshold) -> SequenceTally:
@@ -143,7 +150,7 @@ def evaluate_sequence(gt_frames, pred_frames,
 
     gt_frames: per frame, a list of (object_id, box); pred_frames: per
     frame, a list of (track_id, box, score). Raises ValueError when
-    iou_threshold is not in (0, 1].
+    iou_threshold is not in (0, 1] or a prediction score is not finite.
     """
     return _tally(_matchers(gt_frames, pred_frames, iou_threshold), None)
 
@@ -212,6 +219,41 @@ def _smota(fp, fn, idsw, gt_total, recall_target):
     return min(1.0, max(0.0, value))
 
 
+def _recall_thresholds(matchers, pred_frames, gt_total, targets, full_recall):
+    """Map each reachable recall target's index to the highest score
+    threshold whose pass reaches it.
+
+    A frame's TP count depends only on how many of its predictions are
+    kept, and that count moves at a score only in the frames holding it.
+    So the distinct scores are walked from the highest down, and at each
+    one only the frames holding it are matched again (memoised per kept
+    count) and folded into a running TP total. Recall is that total over
+    gt_total, the division of SequenceTally.recall. A target takes the
+    first score whose recall reaches it, so the assigned targets are
+    always the lowest ones, and the walk stops once every target up to
+    full_recall has a score.
+    """
+    frames_at = {}
+    for t, (_, pred) in enumerate(zip(matchers, pred_frames)):
+        for p in pred:
+            frames_at.setdefault(p[2], set()).add(t)
+    needed = sum(1 for r in targets if r <= full_recall)
+    frame_tp = [0] * len(matchers)
+    total_tp, k, chosen = 0, 0, {}
+    for s in sorted(frames_at, reverse=True):
+        for t in frames_at[s]:
+            tp = len(matchers[t].match(s)[1])
+            total_tp += tp - frame_tp[t]
+            frame_tp[t] = tp
+        recall = total_tp / gt_total
+        while k < len(targets) and recall >= targets[k]:
+            chosen[k] = s
+            k += 1
+        if k >= needed:
+            break
+    return chosen
+
+
 def amota_family(gt_frames, pred_frames,
                  num_thresholds: int = DEFAULT_NUM_THRESHOLDS,
                  iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> MetricsReport:
@@ -220,7 +262,8 @@ def amota_family(gt_frames, pred_frames,
     For each target r = k/num_thresholds the score threshold achieving
     recall >= r with the fewest predictions is selected (the highest such
     threshold); targets no threshold can reach contribute zero. Raises
-    ValueError when iou_threshold is not in (0, 1].
+    ValueError when iou_threshold is not in (0, 1] or a prediction score
+    is not finite.
     """
     gt_total = sum(len(f) for f in gt_frames)
     if gt_total == 0:
@@ -230,22 +273,10 @@ def amota_family(gt_frames, pred_frames,
     # within this call and dropped with it.
     matchers = _matchers(gt_frames, pred_frames, iou_threshold)
     full = _tally(matchers, None)
-
-    # Scan candidate thresholds from the highest score down, assigning each
-    # recall target the first (fewest-prediction) threshold that reaches
-    # it. Recall grows as the threshold drops, so the scan stops once every
-    # target up to the full-prediction recall has been assigned.
-    scores = sorted({p[2] for frame in pred_frames for p in frame}, reverse=True)
     targets = [k / num_thresholds for k in range(1, num_thresholds + 1)]
-    needed = {k for k, t in enumerate(targets) if t <= full.recall}
-    chosen = {}
-    for s in scores:
-        tally = _tally(matchers, s)
-        for k, target in enumerate(targets):
-            if k not in chosen and tally.recall >= target:
-                chosen[k] = (s, tally)
-        if needed <= chosen.keys():
-            break
+    chosen = _recall_thresholds(matchers, pred_frames, gt_total, targets,
+                                full.recall)
+    tallies = {s: _tally(matchers, s) for s in set(chosen.values())}
 
     points = []
     amota_sum = amotp_sum = samota_sum = 0.0
@@ -254,7 +285,8 @@ def amota_family(gt_frames, pred_frames,
             points.append(OperatingPoint(target, None, 0.0, 0.0, 0.0, 0.0,
                                          0, 0, 0, 0))
             continue
-        s, tally = chosen[k]
+        s = chosen[k]
+        tally = tallies[s]
         mota, motp = mota_motp(tally.totals)
         smota = _smota(tally.totals.fp, tally.totals.fn, tally.totals.idsw,
                        gt_total, target)

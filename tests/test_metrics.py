@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -296,6 +297,83 @@ class TestSweepProperties:
         mt = metrics.mostly_tracked(full.frames_present, full.frames_matched)
         assert (report.mota, report.motp, report.mt) == \
             (100.0 * mota, 100.0 * motp, 100.0 * mt)
+
+
+def full_tally_scan(matchers, pred_frames, gt_total, targets, full_recall):
+    """Reference for metrics._recall_thresholds: one full _tally per
+    distinct score, from the highest down, until every target up to
+    full_recall is assigned (the scan the running-TP walk replaced)."""
+    scores = sorted({p[2] for frame in pred_frames for p in frame}, reverse=True)
+    needed = {k for k, t in enumerate(targets) if t <= full_recall}
+    chosen = {}
+    for s in scores:
+        tally = metrics._tally(matchers, s)
+        for k, target in enumerate(targets):
+            if k not in chosen and tally.recall >= target:
+                chosen[k] = s
+        if needed <= chosen.keys():
+            break
+    return chosen
+
+
+def counted_amota_family(gt_frames, pred_frames, num_thresholds):
+    """amota_family's report as a dict, and its number of solver calls."""
+    solve = metrics.assign.hungarian_min_cost
+    calls = []
+
+    def counting(cost):
+        calls.append(None)
+        return solve(cost)
+
+    with mock.patch.object(metrics.assign, "hungarian_min_cost", counting):
+        report = metrics.amota_family(gt_frames, pred_frames, num_thresholds)
+    return report.to_dict(), len(calls)
+
+
+# Longer sequences than _sequences, with scores on a coarser grid so that
+# many frames share each score; empty frames on either side are common.
+_scan_frame = st.tuples(
+    st.lists(st.tuples(st.integers(0, 5), _coord, _coord), max_size=4,
+             unique_by=lambda g: g[0]),
+    st.lists(st.tuples(st.integers(0, 6), _coord, _coord,
+                       st.sampled_from([0.3, 0.6, 0.6, 0.9])),
+             max_size=5, unique_by=lambda p: p[0]))
+
+
+class TestThresholdScan:
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(_scan_frame, min_size=1, max_size=10),
+           st.sampled_from([3, 10, 40]))
+    def test_equals_full_tally_scan(self, frames, num_thresholds):
+        gt_frames = [gt_row(gt) for gt, _ in frames]
+        pred_frames = [pred_row(pred) for _, pred in frames]
+        assume(any(gt_frames))
+        got = counted_amota_family(gt_frames, pred_frames, num_thresholds)
+        with mock.patch.object(metrics, "_recall_thresholds", full_tally_scan):
+            want = counted_amota_family(gt_frames, pred_frames, num_thresholds)
+        assert got == want
+
+    def test_targets_reached_above_full_recall_are_kept(self):
+        # Along x, with IoUs P1-A 0.3, P1-B 0.1, P2-A 0.24 and P2-B 0. P1
+        # alone matches A; adding P2 makes P1-B + P2-A the larger total,
+        # and neither pair passes the 0.25 gate. Recall falls from 1/2 at
+        # 0.9 to 0 with every prediction kept.
+        gt_frames = [gt_row([(0, 0.0, 0.0), (1, 6.103, 0.0)])]
+        pred_frames = [pred_row([(1, 2.423, 0.0, 0.9), (2, -2.758, 0.0, 0.5)])]
+        report = metrics.amota_family(gt_frames, pred_frames, num_thresholds=4)
+        assert [p.threshold for p in report.operating_points] == [0.9, 0.9, None, None]
+        assert report.mota == -100.0  # two misses and two false positives
+        with mock.patch.object(metrics, "_recall_thresholds", full_tally_scan):
+            assert metrics.amota_family(gt_frames, pred_frames, 4) == report
+
+    @pytest.mark.parametrize("score", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_score_rejected(self, score):
+        gt_frames, pred_frames = dropout_sequence()
+        pred_frames[3] = pred_row([(1, 6.0, 0.0, 0.9), (2, 94.0, 30.0, score)])
+        for evaluate in (metrics.amota_family, metrics.evaluate_sequence):
+            with pytest.raises(ValueError, match="frame 3: prediction score"):
+                evaluate(gt_frames, pred_frames)
 
 
 class TestReportFormat:
