@@ -126,20 +126,10 @@ def cmd_track(args) -> int:
     return 0
 
 
-def _load_eval_inputs(tracks_path, gt_path):
-    gt_frames = io.read_gt(gt_path)
-    pred_frames = io.read_tracks(tracks_path)
-    # align lengths; missing tail frames are empty
-    n = max(len(gt_frames), len(pred_frames))
-    gt_frames += [[] for _ in range(n - len(gt_frames))]
-    pred_frames += [[] for _ in range(n - len(pred_frames))]
-    return gt_frames, pred_frames
-
-
 def cmd_eval(args) -> int:
     started = time.perf_counter()
     try:
-        gt_frames, pred_frames = _load_eval_inputs(args.tracks, args.gt)
+        gt_frames, pred_frames = io.read_gt(args.gt), io.read_tracks(args.tracks)
         report = metrics.amota_family(gt_frames, pred_frames)
     except (OSError, io.ParseError, metrics.NoGroundTruth) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -163,7 +153,7 @@ def cmd_eval(args) -> int:
 def cmd_analyze(args) -> int:
     started = time.perf_counter()
     try:
-        gt_frames, pred_frames = _load_eval_inputs(args.tracks, args.gt)
+        gt_frames, pred_frames = io.read_gt(args.gt), io.read_tracks(args.tracks)
         if sum(len(f) for f in gt_frames) == 0:
             raise metrics.NoGroundTruth("sequence has no ground-truth boxes")
         tally = metrics.evaluate_sequence(gt_frames, pred_frames)

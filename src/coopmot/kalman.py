@@ -53,35 +53,24 @@ class Tracks:
                         for f in fields(self)))
 
 
-def _transition_matrix() -> np.ndarray:
-    f = np.eye(STATE_DIM)
-    f[0, 7] = f[1, 8] = f[2, 9] = 1.0
-    return f
-
-
-def _measurement_matrix() -> np.ndarray:
-    return np.hstack([np.eye(MEAS_DIM), np.zeros((MEAS_DIM, 3))])
-
-
 @dataclass(frozen=True)
 class KalmanModel:
-    """Transition/measurement matrices and noise covariances.
+    """Noise covariances of the constant-velocity model.
 
-    Defaults follow common 3D tracking practice: large initial velocity
-    uncertainty, small velocity process noise, unit measurement noise.
+    The structure is fixed: the transition adds each velocity to its
+    position and the measurement is the first seven state entries, so
+    predict and update apply them as array slices. Defaults follow common
+    3D tracking practice: large initial velocity uncertainty, small
+    velocity process noise, unit measurement noise.
     """
 
-    F: np.ndarray
-    H: np.ndarray
     Q: np.ndarray
     R: np.ndarray
     P0: np.ndarray
 
     def __post_init__(self):
-        for name, mat, shape in (("F", self.F, (10, 10)), ("H", self.H, (7, 10)),
-                                 ("Q", self.Q, (10, 10)), ("R", self.R, (7, 7)),
-                                 ("P0", self.P0, (10, 10))):
-            arr = np.asarray(mat, dtype=float)
+        for name, shape in (("Q", (10, 10)), ("R", (7, 7)), ("P0", (10, 10))):
+            arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
             object.__setattr__(self, name, arr.copy())
@@ -90,9 +79,7 @@ class KalmanModel:
 def default_model() -> KalmanModel:
     p0 = np.diag([10.0] * 7 + [1000.0] * 3)
     q = np.diag([0.0] * 7 + [0.01] * 3)
-    r = np.eye(MEAS_DIM)
-    return KalmanModel(F=_transition_matrix(), H=_measurement_matrix(),
-                       Q=q, R=r, P0=p0)
+    return KalmanModel(Q=q, R=np.eye(MEAS_DIM), P0=p0)
 
 
 def _wrap(theta: np.ndarray) -> np.ndarray:
@@ -115,17 +102,19 @@ def init_track(boxes, scores, first_id: int, model: KalmanModel) -> Tracks:
                   np.array(scores, dtype=float).reshape(k))
 
 
-def _mat_vec(mat: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """mat @ v for every row v of vecs, as one matrix-vector product per row,
-    so each row gets the bits of mat @ v (vecs @ mat.T sums in another order)."""
-    return (mat @ vecs[..., None])[..., 0]
-
-
 def predict(tracks: Tracks, model: KalmanModel) -> Tracks:
-    """Propagate every track's mean and covariance one frame ahead."""
-    states = _mat_vec(model.F, tracks.states)
+    """Propagate every track's mean and covariance one frame ahead.
+
+    x <- F x and P <- F P Ft + Q, with F adding each velocity to its
+    position: rows 7-9 are added to rows 0-2, then columns to columns.
+    """
+    states = tracks.states.copy()
+    states[:, :3] += states[:, 7:]
     states[:, 3] = _wrap(states[:, 3])
-    cov = model.F @ tracks.covariances @ model.F.T + model.Q
+    cov = tracks.covariances.copy()
+    cov[:, :3] += cov[:, 7:]
+    cov[:, :, :3] += cov[:, :, 7:]
+    cov += model.Q
     return replace(tracks, states=states, covariances=0.5 * (cov + cov.swapaxes(1, 2)))
 
 
@@ -155,22 +144,26 @@ def update(tracks: Tracks, rows, z, scores, model: KalmanModel) -> Tracks:
         raise ValueError(f"measurements must be finite ({len(rows)}, 7) boxes, "
                          f"got shape {z.shape}")
 
+    # H = [I 0]: H x is x's first seven entries, H P is P's first seven
+    # rows and H P Ht their first seven columns
     x_pred, p_pred = tracks.states[rows], tracks.covariances[rows]
-    innovation = z - _mat_vec(model.H, x_pred)
+    hp = p_pred[:, :MEAS_DIM]
+    innovation = z - x_pred[:, :MEAS_DIM]
     innovation[:, 3] = _orientation_residual(z[:, 3], x_pred[:, 3])
 
-    s = model.H @ p_pred @ model.H.T + model.R
     try:
-        chol = np.linalg.cholesky(s)
+        chol = np.linalg.cholesky(hp[:, :, :MEAS_DIM] + model.R)
     except np.linalg.LinAlgError as exc:
         raise SingularInnovation("innovation covariance is singular") from exc
     # K = P Ht S^-1 via the Cholesky factor
-    kt = np.linalg.solve(chol.swapaxes(1, 2), np.linalg.solve(chol, model.H @ p_pred))
+    kt = np.linalg.solve(chol.swapaxes(1, 2), np.linalg.solve(chol, hp))
     gain = kt.swapaxes(1, 2)
 
-    state = x_pred + _mat_vec(gain, innovation)
+    # one matrix-vector product per row, so each row gets the bits of
+    # K @ v (innovation @ K.T would sum in another order)
+    state = x_pred + (gain @ innovation[..., None])[..., 0]
     state[:, 3] = _wrap(state[:, 3])
-    cov = p_pred - gain @ model.H @ p_pred
+    cov = p_pred - gain @ hp
     states, covariances = tracks.states.copy(), tracks.covariances.copy()
     hits, misses, new_scores = tracks.hits.copy(), tracks.misses.copy(), tracks.scores.copy()
     states[rows] = state

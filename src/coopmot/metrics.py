@@ -11,6 +11,7 @@ id differs from the last id it was ever matched to.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -105,11 +106,13 @@ class _FrameMatcher:
 
 
 def _matchers(gt_frames, pred_frames, iou_threshold):
-    """One _FrameMatcher per frame. Raises ValueError when iou_threshold is
+    """One _FrameMatcher per frame of the longer list; the shorter list's
+    missing tail frames are empty. Raises ValueError when iou_threshold is
     not in (0, 1] or a prediction score is NaN or infinite."""
     assign.check_iou_threshold(iou_threshold)
     matchers = []
-    for t, (gt, pred) in enumerate(zip(gt_frames, pred_frames)):
+    for t, (gt, pred) in enumerate(itertools.zip_longest(gt_frames, pred_frames,
+                                                          fillvalue=())):
         for p in pred:
             if not math.isfinite(p[2]):
                 raise ValueError(f"frame {t}: prediction score {p[2]} is not finite")
@@ -149,8 +152,9 @@ def evaluate_sequence(gt_frames, pred_frames,
     """Match every frame (Hungarian on IoU, gated) with id carry-over.
 
     gt_frames: per frame, a list of (object_id, box); pred_frames: per
-    frame, a list of (track_id, box, score). Raises ValueError when
-    iou_threshold is not in (0, 1] or a prediction score is not finite.
+    frame, a list of (track_id, box, score). Frames past the end of the
+    shorter list are empty. Raises ValueError when iou_threshold is not in
+    (0, 1] or a prediction score is not finite.
     """
     return _tally(_matchers(gt_frames, pred_frames, iou_threshold), None)
 
@@ -261,9 +265,9 @@ def amota_family(gt_frames, pred_frames,
 
     For each target r = k/num_thresholds the score threshold achieving
     recall >= r with the fewest predictions is selected (the highest such
-    threshold); targets no threshold can reach contribute zero. Raises
-    ValueError when iou_threshold is not in (0, 1] or a prediction score
-    is not finite.
+    threshold); targets no threshold can reach contribute zero. Frames
+    are aligned as in evaluate_sequence. Raises ValueError when
+    iou_threshold is not in (0, 1] or a prediction score is not finite.
     """
     gt_total = sum(len(f) for f in gt_frames)
     if gt_total == 0:

@@ -55,6 +55,14 @@ class ScenarioConfig:
         for sector in (s for sectors in self.occlusion_sectors for s in sectors):
             if len(sector) != 2:
                 raise ValueError(f"occlusion sector {list(sector)} is not a (lo, hi) pair")
+        bounds = [b for sectors in self.occlusion_sectors for s in sectors for b in s]
+        for key, values in (("speed_min", [self.speed_min]), ("speed_max", [self.speed_max]),
+                            ("world_extent", [self.world_extent]), ("sigma", self.sigma),
+                            ("score_base", [self.score_base]),
+                            ("score_jitter", [self.score_jitter]),
+                            ("occlusion_sectors", bounds)):
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{key} must be finite")
         if any(s < 0 for s in self.sigma):
             raise ValueError("sigma must be >= 0")
         if any(not 0.0 <= p <= 1.0 for p in self.dropout):

@@ -30,30 +30,38 @@ def track_store(states, covariances):
                          np.zeros(t, dtype=bool), np.ones(t))
 
 
+# The constant-velocity model as explicit matrices, for the matrix-form
+# oracles: the transition F adds each velocity to its position and the
+# measurement H = [I 0] reads the box part of the state.
+F = np.eye(10)
+F[0, 7] = F[1, 8] = F[2, 9] = 1.0
+H = np.hstack([np.eye(7), np.zeros((7, 3))])
+
+
 def reference_predict(state, cov, model):
     """One track's predict, as the filter computed it track by track:
     the oracle for the batched kalman.predict."""
-    state = model.F @ state
+    state = F @ state
     state[3] = wrap_angle(state[3])
-    cov = model.F @ cov @ model.F.T + model.Q
+    cov = F @ cov @ F.T + model.Q
     return state, 0.5 * (cov + cov.T)
 
 
 def reference_update(state, cov, z, model):
     """One track's measurement update with a box 7-vector, as the filter
     computed it track by track: the oracle for the batched kalman.update."""
-    innovation = z - model.H @ state
+    innovation = z - H @ state
     residual = wrap_angle(z[3] - state[3])
     if residual > np.pi / 2:
         residual -= np.pi
     elif residual < -np.pi / 2:
         residual += np.pi
     innovation[3] = residual
-    chol = np.linalg.cholesky(model.H @ cov @ model.H.T + model.R)
-    gain = np.linalg.solve(chol.T, np.linalg.solve(chol, model.H @ cov)).T
+    chol = np.linalg.cholesky(H @ cov @ H.T + model.R)
+    gain = np.linalg.solve(chol.T, np.linalg.solve(chol, H @ cov)).T
     state = state + gain @ innovation
     state[3] = wrap_angle(state[3])
-    cov = cov - gain @ model.H @ cov
+    cov = cov - gain @ H @ cov
     return state, 0.5 * (cov + cov.T)
 
 

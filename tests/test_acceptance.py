@@ -16,7 +16,7 @@ import pytest
 
 from coopmot import assign, cli, geometry, graphlap, kalman, metrics, sim, tracker
 from coopmot.core import Method, TrackerConfig
-from conftest import (VARIANTS, born, brute_min_cost, by_key, iou3d, make_box, mc_iou,
+from conftest import (H, VARIANTS, born, brute_min_cost, by_key, iou3d, make_box, mc_iou,
                       node_keys, oracle_centroids, permuted, rand_box7,
                       random_graph_frame, refined_centroids, stacked, track_store,
                       translated, unpermuted)
@@ -124,11 +124,10 @@ def test_c06_kalman_checks(rng):
     """Zero innovation, large-R discounting, covariance health, Joseph form."""
     model = kalman.default_model()
     t = born(make_box(x=1.0, y=-2.0, theta=0.4, **CAR), model)
-    u = kalman.update(t, [0], [model.H @ t.states[0]], t.scores, model)
+    u = kalman.update(t, [0], [H @ t.states[0]], t.scores, model)
     assert np.allclose(u.states, t.states, atol=1e-12)
 
-    big_r = kalman.KalmanModel(F=model.F, H=model.H, Q=model.Q,
-                               R=1e12 * np.eye(7), P0=model.P0)
+    big_r = kalman.KalmanModel(Q=model.Q, R=1e12 * np.eye(7), P0=model.P0)
     t2 = born(make_box(**CAR), big_r)
     z = t2.states[0, :7] + np.array([3.0, -2.0, 1.0, 0.3, 0.2, 0.1, 0.2])
     u2 = kalman.update(t2, [0], [z], t2.scores, big_r)
@@ -148,10 +147,10 @@ def test_c06_kalman_checks(rng):
         a = rng.normal(size=(10, 10))
         cov = a @ a.T + 10 * np.eye(10)
         tr = track_store(rng.normal(size=10), cov)
-        z = model.H @ tr.states[0] + rng.normal(size=7)
+        z = H @ tr.states[0] + rng.normal(size=7)
         upd = kalman.update(tr, [0], [z], tr.scores, model)
-        k = cov @ model.H.T @ np.linalg.inv(model.H @ cov @ model.H.T + model.R)
-        ikh = np.eye(10) - k @ model.H
+        k = cov @ H.T @ np.linalg.inv(H @ cov @ H.T + model.R)
+        ikh = np.eye(10) - k @ H
         joseph = ikh @ cov @ ikh.T + k @ model.R @ k.T
         worst = max(worst, float(np.max(np.abs(upd.covariances[0] - joseph))))
         assert worst < 1e-8

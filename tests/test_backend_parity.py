@@ -1,4 +1,5 @@
-"""The compiled and pure IoU kernels must agree to floating-point noise.
+"""The compiled and pure IoU kernels must agree to floating-point noise,
+and each must keep IoU unchanged under a rigid motion of both boxes.
 
 When the compiled kernel is not installed, the tracked _native.c is built
 once per session into a pytest temp directory and loaded from there by
@@ -80,6 +81,31 @@ def test_exact_cases_on_both_backends(native):
         assert kernel.iou3d_pair(a, a) == 1.0
         assert abs(kernel.iou3d_pair(a, b) - 1.0 / 3.0) < 1e-12
         assert kernel.iou3d_pair(a, a + np.array([0, 0, 10, 0, 0, 0, 0.0])) == 0.0
+
+
+@pytest.mark.parametrize("backend", ["native", "pure"])
+def test_rigid_motion_invariance(request, rng, backend):
+    """IoU is unchanged when both boxes get the same planar rigid motion."""
+    kernel = request.getfixturevalue("native") if backend == "native" else _pure
+
+    def iou(a, b):
+        return kernel.iou3d_matrix(a[None], b[None])[0, 0]
+
+    for _ in range(100):
+        a, b = rand_box7(rng), rand_box7(rng)
+        base = iou(a, b)
+        yaw = rng.uniform(-np.pi, np.pi)
+        tx, ty = rng.uniform(-50, 50, 2)
+        c, s = np.cos(yaw), np.sin(yaw)
+
+        def moved(v):
+            out = v.copy()
+            out[0] = c * v[0] - s * v[1] + tx
+            out[1] = s * v[0] + c * v[1] + ty
+            out[3] = v[3] + yaw
+            return out
+
+        assert abs(iou(moved(a), moved(b)) - base) < 1e-9
 
 
 def test_env_override_selects_pure():

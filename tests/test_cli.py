@@ -85,7 +85,15 @@ class TestSimulate:
         ({"num_frames": 2.5}, "num_frames must be an integer"),
         ({"occlusion_sectors": [[[1, 2, 3]], []]}, "is not a (lo, hi) pair"),
         ({"num_objects": 500}, "world too small"),
-    ], ids=[f"raw{k}" for k in range(8)])
+        ({"world_extent": float("nan")}, "world_extent must be finite"),
+        ({"world_extent": float("inf")}, "world_extent must be finite"),
+        ({"speed_max": float("inf")}, "speed_max must be finite"),
+        ({"score_base": float("nan")}, "score_base must be finite"),
+        ({"speed_min": float("nan")}, "speed_min must be finite"),
+        ({"sigma": [0.3, float("nan")]}, "sigma must be finite"),
+        ({"score_jitter": float("-inf")}, "score_jitter must be finite"),
+        ({"occlusion_sectors": [[[0.0, float("inf")]], []]}, "occlusion_sectors must be finite"),
+    ], ids=[f"raw{k}" for k in range(16)])
     def test_per_agent_list_length_exits_2(self, tmp_path, capsys, raw, message):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))

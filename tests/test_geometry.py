@@ -101,23 +101,6 @@ class TestIou3d:
             a, b = rand_box7(rng), rand_box7(rng)
             assert abs(iou3d(a, b) - iou3d(b, a)) < 1e-12
 
-    def test_rigid_motion_invariance(self, rng):
-        for _ in range(100):
-            a, b = rand_box7(rng), rand_box7(rng)
-            base = iou3d(a, b)
-            yaw = rng.uniform(-np.pi, np.pi)
-            tx, ty = rng.uniform(-50, 50, 2)
-            c, s = np.cos(yaw), np.sin(yaw)
-
-            def moved(v):
-                out = v.copy()
-                out[0] = c * v[0] - s * v[1] + tx
-                out[1] = s * v[0] + c * v[1] + ty
-                out[3] = v[3] + yaw
-                return out
-
-            assert abs(iou3d(moved(a), moved(b)) - base) < 1e-9
-
     def test_monte_carlo_oracle(self, rng):
         for _ in range(100):
             a = rand_box7(rng, center_scale=1.5)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from coopmot import kalman, tracker
 from coopmot.core import TrackerConfig
-from conftest import born, make_box, reference_predict, reference_update, track_store
+from conftest import F, H, born, make_box, reference_predict, reference_update, track_store
 
 
 @pytest.fixture
@@ -21,15 +21,6 @@ def random_spd(rng, n):
 
 
 class TestModel:
-    def test_transition_structure(self, model):
-        f = model.F
-        expected = np.eye(10)
-        expected[0, 7] = expected[1, 8] = expected[2, 9] = 1.0
-        assert np.array_equal(f, expected)
-
-    def test_measurement_structure(self, model):
-        assert np.array_equal(model.H, np.hstack([np.eye(7), np.zeros((7, 3))]))
-
     def test_noise_matrices_symmetric_nonneg_diag(self, model):
         for m in (model.Q, model.R, model.P0):
             assert np.array_equal(m, m.T)
@@ -37,8 +28,7 @@ class TestModel:
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            kalman.KalmanModel(F=np.eye(9), H=np.zeros((7, 10)), Q=np.eye(10),
-                               R=np.eye(7), P0=np.eye(10))
+            kalman.KalmanModel(Q=np.eye(9), R=np.eye(7), P0=np.eye(10))
 
 
 class TestInitTrack:
@@ -87,7 +77,7 @@ class TestPredict:
             p_diag = rng.uniform(0.1, 5.0, 10)
             t = track_store(rng.normal(size=10), np.diag(p_diag))
             pred = kalman.predict(t, model).covariances[0]
-            dense = model.F @ np.diag(p_diag) @ model.F.T + model.Q
+            dense = F @ np.diag(p_diag) @ F.T + model.Q
             dense = 0.5 * (dense + dense.T)
             assert np.allclose(pred, dense, atol=1e-12)
             # diagonal picks up the velocity coupling terms
@@ -99,13 +89,12 @@ class TestPredict:
 class TestUpdate:
     def test_zero_innovation_identity(self, model):
         t = born(make_box(x=1.0, y=2.0, theta=0.3), model)
-        z = model.H @ t.states[0]
+        z = H @ t.states[0]
         u = kalman.update(t, [0], [z], t.scores, model)
         assert np.allclose(u.states, t.states, atol=1e-12)
 
     def test_large_r_discounts_measurement(self, model):
-        big_r = kalman.KalmanModel(F=model.F, H=model.H, Q=model.Q,
-                                   R=1e12 * np.eye(7), P0=model.P0)
+        big_r = kalman.KalmanModel(Q=model.Q, R=1e12 * np.eye(7), P0=model.P0)
         t = born(make_box(x=1.0), big_r)
         z = t.states[0, :7] + np.array([5.0, -4.0, 3.0, 0.2, 0.1, 0.1, 0.1])
         u = kalman.update(t, [0], [z], t.scores, big_r)
@@ -113,17 +102,14 @@ class TestUpdate:
 
     def test_unit_gain_midpoint(self):
         # P = I, R = I gives gain 0.5 on each measured axis
-        model = kalman.KalmanModel(F=kalman._transition_matrix(),
-                                   H=kalman._measurement_matrix(),
-                                   Q=np.zeros((10, 10)), R=np.eye(7),
-                                   P0=np.eye(10))
+        model = kalman.KalmanModel(Q=np.zeros((10, 10)), R=np.eye(7), P0=np.eye(10))
         t = born(make_box(), model)
         z = np.array([2.0, 4.0, -2.0, 0.0, 1.0, 1.0, 1.0])
         u = kalman.update(t, [0], [z], t.scores, model).states[0]
         assert np.allclose(u[:3], [1.0, 2.0, -1.0], atol=1e-12)
         # dense oracle for the full update
         p = np.eye(10)
-        h, r = model.H, model.R
+        h, r = H, model.R
         k = p @ h.T @ np.linalg.inv(h @ p @ h.T + r)
         expected = t.states[0] + k @ (z - h @ t.states[0])
         assert np.allclose(u, expected, atol=1e-12)
@@ -137,9 +123,7 @@ class TestUpdate:
         assert u.scores.tolist() == [0.7]
 
     def test_singular_innovation(self):
-        model = kalman.KalmanModel(F=kalman._transition_matrix(),
-                                   H=kalman._measurement_matrix(),
-                                   Q=np.zeros((10, 10)), R=np.zeros((7, 7)),
+        model = kalman.KalmanModel(Q=np.zeros((10, 10)), R=np.zeros((7, 7)),
                                    P0=np.zeros((10, 10)))
         t = born(make_box(), model)
         with pytest.raises(kalman.SingularInnovation):
@@ -172,9 +156,9 @@ class TestInvariants:
         for _ in range(100):
             cov = random_spd(rng, 10)
             t = track_store(rng.normal(size=10), cov)
-            z = model.H @ t.states[0] + rng.normal(size=7)
+            z = H @ t.states[0] + rng.normal(size=7)
             u = kalman.update(t, [0], [z], t.scores, model).covariances[0]
-            h, r = model.H, model.R
+            h, r = H, model.R
             k = cov @ h.T @ np.linalg.inv(h @ cov @ h.T + r)
             ikh = np.eye(10) - k @ h
             joseph = ikh @ cov @ ikh.T + k @ r @ k.T
@@ -185,7 +169,7 @@ class TestInvariants:
         for _ in range(200):
             cov = random_spd(rng, 10)
             t = track_store(rng.normal(size=10), cov)
-            z = model.H @ t.states[0] + rng.normal(size=7)
+            z = H @ t.states[0] + rng.normal(size=7)
             u = kalman.update(t, [0], [z], t.scores, model).covariances[0]
             assert np.all(np.diag(u) <= np.diag(cov) + 1e-12)
 

@@ -149,6 +149,36 @@ class TestMatchFrame:
                                       iou_threshold=threshold)
 
 
+class TestUnequalFrameCounts:
+    """Frames past the end of the shorter list count as empty frames."""
+
+    def test_predictions_past_the_ground_truth_are_false_positives(self):
+        gt = [gt_row([(0, 0.0, 0.0)])]
+        pred = [pred_row([(1, 0.0, 0.0, 0.9)]),
+                pred_row([(1, 50.0, 0.0, 0.9), (2, -50.0, 0.0, 0.9)])]
+        tally = metrics.evaluate_sequence(gt, pred)
+        assert len(tally.per_frame) == 2
+        totals = tally.totals
+        assert (totals.tp, totals.fp, totals.fn, totals.gt_count) == (1, 2, 0, 1)
+        report = metrics.amota_family(gt, pred)
+        assert report.mota == -100.0
+        assert report.operating_points[-1].fp == 2
+        assert report.to_dict() == metrics.amota_family(gt + [[]], pred).to_dict()
+
+    def test_ground_truth_past_the_predictions_is_missed(self):
+        gt = [gt_row([(0, 0.0, 0.0)]), gt_row([(0, 2.0, 0.0)])]
+        pred = [pred_row([(1, 0.0, 0.0, 0.9)])]
+        tally = metrics.evaluate_sequence(gt, pred)
+        totals = tally.totals
+        assert (totals.tp, totals.fp, totals.fn, totals.gt_count) == (1, 0, 1, 2)
+        assert tally.frames_present == {0: 2} and tally.frames_matched == {0: 1}
+        report = metrics.amota_family(gt, pred)
+        assert report.mota == 50.0 and report.mt == 0.0
+        assert report.operating_points[19].fn == 1
+        assert report.operating_points[20].threshold is None
+        assert report.to_dict() == metrics.amota_family(gt, pred + [[]]).to_dict()
+
+
 class TestMotaMotp:
     def test_perfect(self):
         counts = metrics.FrameCounts(tp=10, fp=0, fn=0, idsw=0,
