@@ -16,9 +16,10 @@ block with numpy, using the operations of iou3d_pair in the same order
 gate is the float iou3d_pair would compute. The gate keeps a pair when
 neither rejection holds, written as their negation so that NaN comparisons
 keep a pair exactly as the scalar code does. Only the kept pairs reach the
-clip, with each box's corners and area computed once; the clip and volume
-arithmetic is one helper shared with iou3d_pair. The matrix is therefore
-equal, entry for entry, to calling iou3d_pair on every pair.
+clip. A box's corners and area are computed from Python floats, once, when
+a kept pair first needs them; the clip and volume arithmetic is one helper
+shared with iou3d_pair. The matrix is therefore equal, entry for entry, to
+calling iou3d_pair on every pair.
 """
 
 import math
@@ -27,22 +28,6 @@ import numpy as np
 
 # BEV intersection areas below this are treated as zero (clipping noise).
 AREA_EPS = 1e-12
-
-
-def bev_corners(box7):
-    """Counter-clockwise BEV rectangle corners (4, 2) of a box 7-vector."""
-    x, y = box7[0], box7[1]
-    theta, w, l = box7[3], box7[5], box7[6]
-    c, s = math.cos(theta), math.sin(theta)
-    hl, hw = 0.5 * l, 0.5 * w
-    out = np.empty((4, 2), dtype=float)
-    # local corners (+hl,+hw), (-hl,+hw), (-hl,-hw), (+hl,-hw)
-    lx = (hl, -hl, -hl, hl)
-    ly = (hw, hw, -hw, -hw)
-    for k in range(4):
-        out[k, 0] = c * lx[k] - s * ly[k] + x
-        out[k, 1] = s * lx[k] + c * ly[k] + y
-    return out
 
 
 def _clip_polygon(subject, clip):
@@ -91,9 +76,14 @@ def _polygon_area(poly):
     return 0.5 * abs(acc)
 
 
-def _bev(box7):
-    """BEV corners of a box as (x, y) tuples, and their shoelace area."""
-    poly = [tuple(p) for p in bev_corners(box7).tolist()]
+def _bev(x, y, theta, w, l):
+    """Counter-clockwise BEV corners of a box as (x, y) tuples, and their
+    shoelace area, from the box's centre, yaw and extents as floats."""
+    c, s = math.cos(theta), math.sin(theta)
+    hl, hw = 0.5 * l, 0.5 * w
+    # local corners (+hl,+hw), (-hl,+hw), (-hl,-hw), (+hl,-hw)
+    poly = [(c * lx - s * ly + x, s * lx + c * ly + y)
+            for lx, ly in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))]
     return poly, _polygon_area(poly)
 
 
@@ -131,7 +121,8 @@ def iou3d_pair(a7, b7):
     dx, dy = a7[0] - b7[0], a7[1] - b7[1]
     if dx * dx + dy * dy > (ra + rb) * (ra + rb):
         return 0.0
-    return _clipped_iou(*_bev(a7), za1 - za0, *_bev(b7), zb1 - zb0, dz)
+    return _clipped_iou(*_bev(a7[0], a7[1], a7[3], a7[5], a7[6]), za1 - za0,
+                        *_bev(b7[0], b7[1], b7[3], b7[5], b7[6]), zb1 - zb0, dz)
 
 
 def iou3d_matrix(rows, cols):
@@ -162,11 +153,17 @@ def iou3d_matrix(rows, cols):
     with np.errstate(over="ignore"):
         near = ~(dz <= 0.0) & ~(dx * dx + dy * dy > rr * rr)
     ii, jj = np.nonzero(near)
-    row_bev = {i: _bev(rows[i]) for i in np.unique(ii).tolist()}
-    col_bev = {j: _bev(cols[j]) for j in np.unique(jj).tolist()}
+    row_box = rows[:, [0, 1, 3, 5, 6]].tolist()  # x, y, theta, w, l
+    col_box = cols[:, [0, 1, 3, 5, 6]].tolist()
     ha = (za1 - za0)[:, 0].tolist()
     hb = (zb1 - zb0)[0, :].tolist()
-    out[ii, jj] = [_clipped_iou(*row_bev[i], ha[i], *col_bev[j], hb[j], d)
-                   for i, j, d in zip(ii.tolist(), jj.tolist(),
-                                      dz[ii, jj].tolist())]
+    row_bev, col_bev = {}, {}
+    vals = []
+    for i, j, d in zip(ii.tolist(), jj.tolist(), dz[ii, jj].tolist()):
+        if i not in row_bev:
+            row_bev[i] = _bev(*row_box[i])
+        if j not in col_bev:
+            col_bev[j] = _bev(*col_box[j])
+        vals.append(_clipped_iou(*row_bev[i], ha[i], *col_bev[j], hb[j], d))
+    out[ii, jj] = vals
     return out

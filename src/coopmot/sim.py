@@ -133,42 +133,45 @@ def generate(cfg: ScenarioConfig):
     """Build (gt_frames, bundles) for the configured scenario.
 
     gt_frames[t] is a list of (object_id, Detection); bundles[t] is the
-    FrameBundle of both agents' noisy detections.
+    FrameBundle of both agents' noisy detections. Raises ValueError on overflow.
     """
     rng = np.random.default_rng(cfg.seed)
     objects = _spawn_objects(cfg, rng)
 
     gt_frames = []
     bundles = []
-    for t in range(cfg.num_frames):
-        gt_row = []
-        positions = []
-        for oid, obj in enumerate(objects):
-            pos = obj.pos0 + t * obj.vel
-            positions.append(pos)
-            gt_row.append((oid, Detection(
-                x=pos[0], y=pos[1], z=pos[2], theta=obj.theta,
-                h=CAR_H, w=CAR_W, l=CAR_L, score=1.0)))
-        gt_frames.append(gt_row)
-
-        per_agent = {}
-        for a, agent in enumerate(AGENTS):
-            dets = []
+    with np.errstate(over="ignore"):  # overflows raise ValueError below
+        for t in range(cfg.num_frames):
+            gt_row = []
+            positions = []
             for oid, obj in enumerate(objects):
-                # fixed draw order keeps the stream reproducible
-                drop_u = rng.uniform()
-                noise = rng.normal(0.0, 1.0, size=3)
-                jitter = rng.normal(0.0, 1.0)
-                pos = positions[oid]
-                if _occluded(pos[0], pos[1], cfg.occlusion_sectors[a]):
-                    continue
-                if drop_u < cfg.dropout[a]:
-                    continue
-                noisy = pos + cfg.sigma[a] * noise
-                score = min(1.0, max(0.0, cfg.score_base + cfg.score_jitter * jitter))
-                dets.append(validate_detection(Detection(
-                    x=noisy[0], y=noisy[1], z=noisy[2], theta=obj.theta,
-                    h=CAR_H, w=CAR_W, l=CAR_L, score=score)))
-            per_agent[agent] = dets
-        bundles.append(FrameBundle(frame=t, detections_by_agent=per_agent))
+                pos = obj.pos0 + t * obj.vel
+                positions.append(pos)
+                gt_row.append((oid, Detection(
+                    x=pos[0], y=pos[1], z=pos[2], theta=obj.theta,
+                    h=CAR_H, w=CAR_W, l=CAR_L, score=1.0)))
+            if not np.isfinite(positions).all():
+                raise ValueError(f"ground-truth position is not finite at frame {t}")
+            gt_frames.append(gt_row)
+
+            per_agent = {}
+            for a, agent in enumerate(AGENTS):
+                dets = []
+                for oid, obj in enumerate(objects):
+                    # fixed draw order keeps the stream reproducible
+                    drop_u = rng.uniform()
+                    noise = rng.normal(0.0, 1.0, size=3)
+                    jitter = rng.normal(0.0, 1.0)
+                    pos = positions[oid]
+                    if _occluded(pos[0], pos[1], cfg.occlusion_sectors[a]):
+                        continue
+                    if drop_u < cfg.dropout[a]:
+                        continue
+                    noisy = pos + cfg.sigma[a] * noise
+                    score = min(1.0, max(0.0, cfg.score_base + cfg.score_jitter * jitter))
+                    dets.append(validate_detection(Detection(
+                        x=noisy[0], y=noisy[1], z=noisy[2], theta=obj.theta,
+                        h=CAR_H, w=CAR_W, l=CAR_L, score=score)))
+                per_agent[agent] = dets
+            bundles.append(FrameBundle(frame=t, detections_by_agent=per_agent))
     return gt_frames, bundles

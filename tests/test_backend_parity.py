@@ -8,6 +8,7 @@ when no C compiler or no Python headers are available.
 """
 
 import importlib.util
+import math
 import os
 import shutil
 import subprocess
@@ -15,6 +16,8 @@ import sysconfig
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopmot import geometry
 from coopmot.geometry import _pure
@@ -83,29 +86,36 @@ def test_exact_cases_on_both_backends(native):
         assert kernel.iou3d_pair(a, a + np.array([0, 0, 10, 0, 0, 0, 0.0])) == 0.0
 
 
+@pytest.fixture(scope="session")
+def kernels(native):
+    return {"native": native, "pure": _pure}
+
+
+# the ranges of conftest.rand_box7: centres within 2 m, extents 0.5 to 4 m
+_box = st.tuples(*[st.floats(-2.0, 2.0)] * 3, st.floats(-math.pi, math.pi),
+                 *[st.floats(0.5, 4.0)] * 3).map(np.array)
+
+
 @pytest.mark.parametrize("backend", ["native", "pure"])
-def test_rigid_motion_invariance(request, rng, backend):
+@settings(max_examples=100, deadline=None)
+@given(a=_box, b=_box, yaw=st.floats(-math.pi, math.pi),
+       tx=st.floats(-50.0, 50.0), ty=st.floats(-50.0, 50.0))
+def test_rigid_motion_invariance(kernels, backend, a, b, yaw, tx, ty):
     """IoU is unchanged when both boxes get the same planar rigid motion."""
-    kernel = request.getfixturevalue("native") if backend == "native" else _pure
+    kernel = kernels[backend]
+    c, s = math.cos(yaw), math.sin(yaw)
+
+    def moved(v):
+        out = v.copy()
+        out[0] = c * v[0] - s * v[1] + tx
+        out[1] = s * v[0] + c * v[1] + ty
+        out[3] = v[3] + yaw
+        return out
 
     def iou(a, b):
         return kernel.iou3d_matrix(a[None], b[None])[0, 0]
 
-    for _ in range(100):
-        a, b = rand_box7(rng), rand_box7(rng)
-        base = iou(a, b)
-        yaw = rng.uniform(-np.pi, np.pi)
-        tx, ty = rng.uniform(-50, 50, 2)
-        c, s = np.cos(yaw), np.sin(yaw)
-
-        def moved(v):
-            out = v.copy()
-            out[0] = c * v[0] - s * v[1] + tx
-            out[1] = s * v[0] + c * v[1] + ty
-            out[3] = v[3] + yaw
-            return out
-
-        assert abs(iou(moved(a), moved(b)) - base) < 1e-9
+    assert abs(iou(moved(a), moved(b)) - iou(a, b)) < 1e-9
 
 
 def test_env_override_selects_pure():

@@ -93,7 +93,12 @@ class TestSimulate:
         ({"sigma": [0.3, float("nan")]}, "sigma must be finite"),
         ({"score_jitter": float("-inf")}, "score_jitter must be finite"),
         ({"occlusion_sectors": [[[0.0, float("inf")]], []]}, "occlusion_sectors must be finite"),
-    ], ids=[f"raw{k}" for k in range(16)])
+        # finite speeds whose positions overflow: no overflow warning on
+        # stderr, and nothing written even when every detection is dropped
+        ({"speed_max": 1e308}, "ground-truth position is not finite"),
+        ({"speed_min": 1e307, "speed_max": 1e308, "num_frames": 5, "num_objects": 2,
+          "dropout": [1.0, 1.0]}, "ground-truth position is not finite"),
+    ], ids=[f"raw{k}" for k in range(18)])
     def test_per_agent_list_length_exits_2(self, tmp_path, capsys, raw, message):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))

@@ -15,8 +15,8 @@ from conftest import iou3d, make_box, mc_iou, rand_box7
 class BevPolygon:
     """Convex birds-eye-view quad, counter-clockwise corners (4, 2).
 
-    Oracle for _pure.bev_corners: construction fails unless the corners
-    form a convex counter-clockwise quad with non-zero area.
+    Checks the corners of _pure._bev: construction fails unless they form
+    a convex counter-clockwise quad with non-zero area.
     """
 
     corners: np.ndarray
@@ -46,7 +46,34 @@ class BevPolygon:
 
 def box_to_bev(d) -> BevPolygon:
     """BEV rectangle of a detection: extent l x w at (x, y), rotated by theta."""
-    return BevPolygon(_pure.bev_corners(geometry.as_box7_array([d])[0]))
+    x, y, _, theta, _, w, l = geometry.as_box7_array([d])[0].tolist()
+    return BevPolygon(np.array(_pure._bev(x, y, theta, w, l)[0]))
+
+
+def bev_corners(box7):
+    """Counter-clockwise BEV rectangle corners (4, 2) of a box 7-vector,
+    written element by element into a numpy array: the oracle for _pure._bev."""
+    x, y = box7[0], box7[1]
+    theta, w, l = box7[3], box7[5], box7[6]
+    c, s = math.cos(theta), math.sin(theta)
+    hl, hw = 0.5 * l, 0.5 * w
+    out = np.empty((4, 2), dtype=float)
+    # local corners (+hl,+hw), (-hl,+hw), (-hl,-hw), (+hl,-hw)
+    lx = (hl, -hl, -hl, hl)
+    ly = (hw, hw, -hw, -hw)
+    for k in range(4):
+        out[k, 0] = c * lx[k] - s * ly[k] + x
+        out[k, 1] = s * lx[k] + c * ly[k] + y
+    return out
+
+
+def _signed_zero_or(values):
+    return st.one_of(values, st.sampled_from([0.0, -0.0]))
+
+
+_NEAR_PI = [math.pi, -math.pi, math.nextafter(math.pi, 0.0),
+            math.nextafter(-math.pi, 0.0), math.nextafter(math.pi, 4.0),
+            math.nextafter(-math.pi, -4.0)]
 
 
 class TestBoxToBev:
@@ -78,6 +105,24 @@ class TestBoxToBev:
         bowtie = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             BevPolygon(bowtie)
+
+
+class TestBevOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(x=_signed_zero_or(st.floats(-1e6, 1e6)),
+           y=_signed_zero_or(st.floats(-1e6, 1e6)),
+           theta=_signed_zero_or(st.one_of(st.sampled_from(_NEAR_PI),
+                                           st.floats(-3.2, 3.2))),
+           w=_signed_zero_or(st.floats(1e-6, 1e6)),
+           l=_signed_zero_or(st.floats(1e-6, 1e6)))
+    def test_float_corners_and_area_equal_numpy_oracle(self, x, y, theta, w, l):
+        # float.hex tells -0.0 from 0.0, so signed zeros must match too
+        box7 = np.array([x, y, 0.0, theta, 1.0, w, l])
+        expected = [tuple(p) for p in bev_corners(box7).tolist()]
+        poly, area = _pure._bev(x, y, theta, w, l)
+        assert [tuple(map(float.hex, p)) for p in poly] \
+            == [tuple(map(float.hex, p)) for p in expected]
+        assert float.hex(area) == float.hex(_pure._polygon_area(expected))
 
 
 class TestIou3d:
