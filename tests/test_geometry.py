@@ -50,32 +50,6 @@ def box_to_bev(d) -> BevPolygon:
     return BevPolygon(np.array(_pure._bev(x, y, theta, w, l)[0]))
 
 
-def bev_corners(box7):
-    """Counter-clockwise BEV rectangle corners (4, 2) of a box 7-vector,
-    written element by element into a numpy array: the oracle for _pure._bev."""
-    x, y = box7[0], box7[1]
-    theta, w, l = box7[3], box7[5], box7[6]
-    c, s = math.cos(theta), math.sin(theta)
-    hl, hw = 0.5 * l, 0.5 * w
-    out = np.empty((4, 2), dtype=float)
-    # local corners (+hl,+hw), (-hl,+hw), (-hl,-hw), (+hl,-hw)
-    lx = (hl, -hl, -hl, hl)
-    ly = (hw, hw, -hw, -hw)
-    for k in range(4):
-        out[k, 0] = c * lx[k] - s * ly[k] + x
-        out[k, 1] = s * lx[k] + c * ly[k] + y
-    return out
-
-
-def _signed_zero_or(values):
-    return st.one_of(values, st.sampled_from([0.0, -0.0]))
-
-
-_NEAR_PI = [math.pi, -math.pi, math.nextafter(math.pi, 0.0),
-            math.nextafter(-math.pi, 0.0), math.nextafter(math.pi, 4.0),
-            math.nextafter(-math.pi, -4.0)]
-
-
 class TestBoxToBev:
     def test_axis_aligned(self):
         poly = box_to_bev(make_box(l=2.0, w=1.0))
@@ -105,6 +79,32 @@ class TestBoxToBev:
         bowtie = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             BevPolygon(bowtie)
+
+
+def bev_corners(box7):
+    """Counter-clockwise BEV rectangle corners (4, 2) of a box 7-vector,
+    written element by element into a numpy array: the oracle for _pure._bev."""
+    x, y = box7[0], box7[1]
+    theta, w, l = box7[3], box7[5], box7[6]
+    c, s = math.cos(theta), math.sin(theta)
+    hl, hw = 0.5 * l, 0.5 * w
+    out = np.empty((4, 2), dtype=float)
+    # local corners (+hl,+hw), (-hl,+hw), (-hl,-hw), (+hl,-hw)
+    lx = (hl, -hl, -hl, hl)
+    ly = (hw, hw, -hw, -hw)
+    for k in range(4):
+        out[k, 0] = c * lx[k] - s * ly[k] + x
+        out[k, 1] = s * lx[k] + c * ly[k] + y
+    return out
+
+
+def _signed_zero_or(values):
+    return st.one_of(values, st.sampled_from([0.0, -0.0]))
+
+
+_NEAR_PI = [math.pi, -math.pi, math.nextafter(math.pi, 0.0),
+            math.nextafter(-math.pi, 0.0), math.nextafter(math.pi, 4.0),
+            math.nextafter(-math.pi, -4.0)]
 
 
 class TestBevOracle:
