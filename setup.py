@@ -2,8 +2,8 @@
 
 The extension is optional: if a C compiler is unavailable the package
 installs anyway and falls back to the pure-numpy kernel at import time
-(see coopmot.geometry). With Cython installed the kernel is regenerated
-from _native.pyx; without it, the committed _native.c is compiled.
+(see coopmot.geometry). The kernel is the hand-written C file
+src/coopmot/geometry/_native.c, so a C compiler is all it needs.
 
 To compile in a source checkout:  python setup.py build_ext --inplace
 """
@@ -29,16 +29,9 @@ class optional_build_ext(build_ext):
                   "pure-python fallback will be used" % (ext.name, exc))
 
 
-_SOURCE = "src/coopmot/geometry/_native"
-_EXTENSION = dict(name="coopmot.geometry._native", include_dirs=[np.get_include()])
-try:
-    from Cython.Build import cythonize
-    ext_modules = cythonize([Extension(sources=[_SOURCE + ".pyx"], **_EXTENSION)],
-                            language_level=3)
-except ImportError:
-    ext_modules = [Extension(sources=[_SOURCE + ".c"], **_EXTENSION)]
-
 setup(
-    ext_modules=ext_modules,
+    ext_modules=[Extension("coopmot.geometry._native",
+                           sources=["src/coopmot/geometry/_native.c"],
+                           include_dirs=[np.get_include()])],
     cmdclass={"build_ext": optional_build_ext},
 )

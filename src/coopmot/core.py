@@ -71,7 +71,8 @@ def validate_detection(d: Detection) -> Detection:
     """
     values = (d.x, d.y, d.z, d.theta, d.h, d.w, d.l, d.score)
     if not all(math.isfinite(v) for v in values):
-        raise InvalidBox(f"non-finite field in detection: {d}")
+        bad = [k for k, v in asdict(d).items() if not math.isfinite(v)]
+        raise InvalidBox(f"non-finite field in detection: {', '.join(bad)}")
     if d.h <= 0 or d.w <= 0 or d.l <= 0:
         raise InvalidBox(f"non-positive extent (h={d.h}, w={d.w}, l={d.l})")
     if not 0.0 <= d.score <= 1.0:

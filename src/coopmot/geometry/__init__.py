@@ -1,8 +1,9 @@
 """Oriented 3D bounding-box overlap.
 
-The IoU kernel has two interchangeable backends: a compiled Cython module
-(built by setup.py) and a pure-numpy fallback. The compiled one is chosen
-at import when available; set COOPMOT_PURE=1 to force the fallback.
+The IoU kernel has two interchangeable backends: a compiled C module
+(_native.c, built by setup.py) and a pure-numpy fallback. The compiled
+one is chosen at import when available; set COOPMOT_PURE=1 to force the
+fallback.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Pure-python/numpy oriented-box IoU kernel.
 
-Reference implementation of the hot geometry kernel; the Cython module
-coopmot.geometry._native mirrors these formulas operation for operation so
-both backends agree to floating-point noise.
+Reference implementation of the hot geometry kernel; the C module
+coopmot.geometry._native (_native.c) mirrors these formulas operation for
+operation so both backends agree to floating-point noise. It has only
+iou3d_matrix; iou3d_pair here is the tests' per-pair oracle.
 
 Boxes are 7-vectors [x y z theta h w l]: centroid, yaw about z, extents.
 Overlap is BEV convex-polygon clipping (Sutherland-Hodgman) times the

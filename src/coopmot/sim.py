@@ -168,9 +168,13 @@ def generate(cfg: ScenarioConfig):
                     if drop_u < cfg.dropout[a]:
                         continue
                     noisy = pos + cfg.sigma[a] * noise
+                    x, y, z = noisy[0], noisy[1], noisy[2]  # indexing is cheaper than unpacking
+                    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+                        raise ValueError("detection position is not finite "
+                                         f"at frame {t}, agent {agent}")
                     score = min(1.0, max(0.0, cfg.score_base + cfg.score_jitter * jitter))
                     dets.append(validate_detection(Detection(
-                        x=noisy[0], y=noisy[1], z=noisy[2], theta=obj.theta,
+                        x=x, y=y, z=z, theta=obj.theta,
                         h=CAR_H, w=CAR_W, l=CAR_L, score=score)))
                 per_agent[agent] = dets
             bundles.append(FrameBundle(frame=t, detections_by_agent=per_agent))

@@ -1,10 +1,10 @@
 """The compiled and pure IoU kernels must agree to floating-point noise,
 and each must keep IoU unchanged under a rigid motion of both boxes.
 
-When the compiled kernel is not installed, the tracked _native.c is built
-once per session into a pytest temp directory and loaded from there by
-file path; nothing is built into the source tree. The module skips only
-when no C compiler or no Python headers are available.
+When the compiled kernel is not installed, _native.c is built once per
+session into a pytest temp directory, with warnings as errors, and loaded
+from there by file path; nothing is built into the source tree. The
+module skips only when no C compiler or no Python headers are available.
 """
 
 import importlib.util
@@ -25,14 +25,15 @@ from conftest import rand_box7
 
 
 def _build_native(build_dir):
-    """Compile the tracked _native.c into build_dir and load it."""
+    """Compile _native.c into build_dir, warning-free, and load it."""
     compiler = shutil.which((sysconfig.get_config_var("CC") or "cc").split()[0])
     include = sysconfig.get_paths()["include"]
     if compiler is None or not os.path.exists(os.path.join(include, "Python.h")):
         pytest.skip("no C compiler or Python headers to build the compiled kernel")
     source = os.path.join(os.path.dirname(_pure.__file__), "_native.c")
     target = os.path.join(build_dir, "_native" + sysconfig.get_config_var("EXT_SUFFIX"))
-    build = subprocess.run([compiler, "-shared", "-fPIC", "-O2", "-I", include,
+    build = subprocess.run([compiler, "-shared", "-fPIC", "-O2",
+                            "-Wall", "-Wextra", "-Werror", "-I", include,
                             "-I", np.get_include(), source, "-o", target],
                            capture_output=True, text=True)
     assert build.returncode == 0, build.stderr
@@ -51,11 +52,16 @@ def native(tmp_path_factory):
     return _native
 
 
+def pair(kernel, a, b):
+    """A kernel's IoU of two boxes, as its 1 x 1 iou3d_matrix."""
+    return kernel.iou3d_matrix(a[None], b[None])[0, 0]
+
+
 def test_pair_parity(native, rng):
     for _ in range(2000):
         a = rand_box7(rng, center_scale=3.0)
         b = rand_box7(rng, center_scale=3.0)
-        assert abs(native.iou3d_pair(a, b) - _pure.iou3d_pair(a, b)) < 1e-12
+        assert abs(pair(native, a, b) - _pure.iou3d_pair(a, b)) < 1e-12
 
 
 def test_matrix_parity(native, rng):
@@ -81,9 +87,19 @@ def test_exact_cases_on_both_backends(native):
     a = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
     b = np.array([0.5, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
     for kernel in (native, _pure):
-        assert kernel.iou3d_pair(a, a) == 1.0
-        assert abs(kernel.iou3d_pair(a, b) - 1.0 / 3.0) < 1e-12
-        assert kernel.iou3d_pair(a, a + np.array([0, 0, 10, 0, 0, 0, 0.0])) == 0.0
+        assert pair(kernel, a, a) == 1.0
+        assert abs(pair(kernel, a, b) - 1.0 / 3.0) < 1e-12
+        assert pair(kernel, a, a + np.array([0, 0, 10, 0, 0, 0, 0.0])) == 0.0
+
+
+@pytest.mark.parametrize("shape", [(2, 14), (3, 6)])
+def test_native_rejects_non_box_arrays(native, shape):
+    """Only (N, 7) arrays are boxes; nothing is reshaped into them."""
+    boxes = np.zeros(shape)
+    with pytest.raises(ValueError):
+        native.iou3d_matrix(boxes, np.zeros((1, 7)))
+    with pytest.raises(ValueError):
+        native.iou3d_matrix(np.zeros((1, 7)), boxes)
 
 
 @pytest.fixture(scope="session")
@@ -112,10 +128,7 @@ def test_rigid_motion_invariance(kernels, backend, a, b, yaw, tx, ty):
         out[3] = v[3] + yaw
         return out
 
-    def iou(a, b):
-        return kernel.iou3d_matrix(a[None], b[None])[0, 0]
-
-    assert abs(iou(moved(a), moved(b)) - iou(a, b)) < 1e-9
+    assert abs(pair(kernel, moved(a), moved(b)) - pair(kernel, a, b)) < 1e-9
 
 
 def test_env_override_selects_pure():

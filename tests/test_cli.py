@@ -98,7 +98,10 @@ class TestSimulate:
         ({"speed_max": 1e308}, "ground-truth position is not finite"),
         ({"speed_min": 1e307, "speed_max": 1e308, "num_frames": 5, "num_objects": 2,
           "dropout": [1.0, 1.0]}, "ground-truth position is not finite"),
-    ], ids=[f"raw{k}" for k in range(18)])
+        # finite noise whose detections overflow: the message names the frame
+        # and agent, not a Detection repr
+        ({"sigma": [1e308, 0.3]}, "detection position is not finite at frame 2, agent agent0"),
+    ], ids=[f"raw{k}" for k in range(19)])
     def test_per_agent_list_length_exits_2(self, tmp_path, capsys, raw, message):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))

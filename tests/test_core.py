@@ -33,6 +33,11 @@ class TestValidateDetection:
         with pytest.raises(core.InvalidBox):
             core.validate_detection(make_box(x=float("inf")))
 
+    def test_non_finite_message_names_fields(self):
+        with pytest.raises(core.InvalidBox) as info:
+            core.validate_detection(make_box(x=1e308 * 10, l=float("nan")))
+        assert str(info.value) == "non-finite field in detection: x, l"
+
     def test_score_range(self):
         with pytest.raises(core.InvalidBox):
             core.validate_detection(make_box(score=1.5))

@@ -234,8 +234,10 @@ class TestNonFiniteBoxes:
 
 
 def kernel_pair(a, b):
-    """The active kernel's per-pair IoU of two boxes."""
-    return geometry._kernel.iou3d_pair(*geometry.as_box7_array([a, b]))
+    """The active kernel's IoU of two boxes, as its 1 x 1 iou3d_matrix: an
+    entry of a larger matrix must not depend on the other boxes."""
+    a7, b7 = geometry.as_box7_array([a, b])
+    return geometry._kernel.iou3d_matrix(a7[None], b7[None])[0, 0]
 
 
 class TestIouMatrix:
