@@ -40,7 +40,7 @@ def wrap_angle(theta: float) -> float:
     return wrapped - math.pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     """One 3D bounding box: centroid, yaw about z, extents, confidence.
 
@@ -69,8 +69,9 @@ def validate_detection(d: Detection) -> Detection:
     Raises InvalidBox when any field is non-finite, any extent is <= 0,
     or the score lies outside [0, 1].
     """
-    values = (d.x, d.y, d.z, d.theta, d.h, d.w, d.l, d.score)
-    if not all(math.isfinite(v) for v in values):
+    if not (math.isfinite(d.x) and math.isfinite(d.y) and math.isfinite(d.z)
+            and math.isfinite(d.theta) and math.isfinite(d.h) and math.isfinite(d.w)
+            and math.isfinite(d.l) and math.isfinite(d.score)):
         bad = [k for k, v in asdict(d).items() if not math.isfinite(v)]
         raise InvalidBox(f"non-finite field in detection: {', '.join(bad)}")
     if d.h <= 0 or d.w <= 0 or d.l <= 0:

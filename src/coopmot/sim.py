@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ from .core import Detection, FrameBundle, validate_detection, wrap_angle
 
 CAR_L, CAR_W, CAR_H = 4.5, 1.8, 1.6
 MIN_SPAWN_SEPARATION = 8.0  # centers; keeps >= 2 m box clearance
+MAX_SPAWN_ATTEMPTS = 10000
 
 AGENTS = ("agent0", "agent1")
 
@@ -58,11 +60,17 @@ class ScenarioConfig:
         bounds = [b for sectors in self.occlusion_sectors for s in sectors for b in s]
         for key, values in (("speed_min", [self.speed_min]), ("speed_max", [self.speed_max]),
                             ("world_extent", [self.world_extent]), ("sigma", self.sigma),
-                            ("score_base", [self.score_base]),
+                            ("dropout", self.dropout), ("score_base", [self.score_base]),
                             ("score_jitter", [self.score_jitter]),
                             ("occlusion_sectors", bounds)):
-            if not all(math.isfinite(v) for v in values):
+            if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                       for v in values):
+                raise ValueError(f"{key} must be a number")
+            # NaN, the infinities and ints too large for a float all fail
+            if not all(abs(v) <= sys.float_info.max for v in values):
                 raise ValueError(f"{key} must be finite")
+        if self.world_extent < 0:
+            raise ValueError("world_extent must be >= 0")
         if any(s < 0 for s in self.sigma):
             raise ValueError("sigma must be >= 0")
         if any(not 0.0 <= p <= 1.0 for p in self.dropout):
@@ -89,43 +97,32 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     return ScenarioConfig(**kwargs)
 
 
-def _in_sector(angle: float, sector) -> bool:
-    lo, hi = sector
-    lo, hi = wrap_angle(lo), wrap_angle(hi)
+def _in_sector(angle: float, lo: float, hi: float) -> bool:
     if lo <= hi:
         return lo <= angle < hi
     return angle >= lo or angle < hi
 
 
-def _occluded(x: float, y: float, sectors) -> bool:
-    bearing = math.atan2(y, x)
-    return any(_in_sector(bearing, s) for s in sectors)
-
-
-@dataclass
-class _ObjectTrack:
-    pos0: np.ndarray
-    vel: np.ndarray
-    theta: float
-
-
 def _spawn_objects(cfg: ScenarioConfig, rng) -> list:
+    """(x, y, vx, vy, theta) of each object, as Python floats."""
     half = cfg.world_extent / 2.0
+    # each placed object took an attempt, so at most MAX_SPAWN_ATTEMPTS are placed
+    centres = np.empty((min(cfg.num_objects, MAX_SPAWN_ATTEMPTS), 2))
     objects = []
     attempts = 0
     while len(objects) < cfg.num_objects:
         attempts += 1
-        if attempts > 10000:
+        if attempts > MAX_SPAWN_ATTEMPTS:
             raise ValueError("world too small for the requested object count")
         pos = rng.uniform(-half, half, size=2)
-        if any(np.hypot(*(pos - o.pos0[:2])) < MIN_SPAWN_SEPARATION for o in objects):
+        if (np.hypot(*(pos - centres[:len(objects)]).T) < MIN_SPAWN_SEPARATION).any():
             continue
+        centres[len(objects)] = pos
         speed = rng.uniform(cfg.speed_min, cfg.speed_max)
         heading = rng.uniform(-math.pi, math.pi)
-        vel = np.array([speed * math.cos(heading), speed * math.sin(heading), 0.0])
-        objects.append(_ObjectTrack(
-            pos0=np.array([pos[0], pos[1], CAR_H / 2.0]),
-            vel=vel, theta=wrap_angle(heading)))
+        x, y = pos.tolist()
+        objects.append((x, y, speed * math.cos(heading), speed * math.sin(heading),
+                        wrap_angle(heading)))
     return objects
 
 
@@ -137,45 +134,42 @@ def generate(cfg: ScenarioConfig):
     """
     rng = np.random.default_rng(cfg.seed)
     objects = _spawn_objects(cfg, rng)
+    z = CAR_H / 2.0  # objects move in the plane
+    sectors = [[(wrap_angle(lo), wrap_angle(hi)) for lo, hi in agent_sectors]
+               for agent_sectors in cfg.occlusion_sectors]
+    agents = list(zip(AGENTS, cfg.sigma, cfg.dropout, sectors))
 
     gt_frames = []
     bundles = []
-    with np.errstate(over="ignore"):  # overflows raise ValueError below
-        for t in range(cfg.num_frames):
-            gt_row = []
-            positions = []
-            for oid, obj in enumerate(objects):
-                pos = obj.pos0 + t * obj.vel
-                positions.append(pos)
-                gt_row.append((oid, Detection(
-                    x=pos[0], y=pos[1], z=pos[2], theta=obj.theta,
-                    h=CAR_H, w=CAR_W, l=CAR_L, score=1.0)))
-            if not np.isfinite(positions).all():
-                raise ValueError(f"ground-truth position is not finite at frame {t}")
-            gt_frames.append(gt_row)
+    for t in range(cfg.num_frames):
+        positions = [(x + t * vx, y + t * vy) for x, y, vx, vy, _ in objects]
+        if not all(math.isfinite(x) and math.isfinite(y) for x, y in positions):
+            raise ValueError(f"ground-truth position is not finite at frame {t}")
+        gt_frames.append([(oid, Detection(x, y, z, obj[4], CAR_H, CAR_W, CAR_L, 1.0))
+                          for oid, ((x, y), obj) in enumerate(zip(positions, objects))])
+        bearings = [math.atan2(y, x) for x, y in positions] if any(sectors) else None
 
-            per_agent = {}
-            for a, agent in enumerate(AGENTS):
-                dets = []
-                for oid, obj in enumerate(objects):
-                    # fixed draw order keeps the stream reproducible
-                    drop_u = rng.uniform()
-                    noise = rng.normal(0.0, 1.0, size=3)
-                    jitter = rng.normal(0.0, 1.0)
-                    pos = positions[oid]
-                    if _occluded(pos[0], pos[1], cfg.occlusion_sectors[a]):
-                        continue
-                    if drop_u < cfg.dropout[a]:
-                        continue
-                    noisy = pos + cfg.sigma[a] * noise
-                    x, y, z = noisy[0], noisy[1], noisy[2]  # indexing is cheaper than unpacking
-                    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-                        raise ValueError("detection position is not finite "
-                                         f"at frame {t}, agent {agent}")
-                    score = min(1.0, max(0.0, cfg.score_base + cfg.score_jitter * jitter))
-                    dets.append(validate_detection(Detection(
-                        x=x, y=y, z=z, theta=obj.theta,
-                        h=CAR_H, w=CAR_W, l=CAR_L, score=score)))
-                per_agent[agent] = dets
-            bundles.append(FrameBundle(frame=t, detections_by_agent=per_agent))
+        per_agent = {}
+        for agent, sigma, dropout, agent_sectors in agents:
+            dets = []
+            for oid, (x, y) in enumerate(positions):
+                # fixed draw order keeps the stream reproducible: one uniform
+                # (random() is uniform() bit for bit), then four normals, for
+                # the three noise axes and the score jitter
+                drop_u = rng.random()
+                nx, ny, nz, jitter = rng.normal(0.0, 1.0, size=4).tolist()
+                if agent_sectors and any(_in_sector(bearings[oid], lo, hi)
+                                         for lo, hi in agent_sectors):
+                    continue
+                if drop_u < dropout:
+                    continue
+                dx, dy, dz = x + sigma * nx, y + sigma * ny, z + sigma * nz
+                if not (math.isfinite(dx) and math.isfinite(dy) and math.isfinite(dz)):
+                    raise ValueError("detection position is not finite "
+                                     f"at frame {t}, agent {agent}")
+                score = min(1.0, max(0.0, cfg.score_base + cfg.score_jitter * jitter))
+                dets.append(validate_detection(Detection(
+                    dx, dy, dz, objects[oid][4], CAR_H, CAR_W, CAR_L, score)))
+            per_agent[agent] = dets
+        bundles.append(FrameBundle(frame=t, detections_by_agent=per_agent))
     return gt_frames, bundles

@@ -1,12 +1,13 @@
 import itertools
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from coopmot import assign, geometry, graphlap, kalman
-from coopmot.core import Detection, wrap_angle
+from coopmot import assign, geometry, graphlap, kalman, sim
+from coopmot.core import Detection, FrameBundle, validate_detection, wrap_angle
 from coopmot.io import Pose
 
 
@@ -63,6 +64,98 @@ def reference_update(state, cov, z, model):
     state[3] = wrap_angle(state[3])
     cov = cov - gain @ H @ cov
     return state, 0.5 * (cov + cov.T)
+
+
+# The scene generator as it built every box from numpy scalars, object by
+# object: the oracle for sim.generate, which must draw the same random
+# stream and emit the same values bit for bit.
+def _reference_in_sector(angle: float, sector) -> bool:
+    lo, hi = sector
+    lo, hi = wrap_angle(lo), wrap_angle(hi)
+    if lo <= hi:
+        return lo <= angle < hi
+    return angle >= lo or angle < hi
+
+
+def _reference_occluded(x: float, y: float, sectors) -> bool:
+    bearing = math.atan2(y, x)
+    return any(_reference_in_sector(bearing, s) for s in sectors)
+
+
+@dataclass
+class _ReferenceObject:
+    pos0: np.ndarray
+    vel: np.ndarray
+    theta: float
+
+
+def _reference_spawn(cfg, rng) -> list:
+    half = cfg.world_extent / 2.0
+    objects = []
+    attempts = 0
+    while len(objects) < cfg.num_objects:
+        attempts += 1
+        if attempts > 10000:
+            raise ValueError("world too small for the requested object count")
+        pos = rng.uniform(-half, half, size=2)
+        if any(np.hypot(*(pos - o.pos0[:2])) < sim.MIN_SPAWN_SEPARATION for o in objects):
+            continue
+        speed = rng.uniform(cfg.speed_min, cfg.speed_max)
+        heading = rng.uniform(-math.pi, math.pi)
+        vel = np.array([speed * math.cos(heading), speed * math.sin(heading), 0.0])
+        objects.append(_ReferenceObject(
+            pos0=np.array([pos[0], pos[1], sim.CAR_H / 2.0]),
+            vel=vel, theta=wrap_angle(heading)))
+    return objects
+
+
+def reference_generate(cfg):
+    """(gt_frames, bundles) of sim.generate, built per object from numpy
+    scalars with the draw order uniform(), normal(size=3), normal()."""
+    rng = np.random.default_rng(cfg.seed)
+    objects = _reference_spawn(cfg, rng)
+
+    gt_frames = []
+    bundles = []
+    with np.errstate(over="ignore"):  # overflows raise ValueError below
+        for t in range(cfg.num_frames):
+            gt_row = []
+            positions = []
+            for oid, obj in enumerate(objects):
+                pos = obj.pos0 + t * obj.vel
+                positions.append(pos)
+                gt_row.append((oid, Detection(
+                    x=pos[0], y=pos[1], z=pos[2], theta=obj.theta,
+                    h=sim.CAR_H, w=sim.CAR_W, l=sim.CAR_L, score=1.0)))
+            if not np.isfinite(positions).all():
+                raise ValueError(f"ground-truth position is not finite at frame {t}")
+            gt_frames.append(gt_row)
+
+            per_agent = {}
+            for a, agent in enumerate(sim.AGENTS):
+                dets = []
+                for oid, obj in enumerate(objects):
+                    # fixed draw order keeps the stream reproducible
+                    drop_u = rng.uniform()
+                    noise = rng.normal(0.0, 1.0, size=3)
+                    jitter = rng.normal(0.0, 1.0)
+                    pos = positions[oid]
+                    if _reference_occluded(pos[0], pos[1], cfg.occlusion_sectors[a]):
+                        continue
+                    if drop_u < cfg.dropout[a]:
+                        continue
+                    noisy = pos + cfg.sigma[a] * noise
+                    x, y, z = noisy[0], noisy[1], noisy[2]  # indexing is cheaper than unpacking
+                    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+                        raise ValueError("detection position is not finite "
+                                         f"at frame {t}, agent {agent}")
+                    score = min(1.0, max(0.0, cfg.score_base + cfg.score_jitter * jitter))
+                    dets.append(validate_detection(Detection(
+                        x=x, y=y, z=z, theta=obj.theta,
+                        h=sim.CAR_H, w=sim.CAR_W, l=sim.CAR_L, score=score)))
+                per_agent[agent] = dets
+            bundles.append(FrameBundle(frame=t, detections_by_agent=per_agent))
+    return gt_frames, bundles
 
 
 def iou3d(a, b) -> float:

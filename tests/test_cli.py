@@ -101,7 +101,18 @@ class TestSimulate:
         # finite noise whose detections overflow: the message names the frame
         # and agent, not a Detection repr
         ({"sigma": [1e308, 0.3]}, "detection position is not finite at frame 2, agent agent0"),
-    ], ids=[f"raw{k}" for k in range(19)])
+        # JSON booleans and other non-numbers are not scenario numbers
+        ({"speed_min": True, "speed_max": True}, "speed_min must be a number"),
+        ({"dropout": [True, False]}, "dropout must be a number"),
+        ({"sigma": ["0.3", 0.3]}, "sigma must be a number"),
+        ({"score_jitter": None}, "score_jitter must be a number"),
+        ({"occlusion_sectors": [[[0.0, [1.0]]], []]}, "occlusion_sectors must be a number"),
+        ({"world_extent": -60}, "world_extent must be >= 0"),
+        # an int too large for a float is not finite (was an OverflowError traceback)
+        ({"speed_max": 10**400}, "speed_max must be finite"),
+        # the spawn buffer is bounded by the attempt limit, not by num_objects
+        ({"num_objects": 10**12}, "world too small"),
+    ], ids=[f"raw{k}" for k in range(27)])
     def test_per_agent_list_length_exits_2(self, tmp_path, capsys, raw, message):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))

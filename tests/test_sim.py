@@ -2,9 +2,76 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coopmot import sim
 from coopmot.core import validate_detection
+from conftest import reference_generate
+
+FIELDS = ("x", "y", "z", "theta", "h", "w", "l", "score")
+
+
+def hexed(gt_frames, bundles):
+    """Every frame, agent, object id and box field, fields as float.hex, in
+    emitted order."""
+    def box(d):
+        return tuple(float(getattr(d, f)).hex() for f in FIELDS)
+    return ([[(oid, box(d)) for oid, d in row] for row in gt_frames],
+            [(b.frame, [(agent, [box(d) for d in dets])
+                        for agent, dets in b.detections_by_agent.items()])
+             for b in bundles])
+
+
+def generated(generate, cfg):
+    """hexed(generate(cfg)), or the ValueError message it raised."""
+    try:
+        return hexed(*generate(cfg))
+    except ValueError as exc:
+        return str(exc)
+
+
+# bearings on both sides of [-pi, pi), so sectors wrap and get wrapped
+bounds = st.floats(-7.0, 7.0)
+sigmas = st.one_of(st.sampled_from([0.0, 0]), st.floats(0.0, 3.0))
+dropouts = st.one_of(st.sampled_from([0.0, 1.0, 0, 1]), st.floats(0.0, 1.0))
+agent_sectors = st.lists(st.tuples(bounds, bounds), max_size=3)
+
+
+@st.composite
+def scenarios(draw):
+    speed_min = draw(st.floats(0.0, 2.0))
+    return sim.ScenarioConfig(
+        num_objects=draw(st.integers(0, 15)), num_frames=draw(st.integers(1, 30)),
+        speed_min=speed_min, speed_max=speed_min + draw(st.floats(0.0, 2.0)),
+        world_extent=draw(st.floats(30.0, 300.0)),
+        sigma=(draw(sigmas), draw(sigmas)), dropout=(draw(dropouts), draw(dropouts)),
+        occlusion_sectors=(tuple(draw(agent_sectors)), tuple(draw(agent_sectors))),
+        score_base=draw(st.floats(0.0, 1.0)),
+        # 5 clamps many scores at 0 and at 1
+        score_jitter=draw(st.one_of(st.floats(0.0, 0.3), st.just(5.0))),
+        seed=draw(st.integers(0, 2**32)))
+
+
+class TestMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(scenarios())
+    @example(sim.ScenarioConfig(num_objects=15, num_frames=30, world_extent=200.0,
+                                sigma=(0, 0.5), dropout=(0.0, 1.0),
+                                occlusion_sectors=(((3.0, -3.0), (0.5, 1.0)), ((-6.0, 6.5),)),
+                                score_base=0.5, score_jitter=5.0, seed=7))
+    @example(sim.ScenarioConfig(num_objects=0, num_frames=1))
+    def test_bit_identical(self, cfg):
+        assert generated(sim.generate, cfg) == generated(reference_generate, cfg)
+
+    def test_clamped_scores_bit_identical(self):
+        cfg = sim.ScenarioConfig(num_objects=10, num_frames=20, world_extent=150.0,
+                                 score_base=0.5, score_jitter=5.0, seed=3)
+        _, bundles = sim.generate(cfg)
+        scores = {d.score for b in bundles for dets in b.detections_by_agent.values()
+                  for d in dets}
+        assert {0.0, 1.0} <= scores
+        assert generated(sim.generate, cfg) == generated(reference_generate, cfg)
 
 
 class TestGenerate:
