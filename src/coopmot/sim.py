@@ -138,6 +138,7 @@ def generate(cfg: ScenarioConfig):
     sectors = [[(wrap_angle(lo), wrap_angle(hi)) for lo, hi in agent_sectors]
                for agent_sectors in cfg.occlusion_sectors]
     agents = list(zip(AGENTS, cfg.sigma, cfg.dropout, sectors))
+    thetas = [theta for *_, theta in objects]
 
     gt_frames = []
     bundles = []
@@ -145,8 +146,8 @@ def generate(cfg: ScenarioConfig):
         positions = [(x + t * vx, y + t * vy) for x, y, vx, vy, _ in objects]
         if not all(math.isfinite(x) and math.isfinite(y) for x, y in positions):
             raise ValueError(f"ground-truth position is not finite at frame {t}")
-        gt_frames.append([(oid, Detection(x, y, z, obj[4], CAR_H, CAR_W, CAR_L, 1.0))
-                          for oid, ((x, y), obj) in enumerate(zip(positions, objects))])
+        gt_frames.append([(oid, Detection(x, y, z, theta, CAR_H, CAR_W, CAR_L, 1.0))
+                          for oid, ((x, y), theta) in enumerate(zip(positions, thetas))])
         bearings = [math.atan2(y, x) for x, y in positions] if any(sectors) else None
 
         per_agent = {}
@@ -169,7 +170,7 @@ def generate(cfg: ScenarioConfig):
                                      f"at frame {t}, agent {agent}")
                 score = min(1.0, max(0.0, cfg.score_base + cfg.score_jitter * jitter))
                 dets.append(validate_detection(Detection(
-                    dx, dy, dz, objects[oid][4], CAR_H, CAR_W, CAR_L, score)))
+                    dx, dy, dz, thetas[oid], CAR_H, CAR_W, CAR_L, score)))
             per_agent[agent] = dets
         bundles.append(FrameBundle(frame=t, detections_by_agent=per_agent))
     return gt_frames, bundles
