@@ -37,12 +37,12 @@ def as_box7_array(objs) -> np.ndarray:
     """
     if not (isinstance(objs, np.ndarray) and objs.dtype == float and objs.ndim == 2
             and objs.shape[1] == 7):
-        rows = [o.box7() if isinstance(o, core.Detection)
+        rows = [(o.x, o.y, o.z, o.theta, o.h, o.w, o.l) if isinstance(o, core.Detection)
                 else np.asarray(o, dtype=float).reshape(-1) for o in objs]
         for row in rows:
-            if row.shape[0] < 7:
+            if len(row) < 7:
                 raise ValueError(f"expected a 7-vector box, got shape {row.shape}")
-        objs = np.stack([row[:7] for row in rows]) if rows else np.zeros((0, 7))
+        objs = np.array([row[:7] for row in rows], dtype=float).reshape(-1, 7)
     if not np.isfinite(objs).all():
         raise ValueError("box has a non-finite value")
     return objs

@@ -11,16 +11,17 @@ z-interval overlap.
 
 A pair is zero without clipping when its z-intervals do not overlap
 (dz <= 0) or its circumscribed BEV circles are apart (dx^2 + dy^2 >
-(ra + rb)^2). iou3d_matrix evaluates both rejections for the whole N x M
-block with numpy, using the operations of iou3d_pair in the same order
-(Python's min/max semantics, radii from math.hypot), so each entry of the
-gate is the float iou3d_pair would compute. The gate keeps a pair when
-neither rejection holds, written as their negation so that NaN comparisons
-keep a pair exactly as the scalar code does. Only the kept pairs reach the
-clip. A box's corners and area are computed from Python floats, once, when
-a kept pair first needs them; the clip and volume arithmetic is one helper
-shared with iou3d_pair. The matrix is therefore equal, entry for entry, to
-calling iou3d_pair on every pair.
+(ra + rb)^2). iou3d_matrix evaluates the circle rejection for the whole
+N x M block with numpy, using the operations of iou3d_pair in the same
+order (radii from math.hypot), so each entry is the float iou3d_pair would
+compute; it is written as a negation so that a NaN comparison keeps a pair
+exactly as the scalar code does. The z rejection then runs, with Python's
+min/max as in iou3d_pair, only on the pairs the circle test keeps, and
+only the pairs that pass both reach the clip. A box's corners and area
+are computed from Python floats, once, when a kept pair first needs them;
+the clip and volume arithmetic is one helper shared with iou3d_pair. The
+matrix is therefore equal, entry for entry, to calling iou3d_pair on every
+pair.
 """
 
 import math
@@ -129,8 +130,9 @@ def iou3d_pair(a7, b7):
 def iou3d_matrix(rows, cols):
     """Pairwise IoU matrix of two (N, 7) / (M, 7) box arrays.
 
-    Both rejections of iou3d_pair run on the whole block at once, and only
-    the pairs that pass both reach the polygon clip (see module docstring).
+    The circle rejection runs on the whole block at once, the z rejection
+    on the pairs it keeps, and only the pairs that pass both reach the
+    polygon clip (see module docstring).
     """
     rows = np.asarray(rows, dtype=float)
     cols = np.asarray(cols, dtype=float)
@@ -138,13 +140,6 @@ def iou3d_matrix(rows, cols):
     out = np.zeros((n, m), dtype=float)
     if n == 0 or m == 0:
         return out
-    za0 = (rows[:, 2] - 0.5 * rows[:, 4])[:, None]
-    za1 = (rows[:, 2] + 0.5 * rows[:, 4])[:, None]
-    zb0 = (cols[:, 2] - 0.5 * cols[:, 4])[None, :]
-    zb1 = (cols[:, 2] + 0.5 * cols[:, 4])[None, :]
-    # min(za1, zb1) - max(za0, zb0) with Python's min/max, which keep the
-    # first argument unless the second compares smaller/larger (NaN too)
-    dz = np.where(zb1 < za1, zb1, za1) - np.where(zb0 > za0, zb0, za0)
     ra = np.array([0.5 * math.hypot(w, l) for w, l in rows[:, 5:7].tolist()])
     rb = np.array([0.5 * math.hypot(w, l) for w, l in cols[:, 5:7].tolist()])
     dx = rows[:, 0][:, None] - cols[:, 0][None, :]
@@ -152,19 +147,23 @@ def iou3d_matrix(rows, cols):
     rr = ra[:, None] + rb[None, :]
     # huge finite boxes square to inf here, as Python floats do in iou3d_pair
     with np.errstate(over="ignore"):
-        near = ~(dz <= 0.0) & ~(dx * dx + dy * dy > rr * rr)
-    ii, jj = np.nonzero(near)
+        ii, jj = np.nonzero(~(dx * dx + dy * dy > rr * rr))
     row_box = rows[:, [0, 1, 3, 5, 6]].tolist()  # x, y, theta, w, l
     col_box = cols[:, [0, 1, 3, 5, 6]].tolist()
-    ha = (za1 - za0)[:, 0].tolist()
-    hb = (zb1 - zb0)[0, :].tolist()
+    row_z = [(z - 0.5 * h, z + 0.5 * h) for z, h in rows[:, [2, 4]].tolist()]
+    col_z = [(z - 0.5 * h, z + 0.5 * h) for z, h in cols[:, [2, 4]].tolist()]
     row_bev, col_bev = {}, {}
     vals = []
-    for i, j, d in zip(ii.tolist(), jj.tolist(), dz[ii, jj].tolist()):
+    for i, j in zip(ii.tolist(), jj.tolist()):
+        (za0, za1), (zb0, zb1) = row_z[i], col_z[j]
+        dz = min(za1, zb1) - max(za0, zb0)
+        if dz <= 0.0:
+            vals.append(0.0)
+            continue
         if i not in row_bev:
             row_bev[i] = _bev(*row_box[i])
         if j not in col_bev:
             col_bev[j] = _bev(*col_box[j])
-        vals.append(_clipped_iou(*row_bev[i], ha[i], *col_bev[j], hb[j], d))
+        vals.append(_clipped_iou(*row_bev[i], za1 - za0, *col_bev[j], zb1 - zb0, dz))
     out[ii, jj] = vals
     return out

@@ -7,21 +7,24 @@ One JSON object per line. Field names are part of the interface:
 * ground truth: {"frame","object_id","x","y","z","theta","h","w","l"}
 * tracks:     {"frame","track_id","x","y","z","theta","h","w","l","score"}
 
-Files are UTF-8. Angles are radians, lengths meters. Floats are written
-with full repr precision so every file round-trips losslessly. Frames and
-ids are JSON integers (not booleans). Frame indices must be non-decreasing
-within a file; readers return dense frame lists from 0 to the maximum
-index, with gaps as empty frames. Every error on a line is a ParseError
-that reads "<path>: line N: <reason>".
+Files are UTF-8. Angles are radians, lengths meters. Writers format each
+row directly, floats by float.__repr__ as json.dumps does (so every file
+round-trips losslessly), and stream the rows to the file one by one; each
+row is the bytes of json.dumps(record) and a newline. Frames and ids are
+JSON integers (not booleans). Frame indices must be non-decreasing within
+a file; readers return dense frame lists from 0 to the maximum index, with
+gaps as empty frames. Every error on a line is a ParseError that reads
+"<path>: line N: <reason>".
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
-from .core import Detection, FrameBundle, InvalidBox, validate_detection, wrap_angle
+from .core import Detection, FrameBundle, validate_detection, wrap_angle
 
 
 class ParseError(ValueError):
@@ -59,52 +62,62 @@ def to_global(d: Detection, p: Pose) -> Detection:
 
 
 BOX_FIELDS = ("x", "y", "z", "theta", "h", "w", "l")
+_decode = json.JSONDecoder().raw_decode
+_FLOAT = {float}  # the type set of values that are all exact floats
 
 
-def _records(path, key, fields):
-    """Yield (where, frame, key value, floats) for each record of a file.
+def _records(path, key, fields, make):
+    """Yield (frame, key value, make(*floats)) for each record of a file.
 
-    where is the "<path>: line N" prefix of messages about the line; floats
-    holds the numeric fields in the order of fields. Every check on a line
-    is made here: UTF-8, JSON, object, fields present, frame index, frame
-    order, the key field (a non-empty agent string or an integer id) and
-    numeric fields. JSON booleans are neither frames, ids nor numbers.
+    floats holds the numeric fields in the order of fields. Every check on
+    a line is made here: UTF-8, JSON, object, fields present, frame index,
+    frame order, the key field (a non-empty agent string or an integer id),
+    numeric fields, and make's own ValueError. JSON booleans are neither
+    frames, ids nor numbers. Messages are built only when a check fails.
     """
+    names = frozenset(("frame", key) + fields)
+    get = operator.itemgetter(*fields)
     last_frame = 0
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            where = f"{path}: line {lineno}"
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError as exc:
-                raise ParseError(f"{where}: not UTF-8 ({exc})") from exc
+                raise ParseError(f"{path}: line {lineno}: not UTF-8 ({exc})") from exc
             if not line:
                 continue
-            try:
-                rec = json.loads(line)
+            try:  # json.loads itself raises for a BOM or data after the object
+                rec, end = (None, 0) if line[0] == "\ufeff" else _decode(line)
+                if end != len(line):
+                    rec = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ParseError(f"{where}: invalid JSON ({exc})") from exc
+                raise ParseError(f"{path}: line {lineno}: invalid JSON ({exc})") from exc
             if not isinstance(rec, dict):
-                raise ParseError(f"{where}: expected an object")
-            missing = [f for f in ("frame", key) + fields if f not in rec]
-            if missing:
-                raise ParseError(f"{where}: missing fields {missing}")
+                raise ParseError(f"{path}: line {lineno}: expected an object")
+            if not rec.keys() >= names:
+                missing = [f for f in ("frame", key) + fields if f not in rec]
+                raise ParseError(f"{path}: line {lineno}: missing fields {missing}")
             frame, value = rec["frame"], rec[key]
             if type(frame) is not int or frame < 0:
-                raise ParseError(f"{where}: bad frame index {frame!r}")
+                raise ParseError(f"{path}: line {lineno}: bad frame index {frame!r}")
             if frame < last_frame:
-                raise FrameOrderError(f"{where}: frame {frame} after frame {last_frame}")
+                raise FrameOrderError(
+                    f"{path}: line {lineno}: frame {frame} after frame {last_frame}")
             last_frame = frame
             ok = isinstance(value, str) and value if key == "agent" else type(value) is int
             if not ok:
-                raise ParseError(f"{where}: bad {key} {value!r}")
-            floats = []
-            for name in fields:
-                v = rec[name]
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise ParseError(f"{where}: field {name!r} must be a number")
-                floats.append(float(v))
-            yield where, frame, value, floats
+                raise ParseError(f"{path}: line {lineno}: bad {key} {value!r}")
+            floats = get(rec)
+            if set(map(type, floats)) != _FLOAT:  # ints, or a value that is no number
+                for name, v in zip(fields, floats):
+                    if isinstance(v, bool) or not isinstance(v, (int, float)):
+                        raise ParseError(f"{path}: line {lineno}: field {name!r} must be a number")
+                floats = tuple(map(float, floats))
+            try:
+                obj = make(*floats)
+            except ValueError as exc:
+                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+            yield frame, value, obj
 
 
 def _dense(frames: dict, empty) -> list:
@@ -114,19 +127,27 @@ def _dense(frames: dict, empty) -> list:
             for t in range(max(frames, default=-1) + 1)]
 
 
-def _detection(where, floats) -> Detection:
+def _detection(*floats) -> Detection:
     """The validated Detection of a record's box (and score) floats."""
-    try:
-        return validate_detection(Detection(*floats))
-    except InvalidBox as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+    return validate_detection(Detection(*floats))
 
 
-def _write(path, records) -> None:
-    """Write dicts as one JSON object per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+def _spell(values) -> tuple:
+    """values as json.dumps writes them: finite exact floats as they are,
+    since json.dumps writes them with float.__repr__, which is their str();
+    anything else (ints, float subclasses, NaN, infinities) by json.dumps."""
+    if set(map(type, values)) == _FLOAT and math.isfinite(sum(values)):
+        return values
+    return tuple(map(json.dumps, values))
+
+
+# Rows as json.dumps(record) + "\n" writes them: keys in this order, ", ", ": ".
+_BOX_ROW = '"x": %s, "y": %s, "z": %s, "theta": %s, "h": %s, "w": %s, "l": %s'
+_GT_ROW = _BOX_ROW + "}\n"
+_SCORED_ROW = _BOX_ROW + ', "score": %s}\n'
+_box = operator.attrgetter(*BOX_FIELDS)
+_scored_box = operator.attrgetter(*BOX_FIELDS, "score")
+_seven = operator.itemgetter(*range(7))
 
 
 def _bundles(frames: dict) -> list:
@@ -138,9 +159,8 @@ def _bundles(frames: dict) -> list:
 def read_detections(path) -> list:
     """Read a detection file into dense, agent-sorted FrameBundles."""
     frames = {}
-    for where, frame, agent, floats in _records(path, "agent", BOX_FIELDS + ("score",)):
-        frames.setdefault(frame, {}).setdefault(agent, []).append(
-            _detection(where, floats))
+    for frame, agent, d in _records(path, "agent", BOX_FIELDS + ("score",), _detection):
+        frames.setdefault(frame, {}).setdefault(agent, []).append(d)
     return _bundles(frames)
 
 
@@ -156,58 +176,55 @@ def merge_detection_files(paths) -> list:
 
 
 def write_detections(path, bundles) -> None:
-    _write(path, ({
-        "frame": bundle.frame, "agent": agent,
-        "x": d.x, "y": d.y, "z": d.z, "theta": d.theta,
-        "h": d.h, "w": d.w, "l": d.l, "score": d.score,
-    } for bundle in bundles for agent, dets in bundle.detections_by_agent.items()
-        for d in dets))
+    names = {}  # each agent name is escaped once
+    with open(path, "w", encoding="utf-8") as fh:
+        for bundle in bundles:
+            frame = json.dumps(bundle.frame)
+            for agent, dets in bundle.detections_by_agent.items():
+                name = names.get(agent) or names.setdefault(agent, json.dumps(agent))
+                head = f'{{"frame": {frame}, "agent": {name}, '
+                for d in dets:
+                    fh.write(head + _SCORED_ROW % _spell(_scored_box(d)))
 
 
 def read_gt(path) -> list:
     """Read ground truth as per-frame lists of (object_id, Detection)."""
     frames = {}
-    for where, frame, oid, floats in _records(path, "object_id", BOX_FIELDS):
-        frames.setdefault(frame, []).append((oid, _detection(where, floats)))
+    for frame, oid, d in _records(path, "object_id", BOX_FIELDS, _detection):
+        frames.setdefault(frame, []).append((oid, d))
     return _dense(frames, list)
 
 
 def write_gt(path, gt_frames) -> None:
-    _write(path, ({
-        "frame": t, "object_id": oid,
-        "x": d.x, "y": d.y, "z": d.z, "theta": d.theta,
-        "h": d.h, "w": d.w, "l": d.l,
-    } for t, row in enumerate(gt_frames) for oid, d in row))
+    with open(path, "w", encoding="utf-8") as fh:
+        for t, row in enumerate(gt_frames):
+            for oid, d in row:
+                oid = oid if type(oid) is int else json.dumps(oid)
+                fh.write(f'{{"frame": {t}, "object_id": {oid}, ' + _GT_ROW % _spell(_box(d)))
 
 
 def read_tracks(path) -> list:
     """Read tracker output as per-frame lists of (track_id, Detection, score)."""
     frames = {}
-    for where, frame, tid, floats in _records(path, "track_id", BOX_FIELDS + ("score",)):
-        frames.setdefault(frame, []).append((tid, _detection(where, floats), floats[-1]))
+    for frame, tid, d in _records(path, "track_id", BOX_FIELDS + ("score",), _detection):
+        frames.setdefault(frame, []).append((tid, d, d.score))
     return _dense(frames, list)
 
 
 def write_tracks(path, outputs) -> None:
     """Write FrameOutputs as a tracks file."""
-    _write(path, ({
-        "frame": out.frame, "track_id": int(tid),
-        "x": float(box[0]), "y": float(box[1]), "z": float(box[2]),
-        "theta": float(box[3]), "h": float(box[4]),
-        "w": float(box[5]), "l": float(box[6]),
-        "score": float(score),
-    } for out in outputs for tid, box, score in out.emitted))
+    with open(path, "w", encoding="utf-8") as fh:
+        for out in outputs:
+            frame = json.dumps(out.frame)
+            for tid, box, score in out.emitted:
+                fh.write(f'{{"frame": {frame}, "track_id": {int(tid)}, ' + _SCORED_ROW
+                         % _spell((*map(float, _seven(box)), float(score))))
 
 
 def read_poses(path) -> dict:
     """Read poses keyed by (frame, agent)."""
-    poses = {}
-    for where, frame, agent, floats in _records(path, "agent", ("x", "y", "z", "yaw")):
-        try:
-            poses[(frame, agent)] = Pose(*floats)
-        except ValueError as exc:
-            raise ParseError(f"{where}: {exc}") from exc
-    return poses
+    return {(frame, agent): pose
+            for frame, agent, pose in _records(path, "agent", ("x", "y", "z", "yaw"), Pose)}
 
 
 def apply_poses(bundles, poses: dict) -> list:
@@ -219,13 +236,9 @@ def apply_poses(bundles, poses: dict) -> list:
     for bundle in bundles:
         per_agent = {}
         for agent, dets in bundle.detections_by_agent.items():
-            if not dets:
-                per_agent[agent] = []
-                continue
-            key = (bundle.frame, agent)
-            if key not in poses:
+            pose = poses.get((bundle.frame, agent))
+            if dets and pose is None:
                 raise ParseError(f"missing pose for frame {bundle.frame}, agent {agent}")
-            pose = poses[key]
             per_agent[agent] = [to_global(d, pose) for d in dets]
         projected.append(FrameBundle(frame=bundle.frame, detections_by_agent=per_agent))
     return projected

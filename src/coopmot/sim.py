@@ -82,18 +82,24 @@ class ScenarioConfig:
         return asdict(self)
 
 
+def _tuples(key: str, value, depth: int) -> tuple:
+    """value, lists nested depth deep, as tuples; anything else where a list
+    belongs is refused, naming key."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key} must be a list")
+    return tuple(_tuples(key, v, depth - 1) if depth > 1 else v for v in value)
+
+
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
     known = set(ScenarioConfig.__dataclass_fields__)
     unknown = set(raw) - known
     if unknown:
         raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
     kwargs = dict(raw)
-    for key in ("sigma", "dropout"):
+    # per agent: a value each, or a list of (lo, hi) sectors each
+    for key, depth in (("sigma", 1), ("dropout", 1), ("occlusion_sectors", 3)):
         if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
-    if "occlusion_sectors" in kwargs:
-        kwargs["occlusion_sectors"] = tuple(
-            tuple(tuple(s) for s in sect) for sect in kwargs["occlusion_sectors"])
+            kwargs[key] = _tuples(key, kwargs[key], depth)
     return ScenarioConfig(**kwargs)
 
 

@@ -112,7 +112,13 @@ class TestSimulate:
         ({"speed_max": 10**400}, "speed_max must be finite"),
         # the spawn buffer is bounded by the attempt limit, not by num_objects
         ({"num_objects": 10**12}, "world too small"),
-    ], ids=[f"raw{k}" for k in range(27)])
+        # per-agent values and sectors are lists (was "'float' object is not iterable")
+        ({"sigma": 0.3}, "sigma must be a list"),
+        ({"dropout": 0.1}, "dropout must be a list"),
+        ({"occlusion_sectors": [[0.5], []]}, "occlusion_sectors must be a list"),
+        ({"occlusion_sectors": [0.5, []]}, "occlusion_sectors must be a list"),
+        ({"occlusion_sectors": None}, "occlusion_sectors must be a list"),
+    ], ids=[f"raw{k}" for k in range(32)])
     def test_per_agent_list_length_exits_2(self, tmp_path, capsys, raw, message):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))

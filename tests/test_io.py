@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopmot import io, sim
+from coopmot import cli, io, sim
 from coopmot.core import Detection, FrameBundle
 from coopmot.tracker import FrameOutput
 from conftest import inverse_pose, make_box, total_detections, write_poses
@@ -268,3 +269,197 @@ class TestRoundTripProperty:
         def flat(ps):
             return {k: tuple(map(repr, (p.x, p.y, p.z, p.yaw))) for k, p in ps.items()}
         assert flat(io.read_poses(path)) == flat(poses)
+
+
+# The JSONL writers as they built a dict per row and wrote
+# json.dumps(record) + "\n": the oracle for the io writers, which must
+# write the same bytes. They live here, not in conftest, which the
+# benchmark imports.
+def _reference_write(path, records) -> None:
+    """Write dicts as one JSON object per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec) + "\n")
+
+
+def reference_write_detections(path, bundles) -> None:
+    _reference_write(path, ({
+        "frame": bundle.frame, "agent": agent,
+        "x": d.x, "y": d.y, "z": d.z, "theta": d.theta,
+        "h": d.h, "w": d.w, "l": d.l, "score": d.score,
+    } for bundle in bundles for agent, dets in bundle.detections_by_agent.items()
+        for d in dets))
+
+
+def reference_write_gt(path, gt_frames) -> None:
+    _reference_write(path, ({
+        "frame": t, "object_id": oid,
+        "x": d.x, "y": d.y, "z": d.z, "theta": d.theta,
+        "h": d.h, "w": d.w, "l": d.l,
+    } for t, row in enumerate(gt_frames) for oid, d in row))
+
+
+def reference_write_tracks(path, outputs) -> None:
+    """Write FrameOutputs as a tracks file."""
+    _reference_write(path, ({
+        "frame": out.frame, "track_id": int(tid),
+        "x": float(box[0]), "y": float(box[1]), "z": float(box[2]),
+        "theta": float(box[3]), "h": float(box[4]),
+        "w": float(box[5]), "l": float(box[6]),
+        "score": float(score),
+    } for out in outputs for tid, box, score in out.emitted))
+
+
+
+# The writers against the json.dumps(record) + "\n" writer they replaced
+# (reference_write_* above): the same bytes for any value, the same error
+# for a value json.dumps cannot write. Specials, ints, huge ints and float
+# subclasses leave the writers' fast path, so each is drawn often.
+WRITE_SAME = settings(max_examples=100, deadline=None)
+ANY_FLOAT = st.floats() | st.sampled_from([-0.0, 1e-300, 1e300, math.nan, math.inf, -math.inf])
+ANY_VALUE = (ANY_FLOAT | ANY_FLOAT.map(np.float64) | st.integers(-2**70, 2**70)
+             | st.just(10**400))
+FRAME_OR_ID = st.integers(-2**70, 2**70) | st.booleans()
+AGENT = st.text(max_size=4) | st.sampled_from(['"', "\\", 'a"b\\c', "é", " ", "\x00"])
+
+
+def any_detection(draw):
+    """A Detection of plain floats half the time, else of any values."""
+    values = draw(st.sampled_from([ANY_FLOAT, ANY_VALUE]))
+    return Detection(*(draw(values) for _ in range(8)))
+
+
+def written(write, path, data):
+    """The bytes write leaves at path, and the error it raised, if any."""
+    try:
+        write(path, data)
+        error = None
+    except (TypeError, ValueError, OverflowError) as exc:
+        error = (type(exc), str(exc))
+    return path.read_bytes(), error
+
+
+class TestWritersMatchJsonDumps:
+    @WRITE_SAME
+    @given(st.data())
+    def test_detections(self, tmp_path_factory, data):
+        bundles = [FrameBundle(frame=data.draw(FRAME_OR_ID), detections_by_agent={
+            agent: [any_detection(data.draw) for _ in range(data.draw(st.integers(0, 3)))]
+            for agent in data.draw(st.lists(AGENT, max_size=3, unique=True))})
+            for _ in range(data.draw(st.integers(0, 3)))]
+        base = tmp_path_factory.mktemp("w")
+        assert written(io.write_detections, base / "new.jsonl", bundles) == \
+            written(reference_write_detections, base / "old.jsonl", bundles)
+
+    @WRITE_SAME
+    @given(st.data())
+    def test_gt(self, tmp_path_factory, data):
+        gt_frames = [[(data.draw(FRAME_OR_ID), any_detection(data.draw))
+                      for _ in range(data.draw(st.integers(0, 3)))]
+                     for _ in range(data.draw(st.integers(0, 4)))]
+        base = tmp_path_factory.mktemp("w")
+        assert written(io.write_gt, base / "new.jsonl", gt_frames) == \
+            written(reference_write_gt, base / "old.jsonl", gt_frames)
+
+    @WRITE_SAME
+    @given(st.data())
+    def test_tracks(self, tmp_path_factory, data):
+        def box():  # a track state row, or any sequence of values
+            if data.draw(st.booleans()):
+                return np.array(data.draw(st.lists(ANY_FLOAT, min_size=7, max_size=10)))
+            return data.draw(st.lists(ANY_VALUE, min_size=7, max_size=10))
+        outputs = [FrameOutput(frame=data.draw(FRAME_OR_ID), emitted=tuple(
+            (data.draw(st.integers(0, 2**70) | st.integers(0, 99).map(np.int64)),
+             box(), data.draw(ANY_VALUE)) for _ in range(data.draw(st.integers(0, 3)))))
+            for _ in range(data.draw(st.integers(0, 3)))]
+        base = tmp_path_factory.mktemp("w")
+        assert written(io.write_tracks, base / "new.jsonl", outputs) == \
+            written(reference_write_tracks, base / "old.jsonl", outputs)
+
+
+# sha256 of simulate's files for a small seeded scenario with dropout and an
+# occlusion sector; any change of a written byte changes them.
+SIMULATE_SHA256 = {
+    "gt.jsonl": "95390125936f21ecfa8d7c2524b5a1ed7fca3e9662e5cea400278c8ea0f02865",
+    "detections_agent0.jsonl": "6c087e98511b6ac9aa049c81b3b2758fc2deee7eb5151a93a4f425373323bbee",
+    "detections_agent1.jsonl": "5dc71b58ffa70c78868e43497fd56f086491bf2142461072b936f84e3acbf791",
+}
+
+
+def test_simulate_bytes_are_pinned(tmp_path):
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps({
+        "num_objects": 6, "num_frames": 25, "sigma": [0.3, 0.2], "dropout": [0.1, 0.2],
+        "occlusion_sectors": [[], [[0.5, 1.5]]], "speed_min": 0.05, "speed_max": 0.2,
+        "world_extent": 60.0, "seed": 42}))
+    assert cli.main(["simulate", "--config", str(scen), "--out", str(tmp_path / "sim")]) == 0
+    assert {name: hashlib.sha256((tmp_path / "sim" / name).read_bytes()).hexdigest()
+            for name in SIMULATE_SHA256} == SIMULATE_SHA256
+
+
+GOOD = {"frame": 0, "agent": "a", "object_id": 3, "track_id": 4, "x": 0.5, "y": 0.0,
+        "z": 0.0, "theta": 0.0, "h": 1.0, "w": 1.0, "l": 1.0, "score": 0.5, "yaw": 0.0}
+READERS = {"detections": (io.read_detections, ("agent", "score")),
+           "gt": (io.read_gt, ("object_id",)), "tracks": (io.read_tracks, ("track_id", "score")),
+           "poses": (io.read_poses, ("agent", "yaw"))}
+
+
+def line(kind, **changes) -> str:
+    """One JSONL record of kind with the changes applied (None drops a field)."""
+    keys = ("frame",) + READERS[kind][1] + (
+        ("x", "y", "z") if kind == "poses" else io.BOX_FIELDS)
+    rec = {k: changes.get(k, GOOD[k]) for k in keys if changes.get(k, 0) is not None}
+    return json.dumps(rec) + "\n"
+
+
+# (kind, file content, the whole message after "<path>: ").
+READ_ERRORS = [
+    ("gt", b'{"frame": 0, "object_id": "\xff"}\n',
+     "line 1: not UTF-8 ('utf-8' codec can't decode byte 0xff in position 27: "
+     "invalid start byte)"),
+    ("detections", "{broken\n", "line 1: invalid JSON (Expecting property name "
+     "enclosed in double quotes: line 1 column 2 (char 1))"),
+    ("tracks", line("tracks").strip() + "  []\n",
+     "line 1: invalid JSON (Extra data: line 1 column 118 (char 117))"),
+    ("gt", "﻿" + line("gt"), "line 1: invalid JSON (Unexpected UTF-8 BOM "
+     "(decode using utf-8-sig): line 1 column 1 (char 0))"),
+    ("poses", "\n  \n nul\n", "line 3: invalid JSON (Expecting value: line 1 column 1 "
+     "(char 0))"),
+    ("gt", "[1, 2]\n", "line 1: expected an object"),
+    ("tracks", line("tracks", h=None, frame=None), "line 1: missing fields ['frame', 'h']"),
+    ("detections", line("detections", frame=-1), "line 1: bad frame index -1"),
+    ("gt", line("gt", frame=True), "line 1: bad frame index True"),
+    ("tracks", line("tracks", frame="0"), "line 1: bad frame index '0'"),
+    ("detections", line("detections", frame=2) + line("detections", frame=1),
+     "line 2: frame 1 after frame 2"),
+    ("detections", line("detections", agent=""), "line 1: bad agent ''"),
+    ("poses", line("poses", agent=7), "line 1: bad agent 7"),
+    ("gt", line("gt", object_id=1.0), "line 1: bad object_id 1.0"),
+    ("tracks", line("tracks", track_id=False), "line 1: bad track_id False"),
+    ("detections", line("detections", x="1.0"), "line 1: field 'x' must be a number"),
+    ("tracks", line("tracks", y=1, score=True), "line 1: field 'score' must be a number"),
+    ("poses", line("poses", yaw=[0.0]), "line 1: field 'yaw' must be a number"),
+    ("gt", line("gt", h=0.0), "line 1: non-positive extent (h=0.0, w=1.0, l=1.0)"),
+    ("detections", line("detections", score=1.5), "line 1: score 1.5 outside [0, 1]"),
+    ("tracks", line("tracks", z=math.nan, l=math.inf),
+     "line 1: non-finite field in detection: z, l"),
+    ("poses", line("poses", yaw=-math.inf),
+     "line 1: non-finite pose Pose(x=0.5, y=0.0, z=0.0, yaw=-inf)"),
+]
+
+
+@pytest.mark.parametrize("kind, content, message", READ_ERRORS,
+                         ids=[f"{row[0]}-{k}" for k, row in enumerate(READ_ERRORS)])
+def test_read_error_text(tmp_path, kind, content, message):
+    path = tmp_path / f"{kind}.jsonl"
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    with pytest.raises(io.ParseError) as caught:
+        READERS[kind][0](path)
+    assert str(caught.value) == f"{path}: {message}"
+
+
+def test_int_fields_read_as_floats(tmp_path):
+    path = tmp_path / "gt.jsonl"
+    path.write_text(line("gt", x=2, h=3))
+    (oid, d), = io.read_gt(path)[0]
+    assert (oid, d.x, d.h) == (3, 2.0, 3.0) and type(d.x) is float and type(d.h) is float
