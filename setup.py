@@ -1,7 +1,7 @@
 """Build script for the compiled IoU kernel.
 
 The extension is optional: if a C compiler is unavailable the package
-installs anyway and falls back to the pure-numpy kernel at import time
+installs anyway and falls back to the pure-Python kernel at import time
 (see coopmot.geometry). The kernel is the hand-written C file
 src/coopmot/geometry/_native.c, so a C compiler is all it needs.
 

@@ -1,7 +1,7 @@
 """Oriented 3D bounding-box overlap.
 
 The IoU kernel has two interchangeable backends: a compiled C module
-(_native.c, built by setup.py) and a pure-numpy fallback. The compiled
+(_native.c, built by setup.py) and a pure-Python fallback. The compiled
 one is chosen at import when available; set COOPMOT_PURE=1 to force the
 fallback.
 """

@@ -2,6 +2,9 @@
  *
  * Mirrors coopmot.geometry._pure formula for formula and in the same
  * operation order; the parity tests hold both kernels to ~1e-12 agreement.
+ * This kernel runs the z and circle rejections on every pair, while the
+ * pure one sweeps only the candidates of an x-sorted window; the
+ * operations on each pair that is tested are identical.
  * Boxes are 7-vectors [x y z theta h w l]. Clipping a convex quad by a
  * convex quad yields at most 8 vertices, so fixed 16-slot buffers suffice.
  *

@@ -1,4 +1,4 @@
-"""Pure-python/numpy oriented-box IoU kernel.
+"""Pure-Python oriented-box IoU kernel.
 
 Reference implementation of the hot geometry kernel; the C module
 coopmot.geometry._native (_native.c) mirrors these formulas operation for
@@ -11,25 +11,34 @@ z-interval overlap.
 
 A pair is zero without clipping when its z-intervals do not overlap
 (dz <= 0) or its circumscribed BEV circles are apart (dx^2 + dy^2 >
-(ra + rb)^2). iou3d_matrix evaluates the circle rejection for the whole
-N x M block with numpy, using the operations of iou3d_pair in the same
-order (radii from math.hypot), so each entry is the float iou3d_pair would
-compute; it is written as a negation so that a NaN comparison keeps a pair
-exactly as the scalar code does. The z rejection then runs, with Python's
-min/max as in iou3d_pair, only on the pairs the circle test keeps, and
-only the pairs that pass both reach the clip. A box's corners and area
-are computed from Python floats, once, when a kept pair first needs them;
-the clip and volume arithmetic is one helper shared with iou3d_pair. The
-matrix is therefore equal, entry for entry, to calling iou3d_pair on every
-pair.
+(ra + rb)^2). iou3d_matrix works on Python floats. It sorts the columns
+by x once, and each row takes as candidates only the columns whose x lies
+within its reach, ra + max(rb), of its own. The reach is widened by a
+relative 1e-12 and by a floor whose square is a normal float, so a column
+beyond it has a rounded dx^2 above every rounded (ra + rb)^2: the window
+never leaves out a pair that the circle test keeps. The candidates take
+iou3d_pair's circle test (radii from math.hypot, written so that a NaN
+keeps the pair), its z test (Python's min/max) and, if they pass both,
+the clip, in ascending column order and with the same operations. A NaN
+keeps a pair at any distance, and so does a reach whose square overflows
+(inf > inf is False), so a row tests every column when an x, y or radius
+of the columns, or its own x, y or reach squared, is not finite. A box's
+corners, area and volume are computed once, when a kept pair first needs
+them. Each entry is therefore the float iou3d_pair computes, and the
+pairs reach the clip in the order of the per-pair loop.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
 # BEV intersection areas below this are treated as zero (clipping noise).
 AREA_EPS = 1e-12
+# A row's candidate window reaches (ra + max(rb)) * _WIDEN + _REACH_FLOOR
+# either side of its x (see module docstring).
+_WIDEN = 1.0 + 1e-12
+_REACH_FLOOR = 2.0 ** -500
 
 
 def _clip_polygon(subject, clip):
@@ -83,10 +92,19 @@ def _bev(x, y, theta, w, l):
     shoelace area, from the box's centre, yaw and extents as floats."""
     c, s = math.cos(theta), math.sin(theta)
     hl, hw = 0.5 * l, 0.5 * w
-    # local corners (+hl,+hw), (-hl,+hw), (-hl,-hw), (+hl,-hw)
-    poly = [(c * lx - s * ly + x, s * lx + c * ly + y)
-            for lx, ly in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))]
-    return poly, _polygon_area(poly)
+    nl, nw = -hl, -hw
+    # local corners (+hl,+hw), (-hl,+hw), (-hl,-hw), (+hl,-hw), each
+    # (c*lx - s*ly + x, s*lx + c*ly + y)
+    x0, y0 = c * hl - s * hw + x, s * hl + c * hw + y
+    x1, y1 = c * nl - s * hw + x, s * nl + c * hw + y
+    x2, y2 = c * nl - s * nw + x, s * nl + c * nw + y
+    x3, y3 = c * hl - s * nw + x, s * hl + c * nw + y
+    # _polygon_area's sum, starting from the last corner
+    acc = x3 * y0 - x0 * y3
+    acc += x0 * y1 - x1 * y0
+    acc += x1 * y2 - x2 * y1
+    acc += x2 * y3 - x3 * y2
+    return [(x0, y0), (x1, y1), (x2, y2), (x3, y3)], 0.5 * abs(acc)
 
 
 def _clipped_iou(pa, area_a, ha, pb, area_b, hb, dz):
@@ -130,40 +148,62 @@ def iou3d_pair(a7, b7):
 def iou3d_matrix(rows, cols):
     """Pairwise IoU matrix of two (N, 7) / (M, 7) box arrays.
 
-    The circle rejection runs on the whole block at once, the z rejection
-    on the pairs it keeps, and only the pairs that pass both reach the
-    polygon clip (see module docstring).
+    Each row scores only its x-window of candidate columns, and only the
+    pairs that pass both rejections reach the polygon clip (see module
+    docstring).
     """
     rows = np.asarray(rows, dtype=float)
     cols = np.asarray(cols, dtype=float)
     n, m = rows.shape[0], cols.shape[0]
-    out = np.zeros((n, m), dtype=float)
     if n == 0 or m == 0:
-        return out
-    ra = np.array([0.5 * math.hypot(w, l) for w, l in rows[:, 5:7].tolist()])
-    rb = np.array([0.5 * math.hypot(w, l) for w, l in cols[:, 5:7].tolist()])
-    dx = rows[:, 0][:, None] - cols[:, 0][None, :]
-    dy = rows[:, 1][:, None] - cols[:, 1][None, :]
-    rr = ra[:, None] + rb[None, :]
-    # huge finite boxes square to inf here, as Python floats do in iou3d_pair
-    with np.errstate(over="ignore"):
-        ii, jj = np.nonzero(~(dx * dx + dy * dy > rr * rr))
-    row_box = rows[:, [0, 1, 3, 5, 6]].tolist()  # x, y, theta, w, l
-    col_box = cols[:, [0, 1, 3, 5, 6]].tolist()
-    row_z = [(z - 0.5 * h, z + 0.5 * h) for z, h in rows[:, [2, 4]].tolist()]
-    col_z = [(z - 0.5 * h, z + 0.5 * h) for z, h in cols[:, [2, 4]].tolist()]
-    row_bev, col_bev = {}, {}
-    vals = []
-    for i, j in zip(ii.tolist(), jj.tolist()):
-        (za0, za1), (zb0, zb1) = row_z[i], col_z[j]
-        dz = min(za1, zb1) - max(za0, zb0)
-        if dz <= 0.0:
-            vals.append(0.0)
-            continue
-        if i not in row_bev:
-            row_bev[i] = _bev(*row_box[i])
-        if j not in col_bev:
-            col_bev[j] = _bev(*col_box[j])
-        vals.append(_clipped_iou(*row_bev[i], za1 - za0, *col_bev[j], zb1 - zb0, dz))
-    out[ii, jj] = vals
+        return np.zeros((n, m), dtype=float)
+    hypot, isfinite = math.hypot, math.isfinite
+    cx, cy, cz, ctheta, ch, cw, cl = cols.T.tolist()
+    rb = [0.5 * hypot(w, l) for w, l in zip(cw, cl)]
+    col_z = [(z - 0.5 * h, z + 0.5 * h) for z, h in zip(cz, ch)]
+    every = range(m)
+    if all(map(isfinite, cx)) and all(map(isfinite, cy)) and all(map(isfinite, rb)):
+        order = sorted(every, key=cx.__getitem__)
+        xs = [cx[j] for j in order]
+        rb_max = max(rb)
+    else:
+        rb_max = math.inf  # no row may use the window
+    col_bev = [None] * m
+    out = np.zeros((n, m), dtype=float)
+    flat = memoryview(out).cast("B").cast("d")  # writes go into out
+    for base, (xa, ya, z, theta, h, w, l) in zip(range(0, n * m, m), rows.tolist()):
+        ra = 0.5 * hypot(w, l)
+        za0, za1 = z - 0.5 * h, z + 0.5 * h
+        reach = (ra + rb_max) * _WIDEN + _REACH_FLOOR
+        if isfinite(xa) and isfinite(ya) and isfinite(reach * reach):
+            lo = bisect_left(xs, xa - reach)
+            cand = order[lo:bisect_right(xs, xa + reach, lo)]
+            cand.sort()
+        else:
+            cand = every
+        pa = None
+        for j in cand:
+            dx, dy = xa - cx[j], ya - cy[j]
+            rr = ra + rb[j]
+            if dx * dx + dy * dy > rr * rr:
+                continue
+            zb0, zb1 = col_z[j]
+            dz = min(za1, zb1) - max(za0, zb0)
+            if dz <= 0.0:
+                continue
+            if pa is None:
+                pa, area_a = _bev(xa, ya, theta, w, l)
+                vol_a = area_a * (za1 - za0)
+            bev_b = col_bev[j]
+            if bev_b is None:
+                pb, area_b = _bev(cx[j], cy[j], ctheta[j], cw[j], cl[j])
+                bev_b = col_bev[j] = pb, area_b * (zb1 - zb0)
+            pb, vol_b = bev_b
+            # _clipped_iou, with the box volumes computed once per box
+            area = _polygon_area(_clip_polygon(pa, pb))
+            if area < AREA_EPS:
+                continue
+            inter_vol = area * dz
+            denom = vol_a + vol_b - inter_vol
+            flat[base + j] = 1.0 if denom <= 0.0 else min(max(inter_vol / denom, 0.0), 1.0)
     return out

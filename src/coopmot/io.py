@@ -109,10 +109,16 @@ def _records(path, key, fields, make):
                 raise ParseError(f"{path}: line {lineno}: bad {key} {value!r}")
             floats = get(rec)
             if set(map(type, floats)) != _FLOAT:  # ints, or a value that is no number
+                converted = []
                 for name, v in zip(fields, floats):
                     if isinstance(v, bool) or not isinstance(v, (int, float)):
                         raise ParseError(f"{path}: line {lineno}: field {name!r} must be a number")
-                floats = tuple(map(float, floats))
+                    try:
+                        converted.append(float(v))
+                    except OverflowError as exc:  # an int beyond the float range
+                        raise ParseError(f"{path}: line {lineno}: field {name!r} is too large "
+                                         "for a float") from exc
+                floats = converted
             try:
                 obj = make(*floats)
             except ValueError as exc:

@@ -421,6 +421,8 @@ MALFORMED = [
      "line 1: field 'x' must be a number"),
     ("bool-number", "eval", "tracks", record("tracks", score=True), 1,
      "line 1: field 'score' must be a number"),
+    ("int-beyond-float", "track", "detections", record("detections", x=10 ** 320), 1,
+     "line 1: field 'x' is too large for a float"),
     ("frame-negative", "track", "detections", record("detections", frame=-1), 1,
      "line 1: bad frame index -1"),
     ("frame-float", "eval", "gt", record("gt", frame=1.5), 1,

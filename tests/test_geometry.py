@@ -1,5 +1,6 @@
 import math
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -265,16 +266,15 @@ class TestIouMatrix:
 def pairwise_iou(rows, cols):
     """The plain per-pair loop that _pure.iou3d_matrix must reproduce."""
     out = np.zeros((len(rows), len(cols)))
-    for i, a in enumerate(rows):
-        for j, b in enumerate(cols):
+    for i, a in enumerate(rows.tolist()):
+        for j, b in enumerate(cols.tolist()):
             out[i, j] = _pure.iou3d_pair(a, b)
     return out
 
 
-def _box(center):
+def _box(center, w=st.floats(0.5, 3.0), l=st.floats(0.5, 6.0)):
     return st.tuples(center, center, st.floats(-1.0, 1.0),
-                     st.floats(-math.pi, math.pi), st.floats(0.5, 3.0),
-                     st.floats(0.5, 3.0), st.floats(0.5, 6.0))
+                     st.floats(-math.pi, math.pi), st.floats(0.5, 3.0), w, l)
 
 
 # Exact contacts of the two rejections: z-intervals [-1, 1] and [1, 3]
@@ -287,24 +287,105 @@ CIRCLE_TOUCH = [(0.0, 0.0, 0.0, 0.3, 1.0, 3.0, 4.0),
 # A flat box: dz <= 0 against every box, itself included. Against a box
 # whose z is NaN, Python's min/max still give dz == 0, so it stays 0.
 FLAT = [(0.5, 0.0, 0.0, 0.0, 0.0, 2.0, 2.0)]
+# Circles of radius 2.5 on the edges of an unwidened candidate window:
+# the last two boxes lie one float beyond the first box's x + 5 and x - 5
+# (as rounded), yet their distances to it round to exactly 5, so the
+# circle test keeps both pairs.
+EDGE_X = 1.1
+WINDOW_EDGE = [(EDGE_X, 0.0, 0.0, 0.3, 1.0, 3.0, 4.0),
+               (math.nextafter(EDGE_X + 5.0, math.inf), 0.0, 0.0, 1.1, 1.0, 3.0, 4.0),
+               (math.nextafter(EDGE_X - 5.0, -math.inf), 0.0, 0.0, -0.7, 1.0, 3.0, 4.0)]
+# Finite boxes whose reach squared overflows: inf > inf is False, so the
+# circle test keeps the pair however far apart they are.
+HUGE = [(-1e300, 0.0, 0.0, 0.0, 1.0, 1e154, 1e154),
+        (1e300, 3.0, 0.0, 0.5, 1.0, 1e154, 1e154)]
 
 
 @st.composite
 def box_sets(draw):
-    """Two box sets drawn from one pool of clustered, far-apart and touching
-    boxes, so that identical, overlapping and rejected pairs all occur;
-    sometimes one row of either set holds a NaN."""
+    """Two box sets and whether they are ordinary.
+
+    Both sets are drawn from one pool of clustered, far-apart and touching
+    boxes, of boxes on a candidate window's edges and of boxes that share
+    one x, so that identical, overlapping and rejected pairs all occur.
+    Sometimes the pool also holds extreme boxes: centres out to 1e6,
+    extents from 1e-6 to 1e6, and HUGE. Sometimes one row of either set
+    holds a NaN. Sets are ordinary when they have neither.
+    """
+    shared_x = draw(st.floats(-3.0, 3.0))
     pool = draw(st.lists(st.one_of(_box(st.floats(-3.0, 3.0)),
                                    _box(st.floats(-200.0, 200.0))),
-                         max_size=10)) + Z_TOUCH + CIRCLE_TOUCH + FLAT
+                         max_size=10)) + Z_TOUCH + CIRCLE_TOUCH + FLAT + WINDOW_EDGE
+    pool += [(shared_x,) + box[1:]
+             for box in draw(st.lists(_box(st.floats(-3.0, 3.0)), max_size=8))]
+    extreme = draw(st.booleans())
+    if extreme:
+        wide = st.floats(1e-6, 1e6)
+        pool += draw(st.lists(_box(st.floats(-1e6, 1e6), wide, wide), max_size=6)) + HUGE
     pick = st.lists(st.integers(0, len(pool) - 1), max_size=12)
     rows = np.array([pool[k] for k in draw(pick)], dtype=float).reshape(-1, 7)
     cols = np.array([pool[k] for k in draw(pick)], dtype=float).reshape(-1, 7)
     side = (None, rows, cols)[draw(st.integers(0, 2))]
     if side is not None and len(side):
         row = draw(st.integers(0, len(side) - 1))
-        side[row, draw(st.sampled_from([slice(None), 0, 2, 4, 6]))] = np.nan
-    return rows, cols
+        side[row, draw(st.sampled_from([slice(None), 0, 1, 2, 4, 5, 6]))] = np.nan
+    ordinary = not (extreme or np.isnan(rows).any() or np.isnan(cols).any())
+    return rows, cols, ordinary
+
+
+def clipped(fn, *args):
+    """fn(*args), and every polygon pair it clips in call order (as repr,
+    so that NaN corners compare equal)."""
+    calls = []
+    clip = _pure._clip_polygon
+
+    def spy(subject, clip_poly):
+        calls.append(repr((subject, clip_poly)))
+        return clip(subject, clip_poly)
+
+    with mock.patch.object(_pure, "_clip_polygon", spy):
+        return fn(*args), calls
+
+
+def check_matrix(rows, cols, ordinary):
+    """_pure.iou3d_matrix against the per-pair loop; on ordinary sets also
+    its range, symmetry and exact self-overlap."""
+    m, m_clips = clipped(_pure.iou3d_matrix, rows, cols)
+    expected, pair_clips = clipped(pairwise_iou, rows, cols)
+    assert m.shape == (len(rows), len(cols))
+    assert np.array_equal(m, expected, equal_nan=True)
+    # the same pairs reach the clip, in the same order: no candidate window
+    # left out a pair that the per-pair tests keep
+    assert m_clips == pair_clips
+    if not ordinary:
+        return
+    assert np.all((m >= 0.0) & (m <= 1.0))
+    assert np.all(np.abs(m - _pure.iou3d_matrix(cols, rows).T) < 1e-12)
+    solid = rows[:, 4] > 0.0
+    assert np.all(np.diag(_pure.iou3d_matrix(rows, rows))[solid] == 1.0)
+
+
+def _at(x, y=0.0, w=3.0, l=4.0):
+    return (x, y, 0.0, 0.3, 1.0, w, l)
+
+
+# Sets in which a candidate window would leave out a pair that the
+# per-pair tests keep, were it used without its margin or without one of
+# its non-finite checks. A NaN distance or radius keeps a pair at any
+# distance; bisect over a NaN x sorted first skips it. Squares of distances
+# and reaches below about 1.6e-162 round to zero, so the circle test keeps
+# such tiny boxes at any distance below that.
+WINDOW_TRAPS = {
+    "right edge": (WINDOW_EDGE[:1], WINDOW_EDGE[1:]),
+    "left edge": (WINDOW_EDGE[1:], WINDOW_EDGE[:1]),
+    "reach squared overflows": (HUGE, HUGE),
+    "reach squared underflows": ([_at(0.0, w=1e-200, l=1e-200)],
+                                 [_at(1e-170, w=1e-200, l=1e-200)]),
+    "column x NaN": ([_at(EDGE_X)], [_at(math.nan), _at(-100.0), _at(-50.0)]),
+    "column y NaN": ([_at(EDGE_X)], [_at(100.0, math.nan)]),
+    "column w NaN": ([_at(EDGE_X)], [_at(-50.0), _at(100.0, w=math.nan)]),
+    "row y NaN": ([_at(EDGE_X, math.nan)], [_at(100.0)]),
+}
 
 
 class TestPureMatrixGate:
@@ -312,16 +393,12 @@ class TestPureMatrixGate:
               suppress_health_check=[HealthCheck.too_slow])
     @given(box_sets())
     def test_matrix_equals_pairwise_loop(self, sets):
-        rows, cols = sets
-        m = _pure.iou3d_matrix(rows, cols)
-        assert m.shape == (len(rows), len(cols))
-        assert np.array_equal(m, pairwise_iou(rows, cols), equal_nan=True)
-        if np.isnan(rows).any() or np.isnan(cols).any():
-            return
-        assert np.all((m >= 0.0) & (m <= 1.0))
-        assert np.all(np.abs(m - _pure.iou3d_matrix(cols, rows).T) < 1e-12)
-        solid = rows[:, 4] > 0.0
-        assert np.all(np.diag(_pure.iou3d_matrix(rows, rows))[solid] == 1.0)
+        check_matrix(*sets)
+
+    @pytest.mark.parametrize("trap", WINDOW_TRAPS)
+    def test_window_traps(self, trap):
+        rows, cols = (np.array(boxes, dtype=float) for boxes in WINDOW_TRAPS[trap])
+        check_matrix(rows, cols, ordinary=False)
 
     @pytest.mark.parametrize("n, m", [(0, 3), (3, 0), (0, 0)])
     def test_empty_sides(self, rng, n, m):

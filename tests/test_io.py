@@ -445,6 +445,8 @@ READ_ERRORS = [
      "line 1: non-finite field in detection: z, l"),
     ("poses", line("poses", yaw=-math.inf),
      "line 1: non-finite pose Pose(x=0.5, y=0.0, z=0.0, yaw=-inf)"),
+    ("detections", line("detections", y=10 ** 320),
+     "line 1: field 'y' is too large for a float"),
 ]
 
 
