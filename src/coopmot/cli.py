@@ -1,9 +1,14 @@
 """Command-line entry point: simulate -> track -> eval -> analyze.
 
 Exit codes: 0 success, 1 data error, 2 usage or config error or an
-output path that cannot be written. Every command writes a
-run_manifest.json beside its outputs with enough information to
-reproduce the run.
+output path that cannot be written. The commands raise; ``main`` is the
+one error boundary that turns an exception into a one-line
+``error: <message>`` and an exit code. A data error (exit 1) is an
+OSError or ValueError from reading, tracking or scoring, such as a bad
+or nested-too-deep JSON line or a non-finite IoU cost. The same faults
+in a tracker or scenario config file are config errors (exit 2). Every
+command writes a run_manifest.json beside its outputs with enough
+information to reproduce the run.
 """
 
 from __future__ import annotations
@@ -21,33 +26,46 @@ import numpy as np
 from . import __version__, core, geometry, io, metrics, sim, tracker
 
 
-def _manifest(out_dir: str, command: str, config: dict, inputs: list,
-              outputs: list, seed, started: float) -> None:
-    manifest = {
-        "tool": "coopmot",
-        "version": __version__,
-        "command": command,
-        "config": config,
-        "seed": seed,
-        "inputs": [os.path.abspath(p) for p in inputs],
-        "outputs": [os.path.abspath(p) for p in outputs],
-        "duration_sec": time.perf_counter() - started,
-        "backend": geometry.BACKEND,
-        "numpy": np.__version__,
-        "python": sys.version.split()[0],
-    }
-    path = os.path.join(out_dir, "run_manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+class CannotWrite(Exception):
+    """An output path cannot be written (exit 2)."""
 
 
-def _cannot_write(path, exc) -> int:
-    print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-    return 2
+def _write_outputs(args, out_dir: str, write, config: dict, inputs: list,
+                   outputs: list, seed, started: float) -> None:
+    """Make out_dir, run write(), then write run_manifest.json into out_dir.
+    An OSError on the way is a CannotWrite naming args.out."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        write()
+        manifest = {
+            "tool": "coopmot",
+            "version": __version__,
+            "command": args.command,
+            "config": config,
+            "seed": seed,
+            "inputs": [os.path.abspath(p) for p in inputs],
+            "outputs": [os.path.abspath(p) for p in outputs],
+            "duration_sec": time.perf_counter() - started,
+            "backend": geometry.BACKEND,
+            "numpy": np.__version__,
+            "python": sys.version.split()[0],
+        }
+        with open(os.path.join(out_dir, "run_manifest.json"), "w",
+                  encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise CannotWrite(f"cannot write {args.out}: {exc}") from exc
 
 
-def cmd_simulate(args) -> int:
+def _input_files(directory: str, kind: str) -> list:
+    paths = sorted(glob.glob(os.path.join(directory, f"{kind}*.jsonl")))
+    if not paths:
+        raise OSError(f"no {kind}*.jsonl files in {directory}")
+    return paths
+
+
+def cmd_simulate(args) -> None:
     started = time.perf_counter()
     try:
         if args.config:
@@ -59,127 +77,83 @@ def cmd_simulate(args) -> int:
         if args.seed is not None:
             cfg = sim.scenario_from_dict({**cfg.to_dict(), "seed": args.seed})
         gt_frames, bundles = sim.generate(cfg)
-    except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
-        print(f"error: invalid scenario config: {exc}", file=sys.stderr)
-        return 2
+    except (OSError, ValueError, TypeError, RecursionError) as exc:
+        raise core.ConfigParse(f"invalid scenario config: {exc}") from exc
 
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        gt_path = os.path.join(args.out, "gt.jsonl")
+    gt_path = os.path.join(args.out, "gt.jsonl")
+    det_paths = {agent: os.path.join(args.out, f"detections_{agent}.jsonl")
+                 for agent in sim.AGENTS}
+
+    def write():
         io.write_gt(gt_path, gt_frames)
-        outputs = [gt_path]
-        for agent in sim.AGENTS:
-            agent_bundles = [
+        for agent, path in det_paths.items():
+            io.write_detections(path, [
                 core.FrameBundle(frame=b.frame, detections_by_agent={
                     agent: b.detections_by_agent.get(agent, [])})
-                for b in bundles]
-            path = os.path.join(args.out, f"detections_{agent}.jsonl")
-            io.write_detections(path, agent_bundles)
-            outputs.append(path)
-        _manifest(args.out, "simulate", cfg.to_dict(),
-                  [args.config] if args.config else [], outputs, cfg.seed, started)
-    except OSError as exc:
-        return _cannot_write(args.out, exc)
-    return 0
+                for b in bundles])
+
+    _write_outputs(args, args.out, write, cfg.to_dict(),
+                   [args.config] if args.config else [],
+                   [gt_path, *det_paths.values()], cfg.seed, started)
 
 
-def cmd_track(args) -> int:
+def cmd_track(args) -> None:
     started = time.perf_counter()
-    try:
-        cfg = core.load_config(args.config) if args.config else core.TrackerConfig()
-        if args.method:
-            cfg = core.config_from_dict({**cfg.to_dict(), "method": args.method})
-    except core.ConfigParse as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    det_paths = sorted(glob.glob(os.path.join(args.detections, "detections*.jsonl")))
-    if not det_paths:
-        print(f"error: no detections*.jsonl files in {args.detections}",
-              file=sys.stderr)
-        return 1
-    try:
-        bundles = io.merge_detection_files(det_paths)
-        if args.poses:
-            pose_paths = sorted(glob.glob(os.path.join(args.poses, "poses*.jsonl")))
-            if not pose_paths:
-                print(f"error: no poses*.jsonl files in {args.poses}", file=sys.stderr)
-                return 1
-            poses = {}
-            for p in pose_paths:
-                poses.update(io.read_poses(p))
-            bundles = io.apply_poses(bundles, poses)
-        outputs = tracker.run_sequence(bundles, cfg)
-    except (OSError, io.ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        io.write_tracks(args.out, outputs)
-        _manifest(out_dir, "track", cfg.to_dict(),
-                  det_paths + ([args.poses] if args.poses else []),
-                  [args.out], None, started)
-    except OSError as exc:
-        return _cannot_write(args.out, exc)
-    return 0
+    cfg = core.load_config(args.config) if args.config else core.TrackerConfig()
+    if args.method:
+        cfg = core.config_from_dict({**cfg.to_dict(), "method": args.method})
+    det_paths = _input_files(args.detections, "detections")
+    bundles = io.merge_detection_files(det_paths)
+    if args.poses:
+        poses = {}
+        for p in _input_files(args.poses, "poses"):
+            poses.update(io.read_poses(p))
+        bundles = io.apply_poses(bundles, poses)
+    outputs = tracker.run_sequence(bundles, cfg)
+    _write_outputs(args, os.path.dirname(os.path.abspath(args.out)),
+                   lambda: io.write_tracks(args.out, outputs), cfg.to_dict(),
+                   det_paths + ([args.poses] if args.poses else []),
+                   [args.out], None, started)
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     started = time.perf_counter()
-    try:
-        gt_frames, pred_frames = io.read_gt(args.gt), io.read_tracks(args.tracks)
-        report = metrics.amota_family(gt_frames, pred_frames)
-    except (OSError, io.ParseError, metrics.NoGroundTruth) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report = metrics.amota_family(io.read_gt(args.gt), io.read_tracks(args.tracks))
 
-    out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
-    try:
-        os.makedirs(out_dir, exist_ok=True)
+    def write():
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report.to_dict(), fh, indent=2)
             fh.write("\n")
         if args.table:
             print(report.format_table(args.label))
-        _manifest(out_dir, "eval", {}, [args.tracks, args.gt], [args.out],
-                  None, started)
-    except OSError as exc:
-        return _cannot_write(args.out, exc)
-    return 0
+
+    _write_outputs(args, os.path.dirname(os.path.abspath(args.out)), write, {},
+                   [args.tracks, args.gt], [args.out], None, started)
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> None:
     started = time.perf_counter()
-    try:
-        gt_frames, pred_frames = io.read_gt(args.gt), io.read_tracks(args.tracks)
-        if sum(len(f) for f in gt_frames) == 0:
-            raise metrics.NoGroundTruth("sequence has no ground-truth boxes")
-        tally = metrics.evaluate_sequence(gt_frames, pred_frames)
-    except (OSError, io.ParseError, metrics.NoGroundTruth) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    gt_frames, pred_frames = io.read_gt(args.gt), io.read_tracks(args.tracks)
+    if sum(len(f) for f in gt_frames) == 0:
+        raise metrics.NoGroundTruth("sequence has no ground-truth boxes")
+    tally = metrics.evaluate_sequence(gt_frames, pred_frames)
 
     bins = {}
     for counts in tally.per_frame:
         if counts.tp < 1:
             continue
         bins.setdefault(counts.tp, []).append(counts.matched_iou_sum / counts.tp)
-    out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
-    try:
-        os.makedirs(out_dir, exist_ok=True)
+
+    def write():
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["tp_count", "mean_motp", "frequency"])
             for tp_count in sorted(bins):
                 vals = bins[tp_count]
                 writer.writerow([tp_count, repr(sum(vals) / len(vals)), len(vals)])
-        _manifest(out_dir, "analyze", {}, [args.tracks, args.gt], [args.out],
-                  None, started)
-    except OSError as exc:
-        return _cannot_write(args.out, exc)
-    return 0
+
+    _write_outputs(args, os.path.dirname(os.path.abspath(args.out)), write, {},
+                   [args.tracks, args.gt], [args.out], None, started)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,7 +197,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args.func(args)
+    except (core.ConfigParse, CannotWrite) as exc:
+        error, code = exc, 2
+    except (OSError, ValueError) as exc:
+        error, code = exc, 1
+    else:
+        return 0
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

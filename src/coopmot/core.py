@@ -161,7 +161,7 @@ def load_config(path) -> TrackerConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigParse(f"cannot read config {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigParse(f"cannot parse config {path}: {exc}") from exc
     return config_from_dict(raw)
 

@@ -90,7 +90,7 @@ def _records(path, key, fields, make):
                 rec, end = (None, 0) if line[0] == "\ufeff" else _decode(line)
                 if end != len(line):
                     rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
                 raise ParseError(f"{path}: line {lineno}: invalid JSON ({exc})") from exc
             if not isinstance(rec, dict):
                 raise ParseError(f"{path}: line {lineno}: expected an object")

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import Detection, FrameBundle, validate_detection, wrap_angle
+from .core import Detection, FrameBundle, wrap_angle
 
 CAR_L, CAR_W, CAR_H = 4.5, 1.8, 1.6
 MIN_SPAWN_SEPARATION = 8.0  # centers; keeps >= 2 m box clearance
@@ -175,8 +175,9 @@ def generate(cfg: ScenarioConfig):
                     raise ValueError("detection position is not finite "
                                      f"at frame {t}, agent {agent}")
                 score = min(1.0, max(0.0, cfg.score_base + cfg.score_jitter * jitter))
-                dets.append(validate_detection(Detection(
-                    dx, dy, dz, thetas[oid], CAR_H, CAR_W, CAR_L, score)))
+                # valid by construction: theta is wrapped, the extents are
+                # constants, the score is clamped, the position checked above
+                dets.append(Detection(dx, dy, dz, thetas[oid], CAR_H, CAR_W, CAR_L, score))
             per_agent[agent] = dets
         bundles.append(FrameBundle(frame=t, detections_by_agent=per_agent))
     return gt_frames, bundles

@@ -1,0 +1,31 @@
+#!/usr/bin/env python3
+"""Regenerate digests.json from the scenes in tests/test_digests.py.
+
+Run from the repository root after an intentional behavior change:
+    python3 tests/data/make_digests.py
+Review the diff before committing; tests/test_digests.py pins these values.
+"""
+
+import json
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
+
+import numpy as np  # noqa: E402
+
+from test_digests import SCENES, blas_name, emitted, summary  # noqa: E402
+
+
+def main():
+    recorded = {"numpy": np.__version__, "blas": blas_name(),
+                "scenes": {name: summary(emitted(name)) for name in sorted(SCENES)}}
+    out_path = os.path.join(os.path.dirname(__file__), "digests.json")
+    with open(out_path, "w") as fh:
+        json.dump(recorded, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(json.dumps(recorded, indent=2, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()

@@ -408,6 +408,7 @@ def record(kind, **changes):
 
 
 NOT_UTF8 = b'{"frame": 0, "agent": "\xff"}\n'
+NESTED = "[" * 20000 + "\n"
 
 # (id, command, input replaced, its content, exit code, message fragment).
 # Every other input of the command is valid: one detection, one pose, one
@@ -478,6 +479,17 @@ MALFORMED = [
     # a pose error names its file and line
     ("pose-nan-yaw", "track", "poses", record("poses", yaw=float("nan")), 1,
      "poses_a.jsonl: line 1: non-finite pose"),
+    # JSON nested too deep for the decoder is invalid JSON, or a config
+    # error (was a RecursionError traceback); the decoder's own text varies
+    # between Python versions
+    ("detections-nested", "track", "detections", NESTED, 1,
+     "detections_a.jsonl: line 1: invalid JSON"),
+    ("gt-nested", "eval", "gt", NESTED, 1, "gt.jsonl: line 1: invalid JSON"),
+    ("tracks-nested", "analyze", "tracks", NESTED, 1,
+     "tracks.jsonl: line 1: invalid JSON"),
+    ("poses-nested", "track", "poses", NESTED, 1, "poses_a.jsonl: line 1: invalid JSON"),
+    ("config-nested", "track", "config", NESTED, 2, "cannot parse config"),
+    ("scenario-nested", "simulate", "scenario", NESTED, 2, "invalid scenario config"),
 ]
 
 
@@ -529,6 +541,26 @@ def test_huge_finite_boxes_no_warning(tmp_path, capsys, method):
         warnings.simplefilter("always")
         code = run_cli("track", "--method", method, "--detections", str(det),
                        "--out", str(tmp_path / "tracks.jsonl"))
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 1 and err == "error: cost matrix has non-finite entries\n"
+
+
+@pytest.mark.parametrize("command", ["eval", "analyze"])
+def test_huge_finite_boxes_eval_one_line(tmp_path, capsys, command):
+    # the same rule as for track: scoring boxes whose extents square to inf
+    # ends in one line, not a NonFiniteCost traceback
+    huge = {"h": 1e308, "w": 1e308, "l": 1e308}
+    gt, tracks = tmp_path / "gt.jsonl", tmp_path / "tracks.jsonl"
+    gt.write_text("".join(record("gt", frame=f, **huge) for f in range(3)))
+    tracks.write_text("".join(record("tracks", frame=f, **huge) for f in range(3)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(command, "--tracks", str(tracks), "--gt", str(gt),
+                       "--out", str(tmp_path / "out"))
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     if code == 0:
