@@ -180,8 +180,6 @@ def hungarian_min_cost(cost) -> list:
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2:
         raise ValueError(f"cost must be a 2-D matrix, got shape {cost.shape}")
-    if cost.size == 0:
-        return []
     flat = (cost != 0.0).ravel().nonzero()[0]
     vals = cost.take(flat).tolist()
     if all(-math.inf < x < 0.0 for x in vals):

@@ -30,10 +30,12 @@ class CannotWrite(Exception):
     """An output path cannot be written (exit 2)."""
 
 
-def _write_outputs(args, out_dir: str, write, config: dict, inputs: list,
-                   outputs: list, seed, started: float) -> None:
-    """Make out_dir, run write(), then write run_manifest.json into out_dir.
-    An OSError on the way is a CannotWrite naming args.out."""
+def _write_outputs(args, write, config: dict, inputs: list, outputs: list,
+                   seed, started: float) -> None:
+    """Make the directory of outputs[0], run write(), then write
+    run_manifest.json into that directory. An OSError on the way is a
+    CannotWrite naming args.out."""
+    out_dir = os.path.dirname(os.path.abspath(outputs[0]))
     try:
         os.makedirs(out_dir, exist_ok=True)
         write()
@@ -92,7 +94,7 @@ def cmd_simulate(args) -> None:
                     agent: b.detections_by_agent.get(agent, [])})
                 for b in bundles])
 
-    _write_outputs(args, args.out, write, cfg.to_dict(),
+    _write_outputs(args, write, cfg.to_dict(),
                    [args.config] if args.config else [],
                    [gt_path, *det_paths.values()], cfg.seed, started)
 
@@ -110,8 +112,7 @@ def cmd_track(args) -> None:
             poses.update(io.read_poses(p))
         bundles = io.apply_poses(bundles, poses)
     outputs = tracker.run_sequence(bundles, cfg)
-    _write_outputs(args, os.path.dirname(os.path.abspath(args.out)),
-                   lambda: io.write_tracks(args.out, outputs), cfg.to_dict(),
+    _write_outputs(args, lambda: io.write_tracks(args.out, outputs), cfg.to_dict(),
                    det_paths + ([args.poses] if args.poses else []),
                    [args.out], None, started)
 
@@ -124,11 +125,13 @@ def cmd_eval(args) -> None:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report.to_dict(), fh, indent=2)
             fh.write("\n")
-        if args.table:
-            print(report.format_table(args.label))
 
-    _write_outputs(args, os.path.dirname(os.path.abspath(args.out)), write, {},
-                   [args.tracks, args.gt], [args.out], None, started)
+    _write_outputs(args, write, {}, [args.tracks, args.gt], [args.out], None, started)
+    if args.table:
+        try:
+            print(report.format_table(args.label), flush=True)
+        except OSError as exc:
+            raise CannotWrite(f"cannot write the table to stdout: {exc}") from exc
 
 
 def cmd_analyze(args) -> None:
@@ -152,8 +155,7 @@ def cmd_analyze(args) -> None:
                 vals = bins[tp_count]
                 writer.writerow([tp_count, repr(sum(vals) / len(vals)), len(vals)])
 
-    _write_outputs(args, os.path.dirname(os.path.abspath(args.out)), write, {},
-                   [args.tracks, args.gt], [args.out], None, started)
+    _write_outputs(args, write, {}, [args.tracks, args.gt], [args.out], None, started)
 
 
 def build_parser() -> argparse.ArgumentParser:

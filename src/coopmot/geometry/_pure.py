@@ -2,8 +2,9 @@
 
 Reference implementation of the hot geometry kernel; the C module
 coopmot.geometry._native (_native.c) mirrors these formulas operation for
-operation so both backends agree to floating-point noise. It has only
-iou3d_matrix; iou3d_pair here is the tests' per-pair oracle.
+operation so both backends agree to floating-point noise. Both export only
+iou3d_matrix. The tests hold it to a plain loop over every pair
+(tests/iou_oracle.py).
 
 Boxes are 7-vectors [x y z theta h w l]: centroid, yaw about z, extents.
 Overlap is BEV convex-polygon clipping (Sutherland-Hodgman) times the
@@ -17,15 +18,15 @@ within its reach, ra + max(rb), of its own. The reach is widened by a
 relative 1e-12 and by a floor whose square is a normal float, so a column
 beyond it has a rounded dx^2 above every rounded (ra + rb)^2: the window
 never leaves out a pair that the circle test keeps. The candidates take
-iou3d_pair's circle test (radii from math.hypot, written so that a NaN
-keeps the pair), its z test (Python's min/max) and, if they pass both,
-the clip, in ascending column order and with the same operations. A NaN
-keeps a pair at any distance, and so does a reach whose square overflows
-(inf > inf is False), so a row tests every column when an x, y or radius
-of the columns, or its own x, y or reach squared, is not finite. A box's
-corners, area and volume are computed once, when a kept pair first needs
-them. Each entry is therefore the float iou3d_pair computes, and the
-pairs reach the clip in the order of the per-pair loop.
+the per-pair loop's circle test (radii from math.hypot, written so that a
+NaN keeps the pair), its z test (Python's min/max) and, if they pass
+both, the clip, in ascending column order and with the same operations.
+A NaN keeps a pair at any distance, and so does a reach whose square
+overflows (inf > inf is False), so a row tests every column when an x, y
+or radius of the columns, or its own x, y or reach squared, is not
+finite. A box's corners, area and volume are computed once, when a kept
+pair first needs them. Each entry is therefore the float the per-pair
+loop computes, and the pairs reach the clip in that loop's order.
 """
 
 import math
@@ -107,44 +108,6 @@ def _bev(x, y, theta, w, l):
     return [(x0, y0), (x1, y1), (x2, y2), (x3, y3)], 0.5 * abs(acc)
 
 
-def _clipped_iou(pa, area_a, ha, pb, area_b, hb, dz):
-    """IoU of two boxes that passed both rejections.
-
-    pa/pb are BEV corner lists, area_a/area_b their shoelace areas, ha/hb
-    the box heights as z-interval widths and dz the z-overlap. Box volumes
-    come from the same shoelace formula as the intersection polygon so
-    that the self-overlap case is exactly 1.
-    """
-    area = _polygon_area(_clip_polygon(pa, pb))
-    if area < AREA_EPS:
-        return 0.0
-    inter_vol = area * dz
-    vol_a = area_a * ha
-    vol_b = area_b * hb
-    denom = vol_a + vol_b - inter_vol
-    if denom <= 0.0:
-        return 1.0
-    iou = inter_vol / denom
-    return min(max(iou, 0.0), 1.0)
-
-
-def iou3d_pair(a7, b7):
-    """3D IoU of two box 7-vectors; 0.0 when disjoint."""
-    za0, za1 = a7[2] - 0.5 * a7[4], a7[2] + 0.5 * a7[4]
-    zb0, zb1 = b7[2] - 0.5 * b7[4], b7[2] + 0.5 * b7[4]
-    dz = min(za1, zb1) - max(za0, zb0)
-    if dz <= 0.0:
-        return 0.0
-    # circumscribed-circle rejection: cheap and exact for the zero case
-    ra = 0.5 * math.hypot(a7[5], a7[6])
-    rb = 0.5 * math.hypot(b7[5], b7[6])
-    dx, dy = a7[0] - b7[0], a7[1] - b7[1]
-    if dx * dx + dy * dy > (ra + rb) * (ra + rb):
-        return 0.0
-    return _clipped_iou(*_bev(a7[0], a7[1], a7[3], a7[5], a7[6]), za1 - za0,
-                        *_bev(b7[0], b7[1], b7[3], b7[5], b7[6]), zb1 - zb0, dz)
-
-
 def iou3d_matrix(rows, cols):
     """Pairwise IoU matrix of two (N, 7) / (M, 7) box arrays.
 
@@ -199,7 +162,7 @@ def iou3d_matrix(rows, cols):
                 pb, area_b = _bev(cx[j], cy[j], ctheta[j], cw[j], cl[j])
                 bev_b = col_bev[j] = pb, area_b * (zb1 - zb0)
             pb, vol_b = bev_b
-            # _clipped_iou, with the box volumes computed once per box
+            # the oracle's clipped IoU, with the box volumes computed once per box
             area = _polygon_area(_clip_polygon(pa, pb))
             if area < AREA_EPS:
                 continue

@@ -75,10 +75,7 @@ class _FrameMatcher:
         self.tids = [p[0] for p in pred]
         self.scores = np.array([p[2] for p in pred], dtype=float)
         self.neg_sorted = sorted(-self.scores)  # ascending for bisect
-        gt_boxes = geometry.as_box7_array([g[1] for g in gt])
-        pred_boxes = geometry.as_box7_array([p[1] for p in pred])
-        self.iou = (geometry.iou_matrix(gt_boxes, pred_boxes)
-                    if gt_boxes.shape[0] and pred_boxes.shape[0] else None)
+        self.iou = geometry.iou_matrix([g[1] for g in gt], [p[1] for p in pred])
         self.iou_threshold = iou_threshold
         self.memo = {}
 
@@ -93,8 +90,6 @@ class _FrameMatcher:
         return kept, pairs
 
     def _solve(self, score_threshold):
-        if self.iou is None:
-            return []
         cols = (np.arange(len(self.tids)) if score_threshold is None
                 else np.flatnonzero(self.scores >= score_threshold))
         if cols.shape[0] == 0:
@@ -190,9 +185,6 @@ class OperatingPoint:
     fp: int
     fn: int
     idsw: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -75,10 +75,10 @@ def _stacked(bundle: FrameBundle):
     return table[:, :kalman.MEAS_DIM], table[:, kalman.MEAS_DIM], sizes
 
 
-def _emit(ts: TrackSet, tracks: kalman.Tracks, cfg: TrackerConfig) -> FrameOutput:
+def _emit(ts: TrackSet, frame: int, tracks: kalman.Tracks, cfg: TrackerConfig) -> FrameOutput:
     warm = cfg.warm_start and ts.frame < cfg.min_hits - 1
     rows = np.flatnonzero(tracks.confirmed | warm)
-    return FrameOutput(frame=ts.frame, emitted=tuple(zip(
+    return FrameOutput(frame=frame, emitted=tuple(zip(
         tracks.ids[rows].tolist(), tracks.states[rows, :kalman.MEAS_DIM],
         tracks.scores[rows].tolist())))
 
@@ -104,7 +104,8 @@ def _candidates(bundle: FrameBundle, cfg: TrackerConfig):
 
 
 def step(ts: TrackSet, bundle: FrameBundle, cfg: TrackerConfig, model):
-    """Associate, update, age and birth tracks for one frame.
+    """Associate, update, age and birth tracks for one frame; the output
+    is labelled with bundle.frame.
 
     Stage 1 associates every track with the first-variant boxes. When a
     second variant exists (tsa), stage 2 retries only the tracks stage 1
@@ -135,7 +136,7 @@ def step(ts: TrackSet, bundle: FrameBundle, cfg: TrackerConfig, model):
     born = kalman.init_track(boxes[0, unmatched_cols], scores[unmatched_cols],
                              ts.next_id, model)
     alive = manage_lifecycle(tracks, matched, cfg).concat(born)
-    output = _emit(ts, alive, cfg)
+    output = _emit(ts, bundle.frame, alive, cfg)
     return TrackSet(kalman.predict(alive, model), ts.next_id + len(born),
                     ts.frame + 1), output
 
@@ -148,5 +149,5 @@ def run_sequence(frames, cfg: TrackerConfig, model=None) -> list:
     outputs = []
     for bundle in frames:
         ts, out = step(ts, bundle, cfg, model)
-        outputs.append(replace(out, frame=bundle.frame))
+        outputs.append(out)
     return outputs

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Regenerate digests.json from the scenes in tests/test_digests.py.
+"""Regenerate digests.json from the scenes and the CLI run in
+tests/test_digests.py.
 
 Run from the repository root after an intentional behavior change:
     python3 tests/data/make_digests.py
@@ -9,16 +10,19 @@ Review the diff before committing; tests/test_digests.py pins these values.
 import json
 import os
 import sys
+import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 
 import numpy as np  # noqa: E402
 
-from test_digests import SCENES, blas_name, emitted, summary  # noqa: E402
+from test_digests import SCENES, blas_name, cli_files, emitted, summary  # noqa: E402
 
 
 def main():
-    recorded = {"numpy": np.__version__, "blas": blas_name(),
+    with tempfile.TemporaryDirectory() as out_dir:
+        files = cli_files(out_dir)
+    recorded = {"numpy": np.__version__, "blas": blas_name(), "files": files,
                 "scenes": {name: summary(emitted(name)) for name in sorted(SCENES)}}
     out_path = os.path.join(os.path.dirname(__file__), "digests.json")
     with open(out_path, "w") as fh:

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from coopmot import geometry
 from coopmot.geometry import _pure
 from conftest import rand_box7
+from iou_oracle import iou3d_pair
 
 
 def _build_native(build_dir):
@@ -61,7 +62,7 @@ def test_pair_parity(native, rng):
     for _ in range(2000):
         a = rand_box7(rng, center_scale=3.0)
         b = rand_box7(rng, center_scale=3.0)
-        assert abs(pair(native, a, b) - _pure.iou3d_pair(a, b)) < 1e-12
+        assert abs(pair(native, a, b) - iou3d_pair(a, b)) < 1e-12
 
 
 def test_matrix_parity(native, rng):

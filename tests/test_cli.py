@@ -17,6 +17,14 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
+def subprocess_env():
+    """The environment with this coopmot first on PYTHONPATH."""
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(
+                [os.path.dirname(os.path.dirname(coopmot.__file__)),
+                 os.environ.get("PYTHONPATH", "")])}
+
+
 def read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
@@ -306,6 +314,22 @@ class TestEvalAndAnalyze:
         assert run_cli("eval", "--tracks", str(tracks), "--gt", str(empty_gt),
                        "--out", str(tmp_path / "r.json")) == 1
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_eval_table_to_full_stdout_exits_2(self, tmp_path, tracked):
+        # the failing stream is stdout, not the report: the one error line
+        # names stdout, and the report and the manifest are both written
+        sim_dir, tracks = tracked
+        report_path = tmp_path / "r.json"
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "coopmot.cli", "eval", "--tracks", str(tracks),
+                 "--gt", str(sim_dir / "gt.jsonl"), "--out", str(report_path), "--table"],
+                env=subprocess_env(), stdout=full, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "stdout" in lines[0] and "r.json" not in lines[0]
+        assert report_path.exists() and (tmp_path / "run_manifest.json").exists()
+
     def test_analyze_single_bin_for_uniform_scenario(self, tmp_path, scenario_cfg):
         # perfect tracks over a scenario with a constant object count give
         # a single TP-count bin
@@ -592,11 +616,7 @@ NO_SCIPY = textwrap.dedent("""
 
 
 def test_runs_without_scipy(tmp_path, scenario_cfg):
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(
-               [os.path.dirname(os.path.dirname(coopmot.__file__)),
-                os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", NO_SCIPY, scenario_cfg, str(tmp_path)],
-                          env=env, capture_output=True, text=True)
+                          env=subprocess_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "motp.csv").exists()

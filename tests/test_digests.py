@@ -1,17 +1,21 @@
-"""The emitted rows of the pinned scenes, held to recorded digests.
+"""The emitted rows of the pinned scenes, and the files of one CLI run,
+held to recorded digests.
 
-A digest is the first 16 hex characters of the sha256 over
+A scene's digest is the first 16 hex characters of the sha256 over
 ``repr((frame, track_id, box, score))`` of every emitted row, with the box
 and score as Python floats, so one changed bit in any output fails the
-test. Batched LAPACK/BLAS rounding is host-specific: the digests are
-compared only where numpy and its BLAS are the ones that recorded them.
-Elsewhere the test compares the row count exactly and the sum of every
-emitted float to 1e-9 relative, and says so in a warning.
+test. A file's digest is the sha256 of its bytes. Batched LAPACK/BLAS
+rounding is host-specific: the digests are compared only where numpy and
+its BLAS are the ones that recorded them. Elsewhere the test compares the
+row count exactly and the sum of every emitted float (every number of a
+file) to 1e-9 relative, and says so in a warning.
 
 Regenerate tests/data/digests.json after an intentional behavior change:
     python3 tests/data/make_digests.py
 """
 
+import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -22,15 +26,21 @@ from functools import partial
 import numpy as np
 import pytest
 
-from coopmot import core, sim, tracker
+from coopmot import cli, core, sim, tracker
 from coopmot.core import Method
 from test_acceptance import directional_scenario, directional_tracker_config
 
 DIGESTS = os.path.join(os.path.dirname(__file__), "data", "digests.json")
 
 
-def _golden(method):
-    return directional_scenario(), directional_tracker_config(method)
+def _golden(method, dedup=True):
+    return directional_scenario(), dataclasses.replace(
+        directional_tracker_config(method), dedup_matched_pairs=dedup)
+
+
+def _directional(seed):
+    return (dataclasses.replace(directional_scenario(), seed=seed),
+            directional_tracker_config(Method.TSA))
 
 
 def _dense(seed):
@@ -52,6 +62,9 @@ SCENES = {
     "golden-baseline": partial(_golden, Method.BASELINE),
     "golden-aos": partial(_golden, Method.AOS),
     "golden-tsa": partial(_golden, Method.TSA),
+    "golden-aos-nodedup": partial(_golden, Method.AOS, False),
+    "golden-tsa-nodedup": partial(_golden, Method.TSA, False),
+    **{f"directional-{seed}-tsa": partial(_directional, seed) for seed in range(10)},
     "dense-4-tsa": partial(_dense, 4),
     "dense-11-tsa": partial(_dense, 11),
     "dense-12-tsa": partial(_dense, 12),
@@ -80,21 +93,67 @@ def summary(rows):
             "sum": math.fsum(v for _, _, box, score in rows for v in (*box, score))}
 
 
+def cli_files(out_dir):
+    """simulate, track --method tsa with the directional tracker config,
+    then analyze, on the golden scene, into out_dir; the summary of each
+    output file by name."""
+    paths = {name: os.path.join(out_dir, name)
+             for name in ("scenario.json", "tracker.json", "tracks.jsonl", "motp_vs_tp.csv")}
+    for name, config in (("scenario.json", directional_scenario().to_dict()),
+                         ("tracker.json", directional_tracker_config(Method.TSA).to_dict())):
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+    sim_dir = os.path.join(out_dir, "sim")
+    for argv in (["simulate", "--config", paths["scenario.json"], "--out", sim_dir],
+                 ["track", "--method", "tsa", "--config", paths["tracker.json"],
+                  "--detections", sim_dir, "--out", paths["tracks.jsonl"]],
+                 ["analyze", "--tracks", paths["tracks.jsonl"],
+                  "--gt", os.path.join(sim_dir, "gt.jsonl"), "--out", paths["motp_vs_tp.csv"]]):
+        assert cli.main(argv) == 0
+    return {name: file_summary(paths[name]) for name in ("tracks.jsonl", "motp_vs_tp.csv")}
+
+
+def file_summary(path):
+    """The sha256 of a JSONL or CSV file, its row count and the sum of its
+    numbers (a CSV's first row is its header)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    lines = data.decode("utf-8").splitlines()
+    if path.endswith(".jsonl"):
+        rows = [list(json.loads(line).values()) for line in lines]
+    else:
+        rows = [list(map(float, row)) for row in csv.reader(lines[1:])]
+    return {"sha256": hashlib.sha256(data).hexdigest(), "rows": len(rows),
+            "sum": math.fsum(v for row in rows for v in row)}
+
+
 @pytest.fixture(scope="module")
 def recorded():
     with open(DIGESTS, encoding="utf-8") as fh:
         return json.load(fh)
 
 
-@pytest.mark.parametrize("name", sorted(SCENES))
-def test_emitted_rows_match_recorded(recorded, name):
-    got, want = summary(emitted(name)), recorded["scenes"][name]
+def check_recorded(recorded, got, want, digest):
+    """got == want on the recording host; elsewhere the row count and the
+    sum to 1e-9, with a warning."""
     host = (np.__version__, blas_name())
     if host == (recorded["numpy"], recorded["blas"]):
         assert got == want
         return
     warnings.warn(f"numpy {host[0]} with {host[1]} is not the recording host's "
                   f"numpy {recorded['numpy']} with {recorded['blas']}: compared "
-                  "the row count and the float sum to 1e-9, not the digest")
+                  f"the row count and the float sum to 1e-9, not the {digest}")
     assert got["rows"] == want["rows"]
     assert got["sum"] == pytest.approx(want["sum"], rel=1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(SCENES))
+def test_emitted_rows_match_recorded(recorded, name):
+    check_recorded(recorded, summary(emitted(name)), recorded["scenes"][name], "digest")
+
+
+def test_cli_files_match_recorded(recorded, tmp_path):
+    got = cli_files(str(tmp_path))
+    assert sorted(got) == sorted(recorded["files"])
+    for name, want in recorded["files"].items():
+        check_recorded(recorded, got[name], want, "sha256")

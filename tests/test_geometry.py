@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from coopmot import geometry
 from coopmot.geometry import _pure
 from conftest import iou3d, make_box, mc_iou, rand_box7
+from iou_oracle import iou3d_pair
 
 
 @dataclass(frozen=True)
@@ -268,7 +269,7 @@ def pairwise_iou(rows, cols):
     out = np.zeros((len(rows), len(cols)))
     for i, a in enumerate(rows.tolist()):
         for j, b in enumerate(cols.tolist()):
-            out[i, j] = _pure.iou3d_pair(a, b)
+            out[i, j] = iou3d_pair(a, b)
     return out
 
 

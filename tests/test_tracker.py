@@ -281,6 +281,20 @@ class TestRunSequence:
         assert [len(o.emitted) for o in warm] == [1, 1, 1]
         assert [len(o.emitted) for o in cold] == [0, 0, 1]
 
+    def test_step_labels_output_with_bundle_frame(self, model):
+        # the output carries the bundle's frame; warm start counts steps,
+        # so a sequence that starts at frame 7 still emits tentative tracks
+        # on its first min_hits - 1 steps
+        cfg = TrackerConfig(method=Method.BASELINE, warm_start=True, min_hits=3)
+        ts, labels, emitted = tracker.new_trackset(), [], []
+        for t in (7, 8, 9):
+            ts, out = tracker.step(ts, bundle(t, {"a": [(0.0, 0.0)]}), cfg, model)
+            labels.append(out.frame)
+            emitted.append(len(out.emitted))
+        assert labels == [7, 8, 9]
+        assert emitted == [1, 1, 1]
+        assert ts.frame == 3
+
     def test_zero_id_switches_on_clean_synthetic(self, model):
         # noiseless, no dropout, well-separated objects: every pipeline
         # tracks without identity switches. Shared-view duplicates are
