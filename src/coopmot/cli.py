@@ -131,6 +131,10 @@ def cmd_eval(args) -> None:
         try:
             print(report.format_table(args.label), flush=True)
         except OSError as exc:
+            # point stdout at devnull so that the flush at exit drops the buffered table
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
             raise CannotWrite(f"cannot write the table to stdout: {exc}") from exc
 
 

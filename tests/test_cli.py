@@ -317,18 +317,24 @@ class TestEvalAndAnalyze:
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_eval_table_to_full_stdout_exits_2(self, tmp_path, tracked):
         # the failing stream is stdout, not the report: the one error line
-        # names stdout, and the report and the manifest are both written
+        # names stdout, and the report and the manifest are both written.
+        # With a buffered stdout the table is still in the buffer when main
+        # returns, and the flush at exit must not fail a second time.
         sim_dir, tracks = tracked
         report_path = tmp_path / "r.json"
-        with open("/dev/full", "w") as full:
-            proc = subprocess.run(
-                [sys.executable, "-m", "coopmot.cli", "eval", "--tracks", str(tracks),
-                 "--gt", str(sim_dir / "gt.jsonl"), "--out", str(report_path), "--table"],
-                env=subprocess_env(), stdout=full, stderr=subprocess.PIPE, text=True)
-        assert proc.returncode == 2
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and "stdout" in lines[0] and "r.json" not in lines[0]
-        assert report_path.exists() and (tmp_path / "run_manifest.json").exists()
+        for unbuffered in ("", "1"):
+            env = {k: v for k, v in subprocess_env().items() if k != "PYTHONUNBUFFERED"}
+            if unbuffered:
+                env["PYTHONUNBUFFERED"] = unbuffered
+            with open("/dev/full", "w") as full:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "coopmot.cli", "eval", "--tracks", str(tracks),
+                     "--gt", str(sim_dir / "gt.jsonl"), "--out", str(report_path), "--table"],
+                    env=env, stdout=full, stderr=subprocess.PIPE, text=True)
+            assert proc.returncode == 2, (unbuffered, proc.stderr)
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1 and "stdout" in lines[0] and "r.json" not in lines[0]
+            assert report_path.exists() and (tmp_path / "run_manifest.json").exists()
 
     def test_analyze_single_bin_for_uniform_scenario(self, tmp_path, scenario_cfg):
         # perfect tracks over a scenario with a constant object count give
