@@ -1,30 +1,24 @@
 """Oriented 3D bounding-box overlap.
 
 The IoU kernel has two interchangeable backends: a compiled C module
-(_native.c, built by setup.py) and a pure-Python fallback. The compiled
-one is chosen at import when available; set COOPMOT_PURE=1 to force the
-fallback.
+(_native.c, built by setup.py when a C compiler is available) and a
+pure-Python fallback. The compiled one is used whenever it imports;
+BACKEND names the one in use.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from .. import core
 from . import _pure
 
-if os.environ.get("COOPMOT_PURE"):
+try:
+    from . import _native as _kernel
+    BACKEND = "native"
+except ImportError:
     _kernel = _pure
     BACKEND = "pure"
-else:
-    try:
-        from . import _native as _kernel  # type: ignore[no-redef]
-        BACKEND = "native"
-    except ImportError:
-        _kernel = _pure
-        BACKEND = "pure"
 
 
 def as_box7_array(objs) -> np.ndarray:

@@ -159,8 +159,9 @@ def update(tracks: Tracks, rows, z, scores, model: KalmanModel) -> Tracks:
     kt = np.linalg.solve(chol.swapaxes(1, 2), np.linalg.solve(chol, hp))
     gain = kt.swapaxes(1, 2)
 
-    # one matrix-vector product per row, so each row gets the bits of
-    # K @ v (innovation @ K.T would sum in another order)
+    # one matrix-vector product K @ v per row, as the row-by-row oracle
+    # test_kalman.py::TestBatchedOracle pins it; under the default model
+    # each row of K has one nonzero entry, so no scene can see the order
     state = x_pred + (gain @ innovation[..., None])[..., 0]
     state[:, 3] = _wrap(state[:, 3])
     cov = p_pred - gain @ hp

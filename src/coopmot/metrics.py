@@ -103,7 +103,8 @@ class _FrameMatcher:
 def _matchers(gt_frames, pred_frames, iou_threshold):
     """One _FrameMatcher per frame of the longer list; the shorter list's
     missing tail frames are empty. Raises ValueError when iou_threshold is
-    not in (0, 1] or a prediction score is NaN or infinite."""
+    not in (0, 1], a prediction score is NaN or infinite, or a frame
+    repeats an object id or a track id."""
     assign.check_iou_threshold(iou_threshold)
     matchers = []
     for t, (gt, pred) in enumerate(itertools.zip_longest(gt_frames, pred_frames,
@@ -111,7 +112,12 @@ def _matchers(gt_frames, pred_frames, iou_threshold):
         for p in pred:
             if not math.isfinite(p[2]):
                 raise ValueError(f"frame {t}: prediction score {p[2]} is not finite")
-        matchers.append(_FrameMatcher(gt, pred, iou_threshold))
+        m = _FrameMatcher(gt, pred, iou_threshold)
+        for kind, ids in (("object", m.gt_ids), ("track", m.tids)):
+            if len(set(ids)) < len(ids):
+                repeated = next(i for k, i in enumerate(ids) if i in ids[:k])
+                raise ValueError(f"frame {t}: {kind} id {repeated} appears twice")
+        matchers.append(m)
     return matchers
 
 
@@ -149,7 +155,7 @@ def evaluate_sequence(gt_frames, pred_frames,
     gt_frames: per frame, a list of (object_id, box); pred_frames: per
     frame, a list of (track_id, box, score). Frames past the end of the
     shorter list are empty. Raises ValueError when iou_threshold is not in
-    (0, 1] or a prediction score is not finite.
+    (0, 1], a prediction score is not finite or a frame repeats an id.
     """
     return _tally(_matchers(gt_frames, pred_frames, iou_threshold), None)
 
@@ -259,7 +265,8 @@ def amota_family(gt_frames, pred_frames,
     recall >= r with the fewest predictions is selected (the highest such
     threshold); targets no threshold can reach contribute zero. Frames
     are aligned as in evaluate_sequence. Raises ValueError when
-    iou_threshold is not in (0, 1] or a prediction score is not finite.
+    iou_threshold is not in (0, 1], a prediction score is not finite or a
+    frame repeats an id.
     """
     gt_total = sum(len(f) for f in gt_frames)
     if gt_total == 0:

@@ -5,6 +5,8 @@ When the compiled kernel is not installed, _native.c is built once per
 session into a pytest temp directory, with warnings as errors, and loaded
 from there by file path; nothing is built into the source tree. The
 module skips only when no C compiler or no Python headers are available.
+The last two tests check how the kernel is chosen: the pure one whenever
+_native does not import, and a failed optional build still exits 0.
 """
 
 import importlib.util
@@ -12,6 +14,7 @@ import math
 import os
 import shutil
 import subprocess
+import sys
 import sysconfig
 
 import numpy as np
@@ -23,6 +26,7 @@ from coopmot import geometry
 from coopmot.geometry import _pure
 from conftest import rand_box7
 from iou_oracle import iou3d_pair
+from test_cli import subprocess_env
 
 
 def _build_native(build_dir):
@@ -132,13 +136,40 @@ def test_rigid_motion_invariance(kernels, backend, a, b, yaw, tx, ty):
     assert abs(pair(kernel, moved(a), moved(b)) - pair(kernel, a, b)) < 1e-9
 
 
-def test_env_override_selects_pure():
-    import os
-    import subprocess
-    import sys
+def test_pure_kernel_when_native_does_not_import():
+    """Whether _native imports alone decides the kernel: with the import
+    blocked, geometry uses _pure even where a compiled module is built."""
+    code = ("import sys\n"
+            "sys.modules['coopmot.geometry._native'] = None\n"
+            "import numpy as np\n"
+            "from coopmot import geometry\n"
+            "from coopmot.geometry import _pure\n"
+            "rng = np.random.default_rng(0)\n"
+            "rows = rng.uniform(0.5, 2.0, (4, 7))\n"
+            "cols = rows[:3] + rng.normal(0.0, 0.3, (3, 7)) * [1, 1, 0, 1, 0, 0, 0]\n"
+            "print(geometry.BACKEND)\n"
+            "print(np.array_equal(geometry.iou_matrix(rows, cols),\n"
+            "                     _pure.iou3d_matrix(rows, cols)))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["pure", "True"]
+
+
+def test_failed_optional_build_exits_0(tmp_path):
+    """setup.py build_ext without a working compiler warns and succeeds,
+    and leaves no compiled module behind."""
+    pytest.importorskip("setuptools")
+    if not os.path.exists("/bin/false"):
+        pytest.skip("no /bin/false to stand in for a failing compiler")
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    code = ("import coopmot.geometry as g; print(g.BACKEND)")
-    out = subprocess.run([sys.executable, "-c", code],
-                         env={**os.environ, "COOPMOT_PURE": "1"},
-                         capture_output=True, text=True, cwd=repo)
-    assert out.stdout.strip() == "pure"
+    for name in ("setup.py", "pyproject.toml"):
+        shutil.copy(os.path.join(repo, name), tmp_path)
+    shutil.copytree(os.path.join(repo, "src"), tmp_path / "src",
+                    ignore=shutil.ignore_patterns("*.so", "__pycache__"))
+    out = subprocess.run([sys.executable, "setup.py", "build_ext", "--inplace"],
+                         env={**os.environ, "CC": "/bin/false"}, cwd=tmp_path,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert 'building extension "coopmot.geometry._native" failed' in out.stdout + out.stderr
+    assert not list((tmp_path / "src").rglob("_native*.so"))

@@ -520,6 +520,15 @@ MALFORMED = [
     ("poses-nested", "track", "poses", NESTED, 1, "poses_a.jsonl: line 1: invalid JSON"),
     ("config-nested", "track", "config", NESTED, 2, "cannot parse config"),
     ("scenario-nested", "simulate", "scenario", NESTED, 2, "invalid scenario config"),
+    # an id names one object or track within a frame
+    ("track-id-repeated-eval", "eval", "tracks", record("tracks") * 2, 1,
+     "frame 0: track id 1 appears twice"),
+    ("track-id-repeated-analyze", "analyze", "tracks", record("tracks") * 2, 1,
+     "frame 0: track id 1 appears twice"),
+    ("object-id-repeated-eval", "eval", "gt", record("gt") * 2, 1,
+     "frame 0: object id 1 appears twice"),
+    ("object-id-repeated-analyze", "analyze", "gt", record("gt") * 2, 1,
+     "frame 0: object id 1 appears twice"),
 ]
 
 

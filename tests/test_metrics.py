@@ -395,6 +395,20 @@ class TestThresholdScan:
             with pytest.raises(ValueError, match="frame 3: prediction score"):
                 evaluate(gt_frames, pred_frames)
 
+    def test_repeated_track_id_rejected(self):
+        gt_frames, pred_frames = dropout_sequence()
+        pred_frames[3] = pred_row([(1, 6.0, 0.0, 0.9), (1, 94.0, 30.0, 0.8)])
+        for evaluate in (metrics.amota_family, metrics.evaluate_sequence):
+            with pytest.raises(ValueError, match="frame 3: track id 1 appears twice"):
+                evaluate(gt_frames, pred_frames)
+
+    def test_repeated_object_id_rejected(self):
+        gt_frames, pred_frames = dropout_sequence()
+        gt_frames[5] = gt_row([(0, 10.0, 0.0), (1, 90.0, 30.0), (0, 50.0, 0.0)])
+        for evaluate in (metrics.amota_family, metrics.evaluate_sequence):
+            with pytest.raises(ValueError, match="frame 5: object id 0 appears twice"):
+                evaluate(gt_frames, pred_frames)
+
 
 class TestReportFormat:
     def test_table_layout(self):
