@@ -84,8 +84,8 @@ def _emit(ts: TrackSet, frame: int, tracks: kalman.Tracks, cfg: TrackerConfig) -
 
 
 def _candidates(bundle: FrameBundle, cfg: TrackerConfig):
-    """The boxes the frame offers the tracks: (variants, N, 7) boxes, their
-    (N,) scores, and how many leading boxes come from cross-matched nodes.
+    """The boxes the frame offers the tracks: (variants, K, 7) boxes, their
+    (K,) scores, and how many leading boxes come from cross-matched nodes.
 
     baseline offers the raw boxes, aos one refined variant, tsa the ij and
     ji variants (one variant when the frame is empty)."""
@@ -94,13 +94,8 @@ def _candidates(bundle: FrameBundle, cfg: TrackerConfig):
         raise ValueError(f"pipelines support at most two agents, bundle has {len(sizes)}")
     if cfg.method is Method.BASELINE or len(boxes) == 0:
         return boxes[None], scores, 0
-    scheme = graphlap.SCHEME_AOS if cfg.method is Method.AOS else graphlap.SCHEME_TSA
-    refined = graphlap.refine(boxes, scores, sizes[0], scheme,
-                              cfg.cross_agent_iou_threshold)
-    m = refined.node_map.num_matched
-    if cfg.dedup_matched_pairs:
-        return (*graphlap.collapse_matched(refined), m)
-    return refined.boxes, refined.scores, 2 * m
+    refined = graphlap.refine(boxes, scores, sizes[0], cfg)
+    return refined.boxes, refined.scores, refined.num_cross
 
 
 def step(ts: TrackSet, bundle: FrameBundle, cfg: TrackerConfig, model):

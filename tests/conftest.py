@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from coopmot import assign, geometry, graphlap, kalman, sim
-from coopmot.core import Detection, FrameBundle, validate_detection, wrap_angle
+from coopmot.core import (Detection, FrameBundle, Method, TrackerConfig, validate_detection,
+                          wrap_angle)
 from coopmot.io import Pose
 
 
@@ -365,14 +366,19 @@ def by_key(centroids, keys):
 
 
 def refined_centroids(dets_i, dets_j, match, variant):
-    """graphlap.refine's centroids for one anchor variant, keyed by the
-    (agent slot, position) of each node's detection."""
-    refined = graphlap.refine(*stacked(dets_i, dets_j),
-                              "aos" if variant == "aos" else "tsa", 0.25, cross_match=match)
+    """graphlap.refine's centroids for one anchor variant under the given
+    cross-agent matching, keyed by the (agent slot, position) of each node's
+    detection."""
+    # imported here: the benchmark imports this module, and unittest.mock
+    # pulls in asyncio (about 9 MB of peak RSS)
+    from unittest import mock
+    cfg = TrackerConfig(method=Method.AOS if variant == "aos" else Method.TSA)
+    with mock.patch.object(assign, "associate", lambda *args: match):
+        refined = graphlap.refine(*stacked(dets_i, dets_j), cfg)
     assert len(refined.boxes) == (1 if variant == "aos" else 2)
     boxes = refined.boxes[max(VARIANTS.index(variant) - 1, 0)]
     keys = node_keys(dets_i, dets_j)
-    return {keys[n]: box[:3] for n, box in zip(refined.node_map.nodes, boxes)}
+    return {keys[n]: box[:3] for n, box in zip(refined.node_map, boxes)}
 
 
 def oracle_system(dets_i, dets_j, match, variant):

@@ -53,10 +53,10 @@ def test_c02_closed_form_pair_solves():
     """N=2 matched pair reproduces the derived closed forms to 1e-12."""
     d_i = [make_box(x=0.0, h=2.0, w=2.0, l=2.0)]
     d_j = [make_box(x=1.0, h=2.0, w=2.0, l=2.0)]
-    (aos,) = graphlap.refine(*stacked(d_i, d_j), graphlap.SCHEME_AOS, 0.25).boxes
+    (aos,) = graphlap.refine(*stacked(d_i, d_j), TrackerConfig(method=Method.AOS)).boxes
     assert abs(aos[0, 0] - 0.2) < 1e-12
     assert abs(aos[1, 0] - 0.8) < 1e-12
-    g_ij, g_ji = graphlap.refine(*stacked(d_i, d_j), graphlap.SCHEME_TSA, 0.25).boxes
+    g_ij, g_ji = graphlap.refine(*stacked(d_i, d_j), TrackerConfig(method=Method.TSA)).boxes
     assert abs(g_ij[0, 0] - 0.6) < 1e-12
     assert abs(g_ij[1, 0] - 1.4) < 1e-12
     assert abs(g_ji[0, 0] - (-0.4)) < 1e-12
@@ -163,6 +163,7 @@ def test_c07_matched_pair_noise_reduction(rng):
     trials = 10_000
     sq = 0.0
     count = 0
+    cfg = TrackerConfig(method=Method.AOS, cross_agent_iou_threshold=0.05)
     for _ in range(trials):
         mu = rng.uniform(-20, 20, 3)
         noisy = mu + sigma * rng.normal(size=(2, 3))
@@ -170,8 +171,8 @@ def test_c07_matched_pair_noise_reduction(rng):
                        h=6.0, w=8.0, l=8.0)
         d_j = make_box(x=noisy[1, 0], y=noisy[1, 1], z=noisy[1, 2],
                        h=6.0, w=8.0, l=8.0)
-        refined = graphlap.refine(*stacked([d_i], [d_j]), graphlap.SCHEME_AOS, 0.05)
-        assert refined.node_map.num_matched == 1
+        refined = graphlap.refine(*stacked([d_i], [d_j]), cfg)
+        assert refined.num_cross == 2
         for bx in refined.boxes[0]:
             err = bx[:3] - mu
             sq += float(err @ err)

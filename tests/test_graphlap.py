@@ -1,13 +1,18 @@
+from unittest import mock
+
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from coopmot import assign, graphlap
+from coopmot.core import Method, TrackerConfig
 from conftest import (VARIANTS, by_key, differential_coords, graph_frame,
                       laplacian_complete, make_box, matching, oracle_centroids,
                       oracle_system, permuted, random_graph_frame, refined_centroids,
                       stacked, translated, unpermuted)
+
+
+AOS, TSA = TrackerConfig(method=Method.AOS), TrackerConfig(method=Method.TSA)
 
 
 def cross_matched_pair(x_i=0.0, x_j=1.0):
@@ -23,7 +28,7 @@ def centroids(refined, variant=0):
 
 def node_positions(refined, dets_i, dets_j):
     """Raw centroids (N, 3) of the refined nodes, in node order."""
-    return stacked(dets_i, dets_j)[0][refined.node_map.nodes, :3]
+    return stacked(dets_i, dets_j)[0][refined.node_map, :3]
 
 
 def implied_anchors(positions, refined):
@@ -39,22 +44,24 @@ def anchors_of(refined, variant, dets_i, dets_j):
 
 
 class TestBuildGraph:
+    """The node layout refine reports in node_map and num_cross."""
+
     def test_two_node_matched(self):
         dets_i, dets_j = cross_matched_pair()
-        match = assign.associate(dets_i, dets_j, 0.25)
-        node_map = graphlap.build_graph(len(dets_i), len(dets_j), match)
+        refined = graphlap.refine(*stacked(dets_i, dets_j), AOS)
+        node_map = refined.node_map
         assert node_map.size == 2
-        assert node_map.num_matched == 1
-        assert node_map.nodes.tolist() == [0, 1]
+        assert refined.num_cross == 2
+        assert node_map.tolist() == [0, 1]
         assert np.array_equal(laplacian_complete(node_map.size), [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_three_nodes_no_matches(self):
         dets_i = [make_box(x=0.0), make_box(x=50.0)]
         dets_j = [make_box(x=100.0)]
-        match = assign.associate(dets_i, dets_j, 0.25)
-        node_map = graphlap.build_graph(len(dets_i), len(dets_j), match)
-        assert node_map.num_matched == 0
-        assert node_map.nodes.tolist() == [0, 1, 2]
+        refined = graphlap.refine(*stacked(dets_i, dets_j), AOS)
+        node_map = refined.node_map
+        assert refined.num_cross == 0
+        assert node_map.tolist() == [0, 1, 2]
         lap = laplacian_complete(node_map.size)
         assert np.array_equal(np.diag(lap), [2.0, 2.0, 2.0])
         off = lap[~np.eye(3, dtype=bool)]
@@ -70,24 +77,29 @@ class TestBuildGraph:
         # two matched pairs plus one unmatched on each side
         dets_i = [make_box(x=0.0), make_box(x=50.0), make_box(x=200.0)]
         dets_j = [make_box(x=50.2), make_box(x=0.1), make_box(x=300.0)]
-        match = assign.associate(dets_i, dets_j, 0.25)
-        node_map = graphlap.build_graph(len(dets_i), len(dets_j), match)
-        m = node_map.num_matched
-        assert m == 2
+        refined = graphlap.refine(*stacked(dets_i, dets_j), AOS)
+        node_map = refined.node_map
+        assert refined.num_cross == 4
+        m = refined.num_cross // 2
         # pair alignment: node k and node m+k are partners, pairs by row
         # stacked rows: agent i's 0-2, then agent j's 3-5
-        assert node_map.nodes[:2 * m].tolist() == [0, 1, 4, 3]
-        assert node_map.nodes[2 * m:].tolist() == [2, 5]
+        assert node_map[:2 * m].tolist() == [0, 1, 4, 3]
+        assert node_map[2 * m:].tolist() == [2, 5]
         dets = dets_i + dets_j
         for k in range(m):
-            r, c = node_map.nodes[k], node_map.nodes[m + k]
+            r, c = node_map[k], node_map[m + k]
             assert r < 3 <= c
             assert abs(dets[r].x - dets[c].x) < 0.5
 
     def test_empty_graph_raises(self):
-        match = assign.associate([], [], 0.25)
-        with pytest.raises(graphlap.EmptyGraph):
-            graphlap.build_graph(0, 0, match)
+        """A frame without detections raises nothing: its graph has no
+        nodes and no cross-matched boxes, under every method and dedup."""
+        for method in (Method.AOS, Method.TSA):
+            for dedup in (False, True):
+                cfg = TrackerConfig(method=method, dedup_matched_pairs=dedup)
+                refined = graphlap.refine(*stacked([], []), cfg)
+                assert refined.node_map.size == 0
+                assert refined.num_cross == 0
 
     def test_spectrum_of_complete_graph(self):
         for n in (2, 3, 7, 25):
@@ -125,14 +137,14 @@ class TestAnchors:
 
     def test_aos_matched_pair_swaps(self):
         dets_i, dets_j = cross_matched_pair(0.0, 1.0)
-        refined = graphlap.refine(*stacked(dets_i, dets_j), graphlap.SCHEME_AOS, 0.25)
+        refined = graphlap.refine(*stacked(dets_i, dets_j), AOS)
         assert np.allclose(anchors_of(refined, 0, dets_i, dets_j)[:, 0], [1.0, 0.0],
                            rtol=0.0, atol=1e-12)
 
     def test_aos_all_unmatched_self_anchors(self):
         dets_i = [make_box(x=0.0), make_box(x=50.0)]
         dets_j = [make_box(x=100.0)]
-        refined = graphlap.refine(*stacked(dets_i, dets_j), graphlap.SCHEME_AOS, 0.25)
+        refined = graphlap.refine(*stacked(dets_i, dets_j), AOS)
         assert np.allclose(anchors_of(refined, 0, dets_i, dets_j)[:, 0],
                            [0.0, 50.0, 100.0], rtol=0.0, atol=1e-12)
         # with every node self-anchored the output is the input, exactly
@@ -140,13 +152,13 @@ class TestAnchors:
 
     def test_aos_coincident_pair(self):
         dets_i, dets_j = cross_matched_pair(4.2, 4.2)
-        refined = graphlap.refine(*stacked(dets_i, dets_j), graphlap.SCHEME_AOS, 0.25)
-        assert refined.node_map.num_matched == 1
+        refined = graphlap.refine(*stacked(dets_i, dets_j), AOS)
+        assert refined.num_cross == 2
         assert np.array_equal(centroids(refined)[:, 0], [4.2, 4.2])
 
     def test_tsa_matched_pair(self):
         dets_i, dets_j = cross_matched_pair(0.0, 1.0)
-        refined = graphlap.refine(*stacked(dets_i, dets_j), graphlap.SCHEME_TSA, 0.25)
+        refined = graphlap.refine(*stacked(dets_i, dets_j), TSA)
         assert np.allclose(anchors_of(refined, 0, dets_i, dets_j)[:, 0], [1.0, 1.0],
                            rtol=0.0, atol=1e-12)
         assert np.allclose(anchors_of(refined, 1, dets_i, dets_j)[:, 0], [0.0, 0.0],
@@ -155,15 +167,15 @@ class TestAnchors:
     def test_tsa_no_matches_degenerates(self):
         dets_i = [make_box(x=0.0)]
         dets_j = [make_box(x=100.0)]
-        tsa = graphlap.refine(*stacked(dets_i, dets_j), graphlap.SCHEME_TSA, 0.25)
-        aos = graphlap.refine(*stacked(dets_i, dets_j), graphlap.SCHEME_AOS, 0.25)
+        tsa = graphlap.refine(*stacked(dets_i, dets_j), TSA)
+        aos = graphlap.refine(*stacked(dets_i, dets_j), AOS)
         assert np.array_equal(centroids(tsa, 0)[:, 0], [0.0, 100.0])
         assert np.array_equal(centroids(tsa, 0), centroids(tsa, 1))
         assert np.array_equal(centroids(tsa, 0), centroids(aos))
 
     def test_tsa_coincident_pair_equal(self):
         dets_i, dets_j = cross_matched_pair(-3.0, -3.0)
-        refined = graphlap.refine(*stacked(dets_i, dets_j), graphlap.SCHEME_TSA, 0.25)
+        refined = graphlap.refine(*stacked(dets_i, dets_j), TSA)
         assert np.array_equal(centroids(refined, 0)[:, 1], centroids(refined, 1)[:, 1])
 
 
@@ -219,13 +231,14 @@ class TestSolve:
         for _ in range(20):
             dets_i, dets_j, match = random_graph_frame(rng, 20)
             n = len(dets_i) + len(dets_j)
-            for scheme, variants in ((graphlap.SCHEME_AOS, 1), (graphlap.SCHEME_TSA, 2)):
-                refined = graphlap.refine(*stacked(dets_i, dets_j), scheme, 0.25,
-                                          cross_match=match)
+            for cfg, variants in ((AOS, 1), (TSA, 2)):
+                with mock.patch.object(assign, "associate", return_value=match):
+                    refined = graphlap.refine(*stacked(dets_i, dets_j), cfg)
                 assert refined.node_map.size == n
+                assert refined.num_cross == 2 * match.num_matched
                 assert refined.boxes.shape == (variants, n, 7)
                 assert refined.scores.shape == (n,)
-                assert sorted(refined.node_map.nodes.tolist()) == list(range(n))
+                assert sorted(refined.node_map.tolist()) == list(range(n))
 
 
 def max_gap(a, b, shift=0.0):
@@ -308,7 +321,7 @@ class TestRefineProperties:
 class TestRefine:
     def test_single_detection_identity(self):
         d = make_box(x=3.0, y=-2.0, z=1.0, theta=0.4, score=0.9)
-        refined = graphlap.refine(*stacked([d], []), graphlap.SCHEME_AOS, 0.25)
+        refined = graphlap.refine(*stacked([d], []), AOS)
         assert refined.boxes.shape == (1, 1, 7)
         out = refined.boxes[0, 0]
         assert tuple(out[:3]) == (3.0, -2.0, 1.0)
@@ -316,7 +329,7 @@ class TestRefine:
 
     def test_matched_pair_aos_closed_form(self):
         dets_i, dets_j = cross_matched_pair(0.0, 1.0)
-        refined = graphlap.refine(*stacked(dets_i, dets_j), graphlap.SCHEME_AOS, 0.25)
+        refined = graphlap.refine(*stacked(dets_i, dets_j), AOS)
         xs = refined.boxes[0, :, 0]
         assert abs(xs[0] - 0.2) < 1e-12
         assert abs(xs[1] - 0.8) < 1e-12
@@ -324,7 +337,7 @@ class TestRefine:
 
     def test_matched_pair_tsa_closed_forms(self):
         dets_i, dets_j = cross_matched_pair(0.0, 1.0)
-        refined = graphlap.refine(*stacked(dets_i, dets_j), graphlap.SCHEME_TSA, 0.25)
+        refined = graphlap.refine(*stacked(dets_i, dets_j), TSA)
         assert len(refined.boxes) == 2  # variants ij, ji
         xs_ij, xs_ji = refined.boxes[:, :, 0]
         assert abs(xs_ij[0] - 0.6) < 1e-12 and abs(xs_ij[1] - 1.4) < 1e-12
@@ -333,9 +346,9 @@ class TestRefine:
     def test_non_centroid_attributes_copied(self, rng):
         dets_i = [make_box(x=0.0, theta=0.3, h=1.5, w=1.7, l=4.1, score=0.65)]
         dets_j = [make_box(x=0.5, theta=-0.2, h=1.4, w=1.9, l=4.3, score=0.75)]
-        for scheme in (graphlap.SCHEME_AOS, graphlap.SCHEME_TSA):
-            refined = graphlap.refine(*stacked(dets_i, dets_j), scheme, 0.25)
-            src = [(dets_i + dets_j)[k] for k in refined.node_map.nodes]
+        for cfg in (AOS, TSA):
+            refined = graphlap.refine(*stacked(dets_i, dets_j), cfg)
+            src = [(dets_i + dets_j)[k] for k in refined.node_map]
             assert refined.scores.tolist() == [d.score for d in src]
             for boxes in refined.boxes:
                 assert boxes[:, 3:].tolist() == [[d.theta, d.h, d.w, d.l] for d in src]
@@ -346,39 +359,48 @@ class TestRefine:
                   make_box(x=60.0, score=0.3)]
         dets_j = [make_box(x=0.4, theta=0.2, l=4.2, score=0.8),
                   make_box(x=-60.0, score=0.4)]
-        for scheme in (graphlap.SCHEME_AOS, graphlap.SCHEME_TSA):
-            refined = graphlap.refine(*stacked(dets_i, dets_j), scheme, 0.25)
-            assert refined.node_map.num_matched == 1
-            boxes, scores = graphlap.collapse_matched(refined)
-            assert boxes.shape == (len(refined.boxes), 3, 7)
-            assert scores.tolist() == [0.8, 0.3, 0.4]
-            for merged, full in zip(boxes, refined.boxes):
+        for method in (Method.AOS, Method.TSA):
+            refined = graphlap.refine(*stacked(dets_i, dets_j), TrackerConfig(method=method))
+            dedup = graphlap.refine(*stacked(dets_i, dets_j),
+                                    TrackerConfig(method=method, dedup_matched_pairs=True))
+            assert refined.num_cross == 2 and dedup.num_cross == 1
+            assert np.array_equal(dedup.node_map, refined.node_map)
+            assert dedup.boxes.shape == (len(refined.boxes), 3, 7)
+            assert dedup.scores.tolist() == [0.8, 0.3, 0.4]
+            for merged, full in zip(dedup.boxes, refined.boxes):
                 assert np.array_equal(merged[0, :3], 0.5 * (full[0, :3] + full[1, :3]))
                 assert np.array_equal(merged[0, 3:], full[1, 3:])  # higher score: j
                 assert np.array_equal(merged[1:], full[2:])
 
-    def test_empty_raises(self):
-        with pytest.raises(graphlap.EmptyGraph):
-            graphlap.refine(*stacked([], []), graphlap.SCHEME_AOS, 0.25)
+    def test_zero_boxes_give_empty_arrays(self):
+        refined = graphlap.refine(*stacked([], []), AOS)
+        assert refined.boxes.shape == (1, 0, 7)
+        assert refined.scores.shape == (0,)
+        assert refined.num_cross == 0 and refined.node_map.size == 0
 
-    def test_unknown_scheme(self):
-        with pytest.raises(ValueError):
-            graphlap.refine(*stacked([make_box()], []), "bogus", 0.25)
+    def test_empty_raises(self):
+        """refine on an empty frame raises nothing and gives one empty box
+        array per anchor variant, with or without merging pairs."""
+        for dedup in (False, True):
+            cfg = TrackerConfig(method=Method.TSA, dedup_matched_pairs=dedup)
+            refined = graphlap.refine(*stacked([], []), cfg)
+            assert refined.boxes.shape == (2, 0, 7)
+            assert refined.scores.shape == (0,)
 
     def test_permutation_of_inputs_permutes_outputs(self, rng):
         dets_i = [make_box(x=float(x), y=float(y))
                   for k, (x, y) in enumerate(rng.uniform(-40, 40, (5, 2)))]
         dets_j = [make_box(x=d.x + rng.uniform(-0.3, 0.3), y=d.y) for d in dets_i[:3]]
-        base = graphlap.refine(*stacked(dets_i, dets_j), graphlap.SCHEME_AOS, 0.25)
+        base = graphlap.refine(*stacked(dets_i, dets_j), AOS)
         perm = rng.permutation(len(dets_i))
         shuffled = [dets_i[p] for p in perm]
-        other = graphlap.refine(*stacked(shuffled, dets_j), graphlap.SCHEME_AOS, 0.25)
+        other = graphlap.refine(*stacked(shuffled, dets_j), AOS)
 
         def keys(refined):
             # rounded centroid and agent slot of every refined box
             return sorted((round(box[0], 8), round(box[1], 8), round(box[2], 8),
                            node >= len(dets_i))
-                          for node, box in zip(refined.node_map.nodes.tolist(),
+                          for node, box in zip(refined.node_map.tolist(),
                                                refined.boxes[0].tolist()))
 
         assert keys(base) == keys(other)
@@ -392,6 +414,7 @@ class TestVarianceReduction:
         trials = 2000
         sq = 0.0
         count = 0
+        cfg = TrackerConfig(method=Method.AOS, cross_agent_iou_threshold=0.05)
         for _ in range(trials):
             mu = rng.uniform(-20, 20, 3)
             noisy = mu + sigma * rng.normal(size=(2, 3))
@@ -401,8 +424,8 @@ class TestVarianceReduction:
                            h=6.0, w=8.0, l=8.0)
             d_j = make_box(x=noisy[1, 0], y=noisy[1, 1], z=noisy[1, 2],
                            h=6.0, w=8.0, l=8.0)
-            refined = graphlap.refine(*stacked([d_i], [d_j]), graphlap.SCHEME_AOS, 0.05)
-            assert refined.node_map.num_matched == 1
+            refined = graphlap.refine(*stacked([d_i], [d_j]), cfg)
+            assert refined.num_cross == 2
             for b in refined.boxes[0]:
                 err = b[:3] - mu
                 sq += float(err @ err)
