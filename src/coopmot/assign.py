@@ -191,28 +191,21 @@ def hungarian_min_cost(cost) -> list:
     return _dense_pairs(cost.tolist())
 
 
-def check_iou_threshold(iou_threshold: float) -> None:
-    """Raise ValueError unless iou_threshold is in (0, 1]: a pair of zero
-    overlap is never a match."""
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ValueError(f"iou_threshold {iou_threshold} not in (0, 1]")
+def gated_pairs(iou, iou_threshold: float) -> list:
+    """(row, col) pairs, by row, of the Hungarian matching on -IoU whose IoU
+    reaches iou_threshold: the one gate of tracking and of scoring."""
+    return [(r, c) for r, c in hungarian_min_cost(-iou) if iou.item(r, c) >= iou_threshold]
 
 
 def associate(rows, cols, iou_threshold: float) -> AssociationResult:
     """Match two box lists by maximum IoU, gated at iou_threshold.
 
     Rows and cols may be Detection lists or (N, 7) box arrays, such as the
-    track store's states[:, :7]. Hungarian runs on cost = -IoU; matched pairs
-    whose IoU falls below the threshold are demoted to unmatched.
+    track store's states[:, :7]. The matched pairs are those of gated_pairs.
     """
-    check_iou_threshold(iou_threshold)
     iou = geometry.iou_matrix(rows, cols)
-    overlap = iou.item
-    matched_rows, matched_cols = [], []
-    for r, c in hungarian_min_cost(-iou) if iou.size else []:
-        if overlap(r, c) >= iou_threshold:
-            matched_rows.append(r)
-            matched_cols.append(c)
+    pairs = gated_pairs(iou, iou_threshold) if iou.size else []
+    matched_rows, matched_cols = [r for r, _ in pairs], [c for _, c in pairs]
     n_rows, n_cols = iou.shape
     return AssociationResult(
         np.array(matched_rows, dtype=int), np.array(matched_cols, dtype=int),

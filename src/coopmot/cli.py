@@ -107,10 +107,7 @@ def cmd_track(args) -> None:
     det_paths = _input_files(args.detections, "detections")
     bundles = io.merge_detection_files(det_paths)
     if args.poses:
-        poses = {}
-        for p in _input_files(args.poses, "poses"):
-            poses.update(io.read_poses(p))
-        bundles = io.apply_poses(bundles, poses)
+        bundles = io.apply_poses(bundles, io.read_poses(*_input_files(args.poses, "poses")))
     outputs = tracker.run_sequence(bundles, cfg)
     _write_outputs(args, lambda: io.write_tracks(args.out, outputs), cfg.to_dict(),
                    det_paths + ([args.poses] if args.poses else []),

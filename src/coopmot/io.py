@@ -227,10 +227,17 @@ def write_tracks(path, outputs) -> None:
                          % _spell((*map(float, _seven(box)), float(score))))
 
 
-def read_poses(path) -> dict:
-    """Read poses keyed by (frame, agent)."""
-    return {(frame, agent): pose
-            for frame, agent, pose in _records(path, "agent", ("x", "y", "z", "yaw"), Pose)}
+def read_poses(*paths) -> dict:
+    """Read pose files into {(frame, agent): pose}; a key has one pose in all the files."""
+    poses, source = {}, {}
+    for path in paths:
+        for frame, agent, pose in _records(path, "agent", ("x", "y", "z", "yaw"), Pose):
+            earlier = source.setdefault((frame, agent), path)
+            if poses.setdefault((frame, agent), pose) is not pose:
+                raise ParseError(f"{path}: frame {frame}, agent {agent} " + (
+                    "has more than one pose" if earlier == path else
+                    f"already has a pose in {earlier}"))
+    return poses
 
 
 def apply_poses(bundles, poses: dict) -> list:

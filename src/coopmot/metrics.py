@@ -2,10 +2,10 @@
 
 Ground truth rows are (object_id, box) pairs, predictions are
 (track_id, box, score) triples; boxes may be Detections or 7-vectors.
-Matching is Hungarian on IoU gated at the overlap threshold (0.25 by
-default). Identity switches use the per-object id-consistency rule with
-carry-over: a switch is counted whenever an object's newly matched track
-id differs from the last id it was ever matched to.
+Matching is gated at IoU 0.25 by assign.gated_pairs, the rule that track
+association uses. Identity switches use the per-object id-consistency
+rule with carry-over: a switch is counted whenever an object's newly
+matched track id differs from the last id it was ever matched to.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import assign, geometry
 
-DEFAULT_IOU_THRESHOLD = 0.25
+IOU_THRESHOLD = 0.25
 DEFAULT_NUM_THRESHOLDS = 40
 MT_COVERAGE = 0.8
 
@@ -70,13 +70,12 @@ class _FrameMatcher:
     solver sees exactly the matrix of the kept boxes alone.
     """
 
-    def __init__(self, gt, pred, iou_threshold):
+    def __init__(self, gt, pred):
         self.gt_ids = [g[0] for g in gt]
         self.tids = [p[0] for p in pred]
         self.scores = np.array([p[2] for p in pred], dtype=float)
         self.neg_sorted = sorted(-self.scores)  # ascending for bisect
         self.iou = geometry.iou_matrix([g[1] for g in gt], [p[1] for p in pred])
-        self.iou_threshold = iou_threshold
         self.memo = {}
 
     def match(self, score_threshold):
@@ -95,24 +94,21 @@ class _FrameMatcher:
         if cols.shape[0] == 0:
             return []
         iou = self.iou[:, cols]
-        return [(self.gt_ids[r], self.tids[cols[c]], float(iou[r, c]))
-                for r, c in assign.hungarian_min_cost(-iou)
-                if iou[r, c] >= self.iou_threshold]
+        return [(self.gt_ids[r], self.tids[cols[c]], iou.item(r, c))
+                for r, c in assign.gated_pairs(iou, IOU_THRESHOLD)]
 
 
-def _matchers(gt_frames, pred_frames, iou_threshold):
+def _matchers(gt_frames, pred_frames):
     """One _FrameMatcher per frame of the longer list; the shorter list's
-    missing tail frames are empty. Raises ValueError when iou_threshold is
-    not in (0, 1], a prediction score is NaN or infinite, or a frame
-    repeats an object id or a track id."""
-    assign.check_iou_threshold(iou_threshold)
+    missing tail frames are empty. Raises ValueError when a prediction
+    score is NaN or infinite, or a frame repeats an object id or a track id."""
     matchers = []
     for t, (gt, pred) in enumerate(itertools.zip_longest(gt_frames, pred_frames,
                                                           fillvalue=())):
         for p in pred:
             if not math.isfinite(p[2]):
                 raise ValueError(f"frame {t}: prediction score {p[2]} is not finite")
-        m = _FrameMatcher(gt, pred, iou_threshold)
+        m = _FrameMatcher(gt, pred)
         for kind, ids in (("object", m.gt_ids), ("track", m.tids)):
             if len(set(ids)) < len(ids):
                 repeated = next(i for k, i in enumerate(ids) if i in ids[:k])
@@ -148,16 +144,15 @@ def _tally(matchers, score_threshold) -> SequenceTally:
     return tally
 
 
-def evaluate_sequence(gt_frames, pred_frames,
-                      iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> SequenceTally:
+def evaluate_sequence(gt_frames, pred_frames) -> SequenceTally:
     """Match every frame (Hungarian on IoU, gated) with id carry-over.
 
     gt_frames: per frame, a list of (object_id, box); pred_frames: per
     frame, a list of (track_id, box, score). Frames past the end of the
-    shorter list are empty. Raises ValueError when iou_threshold is not in
-    (0, 1], a prediction score is not finite or a frame repeats an id.
+    shorter list are empty. Raises ValueError when a prediction score is
+    not finite or a frame repeats an id.
     """
-    return _tally(_matchers(gt_frames, pred_frames, iou_threshold), None)
+    return _tally(_matchers(gt_frames, pred_frames), None)
 
 
 def mota_motp(totals: FrameCounts):
@@ -169,13 +164,12 @@ def mota_motp(totals: FrameCounts):
     return mota, motp
 
 
-def mostly_tracked(frames_present, frames_matched,
-                   coverage: float = MT_COVERAGE) -> float:
+def mostly_tracked(frames_present, frames_matched) -> float:
     """Fraction (in [0,1]) of GT objects matched in >= 80% of their frames."""
     if not frames_present:
         return 0.0
     mt = sum(1 for obj, present in frames_present.items()
-             if frames_matched.get(obj, 0) >= coverage * present)
+             if frames_matched.get(obj, 0) >= MT_COVERAGE * present)
     return mt / len(frames_present)
 
 
@@ -257,16 +251,14 @@ def _recall_thresholds(matchers, pred_frames, gt_total, targets, full_recall):
 
 
 def amota_family(gt_frames, pred_frames,
-                 num_thresholds: int = DEFAULT_NUM_THRESHOLDS,
-                 iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> MetricsReport:
+                 num_thresholds: int = DEFAULT_NUM_THRESHOLDS) -> MetricsReport:
     """Average MOTA/MOTP/sMOTA over evenly spaced recall targets.
 
     For each target r = k/num_thresholds the score threshold achieving
     recall >= r with the fewest predictions is selected (the highest such
     threshold); targets no threshold can reach contribute zero. Frames
-    are aligned as in evaluate_sequence. Raises ValueError when
-    iou_threshold is not in (0, 1], a prediction score is not finite or a
-    frame repeats an id.
+    are aligned as in evaluate_sequence. Raises ValueError when a
+    prediction score is not finite or a frame repeats an id.
     """
     gt_total = sum(len(f) for f in gt_frames)
     if gt_total == 0:
@@ -274,7 +266,7 @@ def amota_family(gt_frames, pred_frames,
 
     # IoU matrices and matchings are shared by every threshold's pass
     # within this call and dropped with it.
-    matchers = _matchers(gt_frames, pred_frames, iou_threshold)
+    matchers = _matchers(gt_frames, pred_frames)
     full = _tally(matchers, None)
     targets = [k / num_thresholds for k in range(1, num_thresholds + 1)]
     chosen = _recall_thresholds(matchers, pred_frames, gt_total, targets,

@@ -11,9 +11,9 @@ boxes a frame offers the tracks:
 
 Each step stacks the frame's detections once into (N, 7) box and (N,)
 score arrays; refinement, association, births and the Kalman update all
-work on those arrays. The track states stored in a
-TrackSet are the predictions for the frame about to be processed; each
-step ends by predicting every live track for the next frame.
+work on those arrays, under one Kalman model, MODEL. The track states
+stored in a TrackSet are the predictions for the frame about to be
+processed; each step ends by predicting every live track for the next frame.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ import numpy as np
 
 from . import assign, graphlap, kalman
 from .core import FrameBundle, TrackerConfig, Method
+
+MODEL = kalman.default_model()
 
 
 @dataclass(frozen=True)
@@ -44,8 +46,7 @@ class FrameOutput:
 
 
 def new_trackset() -> TrackSet:
-    return TrackSet(kalman.init_track(np.zeros((0, kalman.MEAS_DIM)), (), 1,
-                                      kalman.default_model()))
+    return TrackSet(kalman.init_track(np.zeros((0, kalman.MEAS_DIM)), (), 1, MODEL))
 
 
 def manage_lifecycle(tracks: kalman.Tracks, matched, cfg: TrackerConfig) -> kalman.Tracks:
@@ -98,7 +99,7 @@ def _candidates(bundle: FrameBundle, cfg: TrackerConfig):
     return refined.boxes, refined.scores, refined.num_cross
 
 
-def step(ts: TrackSet, bundle: FrameBundle, cfg: TrackerConfig, model):
+def step(ts: TrackSet, bundle: FrameBundle, cfg: TrackerConfig):
     """Associate, update, age and birth tracks for one frame; the output
     is labelled with bundle.frame.
 
@@ -116,7 +117,7 @@ def step(ts: TrackSet, bundle: FrameBundle, cfg: TrackerConfig, model):
     rows, cols = result.matched_rows, result.matched_cols
     matched = np.zeros(len(tracks), dtype=bool)
     matched[rows] = True
-    tracks = kalman.update(tracks, rows, boxes[0, cols], scores[cols], model)
+    tracks = kalman.update(tracks, rows, boxes[0, cols], scores[cols], MODEL)
     unmatched_cols = result.unmatched_cols
 
     stage2_rows = np.flatnonzero(~matched)
@@ -125,24 +126,24 @@ def step(ts: TrackSet, bundle: FrameBundle, cfg: TrackerConfig, model):
         result = assign.associate(tracks.states[stage2_rows, :kalman.MEAS_DIM],
                                   boxes[1, retry], cfg.iou_assoc_threshold)
         rows, cols = stage2_rows[result.matched_rows], retry[result.matched_cols]
-        tracks = kalman.update(tracks, rows, boxes[1, cols], scores[cols], model)
+        tracks = kalman.update(tracks, rows, boxes[1, cols], scores[cols], MODEL)
         matched[rows] = True
 
     born = kalman.init_track(boxes[0, unmatched_cols], scores[unmatched_cols],
-                             ts.next_id, model)
+                             ts.next_id, MODEL)
     alive = manage_lifecycle(tracks, matched, cfg).concat(born)
     output = _emit(ts, bundle.frame, alive, cfg)
-    return TrackSet(kalman.predict(alive, model), ts.next_id + len(born),
+    return TrackSet(kalman.predict(alive, MODEL), ts.next_id + len(born),
                     ts.frame + 1), output
 
 
 def run_sequence(frames, cfg: TrackerConfig, model=None) -> list:
-    """Fold the configured pipeline over an ordered frame sequence."""
-    if model is None:
-        model = kalman.default_model()
+    """Fold the configured pipeline over an ordered frame sequence; model may only be None."""
+    if model is not None:
+        raise TypeError("run_sequence tracks with tracker.MODEL; pass no model")
     ts = new_trackset()
     outputs = []
     for bundle in frames:
-        ts, out = step(ts, bundle, cfg, model)
+        ts, out = step(ts, bundle, cfg)
         outputs.append(out)
     return outputs

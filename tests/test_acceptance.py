@@ -247,7 +247,6 @@ def test_c09_metrics_oracle_exact():
 
 def test_c10_lifecycle_conformance():
     """Confirmation at exactly hits=3; termination at exactly age=2."""
-    model = kalman.default_model()
     cfg = TrackerConfig(method=Method.BASELINE, warm_start=False)
 
     def frame(t, present):
@@ -259,7 +258,7 @@ def test_c10_lifecycle_conformance():
     ts = tracker.new_trackset()
     statuses = []
     for t in range(4):
-        ts, _ = tracker.step(ts, frame(t, True), cfg, model)
+        ts, _ = tracker.step(ts, frame(t, True), cfg)
         statuses.append(ts.tracks.confirmed.tolist())
     assert statuses[0] == [False]  # tentative
     assert statuses[1] == [False]
@@ -271,10 +270,10 @@ def test_c10_lifecycle_conformance():
         ts = tracker.new_trackset()
         t_abs = 0
         for _ in range(3):
-            ts, _ = tracker.step(ts, frame(t_abs, True), cfg, model)
+            ts, _ = tracker.step(ts, frame(t_abs, True), cfg)
             t_abs += 1
         for _ in range(misses_before_death):
-            ts, _ = tracker.step(ts, frame(t_abs, False), cfg, model)
+            ts, _ = tracker.step(ts, frame(t_abs, False), cfg)
             t_abs += 1
         assert len(ts.tracks) == (1 if misses_before_death < 2 else 0)
 
@@ -282,7 +281,7 @@ def test_c10_lifecycle_conformance():
     ts = tracker.new_trackset()
     pattern = [True, True, True, False, True, False, True]
     for t, present in enumerate(pattern):
-        ts, _ = tracker.step(ts, frame(t, present), cfg, model)
+        ts, _ = tracker.step(ts, frame(t, present), cfg)
     assert len(ts.tracks) == 1
     _report(10, "hits=3 confirmation, age=2 termination")
 

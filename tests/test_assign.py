@@ -209,7 +209,3 @@ class TestAssociate:
         assert pairs == [(0, 0), (1, 1)]
         gated = [(r, c) for r, c in pairs if iou[r, c] >= 0.25]
         assert sum(iou[r, c] for r, c in gated) < brute_max_gated_matching(iou, 0.25)
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            assign.associate([make_box()], [make_box()], 0.0)

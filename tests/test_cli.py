@@ -481,6 +481,11 @@ MALFORMED = [
      "line 1: missing fields ['yaw']"),
     ("missing-pose", "track", "poses", record("poses", agent="b"), 1,
      "missing pose for frame 0, agent a"),
+    # one pose per (frame, agent), even when the repeat is equal
+    ("pose-repeated", "track", "poses", record("poses") + record("poses", x=1.0), 1,
+     "poses_a.jsonl: frame 0, agent a has more than one pose"),
+    ("pose-repeated-across-files", "track", "poses_b", record("poses"), 1,
+     "poses_b.jsonl: frame 0, agent a already has a pose in "),
     ("config-bad-json", "track", "config", "{", 2, "cannot parse config"),
     ("config-unknown-key", "track", "config", '{"gain": 1}', 2,
      "unknown config keys: ['gain']"),
@@ -488,6 +493,11 @@ MALFORMED = [
      "config key 'min_hits' has wrong type"),
     ("config-bad-method", "track", "config", '{"method": "kalman"}', 2,
      "unknown method 'kalman'"),
+    # the thresholds' range is checked where the config arrives
+    ("config-threshold-zero", "track", "config", '{"iou_assoc_threshold": 0}', 2,
+     "iou_assoc_threshold 0 not in (0, 1]"),
+    ("config-threshold-nan", "track", "config", '{"cross_agent_iou_threshold": NaN}', 2,
+     "cross_agent_iou_threshold nan not in (0, 1]"),
     ("scenario-not-utf8", "simulate", "scenario", b"\xff", 2,
      "invalid scenario config"),
     # a file that is not UTF-8 is a data error naming the file and line, or
@@ -534,12 +544,15 @@ MALFORMED = [
 
 def run_malformed(tmp_path, command, kind, content):
     """Run command on valid inputs with the kind input replaced by content;
-    return its exit code."""
+    return its exit code. The kind poses_b is a second pose file, beside a
+    valid poses_a.jsonl."""
     paths = {"detections": tmp_path / "det" / "detections_a.jsonl",
              "poses": tmp_path / "poses" / "poses_a.jsonl",
              "gt": tmp_path / "gt.jsonl", "tracks": tmp_path / "tracks.jsonl",
              "config": tmp_path / "tracker.json",
              "scenario": tmp_path / "scenario.json"}
+    if kind == "poses_b":
+        paths[kind] = tmp_path / "poses" / "poses_b.jsonl"
     for name, path in paths.items():
         os.makedirs(path.parent, exist_ok=True)
         data = content if name == kind else (record(name) if name in GOOD else "{}")

@@ -104,11 +104,13 @@ class TestTrackerConfig:
         with pytest.raises(core.ConfigParse):
             core.load_config(tmp_path / "nope.json")
 
-    def test_threshold_bounds(self):
-        with pytest.raises(core.ConfigParse):
-            core.TrackerConfig(iou_assoc_threshold=0.0)
-        with pytest.raises(core.ConfigParse):
-            core.TrackerConfig(cross_agent_iou_threshold=1.2)
+    @pytest.mark.parametrize("value", [0.0, -0.1, 1.5, float("nan")])
+    @pytest.mark.parametrize("field", ["iou_assoc_threshold", "cross_agent_iou_threshold"])
+    def test_threshold_bounds(self, field, value):
+        # TrackerConfig is the one range check of both thresholds
+        with pytest.raises(core.ConfigParse, match=rf"{field} .* not in \(0, 1\]"):
+            core.TrackerConfig(**{field: value})
+        assert getattr(core.TrackerConfig(**{field: 1.0}), field) == 1.0
 
     def test_round_trip(self, tmp_path):
         cfg = core.TrackerConfig(method=core.Method.AOS, min_hits=4,

@@ -43,7 +43,7 @@ def anchors_of(refined, variant, dets_i, dets_j):
                            centroids(refined, variant))
 
 
-class TestBuildGraph:
+class TestNodeLayout:
     """The node layout refine reports in node_map and num_cross."""
 
     def test_two_node_matched(self):
@@ -91,7 +91,7 @@ class TestBuildGraph:
             assert r < 3 <= c
             assert abs(dets[r].x - dets[c].x) < 0.5
 
-    def test_empty_graph_raises(self):
+    def test_empty_frame_gives_empty_layout(self):
         """A frame without detections raises nothing: its graph has no
         nodes and no cross-matched boxes, under every method and dedup."""
         for method in (Method.AOS, Method.TSA):
@@ -378,7 +378,7 @@ class TestRefine:
         assert refined.scores.shape == (0,)
         assert refined.num_cross == 0 and refined.node_map.size == 0
 
-    def test_empty_raises(self):
+    def test_empty_frame_gives_empty_variants(self):
         """refine on an empty frame raises nothing and gives one empty box
         array per anchor variant, with or without merging pairs."""
         for dedup in (False, True):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -189,6 +190,24 @@ class TestPoses:
         out = io.apply_poses(local, poses)
         assert out[0].detections_by_agent["a"][0] == io.to_global(
             local[0].detections_by_agent["a"][0], poses[(0, "a")])
+
+    def test_repeated_pose_rejected(self, tmp_path):
+        # one pose per (frame, agent), within a file and across files, even
+        # when the repeat is equal
+        pose = io.Pose(1.0, 2.0, 0.0, 0.5)
+        first, second = tmp_path / "poses_a.jsonl", tmp_path / "poses_b.jsonl"
+        write_poses(first, {(0, "a"): pose})
+        write_poses(second, {(0, "b"): pose, (1, "a"): pose})
+        assert io.read_poses(first, second) == {(0, "a"): pose, (0, "b"): pose,
+                                                (1, "a"): pose}
+        first.write_text(first.read_text() * 2)
+        message = f"{first}: frame 0, agent a has more than one pose"
+        with pytest.raises(io.ParseError, match=f"^{re.escape(message)}$"):
+            io.read_poses(first)
+        write_poses(first, {(1, "a"): pose})
+        message = f"{second}: frame 1, agent a already has a pose in {first}"
+        with pytest.raises(io.ParseError, match=f"^{re.escape(message)}$"):
+            io.read_poses(first, second)
 
     def test_missing_pose_rejected(self):
         local = [FrameBundle(frame=0, detections_by_agent={"a": [make_box()]})]

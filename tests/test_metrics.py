@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from coopmot import metrics
+from coopmot import assign, geometry, metrics
 from conftest import iou3d, make_box
 
 CAR = dict(h=1.6, w=1.8, l=4.5)
@@ -141,13 +141,6 @@ class TestMatchFrame:
             assert counts.tp + counts.fn == counts.gt_count == len(gt)
             assert counts.tp + counts.fp == len(pred)
 
-    @pytest.mark.parametrize("threshold", [0.0, -0.1, 1.5, float("nan")])
-    def test_iou_threshold_outside_unit_interval_rejected(self, threshold):
-        gt = gt_row([(0, 0.0, 0.0)])
-        with pytest.raises(ValueError, match="iou_threshold"):
-            metrics.evaluate_sequence([gt], [pred_row([(1, 9.0, 0.0, 0.9)])],
-                                      iou_threshold=threshold)
-
 
 class TestUnequalFrameCounts:
     """Frames past the end of the shorter list count as empty frames."""
@@ -231,12 +224,6 @@ class TestAmotaFamily:
     def test_no_ground_truth(self):
         with pytest.raises(metrics.NoGroundTruth):
             metrics.amota_family([[], []], [[], []])
-
-    @pytest.mark.parametrize("threshold", [0.0, -0.1, 1.5, float("nan")])
-    def test_iou_threshold_outside_unit_interval_rejected(self, threshold):
-        gt_frames, pred_frames = dropout_sequence()
-        with pytest.raises(ValueError, match="iou_threshold"):
-            metrics.amota_family(gt_frames, pred_frames, iou_threshold=threshold)
 
     def test_dropout_sequence_matches_oracle_exactly(self):
         gt_frames, pred_frames = dropout_sequence()
@@ -327,6 +314,21 @@ class TestSweepProperties:
         mt = metrics.mostly_tracked(full.frames_present, full.frames_matched)
         assert (report.mota, report.motp, report.mt) == \
             (100.0 * mota, 100.0 * motp, 100.0 * mt)
+
+
+class TestGateSharedWithTracker:
+    @settings(max_examples=100, deadline=None)
+    @given(_frame)
+    def test_frame_counts_equal_associate(self, frame):
+        """A frame scores the pairs that track association would match."""
+        gt, pred = gt_row(frame[0]), pred_row(frame[1])
+        counts = metrics.evaluate_sequence([gt], [pred]).per_frame[0]
+        gt_boxes, pred_boxes = [g[1] for g in gt], [p[1] for p in pred]
+        result = assign.associate(gt_boxes, pred_boxes, metrics.IOU_THRESHOLD)
+        iou = geometry.iou_matrix(gt_boxes, pred_boxes)
+        assert counts.tp == result.num_matched
+        assert counts.matched_iou_sum == sum(
+            iou.item(r, c) for r, c in zip(result.matched_rows, result.matched_cols))
 
 
 def full_tally_scan(matchers, pred_frames, gt_total, targets, full_recall):

@@ -88,15 +88,14 @@ class TestManageLifecycle:
 
 
 class TestStepAos:
-    def test_empty_bundle_empty_tracks(self, model):
+    def test_empty_bundle_empty_tracks(self):
         cfg = TrackerConfig(method=Method.AOS)
         ts, out = tracker.step(tracker.new_trackset(),
-                               FrameBundle(frame=0, detections_by_agent={}),
-                               cfg, model)
+                               FrameBundle(frame=0, detections_by_agent={}), cfg)
         assert out.emitted == ()
         assert len(ts.tracks) == 0
 
-    def test_noiseless_static_object_confirms_at_frame_three(self, model):
+    def test_noiseless_static_object_confirms_at_frame_three(self):
         # both agents see one object; the pair dedups to a single box, so
         # exactly one track exists and confirms on its third hit
         cfg = TrackerConfig(method=Method.AOS, dedup_matched_pairs=True,
@@ -104,63 +103,63 @@ class TestStepAos:
         ts = tracker.new_trackset()
         confirmed_by_frame = []
         for b in static_object_frames(4):
-            ts, out = tracker.step(ts, b, cfg, model)
+            ts, out = tracker.step(ts, b, cfg)
             confirmed_by_frame.append(int(ts.tracks.confirmed.sum()))
         assert confirmed_by_frame == [0, 0, 1, 1]
         assert len(ts.tracks) == 1
 
-    def test_duplicate_tracks_without_dedup(self, model):
+    def test_duplicate_tracks_without_dedup(self):
         # default config keeps both members of a coincident matched pair,
         # and the one-to-one association lets the twin confirm as well
         cfg = TrackerConfig(method=Method.AOS, warm_start=False)
         ts = tracker.new_trackset()
         for b in static_object_frames(3):
-            ts, _ = tracker.step(ts, b, cfg, model)
+            ts, _ = tracker.step(ts, b, cfg)
         assert len(ts.tracks) == 2
         assert ts.tracks.confirmed.all()
 
-    def test_track_terminated_after_max_age_misses(self, model):
+    def test_track_terminated_after_max_age_misses(self):
         cfg = TrackerConfig(method=Method.AOS, dedup_matched_pairs=True)
         ts = tracker.new_trackset()
         for b in static_object_frames(3):
-            ts, _ = tracker.step(ts, b, cfg, model)
+            ts, _ = tracker.step(ts, b, cfg)
         assert len(ts.tracks) == 1
         for t_abs in range(3, 6):
             empty = FrameBundle(frame=t_abs, detections_by_agent={"a": [], "b": []})
-            ts, _ = tracker.step(ts, empty, cfg, model)
+            ts, _ = tracker.step(ts, empty, cfg)
         assert len(ts.tracks) == 0
 
-    def test_more_than_two_agents_rejected(self, model):
+    def test_more_than_two_agents_rejected(self):
         cfg = TrackerConfig(method=Method.AOS)
         b = bundle(0, {"a": [(0, 0)], "b": [(0, 0)], "c": [(0, 0)]})
         with pytest.raises(ValueError):
-            tracker.step(tracker.new_trackset(), b, cfg, model)
+            tracker.step(tracker.new_trackset(), b, cfg)
 
 
 class TestStepBaseline:
-    def test_single_agent_standard_tracker(self, model):
+    def test_single_agent_standard_tracker(self):
         cfg = TrackerConfig(method=Method.BASELINE, warm_start=False)
         ts = tracker.new_trackset()
         for b in static_object_frames(3, agents=("a",)):
-            ts, out = tracker.step(ts, b, cfg, model)
+            ts, out = tracker.step(ts, b, cfg)
         assert len(ts.tracks) == 1
         assert ts.tracks.confirmed.tolist() == [True]
         assert out.emitted[0][0] == ts.tracks.ids[0]
 
-    def test_duplicate_detection_spawns_second_track(self, model):
+    def test_duplicate_detection_spawns_second_track(self):
         cfg = TrackerConfig(method=Method.BASELINE)
         ts = tracker.new_trackset()
-        ts, _ = tracker.step(ts, static_object_frames(1)[0], cfg, model)
+        ts, _ = tracker.step(ts, static_object_frames(1)[0], cfg)
         # one matched the (empty) track set; both initialize
         assert len(ts.tracks) == 2
         assert not ts.tracks.confirmed.any()  # both tentative
 
 
 class TestStepTsa:
-    def test_stage2_vacuous_when_stage1_matches_everything(self, model, monkeypatch):
+    def test_stage2_vacuous_when_stage1_matches_everything(self, monkeypatch):
         cfg = TrackerConfig(method=Method.TSA)
         frames = static_object_frames(4)
-        plain = tracker.run_sequence(frames, cfg, model)
+        plain = tracker.run_sequence(frames, cfg)
         calls = []
         real_associate = assign.associate
 
@@ -172,7 +171,7 @@ class TestStepTsa:
         ts = tracker.new_trackset()
         for b, expected in zip(frames, plain):
             calls.clear()
-            ts, out = tracker.step(ts, b, cfg, model)
+            ts, out = tracker.step(ts, b, cfg)
             # the cross-agent association and stage 1 only: no track is left
             # unmatched after stage 1, so stage 2 never runs
             assert len(calls) == 2
@@ -181,15 +180,15 @@ class TestStepTsa:
                 assert x[0] == y[0] and x[2] == y[2]
                 assert np.array_equal(x[1], y[1])
 
-    def test_equals_aos_without_cross_matches(self, model):
+    def test_equals_aos_without_cross_matches(self):
         # agents see disjoint objects: anchors degenerate to self-anchors
         cfg_tsa = TrackerConfig(method=Method.TSA)
         cfg_aos = TrackerConfig(method=Method.AOS)
         frames = [bundle(t, {"a": [(0.0 + 0.3 * t, 0.0)],
                              "b": [(60.0, 30.0 - 0.2 * t)]})
                   for t in range(6)]
-        out_tsa = tracker.run_sequence(frames, cfg_tsa, model)
-        out_aos = tracker.run_sequence(frames, cfg_aos, model)
+        out_tsa = tracker.run_sequence(frames, cfg_tsa)
+        out_aos = tracker.run_sequence(frames, cfg_aos)
         assert len(out_tsa) == len(out_aos)
         for a, b in zip(out_tsa, out_aos):
             assert a.frame == b.frame
@@ -198,7 +197,7 @@ class TestStepTsa:
                 assert ida == idb and sa == sb
                 assert np.array_equal(boxa, boxb)
 
-    def test_stage2_rescues_track_missed_in_stage1(self, model, monkeypatch):
+    def test_stage2_rescues_track_missed_in_stage1(self, monkeypatch):
         # Cross-matched pair with a large offset: the first-variant box is
         # dragged 0.6*d off the track and misses the 0.25 gate, while the
         # second-variant box (-0.4*d) still overlaps. Verified geometry:
@@ -207,7 +206,7 @@ class TestStepTsa:
                             warm_start=False)
         ts = tracker.new_trackset()
         for b in static_object_frames(3):
-            ts, _ = tracker.step(ts, b, cfg, model)
+            ts, _ = tracker.step(ts, b, cfg)
         assert len(ts.tracks) == 2  # coincident twin, no dedup
         hits_before = {tid: hits for tid, (hits, _) in counters_by_id(ts.tracks).items()}
 
@@ -221,14 +220,14 @@ class TestStepTsa:
             return boxes[:1], scores, num_cross
 
         monkeypatch.setattr(tracker, "_candidates", first_variant)
-        ts_stage1, _ = tracker.step(ts, degraded, cfg, model)
+        ts_stage1, _ = tracker.step(ts, degraded, cfg)
         monkeypatch.undo()
         survivors_stage1 = {tid: c for tid, c in counters_by_id(ts_stage1.tracks).items()
                             if tid in hits_before}
         assert any(misses == 1 for _, misses in survivors_stage1.values())
 
         # the full two-stage step recovers it: no miss recorded
-        ts_full, _ = tracker.step(ts, degraded, cfg, model)
+        ts_full, _ = tracker.step(ts, degraded, cfg)
         survivors = {tid: c for tid, c in counters_by_id(ts_full.tracks).items()
                      if tid in hits_before}
         assert len(survivors) == 2
@@ -241,22 +240,28 @@ class TestRunSequence:
     def test_empty_sequence(self):
         assert tracker.run_sequence([], TrackerConfig()) == []
 
-    def test_deterministic_replay(self, model, rng):
+    def test_model_other_than_none_rejected(self):
+        # every run tracks with tracker.MODEL; None is still accepted
+        assert tracker.run_sequence([], TrackerConfig(), None) == []
+        with pytest.raises(TypeError, match="pass no model"):
+            tracker.run_sequence([], TrackerConfig(), kalman.default_model())
+
+    def test_deterministic_replay(self, rng):
         frames = []
         for t in range(8):
             rows_a = [(float(x), float(y)) for x, y in rng.uniform(-30, 30, (3, 2))]
             rows_b = [(x + float(rng.normal(0, 0.3)), y) for x, y in rows_a[:2]]
             frames.append(bundle(t, {"a": rows_a, "b": rows_b}))
         cfg = TrackerConfig(method=Method.TSA)
-        out1 = tracker.run_sequence(frames, cfg, model)
-        out2 = tracker.run_sequence(frames, cfg, model)
+        out1 = tracker.run_sequence(frames, cfg)
+        out2 = tracker.run_sequence(frames, cfg)
         for a, b in zip(out1, out2):
             assert a.frame == b.frame and len(a.emitted) == len(b.emitted)
             for x, y in zip(a.emitted, b.emitted):
                 assert x[0] == y[0] and x[2] == y[2]
                 assert np.array_equal(x[1], y[1])
 
-    def test_track_ids_never_reused(self, model):
+    def test_track_ids_never_reused(self):
         cfg = TrackerConfig(method=Method.BASELINE, warm_start=False)
         frames = []
         for t in range(12):
@@ -267,35 +272,35 @@ class TestRunSequence:
         ts = tracker.new_trackset()
         seen = []
         for b in frames:
-            ts, _ = tracker.step(ts, b, cfg, model)
+            ts, _ = tracker.step(ts, b, cfg)
             seen.extend(ts.tracks.ids.tolist())
         # ids are unique per birth: the multiset of distinct ids only grows
         assert ts.next_id - 1 == len(set(seen))
 
-    def test_warm_start_emits_tentative_tracks(self, model):
+    def test_warm_start_emits_tentative_tracks(self):
         frames = static_object_frames(3, agents=("a",))
         warm = tracker.run_sequence(frames, TrackerConfig(method=Method.BASELINE,
-                                                          warm_start=True), model)
+                                                          warm_start=True))
         cold = tracker.run_sequence(frames, TrackerConfig(method=Method.BASELINE,
-                                                          warm_start=False), model)
+                                                          warm_start=False))
         assert [len(o.emitted) for o in warm] == [1, 1, 1]
         assert [len(o.emitted) for o in cold] == [0, 0, 1]
 
-    def test_step_labels_output_with_bundle_frame(self, model):
+    def test_step_labels_output_with_bundle_frame(self):
         # the output carries the bundle's frame; warm start counts steps,
         # so a sequence that starts at frame 7 still emits tentative tracks
         # on its first min_hits - 1 steps
         cfg = TrackerConfig(method=Method.BASELINE, warm_start=True, min_hits=3)
         ts, labels, emitted = tracker.new_trackset(), [], []
         for t in (7, 8, 9):
-            ts, out = tracker.step(ts, bundle(t, {"a": [(0.0, 0.0)]}), cfg, model)
+            ts, out = tracker.step(ts, bundle(t, {"a": [(0.0, 0.0)]}), cfg)
             labels.append(out.frame)
             emitted.append(len(out.emitted))
         assert labels == [7, 8, 9]
         assert emitted == [1, 1, 1]
         assert ts.frame == 3
 
-    def test_zero_id_switches_on_clean_synthetic(self, model):
+    def test_zero_id_switches_on_clean_synthetic(self):
         # noiseless, no dropout, well-separated objects: every pipeline
         # tracks without identity switches. Shared-view duplicates are
         # merged (dedup) so twin tracks cannot trade places in the metric;
@@ -319,12 +324,12 @@ class TestRunSequence:
             gtf = [[(oid, d) for oid, d in row] for row in gt_frames]
             for method in (Method.BASELINE, Method.AOS, Method.TSA):
                 cfg = TrackerConfig(method=method, dedup_matched_pairs=dedup)
-                outs = tracker.run_sequence(bundles, cfg, model)
+                outs = tracker.run_sequence(bundles, cfg)
                 preds = [list(o.emitted) for o in outs]
                 tally = metrics.evaluate_sequence(gtf, preds)
                 assert tally.totals.idsw == 0, (method, dedup)
 
-    def test_permuted_detections_same_trajectories(self, model, rng):
+    def test_permuted_detections_same_trajectories(self, rng):
         base_rows = rng.uniform(-40, 40, (4, 2))
         frames, frames_perm = [], []
         for t in range(6):
@@ -334,8 +339,8 @@ class TestRunSequence:
             frames.append(bundle(t, {"a": noisy}))
             frames_perm.append(bundle(t, {"a": [noisy[k] for k in order]}))
         cfg = TrackerConfig(method=Method.AOS, warm_start=False)
-        out_a = tracker.run_sequence(frames, cfg, model)
-        out_b = tracker.run_sequence(frames_perm, cfg, model)
+        out_a = tracker.run_sequence(frames, cfg)
+        out_b = tracker.run_sequence(frames_perm, cfg)
 
         def trajectories(outputs):
             trajs = {}
@@ -386,12 +391,11 @@ class TestTrackerProperties:
         cfg = TrackerConfig(method=method, dedup_matched_pairs=dedup,
                             min_hits=base.min_hits, max_age=base.max_age,
                             warm_start=base.warm_start)
-        model = kalman.default_model()
         ts = tracker.new_trackset()
         born_ids, dropped, outputs = set(), set(), []
         for b in frames:
             before = set(ts.tracks.ids.tolist())
-            ts, out = tracker.step(ts, b, cfg, model)
+            ts, out = tracker.step(ts, b, cfg)
             outputs.append(out)
             ids = [row[0] for row in out.emitted]
             alive = ts.tracks.ids.tolist()
@@ -402,8 +406,8 @@ class TestTrackerProperties:
             born_ids |= set(alive)
         assert ts.next_id - 1 == len(born_ids)
         assert born_ids == set(range(1, ts.next_id))
-        assert rows(outputs) == rows(tracker.run_sequence(frames, cfg, model))
-        assert rows(outputs) == rows(tracker.run_sequence(frames, cfg, model))
+        assert rows(outputs) == rows(tracker.run_sequence(frames, cfg))
+        assert rows(outputs) == rows(tracker.run_sequence(frames, cfg))
 
 
 @st.composite
@@ -451,9 +455,8 @@ def trajectories(outputs):
 def test_detection_order_within_agent_does_not_matter(method, scene):
     frames, permuted = scene
     cfg = TrackerConfig(method=method)
-    model = kalman.default_model()
-    want = trajectories(tracker.run_sequence(frames, cfg, model))
-    got = trajectories(tracker.run_sequence(permuted, cfg, model))
+    want = trajectories(tracker.run_sequence(frames, cfg))
+    got = trajectories(tracker.run_sequence(permuted, cfg))
     assert [len(traj) for traj in got] == [len(traj) for traj in want]
     for g, w in zip(got, want):
         np.testing.assert_allclose(np.array(g), np.array(w), rtol=0.0, atol=1e-9)
