@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -70,16 +71,12 @@ def _input_files(directory: str, kind: str) -> list:
 def cmd_simulate(args) -> None:
     started = time.perf_counter()
     try:
-        if args.config:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-            cfg = sim.scenario_from_dict(raw)
-        else:
-            cfg = sim.ScenarioConfig()
+        cfg = (sim.scenario_from_dict(core.read_config(args.config)) if args.config
+               else sim.ScenarioConfig())
         if args.seed is not None:
-            cfg = sim.scenario_from_dict({**cfg.to_dict(), "seed": args.seed})
+            cfg = replace(cfg, seed=args.seed)
         gt_frames, bundles = sim.generate(cfg)
-    except (OSError, ValueError, TypeError, RecursionError) as exc:
+    except (ValueError, TypeError) as exc:
         raise core.ConfigParse(f"invalid scenario config: {exc}") from exc
 
     gt_path = os.path.join(args.out, "gt.jsonl")
@@ -103,7 +100,7 @@ def cmd_track(args) -> None:
     started = time.perf_counter()
     cfg = core.load_config(args.config) if args.config else core.TrackerConfig()
     if args.method:
-        cfg = core.config_from_dict({**cfg.to_dict(), "method": args.method})
+        cfg = replace(cfg, method=core.Method(args.method))
     det_paths = _input_files(args.detections, "detections")
     bundles = io.merge_detection_files(det_paths)
     if args.poses:

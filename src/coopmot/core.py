@@ -1,5 +1,8 @@
 """Shared domain types, configuration and validation.
 
+A config dataclass checks its fields' types and ranges when built, whether
+the values come from a file, from Python or from dataclasses.replace.
+
 All types here are immutable value objects. The arrays that flow between
 the pipeline stages (refined boxes, the kalman.Tracks store) follow the
 same rule: every step returns new arrays and never writes its inputs, so
@@ -10,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -27,7 +30,7 @@ class ConfigParse(ValueError):
 
 
 class UnknownKey(ConfigParse):
-    """Config file contains a key that is not a tracker parameter."""
+    """Config file contains a key that is not a field of its config."""
 
 
 def wrap_angle(theta: float) -> float:
@@ -90,6 +93,9 @@ class Method(Enum):
     TSA = "tsa"
 
 
+_ANNOTATION_TYPES = {"Method": Method, "float": (int, float), "int": int, "bool": bool}
+
+
 @dataclass(frozen=True)
 class TrackerConfig:
     method: Method = Method.TSA
@@ -101,69 +107,59 @@ class TrackerConfig:
     warm_start: bool = True
 
     def __post_init__(self):
-        if not 0.0 < self.iou_assoc_threshold <= 1.0:
-            raise ConfigParse(f"iou_assoc_threshold {self.iou_assoc_threshold} not in (0, 1]")
-        if not 0.0 < self.cross_agent_iou_threshold <= 1.0:
-            raise ConfigParse(
-                f"cross_agent_iou_threshold {self.cross_agent_iou_threshold} not in (0, 1]")
-        if self.min_hits < 1:
-            raise ConfigParse(f"min_hits {self.min_hits} must be >= 1")
-        if self.max_age < 1:
-            raise ConfigParse(f"max_age {self.max_age} must be >= 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (not isinstance(value, _ANNOTATION_TYPES[f.type])
+                    or (isinstance(value, bool) and f.type != "bool")):
+                raise ConfigParse(f"config key {f.name!r} has wrong type: {value!r}")
+        for key in ("iou_assoc_threshold", "cross_agent_iou_threshold"):
+            if not 0.0 < getattr(self, key) <= 1.0:
+                raise ConfigParse(f"{key} {getattr(self, key)} not in (0, 1]")
+        for key in ("min_hits", "max_age"):
+            if getattr(self, key) < 1:
+                raise ConfigParse(f"{key} {getattr(self, key)} must be >= 1")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "method": self.method.value}
 
 
-_CONFIG_TYPES = {
-    "method": str,
-    "iou_assoc_threshold": (int, float),
-    "cross_agent_iou_threshold": (int, float),
-    "min_hits": int,
-    "max_age": int,
-    "dedup_matched_pairs": bool,
-    "warm_start": bool,
-}
+def config_kwargs(cls, raw) -> dict:
+    """raw, a parsed JSON config, as keyword arguments of the dataclass cls;
+    ConfigParse unless raw is an object, UnknownKey for a key not in cls."""
+    if not isinstance(raw, dict):
+        raise ConfigParse("config root must be a JSON object")
+    unknown = set(raw) - {f.name for f in fields(cls)}
+    if unknown:
+        raise UnknownKey(f"unknown config keys: {sorted(unknown)}")
+    return dict(raw)
 
 
 def config_from_dict(raw: dict) -> TrackerConfig:
-    """Build a TrackerConfig from a parsed JSON object.
-
-    Missing keys take defaults; unknown keys raise UnknownKey.
-    """
-    if not isinstance(raw, dict):
-        raise ConfigParse("config root must be a JSON object")
-    unknown = set(raw) - set(_CONFIG_TYPES)
-    if unknown:
-        raise UnknownKey(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {}
-    for key, expected in _CONFIG_TYPES.items():
-        if key not in raw:
-            continue
-        value = raw[key]
-        if expected is int and isinstance(value, bool):
-            raise ConfigParse(f"config key {key!r} must be an integer, got {value!r}")
-        if not isinstance(value, expected):
-            raise ConfigParse(f"config key {key!r} has wrong type: {value!r}")
-        if key == "method":
-            try:
-                value = Method(value.lower())
-            except ValueError:
-                raise ConfigParse(f"unknown method {value!r}") from None
-        kwargs[key] = value
+    """Build a TrackerConfig from a parsed JSON object; missing keys take
+    defaults and the method is named by its value, in any case."""
+    kwargs = config_kwargs(TrackerConfig, raw)
+    if isinstance(kwargs.get("method"), str):
+        try:
+            kwargs["method"] = Method(kwargs["method"].lower())
+        except ValueError:
+            raise ConfigParse(f"unknown method {kwargs['method']!r}") from None
     return TrackerConfig(**kwargs)
 
 
-def load_config(path) -> TrackerConfig:
-    """Load a TrackerConfig from a JSON file."""
+def read_config(path):
+    """The config file at path, parsed; ConfigParse if it cannot be read or parsed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigParse(f"cannot read config {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigParse(f"cannot parse config {path}: {exc}") from exc
-    return config_from_dict(raw)
+
+
+def load_config(path) -> TrackerConfig:
+    """Load a TrackerConfig from a JSON file."""
+    return config_from_dict(read_config(path))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ centered on the origin. Both agents observe from the origin: an agent
 misses an object when its bearing falls in one of that agent's occlusion
 sectors, or with the agent's dropout probability. Observed centroids get
 independent Gaussian noise. Everything is deterministic per seed.
+ScenarioConfig checks its own fields; core.config_kwargs the root and keys.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import Detection, FrameBundle, wrap_angle
+from .core import Detection, FrameBundle, config_kwargs, wrap_angle
 
 CAR_L, CAR_W, CAR_H = 4.5, 1.8, 1.6
 MIN_SPAWN_SEPARATION = 8.0  # centers; keeps >= 2 m box clearance
@@ -91,11 +92,7 @@ def _tuples(key: str, value, depth: int) -> tuple:
 
 
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
-    known = set(ScenarioConfig.__dataclass_fields__)
-    unknown = set(raw) - known
-    if unknown:
-        raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
-    kwargs = dict(raw)
+    kwargs = config_kwargs(ScenarioConfig, raw)
     # per agent: a value each, or a list of (lo, hi) sectors each
     for key, depth in (("sigma", 1), ("dropout", 1), ("occlusion_sectors", 3)):
         if key in kwargs:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import coopmot
-from coopmot import cli, geometry
+from coopmot import cli, geometry, sim
 from conftest import inverse_pose, write_poses
 
 
@@ -137,6 +137,25 @@ class TestSimulate:
         assert message in err
         assert not (tmp_path / "o").exists()
 
+    def test_seed_override_keeps_file_config(self, tmp_path, scenario_cfg):
+        out = tmp_path / "sim"
+        assert run_cli("simulate", "--config", scenario_cfg, "--out", str(out),
+                       "--seed", "7") == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        with open(scenario_cfg, encoding="utf-8") as fh:
+            expected = sim.scenario_from_dict({**json.load(fh), "seed": 7}).to_dict()
+        assert manifest["config"] == json.loads(json.dumps(expected))
+        assert manifest["seed"] == 7
+
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys, scenario_cfg):
+        # the override is checked as a file value is
+        assert run_cli("simulate", "--config", scenario_cfg, "--out", str(tmp_path / "o"),
+                       "--seed", "-1") == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "seed must be >= 0" in err
+        assert not (tmp_path / "o").exists()
+
     def test_same_seed_identical_files(self, tmp_path, scenario_cfg):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         run_cli("simulate", "--config", scenario_cfg, "--out", str(out1))
@@ -190,6 +209,20 @@ class TestTrack:
         assert run_cli("track", "--method", "aos", "--detections", str(sim_dir),
                        "--out", str(tmp_path / "t.jsonl"),
                        "--config", str(cfg)) == 2
+
+    def test_method_override_keeps_file_config(self, tmp_path, scenario_cfg):
+        sim_dir = tmp_path / "sim"
+        run_cli("simulate", "--config", scenario_cfg, "--out", str(sim_dir))
+        file_cfg = {"method": "tsa", "iou_assoc_threshold": 0.3,
+                    "cross_agent_iou_threshold": 0.2, "min_hits": 2, "max_age": 4,
+                    "dedup_matched_pairs": True, "warm_start": False}
+        cfg = tmp_path / "tracker.json"
+        cfg.write_text(json.dumps(file_cfg))
+        out = tmp_path / "out" / "t.jsonl"
+        assert run_cli("track", "--config", str(cfg), "--method", "aos",
+                       "--detections", str(sim_dir), "--out", str(out)) == 0
+        manifest = json.loads((out.parent / "run_manifest.json").read_text())
+        assert manifest["config"] == {**file_cfg, "method": "aos"}
 
     def test_poses_project_local_detections(self, tmp_path, scenario_cfg):
         # rewrite the global detections into an agent-local frame, hand the
@@ -500,6 +533,15 @@ MALFORMED = [
      "cross_agent_iou_threshold nan not in (0, 1]"),
     ("scenario-not-utf8", "simulate", "scenario", b"\xff", 2,
      "invalid scenario config"),
+    # both configs take one root and key check; a JSON boolean is not a threshold
+    ("scenario-root-list", "simulate", "scenario", "[]", 2,
+     "config root must be a JSON object"),
+    ("scenario-root-string", "simulate", "scenario", '"seed"', 2,
+     "config root must be a JSON object"),
+    ("config-threshold-bool", "track", "config", '{"iou_assoc_threshold": true}', 2,
+     "has wrong type: True"),
+    ("config-cross-threshold-bool", "track", "config",
+     '{"cross_agent_iou_threshold": true}', 2, "has wrong type: True"),
     # a file that is not UTF-8 is a data error naming the file and line, or
     # a config error
     ("detections-not-utf8", "track", "detections", NOT_UTF8, 1,

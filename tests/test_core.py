@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,6 +112,22 @@ class TestTrackerConfig:
         with pytest.raises(core.ConfigParse, match=rf"{field} .* not in \(0, 1\]"):
             core.TrackerConfig(**{field: value})
         assert getattr(core.TrackerConfig(**{field: 1.0}), field) == 1.0
+
+    @pytest.mark.parametrize("field, value", [
+        ("method", "tsa"),
+        *[(f, v) for f in ("iou_assoc_threshold", "cross_agent_iou_threshold")
+          for v in (True, "0.5", None)],
+        *[(f, v) for f in ("min_hits", "max_age") for v in (True, 2.0, "3")],
+        *[(f, v) for f in ("dedup_matched_pairs", "warm_start") for v in (1, None)],
+    ])
+    def test_wrong_type_rejected(self, field, value):
+        # TrackerConfig checks its own field types, built from Python or a file
+        with pytest.raises(core.ConfigParse, match=rf"config key '{field}' has wrong type"):
+            core.TrackerConfig(**{field: value})
+
+    def test_replace_is_checked(self):
+        with pytest.raises(core.ConfigParse, match="min_hits 0 must be >= 1"):
+            replace(core.TrackerConfig(), min_hits=0)
 
     def test_round_trip(self, tmp_path):
         cfg = core.TrackerConfig(method=core.Method.AOS, min_hits=4,

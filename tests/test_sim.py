@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coopmot import sim
+from coopmot import core, sim
 from coopmot.core import validate_detection
 from conftest import reference_generate
 
@@ -151,6 +151,11 @@ class TestGenerate:
             sim.ScenarioConfig(dropout=(0.0, 1.5))
         with pytest.raises(ValueError):
             sim.scenario_from_dict({"bogus_key": 1})
+
+    @pytest.mark.parametrize("raw", [[], "seed", None])
+    def test_config_root_must_be_object(self, raw):
+        with pytest.raises(core.ConfigParse, match="config root must be a JSON object"):
+            sim.scenario_from_dict(raw)
 
 
 def centroid_errors(gt_frames, bundles, agent):
