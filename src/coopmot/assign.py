@@ -17,10 +17,6 @@ import numpy as np
 from . import geometry
 
 
-class NonFiniteCost(ValueError):
-    """Cost matrix contains NaN or infinity."""
-
-
 @dataclass(frozen=True)
 class AssociationResult:
     """One-to-one matching between two index sets, as int index arrays.
@@ -187,7 +183,7 @@ def hungarian_min_cost(cost) -> list:
         return _component_pairs([f // n_cols for f in flat],
                                 [f % n_cols for f in flat], vals)
     if not np.isfinite(cost).all():
-        raise NonFiniteCost("cost matrix has non-finite entries")
+        raise ValueError("cost matrix has non-finite entries")
     return _dense_pairs(cost.tolist())
 
 

@@ -76,7 +76,7 @@ def cmd_simulate(args) -> None:
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
         gt_frames, bundles = sim.generate(cfg)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise core.ConfigParse(f"invalid scenario config: {exc}") from exc
 
     gt_path = os.path.join(args.out, "gt.jsonl")
@@ -136,7 +136,7 @@ def cmd_analyze(args) -> None:
     started = time.perf_counter()
     gt_frames, pred_frames = io.read_gt(args.gt), io.read_tracks(args.tracks)
     if sum(len(f) for f in gt_frames) == 0:
-        raise metrics.NoGroundTruth("sequence has no ground-truth boxes")
+        raise ValueError("sequence has no ground-truth boxes")
     tally = metrics.evaluate_sequence(gt_frames, pred_frames)
 
     bins = {}

@@ -21,16 +21,8 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
-class InvalidBox(ValueError):
-    """Detection with non-finite fields or non-positive extents."""
-
-
 class ConfigParse(ValueError):
     """Config file missing, unreadable, or containing bad values."""
-
-
-class UnknownKey(ConfigParse):
-    """Config file contains a key that is not a field of its config."""
 
 
 def wrap_angle(theta: float) -> float:
@@ -69,18 +61,18 @@ class Detection:
 def validate_detection(d: Detection) -> Detection:
     """Return d with theta wrapped to [-pi, pi); reject degenerate boxes.
 
-    Raises InvalidBox when any field is non-finite, any extent is <= 0,
+    Raises ValueError when any field is non-finite, any extent is <= 0,
     or the score lies outside [0, 1].
     """
     if not (math.isfinite(d.x) and math.isfinite(d.y) and math.isfinite(d.z)
             and math.isfinite(d.theta) and math.isfinite(d.h) and math.isfinite(d.w)
             and math.isfinite(d.l) and math.isfinite(d.score)):
         bad = [k for k, v in asdict(d).items() if not math.isfinite(v)]
-        raise InvalidBox(f"non-finite field in detection: {', '.join(bad)}")
+        raise ValueError(f"non-finite field in detection: {', '.join(bad)}")
     if d.h <= 0 or d.w <= 0 or d.l <= 0:
-        raise InvalidBox(f"non-positive extent (h={d.h}, w={d.w}, l={d.l})")
+        raise ValueError(f"non-positive extent (h={d.h}, w={d.w}, l={d.l})")
     if not 0.0 <= d.score <= 1.0:
-        raise InvalidBox(f"score {d.score} outside [0, 1]")
+        raise ValueError(f"score {d.score} outside [0, 1]")
     theta = wrap_angle(d.theta)
     if theta != d.theta:
         return replace(d, theta=theta)
@@ -125,12 +117,12 @@ class TrackerConfig:
 
 def config_kwargs(cls, raw) -> dict:
     """raw, a parsed JSON config, as keyword arguments of the dataclass cls;
-    ConfigParse unless raw is an object, UnknownKey for a key not in cls."""
+    ConfigParse unless raw is an object whose keys are all fields of cls."""
     if not isinstance(raw, dict):
         raise ConfigParse("config root must be a JSON object")
     unknown = set(raw) - {f.name for f in fields(cls)}
     if unknown:
-        raise UnknownKey(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigParse(f"unknown config keys: {sorted(unknown)}")
     return dict(raw)
 
 

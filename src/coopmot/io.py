@@ -13,7 +13,7 @@ round-trips losslessly), and stream the rows to the file one by one; each
 row is the bytes of json.dumps(record) and a newline. Frames and ids are
 JSON integers (not booleans). Frame indices must be non-decreasing within
 a file; readers return dense frame lists from 0 to the maximum index, with
-gaps as empty frames. Every error on a line is a ParseError that reads
+gaps as empty frames. Every error on a line is a ValueError that reads
 "<path>: line N: <reason>".
 """
 
@@ -25,14 +25,6 @@ import operator
 from dataclasses import dataclass
 
 from .core import Detection, FrameBundle, validate_detection, wrap_angle
-
-
-class ParseError(ValueError):
-    """Malformed line in a data file; the message names the line."""
-
-
-class FrameOrderError(ParseError):
-    """Frame indices in a file are not non-decreasing."""
 
 
 @dataclass(frozen=True)
@@ -83,7 +75,7 @@ def _records(path, key, fields, make):
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError as exc:
-                raise ParseError(f"{path}: line {lineno}: not UTF-8 ({exc})") from exc
+                raise ValueError(f"{path}: line {lineno}: not UTF-8 ({exc})") from exc
             if not line:
                 continue
             try:  # json.loads itself raises for a BOM or data after the object
@@ -91,38 +83,37 @@ def _records(path, key, fields, make):
                 if end != len(line):
                     rec = json.loads(line)
             except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
-                raise ParseError(f"{path}: line {lineno}: invalid JSON ({exc})") from exc
+                raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc})") from exc
             if not isinstance(rec, dict):
-                raise ParseError(f"{path}: line {lineno}: expected an object")
+                raise ValueError(f"{path}: line {lineno}: expected an object")
             if not rec.keys() >= names:
                 missing = [f for f in ("frame", key) + fields if f not in rec]
-                raise ParseError(f"{path}: line {lineno}: missing fields {missing}")
+                raise ValueError(f"{path}: line {lineno}: missing fields {missing}")
             frame, value = rec["frame"], rec[key]
             if type(frame) is not int or frame < 0:
-                raise ParseError(f"{path}: line {lineno}: bad frame index {frame!r}")
+                raise ValueError(f"{path}: line {lineno}: bad frame index {frame!r}")
             if frame < last_frame:
-                raise FrameOrderError(
-                    f"{path}: line {lineno}: frame {frame} after frame {last_frame}")
+                raise ValueError(f"{path}: line {lineno}: frame {frame} after frame {last_frame}")
             last_frame = frame
             ok = isinstance(value, str) and value if key == "agent" else type(value) is int
             if not ok:
-                raise ParseError(f"{path}: line {lineno}: bad {key} {value!r}")
+                raise ValueError(f"{path}: line {lineno}: bad {key} {value!r}")
             floats = get(rec)
             if set(map(type, floats)) != _FLOAT:  # ints, or a value that is no number
                 converted = []
                 for name, v in zip(fields, floats):
                     if isinstance(v, bool) or not isinstance(v, (int, float)):
-                        raise ParseError(f"{path}: line {lineno}: field {name!r} must be a number")
+                        raise ValueError(f"{path}: line {lineno}: field {name!r} must be a number")
                     try:
                         converted.append(float(v))
                     except OverflowError as exc:  # an int beyond the float range
-                        raise ParseError(f"{path}: line {lineno}: field {name!r} is too large "
+                        raise ValueError(f"{path}: line {lineno}: field {name!r} is too large "
                                          "for a float") from exc
                 floats = converted
             try:
                 obj = make(*floats)
             except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
             yield frame, value, obj
 
 
@@ -234,7 +225,7 @@ def read_poses(*paths) -> dict:
         for frame, agent, pose in _records(path, "agent", ("x", "y", "z", "yaw"), Pose):
             earlier = source.setdefault((frame, agent), path)
             if poses.setdefault((frame, agent), pose) is not pose:
-                raise ParseError(f"{path}: frame {frame}, agent {agent} " + (
+                raise ValueError(f"{path}: frame {frame}, agent {agent} " + (
                     "has more than one pose" if earlier == path else
                     f"already has a pose in {earlier}"))
     return poses
@@ -251,7 +242,7 @@ def apply_poses(bundles, poses: dict) -> list:
         for agent, dets in bundle.detections_by_agent.items():
             pose = poses.get((bundle.frame, agent))
             if dets and pose is None:
-                raise ParseError(f"missing pose for frame {bundle.frame}, agent {agent}")
+                raise ValueError(f"missing pose for frame {bundle.frame}, agent {agent}")
             per_agent[agent] = [to_global(d, pose) for d in dets]
         projected.append(FrameBundle(frame=bundle.frame, detections_by_agent=per_agent))
     return projected

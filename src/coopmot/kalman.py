@@ -19,10 +19,6 @@ STATE_DIM = 10
 MEAS_DIM = 7
 
 
-class SingularInnovation(np.linalg.LinAlgError):
-    """Innovation covariance H P Ht + R is not invertible."""
-
-
 @dataclass(frozen=True)
 class Tracks:
     """Live tracks as columns, one row per track, rows in ascending id order.
@@ -135,8 +131,8 @@ def update(tracks: Tracks, rows, z, scores, model: KalmanModel) -> Tracks:
 
     Those rows get the posterior, one more hit, no misses and the given
     scores; every other row is copied unchanged. Raises ValueError unless z
-    is finite with one box per row, and SingularInnovation when some
-    H P Ht + R cannot be factorized.
+    is finite with one box per row, and numpy's LinAlgError (a ValueError)
+    when some H P Ht + R cannot be factorized.
     """
     rows = np.asarray(rows, dtype=int).reshape(-1)
     z = np.asarray(z, dtype=float)
@@ -151,10 +147,7 @@ def update(tracks: Tracks, rows, z, scores, model: KalmanModel) -> Tracks:
     innovation = z - x_pred[:, :MEAS_DIM]
     innovation[:, 3] = _orientation_residual(z[:, 3], x_pred[:, 3])
 
-    try:
-        chol = np.linalg.cholesky(hp[:, :, :MEAS_DIM] + model.R)
-    except np.linalg.LinAlgError as exc:
-        raise SingularInnovation("innovation covariance is singular") from exc
+    chol = np.linalg.cholesky(hp[:, :, :MEAS_DIM] + model.R)
     # K = P Ht S^-1 via the Cholesky factor
     kt = np.linalg.solve(chol.swapaxes(1, 2), np.linalg.solve(chol, hp))
     gain = kt.swapaxes(1, 2)

@@ -24,10 +24,6 @@ DEFAULT_NUM_THRESHOLDS = 40
 MT_COVERAGE = 0.8
 
 
-class NoGroundTruth(ValueError):
-    """Metrics requested for a sequence with zero ground-truth boxes."""
-
-
 @dataclass
 class FrameCounts:
     tp: int = 0
@@ -158,7 +154,7 @@ def evaluate_sequence(gt_frames, pred_frames) -> SequenceTally:
 def mota_motp(totals: FrameCounts):
     """MOTA = 1 - (FP+FN+IDSW)/GT; MOTP = mean matched IoU."""
     if totals.gt_count == 0:
-        raise NoGroundTruth("sequence has no ground-truth boxes")
+        raise ValueError("sequence has no ground-truth boxes")
     mota = 1.0 - (totals.fp + totals.fn + totals.idsw) / totals.gt_count
     motp = totals.matched_iou_sum / totals.tp if totals.tp else 0.0
     return mota, motp
@@ -262,7 +258,7 @@ def amota_family(gt_frames, pred_frames,
     """
     gt_total = sum(len(f) for f in gt_frames)
     if gt_total == 0:
-        raise NoGroundTruth("sequence has no ground-truth boxes")
+        raise ValueError("sequence has no ground-truth boxes")
 
     # IoU matrices and matchings are shared by every threshold's pass
     # within this call and dropped with it.

@@ -42,6 +42,9 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # per agent: a value each, or a list of (lo, hi) sectors each
+        for key, depth in (("sigma", 1), ("dropout", 1), ("occlusion_sectors", 3)):
+            object.__setattr__(self, key, _tuples(key, getattr(self, key), depth))
         for key in ("num_objects", "num_frames", "seed"):
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -92,12 +95,7 @@ def _tuples(key: str, value, depth: int) -> tuple:
 
 
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
-    kwargs = config_kwargs(ScenarioConfig, raw)
-    # per agent: a value each, or a list of (lo, hi) sectors each
-    for key, depth in (("sigma", 1), ("dropout", 1), ("occlusion_sectors", 3)):
-        if key in kwargs:
-            kwargs[key] = _tuples(key, kwargs[key], depth)
-    return ScenarioConfig(**kwargs)
+    return ScenarioConfig(**config_kwargs(ScenarioConfig, raw))
 
 
 def _in_sector(angle: float, lo: float, hi: float) -> bool:

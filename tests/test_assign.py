@@ -29,9 +29,9 @@ class TestHungarian:
         assert assign.hungarian_min_cost(np.zeros((3, 0))) == []
 
     def test_non_finite_rejected(self):
-        with pytest.raises(assign.NonFiniteCost):
+        with pytest.raises(ValueError, match="cost matrix has non-finite entries"):
             assign.hungarian_min_cost([[np.nan, 1.0], [1.0, 1.0]])
-        with pytest.raises(assign.NonFiniteCost):
+        with pytest.raises(ValueError, match="cost matrix has non-finite entries"):
             assign.hungarian_min_cost([[np.inf, 1.0], [1.0, 1.0]])
 
     def test_optimal_on_random_matrices(self, rng):

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -581,6 +582,9 @@ MALFORMED = [
      "frame 0: object id 1 appears twice"),
     ("object-id-repeated-analyze", "analyze", "gt", record("gt") * 2, 1,
      "frame 0: object id 1 appears twice"),
+    # a score needs ground truth
+    ("gt-empty-eval", "eval", "gt", "", 1, "sequence has no ground-truth boxes"),
+    ("gt-empty-analyze", "analyze", "gt", "", 1, "sequence has no ground-truth boxes"),
 ]
 
 
@@ -622,6 +626,17 @@ def test_malformed_input_one_line_error(tmp_path, capsys, command, kind, content
     assert err.startswith("error: ") and fragment in err
 
 
+def test_only_exit_code_exceptions():
+    # main tells failures apart by these two types (exit 2); every other
+    # failure is a ValueError or an OSError (exit 1)
+    found = {obj for name in ("assign", "cli", "core", "geometry", "graphlap", "io",
+                              "kalman", "metrics", "sim", "tracker")
+             for obj in vars(importlib.import_module(f"coopmot.{name}")).values()
+             if isinstance(obj, type) and issubclass(obj, BaseException)
+             and obj.__module__.startswith("coopmot")}
+    assert found == {coopmot.core.ConfigParse, cli.CannotWrite}
+
+
 @pytest.mark.parametrize("method", ["baseline", "aos", "tsa"])
 def test_huge_finite_boxes_no_warning(tmp_path, capsys, method):
     # finite but huge: the IoU gate squares distances and radii to inf
@@ -646,7 +661,7 @@ def test_huge_finite_boxes_no_warning(tmp_path, capsys, method):
 @pytest.mark.parametrize("command", ["eval", "analyze"])
 def test_huge_finite_boxes_eval_one_line(tmp_path, capsys, command):
     # the same rule as for track: scoring boxes whose extents square to inf
-    # ends in one line, not a NonFiniteCost traceback
+    # ends in one line, not a traceback
     huge = {"h": 1e308, "w": 1e308, "l": 1e308}
     gt, tracks = tmp_path / "gt.jsonl", tmp_path / "tracks.jsonl"
     gt.write_text("".join(record("gt", frame=f, **huge) for f in range(3)))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,7 @@ class TestValidateDetection:
         assert abs(d.theta - (-math.pi / 2)) < 1e-12
 
     def test_degenerate_extent_rejected(self):
-        with pytest.raises(core.InvalidBox):
+        with pytest.raises(ValueError, match="non-positive extent"):
             core.validate_detection(make_box(h=0.0))
 
     def test_well_formed_unchanged(self):
@@ -29,20 +30,20 @@ class TestValidateDetection:
 
     def test_non_finite_rejected(self):
         for field in ("x", "theta", "l"):
-            with pytest.raises(core.InvalidBox):
+            with pytest.raises(ValueError, match="non-finite field"):
                 core.validate_detection(make_box(**{field: float("nan")}))
-        with pytest.raises(core.InvalidBox):
+        with pytest.raises(ValueError, match="non-finite field"):
             core.validate_detection(make_box(x=float("inf")))
 
     def test_non_finite_message_names_fields(self):
-        with pytest.raises(core.InvalidBox) as info:
+        with pytest.raises(ValueError) as info:
             core.validate_detection(make_box(x=1e308 * 10, l=float("nan")))
         assert str(info.value) == "non-finite field in detection: x, l"
 
     def test_score_range(self):
-        with pytest.raises(core.InvalidBox):
+        with pytest.raises(ValueError, match=re.escape("outside [0, 1]")):
             core.validate_detection(make_box(score=1.5))
-        with pytest.raises(core.InvalidBox):
+        with pytest.raises(ValueError, match=re.escape("outside [0, 1]")):
             core.validate_detection(make_box(score=-0.1))
 
     def test_fuzz_survivors_satisfy_invariants(self):
@@ -55,7 +56,7 @@ class TestValidateDetection:
                 l=rng.uniform(-1, 5), score=rng.uniform(-0.5, 1.5))
             try:
                 v = core.validate_detection(d)
-            except core.InvalidBox:
+            except ValueError:
                 assert d.h <= 0 or d.w <= 0 or d.l <= 0 or not 0 <= d.score <= 1
                 continue
             assert -math.pi <= v.theta < math.pi
@@ -92,7 +93,7 @@ class TestTrackerConfig:
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"min_hitz": 3}')
-        with pytest.raises(core.UnknownKey):
+        with pytest.raises(core.ConfigParse, match="unknown config keys"):
             core.load_config(path)
 
     def test_bad_json_rejected(self, tmp_path):

@@ -95,7 +95,7 @@ class TestDetectionsRoundTrip:
         good = {"frame": 0, "agent": "a", "x": 0.0, "y": 0.0, "z": 0.0,
                 "theta": 0.0, "h": 1.0, "w": 1.0, "l": 1.0, "score": 0.5}
         path.write_text(json.dumps(good) + "\n{broken\n")
-        with pytest.raises(io.ParseError, match="line 2"):
+        with pytest.raises(ValueError, match="line 2"):
             io.read_detections(path)
 
     def test_missing_field_rejected(self, tmp_path):
@@ -103,7 +103,7 @@ class TestDetectionsRoundTrip:
         bad = {"frame": 0, "agent": "a", "x": 0.0, "y": 0.0, "z": 0.0,
                "theta": 0.0, "h": 1.0, "w": 1.0}  # no l, no score
         path.write_text(json.dumps(bad) + "\n")
-        with pytest.raises(io.ParseError, match="missing fields"):
+        with pytest.raises(ValueError, match="missing fields"):
             io.read_detections(path)
 
     def test_out_of_order_frames_rejected(self, tmp_path):
@@ -112,7 +112,7 @@ class TestDetectionsRoundTrip:
                "h": 1.0, "w": 1.0, "l": 1.0, "score": 0.5}
         path.write_text(json.dumps({"frame": 2, **row}) + "\n"
                         + json.dumps({"frame": 1, **row}) + "\n")
-        with pytest.raises(io.FrameOrderError):
+        with pytest.raises(ValueError, match="frame 1 after frame 2"):
             io.read_detections(path)
 
     def test_degenerate_box_rejected(self, tmp_path):
@@ -120,7 +120,7 @@ class TestDetectionsRoundTrip:
         bad = {"frame": 0, "agent": "a", "x": 0.0, "y": 0.0, "z": 0.0,
                "theta": 0.0, "h": 0.0, "w": 1.0, "l": 1.0, "score": 0.5}
         path.write_text(json.dumps(bad) + "\n")
-        with pytest.raises(io.ParseError, match="line 1"):
+        with pytest.raises(ValueError, match="line 1"):
             io.read_detections(path)
 
     def test_merge_per_agent_files(self, scenario, tmp_path):
@@ -202,16 +202,16 @@ class TestPoses:
                                                 (1, "a"): pose}
         first.write_text(first.read_text() * 2)
         message = f"{first}: frame 0, agent a has more than one pose"
-        with pytest.raises(io.ParseError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             io.read_poses(first)
         write_poses(first, {(1, "a"): pose})
         message = f"{second}: frame 1, agent a already has a pose in {first}"
-        with pytest.raises(io.ParseError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             io.read_poses(first, second)
 
     def test_missing_pose_rejected(self):
         local = [FrameBundle(frame=0, detections_by_agent={"a": [make_box()]})]
-        with pytest.raises(io.ParseError, match="missing pose"):
+        with pytest.raises(ValueError, match="missing pose"):
             io.apply_poses(local, {})
 
 
@@ -474,7 +474,7 @@ READ_ERRORS = [
 def test_read_error_text(tmp_path, kind, content, message):
     path = tmp_path / f"{kind}.jsonl"
     path.write_bytes(content if isinstance(content, bytes) else content.encode())
-    with pytest.raises(io.ParseError) as caught:
+    with pytest.raises(ValueError) as caught:
         READERS[kind][0](path)
     assert str(caught.value) == f"{path}: {message}"
 

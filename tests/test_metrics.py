@@ -190,7 +190,7 @@ class TestMotaMotp:
         assert metrics.mota_motp(counts)[1] == 0.5
 
     def test_no_ground_truth(self):
-        with pytest.raises(metrics.NoGroundTruth):
+        with pytest.raises(ValueError, match="sequence has no ground-truth boxes"):
             metrics.mota_motp(metrics.FrameCounts())
 
 
@@ -222,7 +222,7 @@ class TestAmotaFamily:
         assert report.mt == 0.0
 
     def test_no_ground_truth(self):
-        with pytest.raises(metrics.NoGroundTruth):
+        with pytest.raises(ValueError, match="sequence has no ground-truth boxes"):
             metrics.amota_family([[], []], [[], []])
 
     def test_dropout_sequence_matches_oracle_exactly(self):

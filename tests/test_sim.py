@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -151,6 +152,16 @@ class TestGenerate:
             sim.ScenarioConfig(dropout=(0.0, 1.5))
         with pytest.raises(ValueError):
             sim.scenario_from_dict({"bogus_key": 1})
+
+    def test_per_agent_lists_checked(self):
+        # built in Python or by replace, a config is checked as a file's values are
+        with pytest.raises(ValueError, match="^sigma must be a list$"):
+            sim.ScenarioConfig(sigma=0.3)
+        with pytest.raises(ValueError, match="^occlusion_sectors must be a list$"):
+            sim.ScenarioConfig(occlusion_sectors=((), (0.5,)))
+        with pytest.raises(ValueError, match="^dropout must be a list$"):
+            replace(sim.ScenarioConfig(), dropout=0.5)
+        assert sim.ScenarioConfig(sigma=[0.1, 0.2]).sigma == (0.1, 0.2)
 
     @pytest.mark.parametrize("raw", [[], "seed", None])
     def test_config_root_must_be_object(self, raw):
