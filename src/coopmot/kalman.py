@@ -129,8 +129,9 @@ def _orientation_residual(z_theta, pred_theta):
 def update(tracks: Tracks, rows, z, scores, model: KalmanModel) -> Tracks:
     """Kalman measurement update of tracks[rows] with the (k, 7) boxes z.
 
-    Those rows get the posterior, one more hit, no misses and the given
-    scores; every other row is copied unchanged. Raises ValueError unless z
+    Those rows get the posterior state and covariance and the given scores;
+    everything else is copied unchanged, the hit and miss counters included
+    (tracker.manage_lifecycle moves them). Raises ValueError unless z
     is finite with one box per row, and numpy's LinAlgError (a ValueError)
     when some H P Ht + R cannot be factorized.
     """
@@ -159,11 +160,8 @@ def update(tracks: Tracks, rows, z, scores, model: KalmanModel) -> Tracks:
     state[:, 3] = _wrap(state[:, 3])
     cov = p_pred - gain @ hp
     states, covariances = tracks.states.copy(), tracks.covariances.copy()
-    hits, misses, new_scores = tracks.hits.copy(), tracks.misses.copy(), tracks.scores.copy()
+    new_scores = tracks.scores.copy()
     states[rows] = state
     covariances[rows] = 0.5 * (cov + cov.swapaxes(1, 2))
-    hits[rows] += 1
-    misses[rows] = 0
     new_scores[rows] = scores
-    return replace(tracks, states=states, covariances=covariances, hits=hits,
-                   misses=misses, scores=new_scores)
+    return replace(tracks, states=states, covariances=covariances, scores=new_scores)

@@ -11,9 +11,11 @@ boxes a frame offers the tracks:
 
 Each step stacks the frame's detections once into (N, 7) box and (N,)
 score arrays; refinement, association, births and the Kalman update all
-work on those arrays, under one Kalman model, MODEL. The track states
-stored in a TrackSet are the predictions for the frame about to be
-processed; each step ends by predicting every live track for the next frame.
+work on those arrays, under one Kalman model, MODEL. A TrackSet stores the
+predictions for the frame about to be processed; both association stages
+read them, a track takes at most one Kalman update per frame, and
+manage_lifecycle alone moves the hit and miss counters. Each step ends by
+predicting every live track for the next frame.
 """
 
 from __future__ import annotations
@@ -50,18 +52,17 @@ def new_trackset() -> TrackSet:
 
 
 def manage_lifecycle(tracks: kalman.Tracks, matched, cfg: TrackerConfig) -> kalman.Tracks:
-    """Confirm matched tracks, age unmatched ones, drop dead ones.
+    """Count hits and misses, confirm and drop tracks: the whole lifecycle.
 
-    matched is a bool mask over the rows. Matched tracks must already carry
-    post-update counters (the Kalman update increments hits and clears
-    misses). Unmatched tracks get a miss, lose their hit streak, and are
+    matched is a bool mask over the rows. A matched track gets one more
+    hit and no misses, and is confirmed once its hits reach min_hits. An
+    unmatched track loses its hit streak, gets one more miss, and is
     dropped once misses reach max_age. Confirmed status is never revoked
     short of death.
     """
-    confirmed = np.where(matched, tracks.confirmed | (tracks.hits >= cfg.min_hits),
-                         tracks.confirmed)
-    misses = np.where(matched, tracks.misses, tracks.misses + 1)
-    hits = np.where(matched, tracks.hits, 0)
+    hits = np.where(matched, tracks.hits + 1, 0)
+    misses = np.where(matched, 0, tracks.misses + 1)
+    confirmed = tracks.confirmed | (hits >= cfg.min_hits)
     return replace(tracks, hits=hits, misses=misses, confirmed=confirmed).take(
         matched | (misses < cfg.max_age))
 
@@ -103,34 +104,34 @@ def step(ts: TrackSet, bundle: FrameBundle, cfg: TrackerConfig):
     """Associate, update, age and birth tracks for one frame; the output
     is labelled with bundle.frame.
 
-    Stage 1 associates every track with the first-variant boxes. When a
-    second variant exists (tsa), stage 2 retries only the tracks stage 1
-    left unmatched, against the second-variant boxes of cross-matched nodes
-    whose stage-1 box went unmatched; with no cross-agent matches it is
-    empty. Stage 2 never starts tracks: stage 1's unmatched boxes already
-    did, and a second birth of the same node would duplicate it.
+    Stage 1 associates every track's prediction with the first-variant
+    boxes. When a second variant exists (tsa), stage 2 associates the
+    predictions of the tracks stage 1 left unmatched with the second-variant
+    boxes of cross-matched nodes whose stage-1 box went unmatched; with no
+    cross-agent matches it is empty. The rows either stage matched take one
+    Kalman update, so a track takes at most one per frame. Stage 2 never
+    starts tracks: stage 1's unmatched boxes already did, and a second
+    birth of the same node would duplicate it.
     """
     boxes, scores, num_cross = _candidates(bundle, cfg)
-    tracks = ts.tracks
-    result = assign.associate(tracks.states[:, :kalman.MEAS_DIM], boxes[0],
-                              cfg.iou_assoc_threshold)
-    rows, cols = result.matched_rows, result.matched_cols
-    matched = np.zeros(len(tracks), dtype=bool)
-    matched[rows] = True
-    tracks = kalman.update(tracks, rows, boxes[0, cols], scores[cols], MODEL)
-    unmatched_cols = result.unmatched_cols
+    predicted = ts.tracks.states[:, :kalman.MEAS_DIM]
+    first = assign.associate(predicted, boxes[0], cfg.iou_assoc_threshold)
+    rows, cols, z = first.matched_rows, first.matched_cols, boxes[0, first.matched_cols]
 
-    stage2_rows = np.flatnonzero(~matched)
+    unmatched_cols = first.unmatched_cols
     retry = unmatched_cols[unmatched_cols < num_cross]
-    if len(boxes) > 1 and len(stage2_rows) and len(retry):
-        result = assign.associate(tracks.states[stage2_rows, :kalman.MEAS_DIM],
-                                  boxes[1, retry], cfg.iou_assoc_threshold)
-        rows, cols = stage2_rows[result.matched_rows], retry[result.matched_cols]
-        tracks = kalman.update(tracks, rows, boxes[1, cols], scores[cols], MODEL)
-        matched[rows] = True
+    if len(boxes) > 1 and len(first.unmatched_rows) and len(retry):
+        second = assign.associate(predicted[first.unmatched_rows], boxes[1, retry],
+                                  cfg.iou_assoc_threshold)
+        retried = retry[second.matched_cols]
+        rows = np.concatenate([rows, first.unmatched_rows[second.matched_rows]])
+        cols = np.concatenate([cols, retried])
+        z = np.concatenate([z, boxes[1, retried]])
 
-    born = kalman.init_track(boxes[0, unmatched_cols], scores[unmatched_cols],
-                             ts.next_id, MODEL)
+    matched = np.zeros(len(ts.tracks), dtype=bool)
+    matched[rows] = True
+    tracks = kalman.update(ts.tracks, rows, z, scores[cols], MODEL)
+    born = kalman.init_track(boxes[0, unmatched_cols], scores[unmatched_cols], ts.next_id, MODEL)
     alive = manage_lifecycle(tracks, matched, cfg).concat(born)
     output = _emit(ts, bundle.frame, alive, cfg)
     return TrackSet(kalman.predict(alive, MODEL), ts.next_id + len(born),

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -12,6 +13,10 @@ import pytest
 import coopmot
 from coopmot import cli, geometry, sim
 from conftest import inverse_pose, write_poses
+
+
+# sha256 over the name and bytes of each file `simulate` writes without --config
+DEFAULT_SCENE_SHA256 = "6f65b7040b076273eb296a01a8573fdd591db5e1a616a81e0d601cfa8a997100"
 
 
 def run_cli(*argv):
@@ -72,6 +77,21 @@ class TestSimulate:
         assert manifest["numpy"] == np.__version__
         assert manifest["python"] == sys.version.split()[0]
         assert "scipy" not in manifest
+
+    def test_defaults_without_config(self, tmp_path):
+        # the bytes of ScenarioConfig's default scene: its world_extent,
+        # counts, speeds, noise and seed
+        out = tmp_path / "sim"
+        assert run_cli("simulate", "--out", str(out)) == 0
+        digest = hashlib.sha256()
+        for name in ("gt.jsonl", "detections_agent0.jsonl", "detections_agent1.jsonl"):
+            digest.update(name.encode() + read_bytes(out / name))
+        assert digest.hexdigest() == DEFAULT_SCENE_SHA256
+
+    def test_world_smaller_than_one_meter(self, tmp_path):
+        cfg = tmp_path / "small.json"
+        cfg.write_text('{"world_extent": 0.5, "num_objects": 1}')
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
 
     def test_invalid_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"

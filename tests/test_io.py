@@ -466,6 +466,9 @@ READ_ERRORS = [
      "line 1: non-finite pose Pose(x=0.5, y=0.0, z=0.0, yaw=-inf)"),
     ("detections", line("detections", y=10 ** 320),
      "line 1: field 'y' is too large for a float"),
+    # beside the h=0.0 row; appended so that the earlier ids keep their numbers
+    ("detections", line("detections", w=0.0), "line 1: non-positive extent (h=1.0, w=0.0, l=1.0)"),
+    ("tracks", line("tracks", l=0.0), "line 1: non-positive extent (h=1.0, w=1.0, l=0.0)"),
 ]
 
 

@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -115,12 +115,14 @@ class TestUpdate:
         assert np.allclose(u, expected, atol=1e-12)
 
     def test_hits_and_score_bookkeeping(self, model):
-        t = born(make_box(), model)
-        from dataclasses import replace
-        t = replace(t, misses=np.array([1]))
+        # the update sets the score and leaves the counters to the lifecycle
+        t = replace(born(make_box(), model), misses=np.array([1]))
         u = kalman.update(t, [0], t.states[:, :7], [0.7], model)
-        assert u.hits.tolist() == [2] and u.misses.tolist() == [0]
+        assert u.hits.tolist() == [1] and u.misses.tolist() == [1]
         assert u.scores.tolist() == [0.7]
+        alive = tracker.manage_lifecycle(u, np.array([True]), TrackerConfig())
+        assert alive.hits.tolist() == [2] and alive.misses.tolist() == [0]
+        assert alive.scores.tolist() == [0.7]
 
     def test_singular_innovation(self):
         model = kalman.KalmanModel(Q=np.zeros((10, 10)), R=np.zeros((7, 7)),
@@ -222,14 +224,14 @@ def assert_columns_equal(tracks, saved):
 
 
 def reference_lifecycle(tracks, matched, cfg):
-    """The lifecycle as it ran track by track: (id, hits, misses, confirmed)
-    of every survivor, in order."""
+    """The lifecycle as it ran track by track on the counters before the
+    frame: (id, hits, misses, confirmed) of every survivor, in order."""
     out = []
     for k, tid in enumerate(tracks.ids.tolist()):
         hits, misses = int(tracks.hits[k]), int(tracks.misses[k])
         confirmed = bool(tracks.confirmed[k])
         if matched[k]:
-            out.append((tid, hits, misses, confirmed or hits >= cfg.min_hits))
+            out.append((tid, hits + 1, 0, confirmed or hits + 1 >= cfg.min_hits))
         elif misses + 1 < cfg.max_age:
             out.append((tid, 0, misses + 1, confirmed))
     return out
@@ -261,8 +263,8 @@ class TestBatchedOracle:
         saved = columns(pred)
         upd = kalman.update(pred, rows, z, scores, model)
         assert_columns_equal(pred, saved)
-        assert np.array_equal(upd.ids, pred.ids)
-        assert np.array_equal(upd.confirmed, pred.confirmed)
+        for name in ("ids", "hits", "misses", "confirmed"):
+            assert np.array_equal(getattr(upd, name), saved[name])
         for k in range(len(pred)):
             if k in rows:
                 j = rows.tolist().index(k)
@@ -270,7 +272,6 @@ class TestBatchedOracle:
                                               z[j], model)
                 assert np.array_equal(upd.states[k], state)
                 assert np.array_equal(upd.covariances[k], cov)
-                assert (upd.hits[k], upd.misses[k]) == (pred.hits[k] + 1, 0)
                 assert upd.scores[k] == scores[j]
             else:  # rows outside the subset are untouched
                 for name in saved:

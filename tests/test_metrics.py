@@ -253,6 +253,17 @@ class TestAmotaFamily:
                       report.motp, report.mt):
             assert 0.0 <= value <= 100.0
 
+    def test_unreached_targets_are_zero_points(self):
+        # object 1 goes untracked for 2 of 20 boxes, so full recall is 0.9
+        # and the targets 37/40 to 40/40 are out of reach
+        gt_frames, pred_frames = dropout_sequence()
+        points = metrics.amota_family(gt_frames, pred_frames).operating_points
+        unreached = [k / 40 for k in range(37, 41)]
+        assert [p for p in points if p.recall_target in unreached] == [
+            metrics.OperatingPoint(target, None, 0.0, 0.0, 0.0, 0.0, 0, 0, 0, 0)
+            for target in unreached]
+        assert all(p.threshold is not None for p in points[:36])
+
     def test_self_evaluation_is_perfect(self):
         gt_frames, _ = dropout_sequence()
         preds = [[(oid, d, 1.0) for oid, d in row] for row in gt_frames]

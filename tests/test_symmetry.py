@@ -6,8 +6,19 @@ all three methods. Agent reversal: baseline and aos score the same when the
 two agents swap places. tsa is not held to the second relation: it treats
 the first agent as agent i, and reversing the agents flips the frame-wide
 shift of its candidate boxes (see graphlap).
+
+Exact reductions: when the second agent adds nothing, fusion is
+single-agent tracking. With an empty partner, aos and tsa emit exactly the
+ids and boxes of baseline on the first agent alone: no node is matched, so
+every residual is zero and tsa has no box for stage 2. With a partner that
+copies the first agent, each detection matches its copy at IoU 1, the
+anchors are the raw centroids and each pair merges onto itself; aos is held
+to this on drawn scenes, tsa on the simulated ones only, as its stage 2
+could match a cross-matched box that stage 1 gated out. Detection order
+within an agent leaves every method's scores alone.
 """
 
+import functools
 import math
 from dataclasses import replace
 
@@ -66,19 +77,96 @@ def test_rigid_motion_moves_boxes_and_keeps_ids(method, scene, dedup):
                 assert score == ref_score
 
 
-@pytest.mark.parametrize("seed", [0, 4, 8])
+SIM_SEEDS = (0, 4, 8)
+
+
+@functools.lru_cache(maxsize=None)
+def sim_scene(seed):
+    """(gt_frames, bundles) of the directional scenario on seed."""
+    return sim.generate(replace(directional_scenario(), seed=seed))
+
+
+def scores(gt_frames, frames, method):
+    """MOTA, MOTP and MT of method on frames under the directional config."""
+    preds = [list(o.emitted) for o in
+             tracker.run_sequence(frames, directional_tracker_config(method))]
+    tally = metrics.evaluate_sequence(gt_frames, preds)
+    return (*metrics.mota_motp(tally.totals),
+            metrics.mostly_tracked(tally.frames_present, tally.frames_matched))
+
+
+@functools.lru_cache(maxsize=None)
+def sim_scores(seed, method):
+    """scores of method on the unchanged simulated scene."""
+    gt_frames, bundles = sim_scene(seed)
+    return scores(gt_frames, bundles, method)
+
+
+@pytest.mark.parametrize("seed", SIM_SEEDS)
 @pytest.mark.parametrize("method", [Method.BASELINE, Method.AOS])
 def test_agent_reversal_keeps_scores(method, seed):
-    gt_frames, bundles = sim.generate(replace(directional_scenario(), seed=seed))
+    gt_frames, bundles = sim_scene(seed)
     swapped = [FrameBundle(frame=b.frame,
                            detections_by_agent=dict(reversed(b.detections_by_agent.items())))
                for b in bundles]
-    cfg = directional_tracker_config(method)
+    assert scores(gt_frames, swapped, method) == pytest.approx(
+        sim_scores(seed, method), rel=0.0, abs=1e-9)
 
-    def scores(frames):
-        preds = [list(o.emitted) for o in tracker.run_sequence(frames, cfg)]
-        tally = metrics.evaluate_sequence(gt_frames, preds)
-        return (*metrics.mota_motp(tally.totals),
-                metrics.mostly_tracked(tally.frames_present, tally.frames_matched))
 
-    assert scores(swapped) == pytest.approx(scores(bundles), rel=0.0, abs=1e-9)
+@pytest.mark.parametrize("seed", SIM_SEEDS)
+@pytest.mark.parametrize("method", list(Method))
+def test_order_within_agent_keeps_scores(method, seed):
+    gt_frames, bundles = sim_scene(seed)
+    rng = np.random.default_rng(seed)
+    shuffled = [FrameBundle(frame=b.frame, detections_by_agent={
+        agent: [dets[k] for k in rng.permutation(len(dets))]
+        for agent, dets in b.detections_by_agent.items()}) for b in bundles]
+    assert scores(gt_frames, shuffled, method) == pytest.approx(
+        sim_scores(seed, method), rel=0.0, abs=1e-9)
+
+
+def emitted_rows(frames, cfg):
+    """Every emitted (frame, track id, box, score), as Python values."""
+    return [(o.frame, tid, box.tolist(), score)
+            for o in tracker.run_sequence(frames, cfg) for tid, box, score in o.emitted]
+
+
+def partnered(frames, partner):
+    """Each frame with its first agent's detections only, and, unless
+    partner is None, a second agent that sees partner(those detections)."""
+    out = []
+    for b in frames:
+        agent, dets = next(iter(b.detections_by_agent.items()))
+        by_agent = {agent: dets} if partner is None else {agent: dets, "partner": partner(dets)}
+        out.append(FrameBundle(frame=b.frame, detections_by_agent=by_agent))
+    return out
+
+
+def nothing(dets):
+    return []
+
+
+REDUCTIONS = [(Method.AOS, nothing), (Method.TSA, nothing), (Method.AOS, list)]
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@pytest.mark.parametrize("method, partner", REDUCTIONS)
+@given(scene=separated_scenes())
+def test_partner_adding_nothing_reduces_to_baseline(method, partner, scene):
+    frames, cfg = scene[0], TrackerConfig(method=method, dedup_matched_pairs=True)
+    want = emitted_rows(partnered(frames, None), replace(cfg, method=Method.BASELINE))
+    assert emitted_rows(partnered(frames, partner), cfg) == want
+
+
+@functools.lru_cache(maxsize=None)
+def sim_baseline_alone(seed):
+    """emitted_rows of baseline on the simulated scene's first agent."""
+    return emitted_rows(partnered(sim_scene(seed)[1], None),
+                        directional_tracker_config(Method.BASELINE))
+
+
+@pytest.mark.parametrize("seed", SIM_SEEDS)
+@pytest.mark.parametrize("method, partner", [*REDUCTIONS, (Method.TSA, list)])
+def test_partner_adding_nothing_reduces_to_baseline_on_sim(method, partner, seed):
+    frames = partnered(sim_scene(seed)[1], partner)
+    assert emitted_rows(frames, directional_tracker_config(method)) == sim_baseline_alone(seed)

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from coopmot import assign, kalman, tracker
 from coopmot.core import FrameBundle, Method, TrackerConfig
-from conftest import born, make_box
+from conftest import born, make_box, reference_predict, reference_update
 
 CAR = dict(h=1.6, w=1.8, l=4.5)
 
@@ -26,11 +28,6 @@ def static_object_frames(n, agents=("a", "b"), pos=(0.0, 0.0)):
 MATCHED, UNMATCHED = np.array([True]), np.array([False])
 
 
-def rematch(tracks, model):
-    """Update the single track of a store with its own box."""
-    return kalman.update(tracks, [0], tracks.states[:, :7], tracks.scores, model)
-
-
 def counters_by_id(tracks):
     """{track id: (hits, misses)} of a store."""
     return dict(zip(tracks.ids.tolist(), zip(tracks.hits.tolist(), tracks.misses.tolist())))
@@ -42,17 +39,17 @@ def model():
 
 
 class TestManageLifecycle:
+    """The lifecycle alone moves the counters; a birth is the first hit."""
+
     def test_confirm_at_third_consecutive_match(self, model):
         cfg = TrackerConfig()
-        t = born(make_box(**CAR), model)
-        assert t.hits.tolist() == [1]
-        tracks = tracker.manage_lifecycle(t, MATCHED, cfg)
-        assert tracks.confirmed.tolist() == [False]  # tentative
-        for expected_hits in (2, 3):
-            t = rematch(tracks, model)
-            assert t.hits.tolist() == [expected_hits]
-            tracks = tracker.manage_lifecycle(t, MATCHED, cfg)
-        assert tracks.confirmed.tolist() == [True]
+        tracks = born(make_box(**CAR), model)
+        assert tracks.hits.tolist() == [1]
+        for expected_hits, confirmed in ((2, False), (3, True)):
+            tracks = tracker.manage_lifecycle(tracks, MATCHED, cfg)
+            assert tracks.hits.tolist() == [expected_hits]
+            assert tracks.misses.tolist() == [0]
+            assert tracks.confirmed.tolist() == [confirmed]
 
     def test_dead_after_two_consecutive_misses(self, model):
         cfg = TrackerConfig()
@@ -67,23 +64,20 @@ class TestManageLifecycle:
         t = born(make_box(**CAR), model)
         tracks = tracker.manage_lifecycle(t, UNMATCHED, cfg)
         assert tracks.misses.tolist() == [1] and tracks.hits.tolist() == [0]
-        t = rematch(tracks, model)
-        tracks = tracker.manage_lifecycle(t, MATCHED, cfg)
-        assert tracks.misses.tolist() == [0]
+        tracks = tracker.manage_lifecycle(tracks, MATCHED, cfg)
+        assert tracks.misses.tolist() == [0] and tracks.hits.tolist() == [1]
         assert len(tracks) == 1
 
     def test_confirmed_not_demoted_by_later_miss(self, model):
         cfg = TrackerConfig(max_age=5)
-        t = born(make_box(**CAR), model)
-        for _ in range(3):
-            tracks = tracker.manage_lifecycle(t, MATCHED, cfg)
-            t = rematch(tracks, model)
-        tracks = tracker.manage_lifecycle(t, MATCHED, cfg)
+        tracks = born(make_box(**CAR), model)
+        for _ in range(2):
+            tracks = tracker.manage_lifecycle(tracks, MATCHED, cfg)
         assert tracks.confirmed.tolist() == [True]
         tracks = tracker.manage_lifecycle(tracks, UNMATCHED, cfg)
         assert tracks.confirmed.tolist() == [True]  # still alive, still confirmed
-        t = rematch(tracks, model)
-        tracks = tracker.manage_lifecycle(t, MATCHED, cfg)
+        assert tracks.hits.tolist() == [0]
+        tracks = tracker.manage_lifecycle(tracks, MATCHED, cfg)
         assert tracks.confirmed.tolist() == [True]
 
 
@@ -226,14 +220,38 @@ class TestStepTsa:
                             if tid in hits_before}
         assert any(misses == 1 for _, misses in survivors_stage1.values())
 
-        # the full two-stage step recovers it: no miss recorded
-        ts_full, _ = tracker.step(ts, degraded, cfg)
+        # the full two-stage step recovers it: no miss recorded, and one
+        # Kalman update serves both stages
+        with mock.patch.object(kalman, "update", wraps=kalman.update) as update:
+            ts_full, _ = tracker.step(ts, degraded, cfg)
+        assert update.call_count == 1
         survivors = {tid: c for tid, c in counters_by_id(ts_full.tracks).items()
                      if tid in hits_before}
         assert len(survivors) == 2
         rescued = [tid for tid, (hits, misses) in survivors.items()
                    if misses == 0 and hits == hits_before[tid] + 1]
         assert rescued
+
+        # a rescued track's state is its previous prediction updated with a
+        # variant-1 box of a cross-matched node, then predicted; the twins
+        # take different boxes
+        boxes, _, num_cross = real_candidates(degraded, cfg)
+
+        def updated_and_predicted(tid, box):
+            k, = np.flatnonzero(ts.tracks.ids == tid)
+            state, cov = reference_update(ts.tracks.states[k], ts.tracks.covariances[k], box,
+                                          tracker.MODEL)
+            return reference_predict(state, cov, tracker.MODEL)
+
+        taken = []
+        for tid in rescued:
+            j, = np.flatnonzero(ts_full.tracks.ids == tid)
+            got = ts_full.tracks.states[j], ts_full.tracks.covariances[j]
+            fits = [c for c in range(num_cross)
+                    if all(map(np.array_equal, got, updated_and_predicted(tid, boxes[1, c])))]
+            assert len(fits) == 1
+            taken += fits
+        assert len(set(taken)) == len(taken)
 
 
 class TestRunSequence:
