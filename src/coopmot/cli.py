@@ -62,7 +62,7 @@ def _write_outputs(args, write, config: dict, inputs: list, outputs: list,
 
 
 def _input_files(directory: str, kind: str) -> list:
-    paths = sorted(glob.glob(os.path.join(directory, f"{kind}*.jsonl")))
+    paths = sorted(glob.glob(os.path.join(glob.escape(directory), f"{kind}*.jsonl")))
     if not paths:
         raise OSError(f"no {kind}*.jsonl files in {directory}")
     return paths

@@ -8,7 +8,8 @@ iou3d_matrix. The tests hold it to a plain loop over every pair
 
 Boxes are 7-vectors [x y z theta h w l]: centroid, yaw about z, extents.
 Overlap is BEV convex-polygon clipping (Sutherland-Hodgman) times the
-z-interval overlap.
+z-interval overlap. Both kernels take finite (N, 7) float arrays only:
+geometry.iou_matrix rejects a NaN or infinite value before either runs.
 
 A pair is zero without clipping when its z-intervals do not overlap
 (dz <= 0) or its circumscribed BEV circles are apart (dx^2 + dy^2 >
@@ -18,15 +19,15 @@ within its reach, ra + max(rb), of its own. The reach is widened by a
 relative 1e-12 and by a floor whose square is a normal float, so a column
 beyond it has a rounded dx^2 above every rounded (ra + rb)^2: the window
 never leaves out a pair that the circle test keeps. The candidates take
-the per-pair loop's circle test (radii from math.hypot, written so that a
-NaN keeps the pair), its z test (Python's min/max) and, if they pass
-both, the clip, in ascending column order and with the same operations.
-A NaN keeps a pair at any distance, and so does a reach whose square
-overflows (inf > inf is False), so a row tests every column when an x, y
-or radius of the columns, or its own x, y or reach squared, is not
-finite. A box's corners, area and volume are computed once, when a kept
-pair first needs them. Each entry is therefore the float the per-pair
-loop computes, and the pairs reach the clip in that loop's order.
+the per-pair loop's circle test (radii from math.hypot), its z test
+(Python's min/max) and, if they pass both, the clip, in ascending column
+order and with the same operations. Finite extents can still give an
+infinite radius, or a reach whose square overflows; the circle test then
+keeps a pair at any distance (inf > inf is False), so a row whose reach
+squared is not finite tests every column. A box's corners, area and
+volume are computed once, when a kept pair first needs them. Each entry
+is therefore the float the per-pair loop computes, and the pairs reach
+the clip in that loop's order.
 """
 
 import math
@@ -125,12 +126,9 @@ def iou3d_matrix(rows, cols):
     rb = [0.5 * hypot(w, l) for w, l in zip(cw, cl)]
     col_z = [(z - 0.5 * h, z + 0.5 * h) for z, h in zip(cz, ch)]
     every = range(m)
-    if all(map(isfinite, cx)) and all(map(isfinite, cy)) and all(map(isfinite, rb)):
-        order = sorted(every, key=cx.__getitem__)
-        xs = [cx[j] for j in order]
-        rb_max = max(rb)
-    else:
-        rb_max = math.inf  # no row may use the window
+    order = sorted(every, key=cx.__getitem__)
+    xs = [cx[j] for j in order]
+    rb_max = max(rb)
     col_bev = [None] * m
     out = np.zeros((n, m), dtype=float)
     flat = memoryview(out).cast("B").cast("d")  # writes go into out
@@ -138,7 +136,7 @@ def iou3d_matrix(rows, cols):
         ra = 0.5 * hypot(w, l)
         za0, za1 = z - 0.5 * h, z + 0.5 * h
         reach = (ra + rb_max) * _WIDEN + _REACH_FLOOR
-        if isfinite(xa) and isfinite(ya) and isfinite(reach * reach):
+        if isfinite(reach * reach):
             lo = bisect_left(xs, xa - reach)
             cand = order[lo:bisect_right(xs, xa + reach, lo)]
             cand.sort()

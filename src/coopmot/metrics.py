@@ -72,26 +72,19 @@ class _FrameMatcher:
         self.scores = np.array([p[2] for p in pred], dtype=float)
         self.neg_sorted = sorted(-self.scores)  # ascending for bisect
         self.iou = geometry.iou_matrix([g[1] for g in gt], [p[1] for p in pred])
-        self.memo = {}
+        self.memo = {0: []}  # a frame that keeps nothing calls no solver
 
     def match(self, score_threshold):
-        """Predictions kept at the threshold (None keeps all), and the
+        """Predictions kept at the threshold (-inf keeps all), and the
         gated pairs [(object_id, track_id, iou)] in GT row order."""
-        kept = (len(self.tids) if score_threshold is None
-                else bisect.bisect_right(self.neg_sorted, -score_threshold))
+        kept = bisect.bisect_right(self.neg_sorted, -score_threshold)
         pairs = self.memo.get(kept)
         if pairs is None:
-            pairs = self.memo[kept] = self._solve(score_threshold)
+            cols = np.flatnonzero(self.scores >= score_threshold)
+            iou = self.iou[:, cols]
+            pairs = self.memo[kept] = [(self.gt_ids[r], self.tids[cols[c]], iou.item(r, c))
+                                       for r, c in assign.gated_pairs(iou, IOU_THRESHOLD)]
         return kept, pairs
-
-    def _solve(self, score_threshold):
-        cols = (np.arange(len(self.tids)) if score_threshold is None
-                else np.flatnonzero(self.scores >= score_threshold))
-        if cols.shape[0] == 0:
-            return []
-        iou = self.iou[:, cols]
-        return [(self.gt_ids[r], self.tids[cols[c]], iou.item(r, c))
-                for r, c in assign.gated_pairs(iou, IOU_THRESHOLD)]
 
 
 def _matchers(gt_frames, pred_frames):
@@ -148,7 +141,7 @@ def evaluate_sequence(gt_frames, pred_frames) -> SequenceTally:
     shorter list are empty. Raises ValueError when a prediction score is
     not finite or a frame repeats an id.
     """
-    return _tally(_matchers(gt_frames, pred_frames), None)
+    return _tally(_matchers(gt_frames, pred_frames), -math.inf)
 
 
 def mota_motp(totals: FrameCounts):
@@ -263,7 +256,7 @@ def amota_family(gt_frames, pred_frames,
     # IoU matrices and matchings are shared by every threshold's pass
     # within this call and dropped with it.
     matchers = _matchers(gt_frames, pred_frames)
-    full = _tally(matchers, None)
+    full = _tally(matchers, -math.inf)
     targets = [k / num_thresholds for k in range(1, num_thresholds + 1)]
     chosen = _recall_thresholds(matchers, pred_frames, gt_total, targets,
                                 full.recall)

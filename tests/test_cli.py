@@ -216,6 +216,20 @@ class TestTrack:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and unreadable in err
 
+    def test_directory_names_are_not_glob_patterns(self, tmp_path, scenario_cfg):
+        # as patterns, "run[1]" and "poses[1]" match only "run1" and "poses1"
+        from coopmot.io import Pose
+        sim_dir, poses_dir = tmp_path / "run[1]", tmp_path / "poses[1]"
+        run_cli("simulate", "--config", scenario_cfg, "--out", str(sim_dir))
+        os.makedirs(poses_dir)
+        write_poses(poses_dir / "poses.jsonl", {(frame, agent): Pose(3.0, -1.0, 0.0, 0.2)
+                                                for frame in range(15)
+                                                for agent in ("agent0", "agent1")})
+        out = tmp_path / "t.jsonl"
+        assert run_cli("track", "--detections", str(sim_dir), "--poses", str(poses_dir),
+                       "--out", str(out)) == 0
+        assert out.read_text()
+
     def test_unknown_method_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("track", "--method", "bogus",

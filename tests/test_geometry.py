@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from coopmot import geometry
 from coopmot.geometry import _pure
-from conftest import iou3d, make_box, mc_iou, rand_box7
+from conftest import iou3d, make_box, rand_box7
 from iou_oracle import iou3d_pair
 
 
@@ -148,13 +148,6 @@ class TestIou3d:
             a, b = rand_box7(rng), rand_box7(rng)
             assert abs(iou3d(a, b) - iou3d(b, a)) < 1e-12
 
-    def test_monte_carlo_oracle(self, rng):
-        for _ in range(100):
-            a = rand_box7(rng, center_scale=1.5)
-            b = rand_box7(rng, center_scale=1.5)
-            estimate = mc_iou(a, b, rng, n=100_000)
-            assert abs(iou3d(a, b) - estimate) < 0.02
-
     def test_near_identical_boxes_stay_finite(self, rng):
         # regression: edges collinear with the clip line used to divide by
         # zero when rounding split the endpoint sides
@@ -285,8 +278,7 @@ Z_TOUCH = [(0.0, 0.0, 0.0, 0.0, 2.0, 1.0, 1.0),
            (0.25, 0.0, 2.0, 0.3, 2.0, 1.0, 1.0)]
 CIRCLE_TOUCH = [(0.0, 0.0, 0.0, 0.3, 1.0, 3.0, 4.0),
                 (3.0, 4.0, 0.0, 1.1, 1.0, 3.0, 4.0)]
-# A flat box: dz <= 0 against every box, itself included. Against a box
-# whose z is NaN, Python's min/max still give dz == 0, so it stays 0.
+# A flat box: dz <= 0 against every box, itself included.
 FLAT = [(0.5, 0.0, 0.0, 0.0, 0.0, 2.0, 2.0)]
 # Circles of radius 2.5 on the edges of an unwidened candidate window:
 # the last two boxes lie one float beyond the first box's x + 5 and x - 5
@@ -310,8 +302,8 @@ def box_sets(draw):
     boxes, of boxes on a candidate window's edges and of boxes that share
     one x, so that identical, overlapping and rejected pairs all occur.
     Sometimes the pool also holds extreme boxes: centres out to 1e6,
-    extents from 1e-6 to 1e6, and HUGE. Sometimes one row of either set
-    holds a NaN. Sets are ordinary when they have neither.
+    extents from 1e-6 to 1e6, and HUGE. Sets drawn without them are
+    ordinary.
     """
     shared_x = draw(st.floats(-3.0, 3.0))
     pool = draw(st.lists(st.one_of(_box(st.floats(-3.0, 3.0)),
@@ -326,12 +318,7 @@ def box_sets(draw):
     pick = st.lists(st.integers(0, len(pool) - 1), max_size=12)
     rows = np.array([pool[k] for k in draw(pick)], dtype=float).reshape(-1, 7)
     cols = np.array([pool[k] for k in draw(pick)], dtype=float).reshape(-1, 7)
-    side = (None, rows, cols)[draw(st.integers(0, 2))]
-    if side is not None and len(side):
-        row = draw(st.integers(0, len(side) - 1))
-        side[row, draw(st.sampled_from([slice(None), 0, 1, 2, 4, 5, 6]))] = np.nan
-    ordinary = not (extreme or np.isnan(rows).any() or np.isnan(cols).any())
-    return rows, cols, ordinary
+    return rows, cols, not extreme
 
 
 def clipped(fn, *args):
@@ -366,26 +353,17 @@ def check_matrix(rows, cols, ordinary):
     assert np.all(np.diag(_pure.iou3d_matrix(rows, rows))[solid] == 1.0)
 
 
-def _at(x, y=0.0, w=3.0, l=4.0):
-    return (x, y, 0.0, 0.3, 1.0, w, l)
-
-
 # Sets in which a candidate window would leave out a pair that the
-# per-pair tests keep, were it used without its margin or without one of
-# its non-finite checks. A NaN distance or radius keeps a pair at any
-# distance; bisect over a NaN x sorted first skips it. Squares of distances
-# and reaches below about 1.6e-162 round to zero, so the circle test keeps
+# per-pair tests keep, were it used without its margin or without its
+# check that the reach squared is finite. Squares of distances and
+# reaches below about 1.6e-162 round to zero, so the circle test keeps
 # such tiny boxes at any distance below that.
 WINDOW_TRAPS = {
     "right edge": (WINDOW_EDGE[:1], WINDOW_EDGE[1:]),
     "left edge": (WINDOW_EDGE[1:], WINDOW_EDGE[:1]),
     "reach squared overflows": (HUGE, HUGE),
-    "reach squared underflows": ([_at(0.0, w=1e-200, l=1e-200)],
-                                 [_at(1e-170, w=1e-200, l=1e-200)]),
-    "column x NaN": ([_at(EDGE_X)], [_at(math.nan), _at(-100.0), _at(-50.0)]),
-    "column y NaN": ([_at(EDGE_X)], [_at(100.0, math.nan)]),
-    "column w NaN": ([_at(EDGE_X)], [_at(-50.0), _at(100.0, w=math.nan)]),
-    "row y NaN": ([_at(EDGE_X, math.nan)], [_at(100.0)]),
+    "reach squared underflows": ([(0.0, 0.0, 0.0, 0.3, 1.0, 1e-200, 1e-200)],
+                                 [(1e-170, 0.0, 0.0, 0.3, 1.0, 1e-200, 1e-200)]),
 }
 
 
