@@ -98,17 +98,17 @@ def cmd_simulate(args) -> None:
 
 def cmd_track(args) -> None:
     started = time.perf_counter()
-    cfg = core.load_config(args.config) if args.config else core.TrackerConfig()
+    cfg = core.config_from_dict(core.read_config(args.config) if args.config else {})
     if args.method:
-        cfg = replace(cfg, method=core.Method(args.method))
+        cfg = replace(cfg, method=args.method)
     det_paths = _input_files(args.detections, "detections")
     bundles = io.merge_detection_files(det_paths)
-    if args.poses:
-        bundles = io.apply_poses(bundles, io.read_poses(*_input_files(args.poses, "poses")))
+    pose_paths = _input_files(args.poses, "poses") if args.poses else []
+    if pose_paths:
+        bundles = io.apply_poses(bundles, io.read_poses(*pose_paths))
     outputs = tracker.run_sequence(bundles, cfg)
     _write_outputs(args, lambda: io.write_tracks(args.out, outputs), cfg.to_dict(),
-                   det_paths + ([args.poses] if args.poses else []),
-                   [args.out], None, started)
+                   det_paths + pose_paths, [args.out], None, started)
 
 
 def cmd_eval(args) -> None:
@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("track", help="run a tracking pipeline")
-    p.add_argument("--method", choices=["baseline", "aos", "tsa"])
+    p.add_argument("--method", choices=[m.value for m in core.Method])
     p.add_argument("--detections", required=True,
                    help="directory with detections*.jsonl files")
     p.add_argument("--out", required=True, help="output tracks.jsonl path")

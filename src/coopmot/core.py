@@ -90,6 +90,8 @@ _ANNOTATION_TYPES = {"Method": Method, "float": (int, float), "int": int, "bool"
 
 @dataclass(frozen=True)
 class TrackerConfig:
+    """Tracker settings, checked when built; method may be given by its value, in any case."""
+
     method: Method = Method.TSA
     iou_assoc_threshold: float = 0.25
     cross_agent_iou_threshold: float = 0.25
@@ -99,6 +101,11 @@ class TrackerConfig:
     warm_start: bool = True
 
     def __post_init__(self):
+        if isinstance(self.method, str):
+            try:
+                object.__setattr__(self, "method", Method(self.method.lower()))
+            except ValueError:
+                raise ConfigParse(f"unknown method {self.method!r}") from None
         for f in fields(self):
             value = getattr(self, f.name)
             if (not isinstance(value, _ANNOTATION_TYPES[f.type])
@@ -128,14 +135,8 @@ def config_kwargs(cls, raw) -> dict:
 
 def config_from_dict(raw: dict) -> TrackerConfig:
     """Build a TrackerConfig from a parsed JSON object; missing keys take
-    defaults and the method is named by its value, in any case."""
-    kwargs = config_kwargs(TrackerConfig, raw)
-    if isinstance(kwargs.get("method"), str):
-        try:
-            kwargs["method"] = Method(kwargs["method"].lower())
-        except ValueError:
-            raise ConfigParse(f"unknown method {kwargs['method']!r}") from None
-    return TrackerConfig(**kwargs)
+    defaults."""
+    return TrackerConfig(**config_kwargs(TrackerConfig, raw))
 
 
 def read_config(path):
@@ -147,11 +148,6 @@ def read_config(path):
         raise ConfigParse(f"cannot read config {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigParse(f"cannot parse config {path}: {exc}") from exc
-
-
-def load_config(path) -> TrackerConfig:
-    """Load a TrackerConfig from a JSON file."""
-    return config_from_dict(read_config(path))
 
 
 @dataclass(frozen=True)

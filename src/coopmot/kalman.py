@@ -87,13 +87,13 @@ def _wrap(theta: np.ndarray) -> np.ndarray:
 
 def init_track(boxes, scores, first_id: int, model: KalmanModel) -> Tracks:
     """Tentative zero-velocity tracks, one per box row, with ids first_id,
-    first_id + 1, ..."""
+    first_id + 1, ... and no hits: tracker.manage_lifecycle counts the first."""
     boxes = np.asarray(boxes, dtype=float).reshape(-1, MEAS_DIM)
     k = len(boxes)
     states = np.zeros((k, STATE_DIM))
     states[:, :MEAS_DIM] = boxes
     return Tracks(states, np.repeat(model.P0[None], k, axis=0),
-                  first_id + np.arange(k), np.ones(k, dtype=int),
+                  first_id + np.arange(k), np.zeros(k, dtype=int),
                   np.zeros(k, dtype=int), np.zeros(k, dtype=bool),
                   np.array(scores, dtype=float).reshape(k))
 

@@ -230,6 +230,24 @@ class TestTrack:
                        "--out", str(out)) == 0
         assert out.read_text()
 
+    def test_manifest_lists_each_pose_file(self, tmp_path, scenario_cfg):
+        # the inputs are the files read, pose files as well as detections
+        from coopmot.io import Pose
+        sim_dir, poses_dir = tmp_path / "sim", tmp_path / "poses"
+        run_cli("simulate", "--config", scenario_cfg, "--out", str(sim_dir))
+        os.makedirs(poses_dir)
+        for agent in ("agent0", "agent1"):
+            write_poses(poses_dir / f"poses_{agent}.jsonl",
+                        {(frame, agent): Pose(3.0, -1.0, 0.0, 0.2) for frame in range(15)})
+        out = tmp_path / "out" / "t.jsonl"
+        assert run_cli("track", "--detections", str(sim_dir), "--poses", str(poses_dir),
+                       "--out", str(out)) == 0
+        manifest = json.loads((out.parent / "run_manifest.json").read_text())
+        assert manifest["inputs"] == [str(d / f"{kind}_{agent}.jsonl")
+                                      for d, kind in ((sim_dir, "detections"),
+                                                      (poses_dir, "poses"))
+                                      for agent in ("agent0", "agent1")]
+
     def test_unknown_method_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("track", "--method", "bogus",

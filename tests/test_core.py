@@ -11,8 +11,13 @@ from conftest import make_box, total_detections
 
 
 def dump_config(cfg: core.TrackerConfig) -> str:
-    """The JSON text that core.load_config reads back as cfg."""
+    """The JSON text that from_file reads back as cfg."""
     return json.dumps(cfg.to_dict(), indent=2, sort_keys=True)
+
+
+def from_file(path) -> core.TrackerConfig:
+    """The tracker config in the file at path, read as `track --config` reads it."""
+    return core.config_from_dict(core.read_config(path))
 
 
 class TestValidateDetection:
@@ -68,7 +73,7 @@ class TestTrackerConfig:
     def test_empty_config_takes_defaults(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{}")
-        cfg = core.load_config(path)
+        cfg = from_file(path)
         assert cfg.min_hits == 3
         assert cfg.max_age == 2
         assert cfg.method is core.Method.TSA
@@ -81,12 +86,12 @@ class TestTrackerConfig:
         path = tmp_path / "cfg.json"
         path.write_text('{"min_hits": 0}')
         with pytest.raises(core.ConfigParse):
-            core.load_config(path)
+            from_file(path)
 
     def test_partial_override(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"method": "TSA"}')
-        cfg = core.load_config(path)
+        cfg = from_file(path)
         assert cfg.method is core.Method.TSA
         assert cfg.min_hits == 3
 
@@ -94,17 +99,17 @@ class TestTrackerConfig:
         path = tmp_path / "cfg.json"
         path.write_text('{"min_hitz": 3}')
         with pytest.raises(core.ConfigParse, match="unknown config keys"):
-            core.load_config(path)
+            from_file(path)
 
     def test_bad_json_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{not json")
         with pytest.raises(core.ConfigParse):
-            core.load_config(path)
+            from_file(path)
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(core.ConfigParse):
-            core.load_config(tmp_path / "nope.json")
+            from_file(tmp_path / "nope.json")
 
     @pytest.mark.parametrize("value", [0.0, -0.1, 1.5, float("nan")])
     @pytest.mark.parametrize("field", ["iou_assoc_threshold", "cross_agent_iou_threshold"])
@@ -115,7 +120,7 @@ class TestTrackerConfig:
         assert getattr(core.TrackerConfig(**{field: 1.0}), field) == 1.0
 
     @pytest.mark.parametrize("field, value", [
-        ("method", "tsa"),
+        ("method", 3),
         *[(f, v) for f in ("iou_assoc_threshold", "cross_agent_iou_threshold")
           for v in (True, "0.5", None)],
         *[(f, v) for f in ("min_hits", "max_age") for v in (True, 2.0, "3")],
@@ -126,6 +131,20 @@ class TestTrackerConfig:
         with pytest.raises(core.ConfigParse, match=rf"config key '{field}' has wrong type"):
             core.TrackerConfig(**{field: value})
 
+    @pytest.mark.parametrize("name", ["aos", "AOS", "Tsa", "baseline"])
+    def test_method_name_accepted(self, name):
+        # TrackerConfig turns a name into a Method, in any case, however built
+        method = core.Method(name.lower())
+        assert core.TrackerConfig(method=name).method is method
+        assert replace(core.TrackerConfig(), method=name).method is method
+        assert core.config_from_dict({"method": name}).method is method
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(core.ConfigParse, match="^unknown method 'kalman'$"):
+            core.TrackerConfig(method="kalman")
+        with pytest.raises(core.ConfigParse, match="^unknown method 'kalman'$"):
+            replace(core.TrackerConfig(), method="kalman")
+
     def test_replace_is_checked(self):
         with pytest.raises(core.ConfigParse, match="min_hits 0 must be >= 1"):
             replace(core.TrackerConfig(), min_hits=0)
@@ -135,7 +154,7 @@ class TestTrackerConfig:
                                  dedup_matched_pairs=True)
         path = tmp_path / "cfg.json"
         path.write_text(dump_config(cfg))
-        assert core.load_config(path) == cfg
+        assert from_file(path) == cfg
 
     def test_round_trip_fuzz(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -150,7 +169,7 @@ class TestTrackerConfig:
                 warm_start=bool(rng.integers(0, 2)))
             path = tmp_path / "cfg.json"
             path.write_text(dump_config(cfg))
-            assert core.load_config(path) == cfg
+            assert from_file(path) == cfg
 
 
 class TestFrameBundle:

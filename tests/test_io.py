@@ -431,49 +431,60 @@ def line(kind, **changes) -> str:
     return json.dumps(rec) + "\n"
 
 
-# (kind, file content, the whole message after "<path>: ").
+# (test id, kind, file content, the whole message after "<path>: ").
 READ_ERRORS = [
-    ("gt", b'{"frame": 0, "object_id": "\xff"}\n',
+    ("gt-not-utf8", "gt", b'{"frame": 0, "object_id": "\xff"}\n',
      "line 1: not UTF-8 ('utf-8' codec can't decode byte 0xff in position 27: "
      "invalid start byte)"),
-    ("detections", "{broken\n", "line 1: invalid JSON (Expecting property name "
-     "enclosed in double quotes: line 1 column 2 (char 1))"),
-    ("tracks", line("tracks").strip() + "  []\n",
+    ("det-bad-json", "detections", "{broken\n",
+     "line 1: invalid JSON (Expecting property name enclosed in double quotes: "
+     "line 1 column 2 (char 1))"),
+    ("tracks-extra-data", "tracks", line("tracks").strip() + "  []\n",
      "line 1: invalid JSON (Extra data: line 1 column 118 (char 117))"),
-    ("gt", "﻿" + line("gt"), "line 1: invalid JSON (Unexpected UTF-8 BOM "
+    ("gt-bom", "gt", "﻿" + line("gt"), "line 1: invalid JSON (Unexpected UTF-8 BOM "
      "(decode using utf-8-sig): line 1 column 1 (char 0))"),
-    ("poses", "\n  \n nul\n", "line 3: invalid JSON (Expecting value: line 1 column 1 "
-     "(char 0))"),
-    ("gt", "[1, 2]\n", "line 1: expected an object"),
-    ("tracks", line("tracks", h=None, frame=None), "line 1: missing fields ['frame', 'h']"),
-    ("detections", line("detections", frame=-1), "line 1: bad frame index -1"),
-    ("gt", line("gt", frame=True), "line 1: bad frame index True"),
-    ("tracks", line("tracks", frame="0"), "line 1: bad frame index '0'"),
-    ("detections", line("detections", frame=2) + line("detections", frame=1),
-     "line 2: frame 1 after frame 2"),
-    ("detections", line("detections", agent=""), "line 1: bad agent ''"),
-    ("poses", line("poses", agent=7), "line 1: bad agent 7"),
-    ("gt", line("gt", object_id=1.0), "line 1: bad object_id 1.0"),
-    ("tracks", line("tracks", track_id=False), "line 1: bad track_id False"),
-    ("detections", line("detections", x="1.0"), "line 1: field 'x' must be a number"),
-    ("tracks", line("tracks", y=1, score=True), "line 1: field 'score' must be a number"),
-    ("poses", line("poses", yaw=[0.0]), "line 1: field 'yaw' must be a number"),
-    ("gt", line("gt", h=0.0), "line 1: non-positive extent (h=0.0, w=1.0, l=1.0)"),
-    ("detections", line("detections", score=1.5), "line 1: score 1.5 outside [0, 1]"),
-    ("tracks", line("tracks", z=math.nan, l=math.inf),
+    ("poses-bad-json-line-3", "poses", "\n  \n nul\n",
+     "line 3: invalid JSON (Expecting value: line 1 column 1 (char 0))"),
+    ("gt-not-object", "gt", "[1, 2]\n", "line 1: expected an object"),
+    ("tracks-missing-fields", "tracks", line("tracks", h=None, frame=None),
+     "line 1: missing fields ['frame', 'h']"),
+    ("det-frame-negative", "detections", line("detections", frame=-1),
+     "line 1: bad frame index -1"),
+    ("gt-frame-bool", "gt", line("gt", frame=True), "line 1: bad frame index True"),
+    ("tracks-frame-string", "tracks", line("tracks", frame="0"),
+     "line 1: bad frame index '0'"),
+    ("det-frame-backwards", "detections",
+     line("detections", frame=2) + line("detections", frame=1), "line 2: frame 1 after frame 2"),
+    ("det-agent-empty", "detections", line("detections", agent=""), "line 1: bad agent ''"),
+    ("poses-agent-int", "poses", line("poses", agent=7), "line 1: bad agent 7"),
+    ("gt-object-id-float", "gt", line("gt", object_id=1.0), "line 1: bad object_id 1.0"),
+    ("tracks-track-id-bool", "tracks", line("tracks", track_id=False),
+     "line 1: bad track_id False"),
+    ("det-x-string", "detections", line("detections", x="1.0"),
+     "line 1: field 'x' must be a number"),
+    ("tracks-score-bool", "tracks", line("tracks", y=1, score=True),
+     "line 1: field 'score' must be a number"),
+    ("poses-yaw-list", "poses", line("poses", yaw=[0.0]),
+     "line 1: field 'yaw' must be a number"),
+    ("gt-h-zero", "gt", line("gt", h=0.0),
+     "line 1: non-positive extent (h=0.0, w=1.0, l=1.0)"),
+    ("det-w-zero", "detections", line("detections", w=0.0),
+     "line 1: non-positive extent (h=1.0, w=0.0, l=1.0)"),
+    ("tracks-l-zero", "tracks", line("tracks", l=0.0),
+     "line 1: non-positive extent (h=1.0, w=1.0, l=0.0)"),
+    ("det-score-above-one", "detections", line("detections", score=1.5),
+     "line 1: score 1.5 outside [0, 1]"),
+    ("tracks-non-finite", "tracks", line("tracks", z=math.nan, l=math.inf),
      "line 1: non-finite field in detection: z, l"),
-    ("poses", line("poses", yaw=-math.inf),
+    ("poses-yaw-inf", "poses", line("poses", yaw=-math.inf),
      "line 1: non-finite pose Pose(x=0.5, y=0.0, z=0.0, yaw=-inf)"),
-    ("detections", line("detections", y=10 ** 320),
+    ("det-y-too-large", "detections", line("detections", y=10 ** 320),
      "line 1: field 'y' is too large for a float"),
-    # beside the h=0.0 row; appended so that the earlier ids keep their numbers
-    ("detections", line("detections", w=0.0), "line 1: non-positive extent (h=1.0, w=0.0, l=1.0)"),
-    ("tracks", line("tracks", l=0.0), "line 1: non-positive extent (h=1.0, w=1.0, l=0.0)"),
 ]
 
 
-@pytest.mark.parametrize("kind, content, message", READ_ERRORS,
-                         ids=[f"{row[0]}-{k}" for k, row in enumerate(READ_ERRORS)])
+@pytest.mark.parametrize("kind, content, message", [row[1:] for row in READ_ERRORS],
+                         ids=[row[0] for row in READ_ERRORS])
 def test_read_error_text(tmp_path, kind, content, message):
     path = tmp_path / f"{kind}.jsonl"
     path.write_bytes(content if isinstance(content, bytes) else content.encode())

@@ -1,12 +1,13 @@
+import math
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from coopmot import kalman, tracker
-from coopmot.core import TrackerConfig
+from coopmot.core import TrackerConfig, wrap_angle
 from conftest import F, H, born, make_box, reference_predict, reference_update, track_store
 
 
@@ -41,8 +42,9 @@ class TestInitTrack:
     def test_covariance_is_p0(self, model):
         t = born(make_box(x=3.0), model, track_id=7)
         assert np.array_equal(t.covariances, [model.P0])
-        assert t.hits.tolist() == [1] and t.misses.tolist() == [0]
-        assert t.confirmed.tolist() == [False]  # tentative
+        # tentative, with no hits yet: manage_lifecycle counts the first
+        assert t.hits.tolist() == [0] and t.misses.tolist() == [0]
+        assert t.confirmed.tolist() == [False]
 
     def test_distinct_ids(self, model):
         a = born(make_box(), model, track_id=1)
@@ -54,6 +56,16 @@ class TestInitTrack:
 
     def test_score_copied(self, model):
         assert born(make_box(score=0.42), model).scores.tolist() == [0.42]
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
+@example([math.pi, -math.pi, math.nextafter(math.pi, 0.0), math.nextafter(-math.pi, 0.0),
+          2 * math.pi, -2 * math.pi, -0.0, 1e300, -1e300])
+def test_wrap_is_wrap_angle_bit_for_bit(thetas):
+    # kalman._wrap is core.wrap_angle elementwise, signed zeros included
+    for got, theta in zip(kalman._wrap(np.array(thetas)).tolist(), thetas):
+        want = wrap_angle(theta)
+        assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
 
 
 class TestPredict:
@@ -105,10 +117,10 @@ class TestUpdate:
         # the update sets the score and leaves the counters to the lifecycle
         t = replace(born(make_box(), model), misses=np.array([1]))
         u = kalman.update(t, [0], t.states[:, :7], [0.7], model)
-        assert u.hits.tolist() == [1] and u.misses.tolist() == [1]
+        assert u.hits.tolist() == [0] and u.misses.tolist() == [1]
         assert u.scores.tolist() == [0.7]
         alive = tracker.manage_lifecycle(u, np.array([True]), TrackerConfig())
-        assert alive.hits.tolist() == [2] and alive.misses.tolist() == [0]
+        assert alive.hits.tolist() == [1] and alive.misses.tolist() == [0]
         assert alive.scores.tolist() == [0.7]
 
     def test_singular_innovation(self):

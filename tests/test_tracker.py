@@ -39,13 +39,14 @@ def model():
 
 
 class TestManageLifecycle:
-    """The lifecycle alone moves the counters; a birth is the first hit."""
+    """The lifecycle alone moves the counters; a birth's own frame is its
+    first match."""
 
     def test_confirm_at_third_consecutive_match(self, model):
         cfg = TrackerConfig()
         tracks = born(make_box(**CAR), model)
-        assert tracks.hits.tolist() == [1]
-        for expected_hits, confirmed in ((2, False), (3, True)):
+        assert tracks.hits.tolist() == [0]
+        for expected_hits, confirmed in ((1, False), (2, False), (3, True)):
             tracks = tracker.manage_lifecycle(tracks, MATCHED, cfg)
             assert tracks.hits.tolist() == [expected_hits]
             assert tracks.misses.tolist() == [0]
@@ -71,7 +72,7 @@ class TestManageLifecycle:
     def test_confirmed_not_demoted_by_later_miss(self, model):
         cfg = TrackerConfig(max_age=5)
         tracks = born(make_box(**CAR), model)
-        for _ in range(2):
+        for _ in range(3):
             tracks = tracker.manage_lifecycle(tracks, MATCHED, cfg)
         assert tracks.confirmed.tolist() == [True]
         tracks = tracker.manage_lifecycle(tracks, UNMATCHED, cfg)
@@ -303,6 +304,16 @@ class TestRunSequence:
                                                           warm_start=False))
         assert [len(o.emitted) for o in warm] == [1, 1, 1]
         assert [len(o.emitted) for o in cold] == [0, 0, 1]
+
+    @pytest.mark.parametrize("min_hits", [1, 2])
+    def test_cold_start_emits_from_min_hits_th_frame(self, min_hits):
+        # a birth's frame counts as its first hit, so with min_hits = 1 the
+        # track is confirmed and emitted in the frame it is born; the test
+        # above pins min_hits = 3
+        frames = static_object_frames(4, agents=("a",))
+        cfg = TrackerConfig(method=Method.BASELINE, min_hits=min_hits, warm_start=False)
+        emitted = [len(o.emitted) for o in tracker.run_sequence(frames, cfg)]
+        assert emitted == [0] * (min_hits - 1) + [1] * (5 - min_hits)
 
     def test_step_labels_output_with_bundle_frame(self):
         # the output carries the bundle's frame; warm start counts steps,
