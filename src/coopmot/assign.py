@@ -176,12 +176,10 @@ def hungarian_min_cost(cost) -> list:
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2:
         raise ValueError(f"cost must be a 2-D matrix, got shape {cost.shape}")
-    flat = (cost != 0.0).ravel().nonzero()[0]
-    vals = cost.take(flat).tolist()
+    rows, cols = cost.nonzero()  # in row-major order
+    vals = cost[rows, cols].tolist()
     if all(-math.inf < x < 0.0 for x in vals):
-        n_cols, flat = cost.shape[1], flat.tolist()
-        return _component_pairs([f // n_cols for f in flat],
-                                [f % n_cols for f in flat], vals)
+        return _component_pairs(rows.tolist(), cols.tolist(), vals)
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix has non-finite entries")
     return _dense_pairs(cost.tolist())
@@ -201,9 +199,11 @@ def associate(rows, cols, iou_threshold: float) -> AssociationResult:
     """
     iou = geometry.iou_matrix(rows, cols)
     pairs = gated_pairs(iou, iou_threshold) if iou.size else []
-    matched_rows, matched_cols = [r for r, _ in pairs], [c for _, c in pairs]
+    matched_rows = np.array([r for r, _ in pairs], dtype=int)
+    matched_cols = np.array([c for _, c in pairs], dtype=int)
     n_rows, n_cols = iou.shape
-    return AssociationResult(
-        np.array(matched_rows, dtype=int), np.array(matched_cols, dtype=int),
-        np.array(sorted(set(range(n_rows)).difference(matched_rows)), dtype=int),
-        np.array(sorted(set(range(n_cols)).difference(matched_cols)), dtype=int))
+    free_rows, free_cols = np.ones(n_rows, dtype=bool), np.ones(n_cols, dtype=bool)
+    free_rows[matched_rows] = False
+    free_cols[matched_cols] = False
+    return AssociationResult(matched_rows, matched_cols, free_rows.nonzero()[0],
+                             free_cols.nonzero()[0])

@@ -9,7 +9,7 @@ they never write the arrays of their input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,12 +41,19 @@ class Tracks:
 
     def take(self, rows) -> "Tracks":
         """The rows picked by an index array or a bool mask, in order."""
-        return Tracks(*(getattr(self, f.name)[rows] for f in fields(self)))
+        return Tracks(self.states[rows], self.covariances[rows], self.ids[rows],
+                      self.hits[rows], self.misses[rows], self.confirmed[rows],
+                      self.scores[rows])
 
     def concat(self, other: "Tracks") -> "Tracks":
         """This store's rows followed by other's."""
-        return Tracks(*(np.concatenate([getattr(self, f.name), getattr(other, f.name)])
-                        for f in fields(self)))
+        return Tracks(np.concatenate([self.states, other.states]),
+                      np.concatenate([self.covariances, other.covariances]),
+                      np.concatenate([self.ids, other.ids]),
+                      np.concatenate([self.hits, other.hits]),
+                      np.concatenate([self.misses, other.misses]),
+                      np.concatenate([self.confirmed, other.confirmed]),
+                      np.concatenate([self.scores, other.scores]))
 
 
 @dataclass(frozen=True)
@@ -79,10 +86,14 @@ def default_model() -> KalmanModel:
 
 
 def _wrap(theta: np.ndarray) -> np.ndarray:
-    """core.wrap_angle elementwise, with the same float operations."""
+    """core.wrap_angle elementwise, with the same float operations; theta
+    (an array or a float) comes back as it is when it is all in range."""
+    in_range = np.logical_and(-np.pi <= theta, theta < np.pi)
+    if in_range.all():
+        return theta
     wrapped = np.fmod(theta + np.pi, TWO_PI)
     wrapped = np.where(wrapped < 0.0, wrapped + TWO_PI, wrapped) - np.pi
-    return np.where((-np.pi <= theta) & (theta < np.pi), theta, wrapped)
+    return np.where(in_range, theta, wrapped)
 
 
 def init_track(boxes, scores, first_id: int, model: KalmanModel) -> Tracks:
@@ -111,7 +122,8 @@ def predict(tracks: Tracks, model: KalmanModel) -> Tracks:
     cov[:, :3] += cov[:, 7:]
     cov[:, :, :3] += cov[:, :, 7:]
     cov += model.Q
-    return replace(tracks, states=states, covariances=0.5 * (cov + cov.swapaxes(1, 2)))
+    return Tracks(states, 0.5 * (cov + cov.swapaxes(1, 2)), tracks.ids, tracks.hits,
+                  tracks.misses, tracks.confirmed, tracks.scores)
 
 
 def _orientation_residual(z_theta, pred_theta):
@@ -164,4 +176,5 @@ def update(tracks: Tracks, rows, z, scores, model: KalmanModel) -> Tracks:
     states[rows] = state
     covariances[rows] = 0.5 * (cov + cov.swapaxes(1, 2))
     new_scores[rows] = scores
-    return replace(tracks, states=states, covariances=covariances, scores=new_scores)
+    return Tracks(states, covariances, tracks.ids, tracks.hits, tracks.misses,
+                  tracks.confirmed, new_scores)

@@ -44,7 +44,9 @@ class FrameCounts:
 
 @dataclass
 class SequenceTally:
-    """Accumulated counts plus MT bookkeeping for one evaluation pass."""
+    """Accumulated counts of one evaluation pass. Only the pass that keeps
+    every prediction (_full_tally) fills the MT bookkeeping: how many
+    frames each object is present in, and matched in."""
 
     totals: FrameCounts = field(default_factory=FrameCounts)
     per_frame: list = field(default_factory=list)
@@ -109,7 +111,6 @@ def _matchers(gt_frames, pred_frames):
 def _tally(matchers, score_threshold) -> SequenceTally:
     """Walk the frames at one score threshold with id carry-over."""
     tally = SequenceTally()
-    present, matched = tally.frames_present, tally.frames_matched
     carry = {}
     for m in matchers:
         kept, pairs = m.match(score_threshold)
@@ -121,15 +122,21 @@ def _tally(matchers, score_threshold) -> SequenceTally:
                 idsw += 1
             carry[obj_id] = tid
         n_gt, tp = len(m.gt_ids), len(pairs)
-        counts = FrameCounts(tp=tp, fp=kept - tp, fn=n_gt - tp, idsw=idsw,
-                             matched_iou_sum=iou_sum, gt_count=n_gt)
+        counts = FrameCounts(tp, kept - tp, n_gt - tp, idsw, iou_sum, n_gt)
         tally.totals.add(counts)
         tally.per_frame.append(counts)
-        matched_objs = {obj_id for obj_id, _, _ in pairs}
+    return tally
+
+
+def _full_tally(matchers) -> SequenceTally:
+    """The pass that keeps every prediction, with the MT bookkeeping."""
+    tally = _tally(matchers, -math.inf)
+    present, matched = tally.frames_present, tally.frames_matched
+    for m in matchers:
         for obj_id in m.gt_ids:
             present[obj_id] = present.get(obj_id, 0) + 1
-            if obj_id in matched_objs:
-                matched[obj_id] = matched.get(obj_id, 0) + 1
+        for obj_id, _, _ in m.match(-math.inf)[1]:
+            matched[obj_id] = matched.get(obj_id, 0) + 1
     return tally
 
 
@@ -141,7 +148,7 @@ def evaluate_sequence(gt_frames, pred_frames) -> SequenceTally:
     shorter list are empty. Raises ValueError when a prediction score is
     not finite or a frame repeats an id.
     """
-    return _tally(_matchers(gt_frames, pred_frames), -math.inf)
+    return _full_tally(_matchers(gt_frames, pred_frames))
 
 
 def mota_motp(totals: FrameCounts):
@@ -256,7 +263,7 @@ def amota_family(gt_frames, pred_frames,
     # IoU matrices and matchings are shared by every threshold's pass
     # within this call and dropped with it.
     matchers = _matchers(gt_frames, pred_frames)
-    full = _tally(matchers, -math.inf)
+    full = _full_tally(matchers)
     targets = [k / num_thresholds for k in range(1, num_thresholds + 1)]
     chosen = _recall_thresholds(matchers, pred_frames, gt_total, targets,
                                 full.recall)

@@ -20,14 +20,20 @@ step ends by predicting every live track for the next frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import assign, graphlap, kalman
-from .core import FrameBundle, TrackerConfig, Method
+from .core import FrameBundle, TrackerConfig, Method, validate_detection
 
 MODEL = kalman.default_model()
+# The closed range of each stacked column that validate_detection accepts:
+# a finite value, an extent of at least the smallest positive float, and a
+# score in [0, 1].
+_LOWEST = np.array([-np.finfo(float).max] * 4 + [np.finfo(float).smallest_subnormal] * 3
+                   + [0.0])
+_HIGHEST = np.array([np.finfo(float).max] * 7 + [1.0])
 
 
 @dataclass(frozen=True)
@@ -63,16 +69,26 @@ def manage_lifecycle(tracks: kalman.Tracks, matched, cfg: TrackerConfig) -> kalm
     hits = np.where(matched, tracks.hits + 1, 0)
     misses = np.where(matched, 0, tracks.misses + 1)
     confirmed = tracks.confirmed | (hits >= cfg.min_hits)
-    return replace(tracks, hits=hits, misses=misses, confirmed=confirmed).take(
-        matched | (misses < cfg.max_age))
+    return kalman.Tracks(tracks.states, tracks.covariances, tracks.ids, hits, misses,
+                         confirmed, tracks.scores).take(matched | (misses < cfg.max_age))
 
 
 def _stacked(bundle: FrameBundle):
     """Every agent's detections stacked in agent order: (N, 7) boxes, (N,)
-    scores and the detection count of each agent."""
+    scores and the detection count of each agent.
+
+    Raises ValueError naming the frame when a detection breaks the rules
+    that io applies to a file's records (core.validate_detection), so a
+    Detection built in Python is checked like one read from a file."""
     agents = bundle.detections_by_agent.values()
     table = np.array([(d.x, d.y, d.z, d.theta, d.h, d.w, d.l, d.score)
                       for dets in agents for d in dets], dtype=float).reshape(-1, 8)
+    if not ((_LOWEST <= table) & (table <= _HIGHEST)).all():
+        for d in (d for dets in agents for d in dets):
+            try:
+                validate_detection(d)
+            except ValueError as exc:
+                raise ValueError(f"frame {bundle.frame}: {exc}") from None
     sizes = [len(dets) for dets in agents]
     return table[:, :kalman.MEAS_DIM], table[:, kalman.MEAS_DIM], sizes
 
@@ -111,9 +127,12 @@ def step(ts: TrackSet, bundle: FrameBundle, cfg: TrackerConfig):
     cross-agent matches it is empty. The rows either stage matched take one
     Kalman update, so a track takes at most one per frame. Stage 2 never
     starts tracks: stage 1's unmatched boxes already did, and a second
-    birth of the same node would duplicate it.
+    birth of the same node would duplicate it. A frame with no boxes and
+    no live tracks only advances the step index.
     """
     boxes, scores, num_cross = _candidates(bundle, cfg)
+    if not boxes.shape[1] and not len(ts.tracks):
+        return TrackSet(ts.tracks, ts.next_id, ts.frame + 1), FrameOutput(bundle.frame, ())
     predicted = ts.tracks.states[:, :kalman.MEAS_DIM]
     first = assign.associate(predicted, boxes[0], cfg.iou_assoc_threshold)
     rows, cols, z = first.matched_rows, first.matched_cols, boxes[0, first.matched_cols]
@@ -131,13 +150,15 @@ def step(ts: TrackSet, bundle: FrameBundle, cfg: TrackerConfig):
     matched = np.zeros(len(ts.tracks), dtype=bool)
     matched[rows] = True
     tracks = kalman.update(ts.tracks, rows, z, scores[cols], MODEL)
-    born = kalman.init_track(boxes[0, unmatched_cols], scores[unmatched_cols], ts.next_id, MODEL)
-    # births take their own lifecycle call: one call on the concatenated rows
-    # raised cli's peak_rss_mb by about 0.18 MB on a 2-vCPU x86-64 host
-    alive = manage_lifecycle(tracks, matched, cfg).concat(
-        manage_lifecycle(born, np.ones(len(born), dtype=bool), cfg))
+    alive = manage_lifecycle(tracks, matched, cfg)
+    if len(unmatched_cols):
+        born = kalman.init_track(boxes[0, unmatched_cols], scores[unmatched_cols],
+                                 ts.next_id, MODEL)
+        # births take their own lifecycle call: one call on the concatenated
+        # rows raised cli's peak_rss_mb by about 0.18 MB on a 2-vCPU x86-64 host
+        alive = alive.concat(manage_lifecycle(born, np.ones(len(born), dtype=bool), cfg))
     output = _emit(ts, bundle.frame, alive, cfg)
-    return TrackSet(kalman.predict(alive, MODEL), ts.next_id + len(born),
+    return TrackSet(kalman.predict(alive, MODEL), ts.next_id + len(unmatched_cols),
                     ts.frame + 1), output
 
 

@@ -218,7 +218,7 @@ def test_c08_directional_tracking_claim():
     assert t.mota >= a.mota >= b.mota
     assert t.mt >= a.mt >= b.mt
     assert t.motp >= b.motp + 2.0
-    assert elapsed < 1.5  # on either backend
+    assert elapsed < 1.0  # on either backend
 
     golden_path = os.path.join(DATA_DIR, "golden_directional.json")
     with open(golden_path) as fh:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 import warnings
 
 import numpy as np
@@ -338,6 +339,35 @@ class TestTrack:
         run_cli("track", "--method", "tsa", "--detections", str(sim_dir),
                 "--out", str(t_tsa))
         assert read_bytes(t_aos) == read_bytes(t_tsa)
+
+    @pytest.mark.parametrize("method", ["baseline", "tsa"])
+    def test_long_gap_is_stepped_without_work(self, tmp_path, method):
+        # Two agents see one box at frames 0 and gap..gap+2. Its track dies
+        # after max_age misses, so each empty frame of the gap has no boxes
+        # and no tracks and only advances the step index. The tracks file is
+        # that of the gap closed to frames 3..5, relabelled.
+        gap = 100_000
+
+        def track(frames):
+            det = tmp_path / f"det{frames[1]}"
+            det.mkdir()
+            for agent, x in (("a", 0.0), ("b", 0.1)):
+                (det / f"detections_{agent}.jsonl").write_text("".join(
+                    record("detections", frame=f, agent=agent, x=x + 0.05 * k)
+                    for k, f in enumerate(frames)))
+            out = tmp_path / f"tracks{frames[1]}.jsonl"
+            started = time.perf_counter()
+            assert run_cli("track", "--method", method, "--detections", str(det),
+                           "--out", str(out)) == 0
+            return read_bytes(out), time.perf_counter() - started
+
+        got, elapsed = track([0, gap, gap + 1, gap + 2])
+        want, _ = track([0, 3, 4, 5])
+        for k in (3, 4, 5):
+            want = want.replace(b'{"frame": %d, ' % k, b'{"frame": %d, ' % (gap + k - 3))
+        assert f'"frame": {gap + 2}, '.encode() in want
+        assert got == want
+        assert elapsed < 8.0  # stepping each empty frame in full takes about 24 s
 
 
 class TestEvalAndAnalyze:

@@ -265,6 +265,22 @@ class TestRunSequence:
         with pytest.raises(TypeError, match="pass no model"):
             tracker.run_sequence([], TrackerConfig(), kalman.default_model())
 
+    @pytest.mark.parametrize("bad, message", [
+        (dict(w=-1.0), r"non-positive extent \(h=1.6, w=-1.0, l=4.5\)"),
+        (dict(h=0.0), r"non-positive extent \(h=0.0, w=1.8, l=4.5\)"),
+        (dict(score=7.5), r"score 7.5 outside \[0, 1\]"),
+        (dict(score=float("nan")), "non-finite field in detection: score"),
+    ], ids=["width-negative", "height-zero", "score-above-one", "score-nan"])
+    def test_detection_breaking_io_rules_rejected(self, bad, message):
+        # a Detection built in Python is checked like a file's record: a
+        # width of -1 would score IoU 1.0 against the same box with width 1,
+        # and a score of 7.5 would be written where io.read_tracks refuses it
+        good = make_box(**CAR)
+        frames = [FrameBundle(0, {"a": [good], "b": [good]}),
+                  FrameBundle(1, {"a": [good], "b": [make_box(**{**CAR, **bad})]})]
+        with pytest.raises(ValueError, match=f"^frame 1: {message}$"):
+            tracker.run_sequence(frames, TrackerConfig())
+
     def test_deterministic_replay(self, rng):
         frames = []
         for t in range(8):
