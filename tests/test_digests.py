@@ -97,36 +97,53 @@ def summary(rows):
 
 def cli_files(out_dir):
     """simulate, track --method tsa with the directional tracker config,
-    then analyze, on the golden scene, into out_dir; the summary of each
-    output file by name."""
+    then eval and analyze, on the golden scene, into out_dir; the summary
+    of each output file by name."""
+    outputs = ("tracks.jsonl", "report.json", "motp_vs_tp.csv")
     paths = {name: os.path.join(out_dir, name)
-             for name in ("scenario.json", "tracker.json", "tracks.jsonl", "motp_vs_tp.csv")}
+             for name in ("scenario.json", "tracker.json", *outputs)}
     for name, config in (("scenario.json", directional_scenario().to_dict()),
                          ("tracker.json", directional_tracker_config(Method.TSA).to_dict())):
         with open(paths[name], "w", encoding="utf-8") as fh:
             json.dump(config, fh)
     sim_dir = os.path.join(out_dir, "sim")
+    scored = ["--tracks", paths["tracks.jsonl"], "--gt", os.path.join(sim_dir, "gt.jsonl")]
     for argv in (["simulate", "--config", paths["scenario.json"], "--out", sim_dir],
                  ["track", "--method", "tsa", "--config", paths["tracker.json"],
                   "--detections", sim_dir, "--out", paths["tracks.jsonl"]],
-                 ["analyze", "--tracks", paths["tracks.jsonl"],
-                  "--gt", os.path.join(sim_dir, "gt.jsonl"), "--out", paths["motp_vs_tp.csv"]]):
+                 ["eval", *scored, "--out", paths["report.json"]],
+                 ["analyze", *scored, "--out", paths["motp_vs_tp.csv"]]):
         assert cli.main(argv) == 0
-    return {name: file_summary(paths[name]) for name in ("tracks.jsonl", "motp_vs_tp.csv")}
+    return {name: file_summary(paths[name]) for name in outputs}
+
+
+def numbers(value):
+    """Every int and float in a parsed JSON value, depth first."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [v for item in value for v in numbers(item)]
+    return [value] if isinstance(value, (int, float)) else []
 
 
 def file_summary(path):
-    """The sha256 of a JSONL or CSV file, its row count and the sum of its
-    numbers (a CSV's first row is its header)."""
+    """The sha256 of a JSONL, JSON report or CSV file, its row count and
+    the sum of its numbers. A report's rows are its operating points; a
+    CSV's first row is its header."""
     with open(path, "rb") as fh:
         data = fh.read()
     lines = data.decode("utf-8").splitlines()
-    if path.endswith(".jsonl"):
-        rows = [list(json.loads(line).values()) for line in lines]
+    if path.endswith(".json"):
+        report = json.loads(data)
+        count, values = len(report["operating_points"]), numbers(report)
     else:
-        rows = [list(map(float, row)) for row in csv.reader(lines[1:])]
-    return {"sha256": hashlib.sha256(data).hexdigest(), "rows": len(rows),
-            "sum": math.fsum(v for row in rows for v in row)}
+        if path.endswith(".jsonl"):
+            rows = [list(json.loads(line).values()) for line in lines]
+        else:
+            rows = [list(map(float, row)) for row in csv.reader(lines[1:])]
+        count, values = len(rows), [v for row in rows for v in row]
+    return {"sha256": hashlib.sha256(data).hexdigest(), "rows": count,
+            "sum": math.fsum(values)}
 
 
 @pytest.fixture(scope="module")
