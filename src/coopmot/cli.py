@@ -140,10 +140,12 @@ def cmd_analyze(args) -> None:
     tally = metrics.evaluate_sequence(gt_frames, pred_frames)
 
     bins = {}
-    for counts in tally.per_frame:
-        if counts.tp < 1:
-            continue
-        bins.setdefault(counts.tp, []).append(counts.matched_iou_sum / counts.tp)
+    for pairs in tally.matches:
+        if pairs:
+            iou_sum = 0.0  # pair by pair, as _tally adds (sum() compensates from 3.12)
+            for _, _, overlap in pairs:
+                iou_sum += overlap
+            bins.setdefault(len(pairs), []).append(iou_sum / len(pairs))
 
     def write():
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -6,6 +6,9 @@ Matching is gated at IoU 0.25 by assign.gated_pairs, the rule that track
 association uses. Identity switches use the per-object id-consistency
 rule with carry-over: a switch is counted whenever an object's newly
 matched track id differs from the last id it was ever matched to.
+
+Each evaluation pass yields one FrameCounts of totals; the pass that keeps
+every prediction also keeps each frame's matchings, for MT and analyze.
 """
 
 from __future__ import annotations
@@ -13,19 +16,22 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import assign, geometry
 
 IOU_THRESHOLD = 0.25
-DEFAULT_NUM_THRESHOLDS = 40
+NUM_THRESHOLDS = 40
 MT_COVERAGE = 0.8
 
 
 @dataclass
 class FrameCounts:
+    """The counts of one evaluation pass, summed over its frames."""
+
     tp: int = 0
     fp: int = 0
     fn: int = 0
@@ -33,29 +39,21 @@ class FrameCounts:
     matched_iou_sum: float = 0.0
     gt_count: int = 0
 
-    def add(self, other: "FrameCounts") -> None:
-        self.tp += other.tp
-        self.fp += other.fp
-        self.fn += other.fn
-        self.idsw += other.idsw
-        self.matched_iou_sum += other.matched_iou_sum
-        self.gt_count += other.gt_count
+    @property
+    def recall(self) -> float:
+        return self.tp / self.gt_count if self.gt_count else 0.0
 
 
 @dataclass
 class SequenceTally:
-    """Accumulated counts of one evaluation pass. Only the pass that keeps
-    every prediction (_full_tally) fills the MT bookkeeping: how many
-    frames each object is present in, and matched in."""
+    """The pass that keeps every prediction: its totals, each frame's gated
+    (object_id, track_id, iou) pairs in GT row order, and per object how
+    many frames it is present in and matched in."""
 
-    totals: FrameCounts = field(default_factory=FrameCounts)
-    per_frame: list = field(default_factory=list)
-    frames_present: dict = field(default_factory=dict)
-    frames_matched: dict = field(default_factory=dict)
-
-    @property
-    def recall(self) -> float:
-        return self.totals.tp / self.totals.gt_count if self.totals.gt_count else 0.0
+    totals: FrameCounts
+    matches: list
+    frames_present: dict
+    frames_matched: dict
 
 
 class _FrameMatcher:
@@ -108,36 +106,37 @@ def _matchers(gt_frames, pred_frames):
     return matchers
 
 
-def _tally(matchers, score_threshold) -> SequenceTally:
-    """Walk the frames at one score threshold with id carry-over."""
-    tally = SequenceTally()
+def _tally(matchers, score_threshold) -> FrameCounts:
+    """Walk the frames at one score threshold with id carry-over. Each
+    frame's IoUs are summed first and the frame sums then added in frame
+    order, the order that fixes matched_iou_sum's bits."""
+    tp = kept_total = gt_count = idsw = 0
+    iou_sum = 0.0
     carry = {}
     for m in matchers:
         kept, pairs = m.match(score_threshold)
-        idsw, iou_sum = 0, 0.0
+        frame_iou = 0.0
         for obj_id, tid, overlap in pairs:
-            iou_sum += overlap
+            frame_iou += overlap
             last = carry.get(obj_id)
             if last is not None and last != tid:
                 idsw += 1
             carry[obj_id] = tid
-        n_gt, tp = len(m.gt_ids), len(pairs)
-        counts = FrameCounts(tp, kept - tp, n_gt - tp, idsw, iou_sum, n_gt)
-        tally.totals.add(counts)
-        tally.per_frame.append(counts)
-    return tally
+        iou_sum += frame_iou
+        tp += len(pairs)
+        kept_total += kept
+        gt_count += len(m.gt_ids)
+    return FrameCounts(tp, kept_total - tp, gt_count - tp, idsw, iou_sum, gt_count)
 
 
 def _full_tally(matchers) -> SequenceTally:
-    """The pass that keeps every prediction, with the MT bookkeeping."""
-    tally = _tally(matchers, -math.inf)
-    present, matched = tally.frames_present, tally.frames_matched
-    for m in matchers:
-        for obj_id in m.gt_ids:
-            present[obj_id] = present.get(obj_id, 0) + 1
-        for obj_id, _, _ in m.match(-math.inf)[1]:
-            matched[obj_id] = matched.get(obj_id, 0) + 1
-    return tally
+    """The pass that keeps every prediction, with its matchings and the
+    MT bookkeeping."""
+    totals = _tally(matchers, -math.inf)
+    matches = [m.match(-math.inf)[1] for m in matchers]
+    return SequenceTally(totals, matches,
+                         Counter(obj_id for m in matchers for obj_id in m.gt_ids),
+                         Counter(obj_id for pairs in matches for obj_id, _, _ in pairs))
 
 
 def evaluate_sequence(gt_frames, pred_frames) -> SequenceTally:
@@ -211,7 +210,7 @@ def _smota(fp, fn, idsw, gt_total, recall_target):
     return min(1.0, max(0.0, value))
 
 
-def _recall_thresholds(matchers, pred_frames, gt_total, targets, full_recall):
+def _recall_thresholds(matchers, gt_total, targets, full_recall):
     """Map each reachable recall target's index to the highest score
     threshold whose pass reaches it.
 
@@ -220,15 +219,15 @@ def _recall_thresholds(matchers, pred_frames, gt_total, targets, full_recall):
     So the distinct scores are walked from the highest down, and at each
     one only the frames holding it are matched again (memoised per kept
     count) and folded into a running TP total. Recall is that total over
-    gt_total, the division of SequenceTally.recall. A target takes the
+    gt_total, the division of FrameCounts.recall. A target takes the
     first score whose recall reaches it, so the assigned targets are
     always the lowest ones, and the walk stops once every target up to
     full_recall has a score.
     """
     frames_at = {}
-    for t, (_, pred) in enumerate(zip(matchers, pred_frames)):
-        for p in pred:
-            frames_at.setdefault(p[2], set()).add(t)
+    for t, m in enumerate(matchers):
+        for s in m.scores.tolist():
+            frames_at.setdefault(s, set()).add(t)
     needed = sum(1 for r in targets if r <= full_recall)
     frame_tp = [0] * len(matchers)
     total_tp, k, chosen = 0, 0, {}
@@ -246,11 +245,10 @@ def _recall_thresholds(matchers, pred_frames, gt_total, targets, full_recall):
     return chosen
 
 
-def amota_family(gt_frames, pred_frames,
-                 num_thresholds: int = DEFAULT_NUM_THRESHOLDS) -> MetricsReport:
+def amota_family(gt_frames, pred_frames) -> MetricsReport:
     """Average MOTA/MOTP/sMOTA over evenly spaced recall targets.
 
-    For each target r = k/num_thresholds the score threshold achieving
+    For each target r = k/NUM_THRESHOLDS the score threshold achieving
     recall >= r with the fewest predictions is selected (the highest such
     threshold); targets no threshold can reach contribute zero. Frames
     are aligned as in evaluate_sequence. Raises ValueError when a
@@ -264,9 +262,8 @@ def amota_family(gt_frames, pred_frames,
     # within this call and dropped with it.
     matchers = _matchers(gt_frames, pred_frames)
     full = _full_tally(matchers)
-    targets = [k / num_thresholds for k in range(1, num_thresholds + 1)]
-    chosen = _recall_thresholds(matchers, pred_frames, gt_total, targets,
-                                full.recall)
+    targets = [k / NUM_THRESHOLDS for k in range(1, NUM_THRESHOLDS + 1)]
+    chosen = _recall_thresholds(matchers, gt_total, targets, full.totals.recall)
     tallies = {s: _tally(matchers, s) for s in set(chosen.values())}
 
     points = []
@@ -277,24 +274,22 @@ def amota_family(gt_frames, pred_frames,
                                          0, 0, 0, 0))
             continue
         s = chosen[k]
-        tally = tallies[s]
-        mota, motp = mota_motp(tally.totals)
-        smota = _smota(tally.totals.fp, tally.totals.fn, tally.totals.idsw,
-                       gt_total, target)
+        counts = tallies[s]
+        mota, motp = mota_motp(counts)
+        smota = _smota(counts.fp, counts.fn, counts.idsw, gt_total, target)
         amota_sum += mota
         amotp_sum += motp
         samota_sum += smota
-        points.append(OperatingPoint(target, s, tally.recall, mota, motp, smota,
-                                     tally.totals.tp, tally.totals.fp,
-                                     tally.totals.fn, tally.totals.idsw))
+        points.append(OperatingPoint(target, s, counts.recall, mota, motp, smota,
+                                     counts.tp, counts.fp, counts.fn, counts.idsw))
 
     mota, motp = mota_motp(full.totals)
     mt = mostly_tracked(full.frames_present, full.frames_matched)
 
     return MetricsReport(
-        amota=100.0 * amota_sum / num_thresholds,
-        amotp=100.0 * amotp_sum / num_thresholds,
-        samota=100.0 * samota_sum / num_thresholds,
+        amota=100.0 * amota_sum / NUM_THRESHOLDS,
+        amotp=100.0 * amotp_sum / NUM_THRESHOLDS,
+        samota=100.0 * samota_sum / NUM_THRESHOLDS,
         mota=100.0 * mota,
         motp=100.0 * motp,
         mt=100.0 * mt,

@@ -479,22 +479,26 @@ class TestEvalAndAnalyze:
         assert run_cli("analyze", "--tracks", str(tracks),
                        "--gt", str(sim_dir / "gt.jsonl"),
                        "--out", str(out_csv)) == 0
-        lines = out_csv.read_text().splitlines()
-        assert lines[0] == "tp_count,mean_motp,frequency"
-        rows = [line.split(",") for line in lines[1:]]
-        assert rows, "expected at least one bin"
-        tp_counts = [int(r[0]) for r in rows]
-        assert tp_counts == sorted(tp_counts)
-        # frequency column recounts the frames with at least one TP
-        from coopmot import io as cio, metrics
+        # recount each frame's matches with track association's matcher
+        from coopmot import assign, io as cio, metrics
         gt_frames = cio.read_gt(str(sim_dir / "gt.jsonl"))
         pred_frames = cio.read_tracks(str(tracks))
         n = max(len(gt_frames), len(pred_frames))
-        gt_frames += [[] for _ in range(n - len(gt_frames))]
-        pred_frames += [[] for _ in range(n - len(pred_frames))]
-        tally = metrics.evaluate_sequence(gt_frames, pred_frames)
-        frames_with_tp = sum(1 for c in tally.per_frame if c.tp >= 1)
-        assert sum(int(r[2]) for r in rows) == frames_with_tp
+        bins = {}
+        for gt, pred in zip(gt_frames + [[]] * (n - len(gt_frames)),
+                            pred_frames + [[]] * (n - len(pred_frames))):
+            gt_boxes, pred_boxes = [g[1] for g in gt], [p[1] for p in pred]
+            result = assign.associate(gt_boxes, pred_boxes, metrics.IOU_THRESHOLD)
+            if result.num_matched:
+                iou = geometry.iou_matrix(gt_boxes, pred_boxes)
+                iou_sum = 0.0
+                for r, c in zip(result.matched_rows, result.matched_cols):
+                    iou_sum += iou.item(r, c)
+                bins.setdefault(result.num_matched, []).append(iou_sum / result.num_matched)
+        assert bins, "expected at least one bin"
+        assert out_csv.read_text().splitlines() == ["tp_count,mean_motp,frequency"] + [
+            f"{tp},{sum(means) / len(means)!r},{len(means)}"
+            for tp, means in sorted(bins.items())]
 
 
 @pytest.mark.parametrize("command", ["simulate", "track", "eval", "analyze"])

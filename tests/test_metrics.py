@@ -110,7 +110,7 @@ class TestMatchFrame:
         gt = gt_row([(0, 0.0, 0.0), (1, 30.0, 0.0)])
         pred = pred_row([(10, 0.0, 0.0, 0.9), (11, 30.0, 0.0, 0.9)])
         tally = metrics.evaluate_sequence([gt], [pred])
-        counts = tally.per_frame[0]
+        counts = tally.totals
         assert (counts.tp, counts.fp, counts.fn, counts.idsw) == (2, 0, 0, 0)
         assert counts.matched_iou_sum == 2.0
         assert tally.frames_matched == {0: 1, 1: 1}
@@ -118,17 +118,15 @@ class TestMatchFrame:
     def test_empty_predictions(self):
         gt = gt_row([(0, 0.0, 0.0), (1, 30.0, 0.0)])
         tally = metrics.evaluate_sequence([gt], [[]])
-        counts = tally.per_frame[0]
+        counts = tally.totals
         assert (counts.tp, counts.fp, counts.fn) == (0, 0, 2)
         assert tally.frames_matched == {}
 
     def test_id_switch_two_frame_trace(self):
         gt = gt_row([(0, 0.0, 0.0)])
-        tally = metrics.evaluate_sequence(
-            [gt, gt], [pred_row([(1, 0.0, 0.0, 0.9)]),
-                       pred_row([(2, 0.0, 0.0, 0.9)])])
-        assert [c.idsw for c in tally.per_frame] == [0, 1]
-        assert tally.totals.idsw == 1
+        preds = [pred_row([(1, 0.0, 0.0, 0.9)]), pred_row([(2, 0.0, 0.0, 0.9)])]
+        assert metrics.evaluate_sequence([gt], preds[:1]).totals.idsw == 0
+        assert metrics.evaluate_sequence([gt, gt], preds).totals.idsw == 1
 
     def test_tp_plus_fn_equals_gt(self, rng):
         for _ in range(100):
@@ -136,7 +134,7 @@ class TestMatchFrame:
                             enumerate(rng.uniform(-50, 50, (int(rng.integers(0, 5)), 2)))])
             pred = pred_row([(k, float(x), float(y), 0.9) for k, (x, y) in
                                 enumerate(rng.uniform(-50, 50, (int(rng.integers(0, 5)), 2)))])
-            counts = metrics.evaluate_sequence([gt], [pred]).per_frame[0]
+            counts = metrics.evaluate_sequence([gt], [pred]).totals
             assert counts.tp == len(oracle_match(gt, pred, 0.25))
             assert counts.tp + counts.fn == counts.gt_count == len(gt)
             assert counts.tp + counts.fp == len(pred)
@@ -150,7 +148,7 @@ class TestUnequalFrameCounts:
         pred = [pred_row([(1, 0.0, 0.0, 0.9)]),
                 pred_row([(1, 50.0, 0.0, 0.9), (2, -50.0, 0.0, 0.9)])]
         tally = metrics.evaluate_sequence(gt, pred)
-        assert len(tally.per_frame) == 2
+        assert len(tally.matches) == 2
         totals = tally.totals
         assert (totals.tp, totals.fp, totals.fn, totals.gt_count) == (1, 2, 0, 1)
         report = metrics.amota_family(gt, pred)
@@ -327,13 +325,33 @@ class TestSweepProperties:
             (100.0 * mota, 100.0 * motp, 100.0 * mt)
 
 
+class TestFullPassRecord:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_sequences)
+    def test_totals_and_mt_counts_follow_the_matches(self, frames):
+        tally = metrics.evaluate_sequence([gt_row(gt) for gt, _ in frames],
+                                          [pred_row(pred) for _, pred in frames])
+        assert tally.totals.tp == sum(len(pairs) for pairs in tally.matches)
+        iou_sum, matched = 0.0, {}
+        for pairs in tally.matches:
+            frame_sum = 0.0
+            for obj_id, _, overlap in pairs:
+                assert overlap >= metrics.IOU_THRESHOLD
+                frame_sum += overlap
+                matched[obj_id] = matched.get(obj_id, 0) + 1
+            iou_sum += frame_sum
+        assert tally.totals.matched_iou_sum == iou_sum
+        assert tally.frames_matched == matched
+
+
 class TestGateSharedWithTracker:
     @settings(max_examples=100, deadline=None)
     @given(_frame)
     def test_frame_counts_equal_associate(self, frame):
         """A frame scores the pairs that track association would match."""
         gt, pred = gt_row(frame[0]), pred_row(frame[1])
-        counts = metrics.evaluate_sequence([gt], [pred]).per_frame[0]
+        counts = metrics.evaluate_sequence([gt], [pred]).totals
         gt_boxes, pred_boxes = [g[1] for g in gt], [p[1] for p in pred]
         result = assign.associate(gt_boxes, pred_boxes, metrics.IOU_THRESHOLD)
         iou = geometry.iou_matrix(gt_boxes, pred_boxes)
@@ -342,11 +360,11 @@ class TestGateSharedWithTracker:
             iou.item(r, c) for r, c in zip(result.matched_rows, result.matched_cols))
 
 
-def full_tally_scan(matchers, pred_frames, gt_total, targets, full_recall):
+def full_tally_scan(matchers, gt_total, targets, full_recall):
     """Reference for metrics._recall_thresholds: one full _tally per
     distinct score, from the highest down, until every target up to
     full_recall is assigned (the scan the running-TP walk replaced)."""
-    scores = sorted({p[2] for frame in pred_frames for p in frame}, reverse=True)
+    scores = sorted({s for m in matchers for s in m.scores.tolist()}, reverse=True)
     needed = {k for k, t in enumerate(targets) if t <= full_recall}
     chosen = {}
     for s in scores:
@@ -359,7 +377,7 @@ def full_tally_scan(matchers, pred_frames, gt_total, targets, full_recall):
     return chosen
 
 
-def counted_amota_family(gt_frames, pred_frames, num_thresholds):
+def counted_amota_family(gt_frames, pred_frames):
     """amota_family's report as a dict, and its number of solver calls."""
     solve = metrics.assign.hungarian_min_cost
     calls = []
@@ -369,7 +387,7 @@ def counted_amota_family(gt_frames, pred_frames, num_thresholds):
         return solve(cost)
 
     with mock.patch.object(metrics.assign, "hungarian_min_cost", counting):
-        report = metrics.amota_family(gt_frames, pred_frames, num_thresholds)
+        report = metrics.amota_family(gt_frames, pred_frames)
     return report.to_dict(), len(calls)
 
 
@@ -377,14 +395,14 @@ class TestThresholdScan:
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     # up to 10 frames, so that many frames share each of the three scores
-    @given(st.lists(_frame, min_size=1, max_size=10), st.sampled_from([3, 10, 40]))
-    def test_equals_full_tally_scan(self, frames, num_thresholds):
+    @given(st.lists(_frame, min_size=1, max_size=10))
+    def test_equals_full_tally_scan(self, frames):
         gt_frames = [gt_row(gt) for gt, _ in frames]
         pred_frames = [pred_row(pred) for _, pred in frames]
         assume(any(gt_frames))
-        got = counted_amota_family(gt_frames, pred_frames, num_thresholds)
+        got = counted_amota_family(gt_frames, pred_frames)
         with mock.patch.object(metrics, "_recall_thresholds", full_tally_scan):
-            want = counted_amota_family(gt_frames, pred_frames, num_thresholds)
+            want = counted_amota_family(gt_frames, pred_frames)
         assert got == want
 
     def test_targets_reached_above_full_recall_are_kept(self):
@@ -394,11 +412,11 @@ class TestThresholdScan:
         # 0.9 to 0 with every prediction kept.
         gt_frames = [gt_row([(0, 0.0, 0.0), (1, 6.103, 0.0)])]
         pred_frames = [pred_row([(1, 2.423, 0.0, 0.9), (2, -2.758, 0.0, 0.5)])]
-        report = metrics.amota_family(gt_frames, pred_frames, num_thresholds=4)
-        assert [p.threshold for p in report.operating_points] == [0.9, 0.9, None, None]
+        report = metrics.amota_family(gt_frames, pred_frames)
+        assert [p.threshold for p in report.operating_points] == [0.9] * 20 + [None] * 20
         assert report.mota == -100.0  # two misses and two false positives
         with mock.patch.object(metrics, "_recall_thresholds", full_tally_scan):
-            assert metrics.amota_family(gt_frames, pred_frames, 4) == report
+            assert metrics.amota_family(gt_frames, pred_frames) == report
 
     @pytest.mark.parametrize("score", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_score_rejected(self, score):
