@@ -24,19 +24,19 @@ except ImportError:
 def as_box7_array(objs) -> np.ndarray:
     """Stack boxes into an (N, 7) float array (N may be 0).
 
-    Each box is a Detection or an array-like whose first seven entries are
-    the box, so a 10-entry track state gives its box. A float (N, 7)
-    ndarray is already in that form and is returned as is. Raises
-    ValueError when a box value is NaN or infinite.
+    Each box is a Detection or an array-like of exactly seven entries
+    (x, y, z, theta, h, w, l). A float (N, 7) ndarray is already in that
+    form and is returned as is. Raises ValueError when a box does not have
+    seven entries or a box value is NaN or infinite.
     """
     if not (isinstance(objs, np.ndarray) and objs.dtype == float and objs.ndim == 2
             and objs.shape[1] == 7):
         rows = [(o.x, o.y, o.z, o.theta, o.h, o.w, o.l) if isinstance(o, core.Detection)
                 else np.asarray(o, dtype=float).reshape(-1) for o in objs]
         for row in rows:
-            if len(row) < 7:
+            if len(row) != 7:
                 raise ValueError(f"expected a 7-vector box, got shape {row.shape}")
-        objs = np.array([row[:7] for row in rows], dtype=float).reshape(-1, 7)
+        objs = np.array(rows, dtype=float).reshape(-1, 7)
     if not np.isfinite(objs).all():
         raise ValueError("box has a non-finite value")
     return objs

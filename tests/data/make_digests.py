@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Regenerate digests.json from the scenes and the CLI run in
-tests/test_digests.py.
+"""Regenerate digests.json and golden_directional.json from the scenes,
+the CLI run and the golden values in tests/test_digests.py.
 
 Run from the repository root after an intentional behavior change:
     python3 tests/data/make_digests.py
-Review the diff before committing; tests/test_digests.py pins these values.
+Review the diff before committing; tests/test_digests.py pins both files,
+and the acceptance suite's c08 reads the golden file.
 """
 
 import json
@@ -17,19 +18,23 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 import numpy as np  # noqa: E402
 
-from test_digests import SCENES, blas_name, cli_files, emitted, summary  # noqa: E402
+from test_digests import (DIGESTS, GOLDEN, SCENES, blas_name, cli_files, emitted,  # noqa: E402
+                          golden_values, summary)
+
+
+def write(path, value):
+    with open(path, "w") as fh:
+        json.dump(value, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(path)
 
 
 def main():
     with tempfile.TemporaryDirectory() as out_dir:
         files = cli_files(out_dir)
-    recorded = {"numpy": np.__version__, "blas": blas_name(), "files": files,
-                "scenes": {name: summary(emitted(name)) for name in sorted(SCENES)}}
-    out_path = os.path.join(os.path.dirname(__file__), "digests.json")
-    with open(out_path, "w") as fh:
-        json.dump(recorded, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(json.dumps(recorded, indent=2, sort_keys=True))
+    write(DIGESTS, {"numpy": np.__version__, "blas": blas_name(), "files": files,
+                    "scenes": {name: summary(emitted(name)) for name in sorted(SCENES)}})
+    write(GOLDEN, golden_values())
 
 
 if __name__ == "__main__":

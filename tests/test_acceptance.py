@@ -3,7 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Criterion 8 compares against the golden values frozen in
 tests/data/golden_directional.json (regenerate with
-`python3 tests/data/make_golden.py` after an intentional behavior change).
+`python3 tests/data/make_digests.py` after an intentional behavior change).
 """
 
 import json
@@ -287,7 +287,7 @@ def test_c10_lifecycle_conformance():
 
 
 def test_c11_cli_determinism(tmp_path):
-    """simulate + track + eval twice: byte-identical primary outputs."""
+    """simulate + track + eval + analyze twice: byte-identical primary outputs."""
     scen = tmp_path / "scenario.json"
     scen.write_text(json.dumps({
         "num_objects": 6, "num_frames": 25, "sigma": [0.3, 0.3],
@@ -303,12 +303,12 @@ def test_c11_cli_determinism(tmp_path):
         tracks = base / "tracks.jsonl"
         assert cli.main(["track", "--method", "tsa", "--detections",
                          str(sim_dir), "--out", str(tracks)]) == 0
-        report = base / "report.json"
-        assert cli.main(["eval", "--tracks", str(tracks),
-                         "--gt", str(sim_dir / "gt.jsonl"),
-                         "--out", str(report)]) == 0
+        scored = ["--tracks", str(tracks), "--gt", str(sim_dir / "gt.jsonl")]
+        assert cli.main(["eval", *scored, "--out", str(base / "report.json")]) == 0
+        assert cli.main(["analyze", *scored, "--out", str(base / "motp_vs_tp.csv")]) == 0
         names = ["sim/gt.jsonl", "sim/detections_agent0.jsonl",
-                 "sim/detections_agent1.jsonl", "tracks.jsonl", "report.json"]
+                 "sim/detections_agent1.jsonl", "tracks.jsonl", "report.json",
+                 "motp_vs_tp.csv"]
         return {n: (base / n).read_bytes() for n in names}
 
     assert one_run("run1") == one_run("run2")

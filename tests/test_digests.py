@@ -1,5 +1,6 @@
-"""The emitted rows of the pinned scenes, and the files of one CLI run,
-held to recorded digests.
+"""Every pinned output held to its record: the emitted rows of the pinned
+scenes and the files of one CLI run to recorded digests, and c08's golden
+averaged metrics to the golden file.
 
 A scene's digest is the first 16 hex characters of the sha256 over
 ``repr((frame, track_id, box, score))`` of every emitted row, with the box
@@ -8,9 +9,11 @@ test. A file's digest is the sha256 of its bytes. Batched LAPACK/BLAS
 rounding is host-specific: the digests are compared only where numpy and
 its BLAS are the ones that recorded them. Elsewhere the test compares the
 row count exactly and the sum of every emitted float (every number of a
-file) to 1e-9 relative, and says so in a warning.
+file) to 1e-9 relative, and each golden value to 1e-9 relative, and says
+so in a warning.
 
-Regenerate tests/data/digests.json after an intentional behavior change:
+Regenerate tests/data/digests.json and tests/data/golden_directional.json
+after an intentional behavior change:
     python3 tests/data/make_digests.py
 """
 
@@ -26,11 +29,13 @@ from functools import partial
 import numpy as np
 import pytest
 
-from coopmot import cli, core, sim, tracker
+from coopmot import cli, core, metrics, sim, tracker
 from coopmot.core import Method
 from test_acceptance import directional_scenario, directional_tracker_config
 
-DIGESTS = os.path.join(os.path.dirname(__file__), "data", "digests.json")
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+DIGESTS = os.path.join(DATA_DIR, "digests.json")
+GOLDEN = os.path.join(DATA_DIR, "golden_directional.json")
 
 
 def _golden(method, dedup=True):
@@ -95,11 +100,25 @@ def summary(rows):
             "sum": math.fsum(v for _, _, box, score in rows for v in (*box, score))}
 
 
+def golden_values():
+    """c08's averaged metrics of baseline, aos and tsa on the golden scene,
+    by method name."""
+    gt_frames, bundles = sim.generate(directional_scenario())
+    golden = {}
+    for method in (Method.BASELINE, Method.AOS, Method.TSA):
+        outs = tracker.run_sequence(bundles, directional_tracker_config(method))
+        rep = metrics.amota_family(gt_frames, [list(o.emitted) for o in outs])
+        golden[method.value] = {key: getattr(rep, key) for key in
+                                ("amota", "amotp", "samota", "mota", "motp", "mt")}
+    return golden
+
+
 def cli_files(out_dir):
     """simulate, track --method tsa with the directional tracker config,
     then eval and analyze, on the golden scene, into out_dir; the summary
     of each output file by name."""
-    outputs = ("tracks.jsonl", "report.json", "motp_vs_tp.csv")
+    outputs = ("sim/gt.jsonl", "sim/detections_agent0.jsonl", "sim/detections_agent1.jsonl",
+               "tracks.jsonl", "report.json", "motp_vs_tp.csv")
     paths = {name: os.path.join(out_dir, name)
              for name in ("scenario.json", "tracker.json", *outputs)}
     for name, config in (("scenario.json", directional_scenario().to_dict()),
@@ -138,7 +157,7 @@ def file_summary(path):
         count, values = len(report["operating_points"]), numbers(report)
     else:
         if path.endswith(".jsonl"):
-            rows = [list(json.loads(line).values()) for line in lines]
+            rows = [numbers(json.loads(line)) for line in lines]
         else:
             rows = [list(map(float, row)) for row in csv.reader(lines[1:])]
         count, values = len(rows), [v for row in rows for v in row]
@@ -152,18 +171,26 @@ def recorded():
         return json.load(fh)
 
 
+def on_recording_host(recorded, compared):
+    """Whether numpy and its BLAS are the ones that recorded the digests;
+    if not, warns that only `compared` is compared."""
+    host = (np.__version__, blas_name())
+    if host == (recorded["numpy"], recorded["blas"]):
+        return True
+    warnings.warn(f"numpy {host[0]} with {host[1]} is not the recording host's "
+                  f"numpy {recorded['numpy']} with {recorded['blas']}: compared "
+                  f"{compared}")
+    return False
+
+
 def check_recorded(recorded, got, want, digest):
     """got == want on the recording host; elsewhere the row count and the
     sum to 1e-9, with a warning."""
-    host = (np.__version__, blas_name())
-    if host == (recorded["numpy"], recorded["blas"]):
+    if on_recording_host(recorded, f"the row count and the float sum to 1e-9, not the {digest}"):
         assert got == want
-        return
-    warnings.warn(f"numpy {host[0]} with {host[1]} is not the recording host's "
-                  f"numpy {recorded['numpy']} with {recorded['blas']}: compared "
-                  f"the row count and the float sum to 1e-9, not the {digest}")
-    assert got["rows"] == want["rows"]
-    assert got["sum"] == pytest.approx(want["sum"], rel=1e-9)
+    else:
+        assert got["rows"] == want["rows"]
+        assert got["sum"] == pytest.approx(want["sum"], rel=1e-9)
 
 
 @pytest.mark.parametrize("name", sorted(SCENES))
@@ -176,3 +203,15 @@ def test_cli_files_match_recorded(recorded, tmp_path):
     assert sorted(got) == sorted(recorded["files"])
     for name, want in recorded["files"].items():
         check_recorded(recorded, got[name], want, "sha256")
+
+
+def test_golden_file_matches_recorded(recorded):
+    with open(GOLDEN, encoding="utf-8") as fh:
+        want = json.load(fh)
+    got = golden_values()
+    if on_recording_host(recorded, "each golden value to 1e-9, not exactly"):
+        assert got == want
+    else:
+        assert sorted(got) == sorted(want)
+        for method, values in want.items():
+            assert got[method] == pytest.approx(values, rel=1e-9)

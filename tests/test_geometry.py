@@ -164,13 +164,14 @@ class TestIou3d:
             assert np.isfinite(v) and 0.0 <= v <= 1.0
 
     def test_accepts_detections_trackstates_and_vectors(self):
-        # a track state row (10 entries) is read as its first seven, the box
+        # a track state row (10 entries) is not a box; its first seven are
         from coopmot import kalman
         d = make_box(x=1.0, l=2.0)
         v = d.box7()
         t = kalman.init_track([v], [1.0], 1, kalman.default_model())
         assert iou3d(d, v) == 1.0
-        assert iou3d(d, t.states[0]) == 1.0
+        with pytest.raises(ValueError, match="expected a 7-vector box"):
+            iou3d(d, t.states[0])
         assert geometry.iou_matrix([d], t.states[:, :7]).tolist() == [[1.0]]
 
 
@@ -194,8 +195,9 @@ class TestAsBox7Array:
     def test_other_arrays_take_the_general_path(self):
         ints = np.arange(14).reshape(2, 7)
         assert np.array_equal(geometry.as_box7_array(ints), ints.astype(float))
-        wide = np.arange(16.0).reshape(2, 8)
-        assert np.array_equal(geometry.as_box7_array(wide), wide[:, :7])
+        for width in (8, 10):
+            with pytest.raises(ValueError, match="expected a 7-vector box"):
+                geometry.as_box7_array(np.arange(2.0 * width).reshape(2, width))
 
 
 class TestNonFiniteBoxes:

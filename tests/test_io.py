@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 import re
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopmot import cli, io, sim
+from coopmot import io, sim
 from coopmot.core import Detection, FrameBundle
 from coopmot.tracker import FrameOutput
 from conftest import inverse_pose, make_box, total_detections, write_poses
@@ -140,30 +139,6 @@ class TestDetectionsRoundTrip:
 
 
 class TestGtAndTracksRoundTrip:
-    def test_gt_round_trip(self, scenario, tmp_path):
-        gt_frames, _ = scenario
-        path = tmp_path / "gt.jsonl"
-        io.write_gt(path, gt_frames)
-        back = io.read_gt(path)
-        assert len(back) == len(gt_frames)
-        for orig, rt in zip(gt_frames, back):
-            assert [(o, d.x, d.y, d.z, d.theta) for o, d in rt] == \
-                [(o, d.x, d.y, d.z, d.theta) for o, d in orig]
-
-    def test_tracks_round_trip(self, tmp_path):
-        outputs = [
-            FrameOutput(frame=0, emitted=((1, np.array([0.5, 1.5, 0.25, 0.1, 1.6, 1.8, 4.5]), 0.9),)),
-            FrameOutput(frame=1, emitted=((1, np.array([0.7, 1.5, 0.25, 0.1, 1.6, 1.8, 4.5]), 0.8),
-                                          (2, np.array([9.0, -1.0, 0.25, 0.0, 1.6, 1.8, 4.5]), 0.7))),
-        ]
-        path = tmp_path / "tracks.jsonl"
-        io.write_tracks(path, outputs)
-        back = io.read_tracks(path)
-        assert len(back) == 2
-        assert [tid for tid, _, _ in back[1]] == [1, 2]
-        assert back[0][0][1].x == 0.5
-        assert back[0][0][2] == 0.9
-
     def test_full_precision_round_trip(self, tmp_path):
         x = 0.1 + 0.2  # 0.30000000000000004
         out = FrameOutput(frame=0, emitted=((5, np.array([x, math.pi, -0.0, 1e-17, 1.6, 1.8, 4.5]), 1 / 3),))
@@ -394,26 +369,6 @@ class TestWritersMatchJsonDumps:
         base = tmp_path_factory.mktemp("w")
         assert written(io.write_tracks, base / "new.jsonl", outputs) == \
             written(reference_write_tracks, base / "old.jsonl", outputs)
-
-
-# sha256 of simulate's files for a small seeded scenario with dropout and an
-# occlusion sector; any change of a written byte changes them.
-SIMULATE_SHA256 = {
-    "gt.jsonl": "95390125936f21ecfa8d7c2524b5a1ed7fca3e9662e5cea400278c8ea0f02865",
-    "detections_agent0.jsonl": "6c087e98511b6ac9aa049c81b3b2758fc2deee7eb5151a93a4f425373323bbee",
-    "detections_agent1.jsonl": "5dc71b58ffa70c78868e43497fd56f086491bf2142461072b936f84e3acbf791",
-}
-
-
-def test_simulate_bytes_are_pinned(tmp_path):
-    scen = tmp_path / "scenario.json"
-    scen.write_text(json.dumps({
-        "num_objects": 6, "num_frames": 25, "sigma": [0.3, 0.2], "dropout": [0.1, 0.2],
-        "occlusion_sectors": [[], [[0.5, 1.5]]], "speed_min": 0.05, "speed_max": 0.2,
-        "world_extent": 60.0, "seed": 42}))
-    assert cli.main(["simulate", "--config", str(scen), "--out", str(tmp_path / "sim")]) == 0
-    assert {name: hashlib.sha256((tmp_path / "sim" / name).read_bytes()).hexdigest()
-            for name in SIMULATE_SHA256} == SIMULATE_SHA256
 
 
 GOOD = {"frame": 0, "agent": "a", "object_id": 3, "track_id": 4, "x": 0.5, "y": 0.0,

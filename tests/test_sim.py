@@ -93,16 +93,6 @@ class TestGenerate:
             assert b.detections_by_agent["agent1"] == []
             assert len(b.detections_by_agent["agent0"]) == 3
 
-    def test_seed_determinism(self):
-        cfg = sim.ScenarioConfig(num_objects=5, num_frames=8, sigma=(0.4, 0.4),
-                                 dropout=(0.2, 0.2), seed=99)
-        a = sim.generate(cfg)
-        b = sim.generate(cfg)
-        for row_a, row_b in zip(a[0], b[0]):
-            assert row_a == row_b
-        for bun_a, bun_b in zip(a[1], b[1]):
-            assert bun_a.detections_by_agent == bun_b.detections_by_agent
-
     def test_constant_velocity_gt(self):
         cfg = sim.ScenarioConfig(num_objects=3, num_frames=12)
         gt_frames, _ = sim.generate(cfg)
