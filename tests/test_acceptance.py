@@ -4,6 +4,13 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Criterion 8 compares against the golden values frozen in
 tests/data/golden_directional.json (regenerate with
 `python3 tests/data/make_digests.py` after an intentional behavior change).
+
+Import rule: perfbench/workloads.py imports this module for
+directional_scenario and directional_tracker_config, so the benchmark's
+process loads it and helpers.py. Neither may import pytest (or conftest.py)
+at module level: a test that needs pytest imports it in its body. Their
+import chain holds only numpy, coopmot and helpers.py; a reference pipeline
+of the tracker (scipy per component) stays out of it.
 """
 
 import json
@@ -12,14 +19,13 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 from coopmot import assign, cli, geometry, graphlap, kalman, metrics, sim, tracker
 from coopmot.core import Method, TrackerConfig
-from conftest import (H, VARIANTS, born, brute_min_cost, by_key, iou3d, make_box, mc_iou,
-                      node_keys, oracle_centroids, permuted, rand_box7,
-                      random_graph_frame, refined_centroids, stacked, track_store,
-                      translated, unpermuted)
+from helpers import (H, VARIANTS, born, brute_min_cost, by_key, iou3d, make_box, mc_iou,
+                     node_keys, oracle_centroids, permuted, rand_box7,
+                     random_graph_frame, refined_centroids, stacked, track_store,
+                     translated, unpermuted)
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -203,6 +209,7 @@ def directional_tracker_config(method):
 
 def test_c08_directional_tracking_claim():
     """TSA >= AOS >= baseline on MOTA and MT; TSA MOTP >= baseline + 2."""
+    import pytest
     started = time.time()
     cfg_s = directional_scenario()
     gt_frames, bundles = sim.generate(cfg_s)
@@ -234,6 +241,7 @@ def test_c08_directional_tracking_claim():
 
 def test_c09_metrics_oracle_exact():
     """Averaged metrics equal an exhaustive hand sweep on a 10-frame trace."""
+    import pytest
     from test_metrics import dropout_sequence, oracle_amota_family
     gt_frames, pred_frames = dropout_sequence()
     report = metrics.amota_family(gt_frames, pred_frames)

@@ -8,8 +8,8 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from coopmot import assign, geometry
-from conftest import (brute_max_gated_matching, brute_min_cost, make_box, matched_pairs,
-                      rand_box7)
+from helpers import (brute_max_gated_matching, brute_min_cost, make_box, matched_pairs,
+                     rand_box7)
 
 
 class TestHungarian:

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from coopmot import geometry
 from coopmot.geometry import _pure
-from conftest import rand_box7
+from helpers import rand_box7
 from iou_oracle import iou3d_pair
 from test_cli import subprocess_env
 
@@ -112,7 +112,7 @@ def kernels(native):
     return {"native": native, "pure": _pure}
 
 
-# the ranges of conftest.rand_box7: centres within 2 m, extents 0.5 to 4 m
+# the ranges of helpers.rand_box7: centres within 2 m, extents 0.5 to 4 m
 _box = st.tuples(*[st.floats(-2.0, 2.0)] * 3, st.floats(-math.pi, math.pi),
                  *[st.floats(0.5, 4.0)] * 3).map(np.array)
 

@@ -5,13 +5,15 @@ each one's prepare, unit and verify once, in-process and untimed, so that a
 change to coopmot's API that the benchmark relies on fails the suite.
 """
 
+import json
 import os
+import subprocess
 import sys
 
 import pytest
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                                "perfbench"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import speed  # noqa: E402
 import workloads  # noqa: E402
@@ -28,3 +30,16 @@ def test_workload_runs_and_verifies(tmp_path, name):
     wl.verify(inp, outs, tally)
     assert tally.attempted > 0
     assert tally.failed == 0, tally.problems
+
+
+def test_benchmark_process_loads_no_test_runner():
+    # workloads imports test_acceptance and, through it, helpers; the
+    # benchmark's peak_rss_mb must not carry pytest, the fixtures or an
+    # oracle library
+    path = [os.path.join(ROOT, d) for d in ("src", "tests", "perfbench")]
+    code = (f"import json, sys; sys.path[:0] = {path!r}; import workloads; "
+            "print(json.dumps(sorted(set(sys.modules) & {'pytest', '_pytest', "
+            "'conftest', 'hypothesis', 'scipy'})))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == []

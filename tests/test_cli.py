@@ -1,4 +1,3 @@
-import hashlib
 import importlib
 import json
 import os
@@ -13,11 +12,8 @@ import pytest
 
 import coopmot
 from coopmot import cli, geometry, sim
-from conftest import inverse_pose, write_poses
-
-
-# sha256 over the name and bytes of each file `simulate` writes without --config
-DEFAULT_SCENE_SHA256 = "6f65b7040b076273eb296a01a8573fdd591db5e1a616a81e0d601cfa8a997100"
+from helpers import inverse_pose, write_poses
+from test_digests import check_recorded, default_scene_files, read_recorded
 
 
 def run_cli(*argv):
@@ -80,14 +76,13 @@ class TestSimulate:
         assert "scipy" not in manifest
 
     def test_defaults_without_config(self, tmp_path):
-        # the bytes of ScenarioConfig's default scene: its world_extent,
-        # counts, speeds, noise and seed
-        out = tmp_path / "sim"
-        assert run_cli("simulate", "--out", str(out)) == 0
-        digest = hashlib.sha256()
-        for name in ("gt.jsonl", "detections_agent0.jsonl", "detections_agent1.jsonl"):
-            digest.update(name.encode() + read_bytes(out / name))
-        assert digest.hexdigest() == DEFAULT_SCENE_SHA256
+        # the files of ScenarioConfig's default scene (its world_extent,
+        # counts, speeds, noise and seed) to their recorded digests
+        recorded = read_recorded()
+        got = default_scene_files(str(tmp_path / "sim"))
+        assert sorted(got) == sorted(recorded["default_scene"])
+        for name, want in recorded["default_scene"].items():
+            check_recorded(recorded, got[name], want, "sha256")
 
     def test_world_smaller_than_one_meter(self, tmp_path):
         cfg = tmp_path / "small.json"

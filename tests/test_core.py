@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from coopmot import core, tracker
-from conftest import make_box, total_detections
+from helpers import make_box, total_detections
 
 
 def dump_config(cfg: core.TrackerConfig) -> str:

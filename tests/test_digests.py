@@ -1,6 +1,7 @@
 """Every pinned output held to its record: the emitted rows of the pinned
-scenes and the files of one CLI run to recorded digests, and c08's golden
-averaged metrics to the golden file.
+scenes and the files of the CLI runs to recorded digests, and c08's golden
+averaged metrics to the golden file. The files of `simulate` without
+--config (default_scene_files) are checked in test_cli.py, by the same rule.
 
 A scene's digest is the first 16 hex characters of the sha256 over
 ``repr((frame, track_id, box, score))`` of every emitted row, with the box
@@ -136,6 +137,14 @@ def cli_files(out_dir):
     return {name: file_summary(paths[name]) for name in outputs}
 
 
+def default_scene_files(out_dir):
+    """simulate without --config into out_dir (ScenarioConfig's default
+    scene); the summary of each file it writes, by name."""
+    assert cli.main(["simulate", "--out", out_dir]) == 0
+    return {name: file_summary(os.path.join(out_dir, name))
+            for name in ("gt.jsonl", "detections_agent0.jsonl", "detections_agent1.jsonl")}
+
+
 def numbers(value):
     """Every int and float in a parsed JSON value, depth first."""
     if isinstance(value, dict):
@@ -165,10 +174,14 @@ def file_summary(path):
             "sum": math.fsum(values)}
 
 
-@pytest.fixture(scope="module")
-def recorded():
+def read_recorded():
     with open(DIGESTS, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    return read_recorded()
 
 
 def on_recording_host(recorded, compared):

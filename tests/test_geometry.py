@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from coopmot import geometry
 from coopmot.geometry import _pure
-from conftest import iou3d, make_box, rand_box7
+from helpers import iou3d, make_box, rand_box7
 from iou_oracle import iou3d_pair
 
 

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from coopmot import assign, graphlap
 from coopmot.core import Method, TrackerConfig
-from conftest import (VARIANTS, by_key, differential_coords, graph_frame,
-                      laplacian_complete, make_box, matching, oracle_centroids,
-                      oracle_system, permuted, random_graph_frame, refined_centroids,
-                      stacked, translated, unpermuted)
+from helpers import (VARIANTS, by_key, differential_coords, graph_frame,
+                     laplacian_complete, make_box, matching, oracle_centroids,
+                     oracle_system, permuted, random_graph_frame, refined_centroids,
+                     stacked, translated, unpermuted)
 
 
 AOS, TSA = TrackerConfig(method=Method.AOS), TrackerConfig(method=Method.TSA)

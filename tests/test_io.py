@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from coopmot import io, sim
 from coopmot.core import Detection, FrameBundle
 from coopmot.tracker import FrameOutput
-from conftest import inverse_pose, make_box, total_detections, write_poses
+from helpers import inverse_pose, make_box, total_detections, write_poses
 
 
 @pytest.fixture
@@ -267,7 +267,7 @@ class TestRoundTripProperty:
 
 # The JSONL writers as they built a dict per row and wrote
 # json.dumps(record) + "\n": the oracle for the io writers, which must
-# write the same bytes. They live here, not in conftest, which the
+# write the same bytes. They live here, not in helpers.py, which the
 # benchmark imports.
 def _reference_write(path, records) -> None:
     """Write dicts as one JSON object per line."""

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from coopmot import kalman, tracker
 from coopmot.core import TrackerConfig, wrap_angle
-from conftest import F, H, born, make_box, reference_predict, reference_update, track_store
+from helpers import F, H, born, make_box, reference_predict, reference_update, track_store
 
 
 @pytest.fixture

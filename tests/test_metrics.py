@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from coopmot import assign, geometry, metrics
-from conftest import iou3d, make_box
+from helpers import iou3d, make_box
 
 CAR = dict(h=1.6, w=1.8, l=4.5)
 

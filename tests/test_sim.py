@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from coopmot import core, sim
 from coopmot.core import validate_detection
-from conftest import reference_generate
+from helpers import reference_generate
 
 FIELDS = ("x", "y", "z", "theta", "h", "w", "l", "score")
 

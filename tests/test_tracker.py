@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from coopmot import assign, kalman, tracker
 from coopmot.core import FrameBundle, Method, TrackerConfig
-from conftest import born, make_box, reference_predict, reference_update
+from helpers import born, make_box, reference_predict, reference_update
 
 CAR = dict(h=1.6, w=1.8, l=4.5)
 
