@@ -8,7 +8,8 @@ rule with carry-over: a switch is counted whenever an object's newly
 matched track id differs from the last id it was ever matched to.
 
 Each evaluation pass yields one FrameCounts of totals; the pass that keeps
-every prediction also keeps each frame's matchings, for MT and analyze.
+every prediction also keeps each frame's matchings, for MT and analyze. A
+frame with neither ground truth nor predictions gets no matcher.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import asdict, dataclass
-
-import numpy as np
 
 from . import assign, geometry
 
@@ -57,43 +57,41 @@ class SequenceTally:
 
 
 class _FrameMatcher:
-    """One frame's GT x prediction IoU matrix and its gated matchings.
+    """One frame's GT x prediction IoU matrix, computed once, and its gated
+    matchings, not memoised. A score threshold only decides which predictions
+    are kept; their columns are sliced from the matrix in their original
+    order, so the solver sees exactly the matrix of the kept boxes alone."""
 
-    The matrix is computed once. A score threshold only decides which
-    predictions are kept, and the kept set is fixed by how many survive,
-    so the gated Hungarian result is memoised per kept count. The kept
-    columns are sliced from the matrix in their original order, so the
-    solver sees exactly the matrix of the kept boxes alone.
-    """
+    __slots__ = ("gt_ids", "tids", "scores", "ascending", "iou")
 
     def __init__(self, gt, pred):
         self.gt_ids = [g[0] for g in gt]
         self.tids = [p[0] for p in pred]
-        self.scores = np.array([p[2] for p in pred], dtype=float)
-        self.neg_sorted = sorted(-self.scores)  # ascending for bisect
+        self.scores = [float(p[2]) for p in pred]
+        self.ascending = sorted(self.scores)  # for bisect
         self.iou = geometry.iou_matrix([g[1] for g in gt], [p[1] for p in pred])
-        self.memo = {0: []}  # a frame that keeps nothing calls no solver
 
     def match(self, score_threshold):
-        """Predictions kept at the threshold (-inf keeps all), and the
-        gated pairs [(object_id, track_id, iou)] in GT row order."""
-        kept = bisect.bisect_right(self.neg_sorted, -score_threshold)
-        pairs = self.memo.get(kept)
-        if pairs is None:
-            cols = np.flatnonzero(self.scores >= score_threshold)
-            iou = self.iou[:, cols]
-            pairs = self.memo[kept] = [(self.gt_ids[r], self.tids[cols[c]], iou.item(r, c))
-                                       for r, c in assign.gated_pairs(iou, IOU_THRESHOLD)]
-        return kept, pairs
+        """The gated pairs [(object_id, track_id, iou)], in GT row order, of
+        the predictions kept at the threshold (-inf keeps all)."""
+        cols = [c for c, s in enumerate(self.scores) if s >= score_threshold]
+        if not cols:
+            return []  # a frame that keeps nothing calls no solver
+        iou = self.iou[:, cols]
+        return [(self.gt_ids[r], self.tids[cols[c]], iou.item(r, c))
+                for r, c in assign.gated_pairs(iou, IOU_THRESHOLD)]
 
 
 def _matchers(gt_frames, pred_frames):
-    """One _FrameMatcher per frame of the longer list; the shorter list's
+    """Yield a _FrameMatcher per frame of the longer list, or None for a
+    frame with neither ground truth nor predictions; the shorter list's
     missing tail frames are empty. Raises ValueError when a prediction
     score is NaN or infinite, or a frame repeats an object id or a track id."""
-    matchers = []
     for t, (gt, pred) in enumerate(itertools.zip_longest(gt_frames, pred_frames,
                                                           fillvalue=())):
+        if not gt and not pred:
+            yield None
+            continue
         for p in pred:
             if not math.isfinite(p[2]):
                 raise ValueError(f"frame {t}: prediction score {p[2]} is not finite")
@@ -102,19 +100,17 @@ def _matchers(gt_frames, pred_frames):
             if len(set(ids)) < len(ids):
                 repeated = next(i for k, i in enumerate(ids) if i in ids[:k])
                 raise ValueError(f"frame {t}: {kind} id {repeated} appears twice")
-        matchers.append(m)
-    return matchers
+        yield m
 
 
-def _tally(matchers, score_threshold) -> FrameCounts:
-    """Walk the frames at one score threshold with id carry-over. Each
-    frame's IoUs are summed first and the frame sums then added in frame
-    order, the order that fixes matched_iou_sum's bits."""
+def _tally(frames) -> FrameCounts:
+    """Fold (gt_count, kept, pairs) per frame with id carry-over; a frame
+    with no boxes adds nothing. Each frame's IoUs are summed first and the
+    frame sums then added in frame order, which fixes matched_iou_sum's bits."""
     tp = kept_total = gt_count = idsw = 0
     iou_sum = 0.0
     carry = {}
-    for m in matchers:
-        kept, pairs = m.match(score_threshold)
+    for n_gt, kept, pairs in frames:
         frame_iou = 0.0
         for obj_id, tid, overlap in pairs:
             frame_iou += overlap
@@ -125,18 +121,27 @@ def _tally(matchers, score_threshold) -> FrameCounts:
         iou_sum += frame_iou
         tp += len(pairs)
         kept_total += kept
-        gt_count += len(m.gt_ids)
+        gt_count += n_gt
     return FrameCounts(tp, kept_total - tp, gt_count - tp, idsw, iou_sum, gt_count)
 
 
 def _full_tally(matchers) -> SequenceTally:
-    """The pass that keeps every prediction, with its matchings and the
-    MT bookkeeping."""
-    totals = _tally(matchers, -math.inf)
-    matches = [m.match(-math.inf)[1] for m in matchers]
-    return SequenceTally(totals, matches,
-                         Counter(obj_id for m in matchers for obj_id in m.gt_ids),
-                         Counter(obj_id for pairs in matches for obj_id, _, _ in pairs))
+    """The pass that keeps every prediction, with its matchings and the MT
+    bookkeeping, folding each frame in as it is matched (None: no boxes)."""
+    matches, present, matched = [], Counter(), Counter()
+
+    def frames():
+        for m in matchers:
+            if m is None:
+                matches.append([])
+                continue
+            pairs = m.match(-math.inf)
+            matches.append(pairs)
+            present.update(m.gt_ids)
+            matched.update(obj_id for obj_id, _, _ in pairs)
+            yield len(m.gt_ids), len(m.tids), pairs
+
+    return SequenceTally(_tally(frames()), matches, present, matched)
 
 
 def evaluate_sequence(gt_frames, pred_frames) -> SequenceTally:
@@ -210,37 +215,35 @@ def _smota(fp, fn, idsw, gt_total, recall_target):
     return min(1.0, max(0.0, value))
 
 
-def _recall_thresholds(matchers, gt_total, targets, full_recall):
-    """Map each reachable recall target's index to the highest score
-    threshold whose pass reaches it.
+def _operating_counts(matchers, full, gt_total, targets):
+    """[(threshold, FrameCounts)] of the reachable recall targets, in order.
 
-    A frame's TP count depends only on how many of its predictions are
-    kept, and that count moves at a score only in the frames holding it.
-    So the distinct scores are walked from the highest down, and at each
-    one only the frames holding it are matched again (memoised per kept
-    count) and folded into a running TP total. Recall is that total over
-    gt_total, the division of FrameCounts.recall. A target takes the
-    first score whose recall reaches it, so the assigned targets are
-    always the lowest ones, and the walk stops once every target up to
-    full_recall has a score.
+    A frame's matching depends only on how many of its predictions are
+    kept, which grows at a score only in the frames holding it. So the
+    distinct scores are walked once from the highest down, and at each
+    only the frames holding it are matched again (one that keeps all takes
+    full's pairs) and folded into a running TP total over gt_total, the
+    division of FrameCounts.recall. A target takes the first score whose
+    recall reaches it, with that score's counts tallied from the current
+    matchings. The walk stops once every target up to full's recall has one.
     """
-    frames_at = {}
-    for t, m in enumerate(matchers):
-        for s in m.scores.tolist():
-            frames_at.setdefault(s, set()).add(t)
-    needed = sum(1 for r in targets if r <= full_recall)
-    frame_tp = [0] * len(matchers)
-    total_tp, k, chosen = 0, 0, {}
-    for s in sorted(frames_at, reverse=True):
-        for t in frames_at[s]:
-            tp = len(matchers[t].match(s)[1])
-            total_tp += tp - frame_tp[t]
-            frame_tp[t] = tp
-        recall = total_tp / gt_total
-        while k < len(targets) and recall >= targets[k]:
-            chosen[k] = s
-            k += 1
-        if k >= needed:
+    held = sorted(((s, i) for i, m in enumerate(matchers) for s in set(m.scores)),
+                  key=operator.itemgetter(0), reverse=True)  # stable: frames ascend
+    needed = bisect.bisect_right(targets, full.totals.recall)  # targets ascend
+    current = [(0, [])] * len(matchers)  # (kept, pairs) per frame
+    total_tp, chosen = 0, []
+    for s, frames in itertools.groupby(held, key=operator.itemgetter(0)):
+        for _, i in frames:
+            m = matchers[i]
+            kept = len(m.scores) - bisect.bisect_left(m.ascending, s)
+            pairs = full.matches[i] if kept == len(m.tids) else m.match(s)
+            total_tp += len(pairs) - len(current[i][1])
+            current[i] = kept, pairs
+        reached = bisect.bisect_right(targets, total_tp / gt_total)
+        if reached > len(chosen):
+            counts = _tally((len(m.gt_ids), *c) for m, c in zip(matchers, current))
+            chosen += [(s, counts)] * (reached - len(chosen))
+        if len(chosen) >= needed:
             break
     return chosen
 
@@ -258,23 +261,19 @@ def amota_family(gt_frames, pred_frames) -> MetricsReport:
     if gt_total == 0:
         raise ValueError("sequence has no ground-truth boxes")
 
-    # IoU matrices and matchings are shared by every threshold's pass
-    # within this call and dropped with it.
-    matchers = _matchers(gt_frames, pred_frames)
+    # the frames with boxes; their IoU matrices serve both passes of this call
+    matchers = [m for m in _matchers(gt_frames, pred_frames) if m is not None]
     full = _full_tally(matchers)
     targets = [k / NUM_THRESHOLDS for k in range(1, NUM_THRESHOLDS + 1)]
-    chosen = _recall_thresholds(matchers, gt_total, targets, full.totals.recall)
-    tallies = {s: _tally(matchers, s) for s in set(chosen.values())}
+    chosen = _operating_counts(matchers, full, gt_total, targets)
 
     points = []
     amota_sum = amotp_sum = samota_sum = 0.0
     for k, target in enumerate(targets):
-        if k not in chosen:
-            points.append(OperatingPoint(target, None, 0.0, 0.0, 0.0, 0.0,
-                                         0, 0, 0, 0))
+        if k >= len(chosen):
+            points.append(OperatingPoint(target, None, 0.0, 0.0, 0.0, 0.0, 0, 0, 0, 0))
             continue
-        s = chosen[k]
-        counts = tallies[s]
+        s, counts = chosen[k]
         mota, motp = mota_motp(counts)
         smota = _smota(counts.fp, counts.fn, counts.idsw, gt_total, target)
         amota_sum += mota

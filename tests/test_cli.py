@@ -339,6 +339,35 @@ class TestTrack:
 
 
 class TestEvalAndAnalyze:
+    def test_long_gap_is_scored_without_work(self, tmp_path):
+        # Two objects at frames 0 and gap; object 2 changes track id across
+        # the gap, and a false positive comes last. Every empty frame of the
+        # gap gets no matcher, so both files equal those of the gap closed.
+        gap = 100_000
+
+        def score(last):
+            run = tmp_path / f"run{last}"
+            run.mkdir()
+            (run / "gt.jsonl").write_text("".join(
+                record("gt", frame=f, object_id=oid, x=x + dx)
+                for f, dx in ((0, 0.0), (last, 0.5)) for oid, x in ((1, 0.0), (2, 10.0))))
+            (run / "tracks.jsonl").write_text("".join(
+                record("tracks", frame=f, track_id=tid, x=x, score=s)
+                for f, tid, x, s in ((0, 1, 0.1, 0.9), (0, 2, 10.0, 0.6), (last, 1, 0.6, 0.8),
+                                     (last, 3, 10.4, 0.7), (last, 4, 50.0, 0.3))))
+            inputs = ["--tracks", str(run / "tracks.jsonl"), "--gt", str(run / "gt.jsonl")]
+            started = time.perf_counter()
+            assert run_cli("eval", *inputs, "--out", str(run / "report.json")) == 0
+            assert run_cli("analyze", *inputs, "--out", str(run / "motp.csv")) == 0
+            elapsed = time.perf_counter() - started
+            return [read_bytes(run / name) for name in ("report.json", "motp.csv")], elapsed
+
+        got, elapsed = score(gap)
+        want, _ = score(1)
+        assert json.loads(want[0])["operating_points"][-1]["idsw"] == 1
+        assert got == want
+        assert elapsed < 2.5  # with a matcher per empty frame it took about 5 s
+
     @pytest.fixture
     def tracked(self, tmp_path, scenario_cfg):
         sim_dir = tmp_path / "sim"

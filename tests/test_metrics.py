@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -168,6 +169,39 @@ class TestUnequalFrameCounts:
         assert report.operating_points[19].fn == 1
         assert report.operating_points[20].threshold is None
         assert report.to_dict() == metrics.amota_family(gt, pred + [[]]).to_dict()
+
+
+def traced_peak(call, *args):
+    """call(*args), and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSparseFrames:
+    def test_empty_frames_cost_no_matching(self):
+        # frames 4 and 7 of the dropout sequence: object 1 changes track id
+        # across the gap, so the id carry-over must bridge it
+        gt_frames, pred_frames = dropout_sequence()
+        gap = [[]] * 99_998
+        sparse = [gt_frames[4]] + gap + [gt_frames[7]], [pred_frames[4]] + gap + [pred_frames[7]]
+        adjacent = [gt_frames[4], gt_frames[7]], [pred_frames[4], pred_frames[7]]
+
+        tally, tally_peak = traced_peak(metrics.evaluate_sequence, *sparse)
+        want = metrics.evaluate_sequence(*adjacent)
+        assert tally.totals == want.totals and tally.totals.idsw == 1
+        assert len(tally.matches) == 100_000
+        assert (tally.matches[0], tally.matches[-1]) == tuple(want.matches)
+        assert not any(tally.matches[1:-1])
+        assert (tally.frames_present, tally.frames_matched) == \
+            (want.frames_present, want.frames_matched)
+
+        report, report_peak = traced_peak(metrics.amota_family, *sparse)
+        assert report == metrics.amota_family(*adjacent)
+        # an IoU matrix and matcher per empty frame would take about 80 MB
+        assert max(tally_peak, report_peak) < 16 * 2**20
 
 
 class TestMotaMotp:
@@ -360,35 +394,77 @@ class TestGateSharedWithTracker:
             iou.item(r, c) for r, c in zip(result.matched_rows, result.matched_cols))
 
 
-def full_tally_scan(matchers, gt_total, targets, full_recall):
-    """Reference for metrics._recall_thresholds: one full _tally per
-    distinct score, from the highest down, until every target up to
-    full_recall is assigned (the scan the running-TP walk replaced)."""
-    scores = sorted({s for m in matchers for s in m.scores.tolist()}, reverse=True)
-    needed = {k for k, t in enumerate(targets) if t <= full_recall}
+def scanned_report(gt_frames, pred_frames):
+    """Reference for amota_family: a full carry-over tally (evaluate_sequence
+    on the kept predictions) at every distinct score from the highest down,
+    until every target up to full recall is assigned, and the report built
+    from the chosen tallies."""
+    gt_total = sum(len(f) for f in gt_frames)
+    full = metrics.evaluate_sequence(gt_frames, pred_frames)
+    targets = [k / metrics.NUM_THRESHOLDS for k in range(1, metrics.NUM_THRESHOLDS + 1)]
+    needed = {k for k, target in enumerate(targets) if target <= full.totals.recall}
     chosen = {}
-    for s in scores:
-        tally = metrics._tally(matchers, s)
+    for s in sorted({p[2] for f in pred_frames for p in f}, reverse=True):
+        kept = [[p for p in f if p[2] >= s] for f in pred_frames]
+        counts = metrics.evaluate_sequence(gt_frames, kept).totals
         for k, target in enumerate(targets):
-            if k not in chosen and tally.recall >= target:
-                chosen[k] = s
+            if k not in chosen and counts.recall >= target:
+                chosen[k] = s, counts
         if needed <= chosen.keys():
             break
-    return chosen
+    points, sums = [], [0.0, 0.0, 0.0]
+    for k, target in enumerate(targets):
+        if k not in chosen:
+            points.append(metrics.OperatingPoint(target, None, 0.0, 0.0, 0.0, 0.0,
+                                                 0, 0, 0, 0))
+            continue
+        s, c = chosen[k]
+        mota, motp = metrics.mota_motp(c)
+        smota = min(1.0, max(0.0, 1.0 - (c.fp + c.fn + c.idsw - (1.0 - target) * gt_total)
+                             / (target * gt_total)))
+        for i, value in enumerate((mota, motp, smota)):
+            sums[i] += value
+        points.append(metrics.OperatingPoint(target, s, c.recall, mota, motp, smota,
+                                             c.tp, c.fp, c.fn, c.idsw))
+    mota, motp = metrics.mota_motp(full.totals)
+    mt = metrics.mostly_tracked(full.frames_present, full.frames_matched)
+    amota, amotp, samota = (100.0 * v / metrics.NUM_THRESHOLDS for v in sums)
+    return metrics.MetricsReport(amota, amotp, samota, 100.0 * mota, 100.0 * motp,
+                                 100.0 * mt, tuple(points))
 
 
-def counted_amota_family(gt_frames, pred_frames):
-    """amota_family's report as a dict, and its number of solver calls."""
+def solver_shapes(call, *args):
+    """call(*args), and the shape of each cost matrix the solver was given."""
     solve = metrics.assign.hungarian_min_cost
-    calls = []
+    shapes = []
 
     def counting(cost):
-        calls.append(None)
+        shapes.append(cost.shape)
         return solve(cost)
 
     with mock.patch.object(metrics.assign, "hungarian_min_cost", counting):
-        report = metrics.amota_family(gt_frames, pred_frames)
-    return report.to_dict(), len(calls)
+        result = call(*args)
+    return result, sorted(shapes)
+
+
+def reached_shapes(gt_frames, pred_frames, report):
+    """The (GT count, kept count) of each distinct (frame, kept count > 0)
+    that the keep-everything pass and the threshold walk reach. The walk
+    visits the distinct scores from the highest down to the lowest chosen
+    threshold, or only the highest when no target has a threshold."""
+    chosen = [p.threshold for p in report.operating_points if p.threshold is not None]
+    floor = min(chosen) if chosen else max((p[2] for f in pred_frames for p in f),
+                                           default=None)  # None: no scores to walk
+    reached = set()
+    for t, (gt, pred) in enumerate(itertools.zip_longest(gt_frames, pred_frames,
+                                                          fillvalue=())):
+        frame_scores = [p[2] for p in pred]
+        if frame_scores:
+            reached.add((t, len(gt), len(frame_scores)))
+        for s in set(frame_scores):
+            if s >= floor:
+                reached.add((t, len(gt), sum(1 for q in frame_scores if q >= s)))
+    return sorted((n_gt, kept) for _, n_gt, kept in reached)
 
 
 class TestThresholdScan:
@@ -400,10 +476,10 @@ class TestThresholdScan:
         gt_frames = [gt_row(gt) for gt, _ in frames]
         pred_frames = [pred_row(pred) for _, pred in frames]
         assume(any(gt_frames))
-        got = counted_amota_family(gt_frames, pred_frames)
-        with mock.patch.object(metrics, "_recall_thresholds", full_tally_scan):
-            want = counted_amota_family(gt_frames, pred_frames)
-        assert got == want
+        report, shapes = solver_shapes(metrics.amota_family, gt_frames, pred_frames)
+        assert report == scanned_report(gt_frames, pred_frames)
+        # one solve per (frame with boxes, kept count > 0) reached, and no other
+        assert shapes == reached_shapes(gt_frames, pred_frames, report)
 
     def test_targets_reached_above_full_recall_are_kept(self):
         # Along x, with IoUs P1-A 0.3, P1-B 0.1, P2-A 0.24 and P2-B 0. P1
@@ -412,11 +488,11 @@ class TestThresholdScan:
         # 0.9 to 0 with every prediction kept.
         gt_frames = [gt_row([(0, 0.0, 0.0), (1, 6.103, 0.0)])]
         pred_frames = [pred_row([(1, 2.423, 0.0, 0.9), (2, -2.758, 0.0, 0.5)])]
-        report = metrics.amota_family(gt_frames, pred_frames)
+        report, shapes = solver_shapes(metrics.amota_family, gt_frames, pred_frames)
         assert [p.threshold for p in report.operating_points] == [0.9] * 20 + [None] * 20
         assert report.mota == -100.0  # two misses and two false positives
-        with mock.patch.object(metrics, "_recall_thresholds", full_tally_scan):
-            assert metrics.amota_family(gt_frames, pred_frames) == report
+        assert report == scanned_report(gt_frames, pred_frames)
+        assert shapes == [(2, 1), (2, 2)]  # the walk stops at 0.9; all kept is solved once
 
     @pytest.mark.parametrize("score", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_score_rejected(self, score):
