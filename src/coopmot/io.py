@@ -147,29 +147,24 @@ _scored_box = operator.attrgetter(*BOX_FIELDS, "score")
 _seven = operator.itemgetter(*range(7))
 
 
-def _bundles(frames: dict) -> list:
-    """Dense, agent-sorted FrameBundles of {frame: {agent: detections}}."""
-    return [FrameBundle(frame=t, detections_by_agent=dict(sorted(per_agent.items())))
-            for t, per_agent in enumerate(_dense(frames, dict))]
+def read_detections(*paths) -> list:
+    """Read detection files, in order, into dense, agent-sorted FrameBundles.
 
-
-def read_detections(path) -> list:
-    """Read a detection file into dense, agent-sorted FrameBundles."""
+    Frame order is checked within each file; an agent found in several
+    files keeps its detections in the order of the paths."""
     frames = {}
-    for frame, agent, d in _records(path, "agent", BOX_FIELDS + ("score",), _detection):
-        frames.setdefault(frame, {}).setdefault(agent, []).append(d)
-    return _bundles(frames)
+    for path in paths:
+        for frame, agent, d in _records(path, "agent", BOX_FIELDS + ("score",), _detection):
+            frames.setdefault(frame, {}).setdefault(agent, []).append(d)
+    # each list is copied at its length: appends leave up to half its slots spare
+    return [FrameBundle(frame=t, detections_by_agent={
+                agent: per_agent[agent][:] for agent in sorted(per_agent)})
+            for t, per_agent in enumerate(_dense(frames, dict))]
 
 
 def merge_detection_files(paths) -> list:
     """Combine per-agent detection files into one bundle sequence."""
-    frames = {}
-    for path in paths:
-        for bundle in read_detections(path):
-            per_agent = frames.setdefault(bundle.frame, {})
-            for agent, dets in bundle.detections_by_agent.items():
-                per_agent.setdefault(agent, []).extend(dets)
-    return _bundles(frames)
+    return read_detections(*paths)
 
 
 def write_detections(path, bundles) -> None:

@@ -46,9 +46,10 @@ class FrameCounts:
 
 @dataclass
 class SequenceTally:
-    """The pass that keeps every prediction: its totals, each frame's gated
-    (object_id, track_id, iou) pairs in GT row order, and per object how
-    many frames it is present in and matched in."""
+    """The pass that keeps every prediction: its totals, the gated
+    (object_id, track_id, iou) pairs in GT row order of each frame that
+    holds a box, in frame order, and per object how many frames it is
+    present in and matched in."""
 
     totals: FrameCounts
     matches: list
@@ -83,14 +84,13 @@ class _FrameMatcher:
 
 
 def _matchers(gt_frames, pred_frames):
-    """Yield a _FrameMatcher per frame of the longer list, or None for a
-    frame with neither ground truth nor predictions; the shorter list's
-    missing tail frames are empty. Raises ValueError when a prediction
-    score is NaN or infinite, or a frame repeats an object id or a track id."""
+    """Yield a _FrameMatcher per frame of the longer list that holds a box;
+    the shorter list's missing tail frames are empty. Raises ValueError when
+    a prediction score is NaN or infinite, or a frame repeats an object id
+    or a track id."""
     for t, (gt, pred) in enumerate(itertools.zip_longest(gt_frames, pred_frames,
                                                           fillvalue=())):
         if not gt and not pred:
-            yield None
             continue
         for p in pred:
             if not math.isfinite(p[2]):
@@ -127,14 +127,11 @@ def _tally(frames) -> FrameCounts:
 
 def _full_tally(matchers) -> SequenceTally:
     """The pass that keeps every prediction, with its matchings and the MT
-    bookkeeping, folding each frame in as it is matched (None: no boxes)."""
+    bookkeeping, folding each frame in as it is matched."""
     matches, present, matched = [], Counter(), Counter()
 
     def frames():
         for m in matchers:
-            if m is None:
-                matches.append([])
-                continue
             pairs = m.match(-math.inf)
             matches.append(pairs)
             present.update(m.gt_ids)
@@ -262,7 +259,7 @@ def amota_family(gt_frames, pred_frames) -> MetricsReport:
         raise ValueError("sequence has no ground-truth boxes")
 
     # the frames with boxes; their IoU matrices serve both passes of this call
-    matchers = [m for m in _matchers(gt_frames, pred_frames) if m is not None]
+    matchers = list(_matchers(gt_frames, pred_frames))
     full = _full_tally(matchers)
     targets = [k / NUM_THRESHOLDS for k in range(1, NUM_THRESHOLDS + 1)]
     chosen = _operating_counts(matchers, full, gt_total, targets)

@@ -16,9 +16,10 @@ and the parsed runs are kept in ``bench_out/pairs/runs-W.json``.
 
 Per metric it prints the base's median [q1, q3] and the change's median.
 For each metric that BENCHMARK.json declares, it adds the change's wins
-(pairs in which it is better; ties count for neither), and ``gain`` when,
-over at least ten pairs, the change wins at least nine tenths of them and
-the medians differ by more than the base's interquartile range.
+(pairs in which it is better; ties count for neither), the two-sided exact
+sign-test p of those wins against the losses (ties dropped), and ``gain``
+when, over at least ten pairs, the change wins at least nine tenths of them
+and the medians differ by more than the base's interquartile range.
 ``peak_rss_mb`` grows with the number of units a run fits into its time,
 so it is compared only over the pairs whose two runs have equal ``units``.
 Standard library only.
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import statistics
@@ -39,6 +41,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS_DIR = os.path.join(ROOT, "bench_out", "pairs")
 UNIT_SENSITIVE = "peak_rss_mb"  # grows with units: compared at equal unit counts
 MIN_PAIRS = 10  # fewer pairs claim no gain
+SIGN = {"lower": -1.0, "higher": 1.0}  # a declared direction, as the sign of a win
 
 
 def git(*args) -> bytes:
@@ -90,6 +93,34 @@ def quartiles(values):
     return q1, median, q3
 
 
+def sign_p(wins, losses) -> float:
+    """The two-sided exact sign-test p of wins against losses: twice the
+    chance that a fair coin gives at least max(wins, losses) of the
+    wins + losses tosses to one side, at most 1."""
+    n = wins + losses
+    tail = sum(math.comb(n, k) for k in range(max(wins, losses), n + 1))
+    return min(1.0, 2 * tail / 2 ** n)
+
+
+def paired(pairs, name):
+    """(base values, change values) of name over the pairs that compare it."""
+    used = [(b, c) for b, c in pairs if name in b["metrics"] and name in c["metrics"]
+            and (name != UNIT_SENSITIVE or b["units"] == c["units"])]
+    return [b["metrics"][name] for b, _ in used], [c["metrics"][name] for _, c in used]
+
+
+def sign_tests(pairs, better) -> dict:
+    """{name: sign-test p} of each declared metric that a pair compares."""
+    ps = {}
+    for name in pairs[0][0]["units_of"]:
+        sign = SIGN.get(better.get(name))
+        base, change = paired(pairs, name)
+        if sign is not None and base:
+            diffs = [sign * (c - b) for b, c in zip(base, change)]
+            ps[name] = sign_p(sum(d > 0 for d in diffs), sum(d < 0 for d in diffs))
+    return ps
+
+
 def summarize(pairs, better) -> list:
     """One row per metric that both sides report, in the base's order.
 
@@ -99,26 +130,25 @@ def summarize(pairs, better) -> list:
     gain); wins is None for an undeclared metric, which has no direction."""
     rows = []
     for name, unit in pairs[0][0]["units_of"].items():
-        used = [(b, c) for b, c in pairs if name in b["metrics"] and name in c["metrics"]
-                and (name != UNIT_SENSITIVE or b["units"] == c["units"])]
-        if not used:
+        base, change = paired(pairs, name)
+        if not base:
             rows.append((name, unit, 0, None, None, None, False))
             continue
-        base = [b["metrics"][name] for b, _ in used]
-        change = [c["metrics"][name] for _, c in used]
         q1, median, q3 = quartiles(base)
         change_median = statistics.median(change)
-        sign = {"lower": -1.0, "higher": 1.0}.get(better.get(name))
+        sign = SIGN.get(better.get(name))
         wins, gain = None, False
         if sign is not None:
             wins = sum(1 for b, c in zip(base, change) if sign * (c - b) > 0)
-            gain = (len(used) >= MIN_PAIRS and 10 * wins >= 9 * len(used)
+            gain = (len(base) >= MIN_PAIRS and 10 * wins >= 9 * len(base)
                     and sign * (change_median - median) > q3 - q1)
-        rows.append((name, unit, len(used), (q1, median, q3), change_median, wins, gain))
+        rows.append((name, unit, len(base), (q1, median, q3), change_median, wins, gain))
     return rows
 
 
-def format_rows(rows, n_pairs) -> str:
+def format_rows(rows, n_pairs, ps=None) -> str:
+    """The rows as a table; ps, as sign_tests gives it, adds each p after the wins."""
+    ps = ps or {}
     out = [f"{'metric':<22}{'unit':<10}{'base median [q1, q3]':<34}"
            f"{'change median':<16}wins"]
     for name, unit, used, base, change, wins, gain in rows:
@@ -129,6 +159,8 @@ def format_rows(rows, n_pairs) -> str:
         note = "-" if wins is None else f"{wins}/{used}"
         if used < n_pairs:
             note += f" (the {used} of {n_pairs} pairs with equal units)"
+        if name in ps:
+            note += f"  p={ps[name]:.3g}"
         out.append(f"{name:<22}{unit:<10}{f'{median:.4g} [{q1:.4g}, {q3:.4g}]':<34}"
                    f"{change:<16.4g}{note}{'  gain' if gain else ''}")
     return "\n".join(out)
@@ -173,7 +205,7 @@ def main(argv=None) -> int:
     failed = [sum(run["failed"] for run in side) for side in zip(*pairs)]
     print(f"{args.workload}: {args.pairs} alternated pairs, base {args.base}, change "
           f"{args.change or 'working tree'}; failed operations {failed[0]} / {failed[1]}")
-    print(format_rows(summarize(pairs, better), args.pairs))
+    print(format_rows(summarize(pairs, better), args.pairs, sign_tests(pairs, better)))
     return 1 if failed[1] > failed[0] else 0
 
 

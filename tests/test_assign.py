@@ -28,6 +28,11 @@ class TestHungarian:
         assert assign.hungarian_min_cost(np.zeros((0, 3))) == []
         assert assign.hungarian_min_cost(np.zeros((3, 0))) == []
 
+    def test_cost_must_be_two_dimensional(self):
+        for cost in (np.zeros(3), np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError, match="cost must be a 2-D matrix"):
+                assign.hungarian_min_cost(cost)
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="cost matrix has non-finite entries"):
             assign.hungarian_min_cost([[np.nan, 1.0], [1.0, 1.0]])

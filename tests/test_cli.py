@@ -143,7 +143,10 @@ class TestSimulate:
         ({"occlusion_sectors": [[0.5], []]}, "occlusion_sectors must be a list"),
         ({"occlusion_sectors": [0.5, []]}, "occlusion_sectors must be a list"),
         ({"occlusion_sectors": None}, "occlusion_sectors must be a list"),
-    ], ids=[f"raw{k}" for k in range(32)])
+        ({"num_objects": -1}, "num_objects must be >= 0"),
+        ({"speed_min": -0.1}, "need 0 <= speed_min <= speed_max"),
+        ({"speed_min": 0.5, "speed_max": 0.1}, "need 0 <= speed_min <= speed_max"),
+    ], ids=[f"raw{k}" for k in range(35)])
     def test_per_agent_list_length_exits_2(self, tmp_path, capsys, raw, message):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))

@@ -137,6 +137,26 @@ class TestDetectionsRoundTrip:
             assert total_detections(rt) == total_detections(orig)
             assert list(rt.detections_by_agent) == sorted(orig.detections_by_agent)
 
+        def row(frame, agent, x):
+            return json.dumps({"frame": frame, "agent": agent, "x": x, "y": 0.0, "z": 0.0,
+                               "theta": 0.0, "h": 1.0, "w": 1.0, "l": 1.0,
+                               "score": 0.5}) + "\n"
+
+        # the second file restarts at frame 0, and agent b, in both files,
+        # keeps its detections in path order
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        first.write_text(row(0, "b", 1.0) + row(2, "b", 2.0))
+        second.write_text(row(0, "b", 3.0) + row(0, "a", 4.0) + row(2, "b", 5.0))
+        merged = io.merge_detection_files([first, second])
+        assert [{agent: [d.x for d in dets] for agent, dets in b.detections_by_agent.items()}
+                for b in merged] == [{"a": [4.0], "b": [1.0, 3.0]}, {}, {"b": [2.0, 5.0]}]
+        assert list(merged[0].detections_by_agent) == ["a", "b"]
+        # frame order is checked within each file, and an error names its file
+        second.write_text(row(0, "b", 3.0) + row(2, "b", 4.0) + row(1, "b", 5.0))
+        message = f"{second}: line 3: frame 1 after frame 2"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            io.merge_detection_files([first, second])
+
 
 class TestGtAndTracksRoundTrip:
     def test_full_precision_round_trip(self, tmp_path):

@@ -85,3 +85,26 @@ def test_format_rows_names_unequal_units():
     assert "peak_rss_mb" in text and "no pair with equal units" in text
     line = next(li for li in text.splitlines() if li.startswith("wall_s"))
     assert line.split()[-1] == "1/1"
+
+
+def test_sign_test_p_on_canned_runs():
+    # the change's wall_s wins k of ten pairs and loses the rest; its fps
+    # is tied in the first pair, which the sign test drops
+    def runs(k):
+        return [(pairs.parse_run(canned(10, 0.4, 43.0, 900.0, 0.03)),
+                 pairs.parse_run(canned(10, 0.3 if j < k else 0.5, 43.0,
+                                        900.0 if j == 0 else 901.0, 0.03)))
+                for j in range(10)]
+
+    for k, want in ((9, 0.0215), (10, 0.00195), (5, 1.0)):
+        ps = pairs.sign_tests(runs(k), BETTER)
+        assert float(f"{ps['wall_s']:.3g}") == want, k
+        assert ps["track_fps"] == 2 / 2**9  # 9 of 9
+        assert "eval_s" not in ps  # undeclared: no direction
+    assert pairs.sign_p(9, 1) == pairs.sign_p(1, 9) == 22 / 1024
+    assert pairs.sign_p(0, 0) == 1.0
+
+    nine = runs(9)
+    text = pairs.format_rows(pairs.summarize(nine, BETTER), 10, pairs.sign_tests(nine, BETTER))
+    line = next(li for li in text.splitlines() if li.startswith("wall_s"))
+    assert line.split()[-3:] == ["9/10", "p=0.0215", "gain"]
