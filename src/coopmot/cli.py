@@ -5,8 +5,9 @@ output path that cannot be written. The commands raise; ``main`` is the
 one error boundary that turns an exception into a one-line
 ``error: <message>`` and an exit code. A data error (exit 1) is an
 OSError or ValueError from reading, tracking or scoring, such as a bad
-or nested-too-deep JSON line or a non-finite IoU cost. The same faults
-in a tracker or scenario config file are config errors (exit 2). Every
+or nested-too-deep JSON line or a non-finite IoU cost, and so is running
+out of memory. The same faults in a tracker or scenario config file are
+config errors (exit 2). Every
 command writes a run_manifest.json beside its outputs with enough
 information to reproduce the run.
 """
@@ -205,6 +206,8 @@ def main(argv=None) -> int:
         error, code = exc, 2
     except (OSError, ValueError) as exc:
         error, code = exc, 1
+    except MemoryError:  # its message is empty
+        error, code = f"out of memory in {args.command}", 1
     else:
         return 0
     print(f"error: {error}", file=sys.stderr)

@@ -1,6 +1,6 @@
 """Shared domain types, configuration and validation.
 
-A config dataclass checks its fields' types and ranges when built, whether
+A Detection and a config dataclass check their fields when built, whether
 the values come from a file, from Python or from dataclasses.replace.
 
 All types here are immutable value objects. The arrays that flow between
@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+_INF = math.inf
 
 
 class ConfigParse(ValueError):
@@ -40,7 +41,9 @@ class Detection:
     """One 3D bounding box: centroid, yaw about z, extents, confidence.
 
     Positions are meters in the global frame, theta is radians in
-    [-pi, pi), h/w/l are height, width, length in meters.
+    [-pi, pi), h/w/l are height, width, length in meters. Building one
+    raises ValueError when any field is non-finite, any extent is <= 0, or
+    the score lies outside [0, 1], and wraps an out-of-range theta.
     """
 
     x: float
@@ -52,31 +55,28 @@ class Detection:
     l: float
     score: float = 1.0
 
+    def __post_init__(self):
+        # NaN fails every comparison; a huge int passes, as a finite number
+        if not (-_INF < self.x < _INF and -_INF < self.y < _INF and -_INF < self.z < _INF
+                and 0.0 < self.h < _INF and 0.0 < self.w < _INF and 0.0 < self.l < _INF
+                and 0.0 <= self.score <= 1.0 and -math.pi <= self.theta < math.pi):
+            self._refuse_or_wrap()
+
+    def _refuse_or_wrap(self):
+        """Raise the first broken rule's ValueError, else wrap theta."""
+        bad = [f.name for f in fields(self) if not -_INF < getattr(self, f.name) < _INF]
+        if bad:
+            raise ValueError(f"non-finite field in detection: {', '.join(bad)}")
+        if self.h <= 0 or self.w <= 0 or self.l <= 0:
+            raise ValueError(f"non-positive extent (h={self.h}, w={self.w}, l={self.l})")
+        if not 0.0 <= self.score <= 1.0:
+            raise ValueError(f"score {self.score} outside [0, 1]")
+        object.__setattr__(self, "theta", wrap_angle(self.theta))
+
     def box7(self) -> np.ndarray:
         """The [x y z theta h w l] vector."""
         return np.array([self.x, self.y, self.z, self.theta,
                          self.h, self.w, self.l], dtype=float)
-
-
-def validate_detection(d: Detection) -> Detection:
-    """Return d with theta wrapped to [-pi, pi); reject degenerate boxes.
-
-    Raises ValueError when any field is non-finite, any extent is <= 0,
-    or the score lies outside [0, 1].
-    """
-    if not (math.isfinite(d.x) and math.isfinite(d.y) and math.isfinite(d.z)
-            and math.isfinite(d.theta) and math.isfinite(d.h) and math.isfinite(d.w)
-            and math.isfinite(d.l) and math.isfinite(d.score)):
-        bad = [k for k, v in asdict(d).items() if not math.isfinite(v)]
-        raise ValueError(f"non-finite field in detection: {', '.join(bad)}")
-    if d.h <= 0 or d.w <= 0 or d.l <= 0:
-        raise ValueError(f"non-positive extent (h={d.h}, w={d.w}, l={d.l})")
-    if not 0.0 <= d.score <= 1.0:
-        raise ValueError(f"score {d.score} outside [0, 1]")
-    theta = wrap_angle(d.theta)
-    if theta != d.theta:
-        return replace(d, theta=theta)
-    return d
 
 
 class Method(Enum):

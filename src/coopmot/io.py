@@ -24,7 +24,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .core import Detection, FrameBundle, validate_detection, wrap_angle
+from .core import Detection, FrameBundle, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,8 @@ def to_global(d: Detection, p: Pose) -> Detection:
     gx = c * d.x - s * d.y + p.x
     gy = s * d.x + c * d.y + p.y
     gz = d.z + p.z
-    return validate_detection(Detection(
-        x=gx, y=gy, z=gz, theta=d.theta + p.yaw,
-        h=d.h, w=d.w, l=d.l, score=d.score))
+    return Detection(x=gx, y=gy, z=gz, theta=d.theta + p.yaw,
+                     h=d.h, w=d.w, l=d.l, score=d.score)
 
 
 BOX_FIELDS = ("x", "y", "z", "theta", "h", "w", "l")
@@ -124,11 +123,6 @@ def _dense(frames: dict, empty) -> list:
             for t in range(max(frames, default=-1) + 1)]
 
 
-def _detection(*floats) -> Detection:
-    """The validated Detection of a record's box (and score) floats."""
-    return validate_detection(Detection(*floats))
-
-
 def _spell(values) -> tuple:
     """values as json.dumps writes them: finite exact floats as they are,
     since json.dumps writes them with float.__repr__, which is their str();
@@ -154,7 +148,7 @@ def read_detections(*paths) -> list:
     files keeps its detections in the order of the paths."""
     frames = {}
     for path in paths:
-        for frame, agent, d in _records(path, "agent", BOX_FIELDS + ("score",), _detection):
+        for frame, agent, d in _records(path, "agent", BOX_FIELDS + ("score",), Detection):
             frames.setdefault(frame, {}).setdefault(agent, []).append(d)
     # each list is copied at its length: appends leave up to half its slots spare
     return [FrameBundle(frame=t, detections_by_agent={
@@ -182,7 +176,7 @@ def write_detections(path, bundles) -> None:
 def read_gt(path) -> list:
     """Read ground truth as per-frame lists of (object_id, Detection)."""
     frames = {}
-    for frame, oid, d in _records(path, "object_id", BOX_FIELDS, _detection):
+    for frame, oid, d in _records(path, "object_id", BOX_FIELDS, Detection):
         frames.setdefault(frame, []).append((oid, d))
     return _dense(frames, list)
 
@@ -198,7 +192,7 @@ def write_gt(path, gt_frames) -> None:
 def read_tracks(path) -> list:
     """Read tracker output as per-frame lists of (track_id, Detection, score)."""
     frames = {}
-    for frame, tid, d in _records(path, "track_id", BOX_FIELDS + ("score",), _detection):
+    for frame, tid, d in _records(path, "track_id", BOX_FIELDS + ("score",), Detection):
         frames.setdefault(frame, []).append((tid, d, d.score))
     return _dense(frames, list)
 

@@ -170,8 +170,6 @@ def generate(cfg: ScenarioConfig):
                     raise ValueError("detection position is not finite "
                                      f"at frame {t}, agent {agent}")
                 score = min(1.0, max(0.0, cfg.score_base + cfg.score_jitter * jitter))
-                # valid by construction: theta is wrapped, the extents are
-                # constants, the score is clamped, the position checked above
                 dets.append(Detection(dx, dy, dz, thetas[oid], CAR_H, CAR_W, CAR_L, score))
             per_agent[agent] = dets
         bundles.append(FrameBundle(frame=t, detections_by_agent=per_agent))

@@ -25,15 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assign, graphlap, kalman
-from .core import FrameBundle, TrackerConfig, Method, validate_detection
+from .core import FrameBundle, TrackerConfig, Method
 
 MODEL = kalman.default_model()
-# The closed range of each stacked column that validate_detection accepts:
-# a finite value, an extent of at least the smallest positive float, and a
-# score in [0, 1].
-_LOWEST = np.array([-np.finfo(float).max] * 4 + [np.finfo(float).smallest_subnormal] * 3
-                   + [0.0])
-_HIGHEST = np.array([np.finfo(float).max] * 7 + [1.0])
 
 
 @dataclass(frozen=True)
@@ -75,20 +69,11 @@ def manage_lifecycle(tracks: kalman.Tracks, matched, cfg: TrackerConfig) -> kalm
 
 def _stacked(bundle: FrameBundle):
     """Every agent's detections stacked in agent order: (N, 7) boxes, (N,)
-    scores and the detection count of each agent.
-
-    Raises ValueError naming the frame when a detection breaks the rules
-    that io applies to a file's records (core.validate_detection), so a
-    Detection built in Python is checked like one read from a file."""
+    scores and the detection count of each agent. A Detection checked
+    itself when built, so the rows need no second check."""
     agents = bundle.detections_by_agent.values()
     table = np.array([(d.x, d.y, d.z, d.theta, d.h, d.w, d.l, d.score)
                       for dets in agents for d in dets], dtype=float).reshape(-1, 8)
-    if not ((_LOWEST <= table) & (table <= _HIGHEST)).all():
-        for d in (d for dets in agents for d in dets):
-            try:
-                validate_detection(d)
-            except ValueError as exc:
-                raise ValueError(f"frame {bundle.frame}: {exc}") from None
     sizes = [len(dets) for dets in agents]
     return table[:, :kalman.MEAS_DIM], table[:, kalman.MEAS_DIM], sizes
 

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from coopmot import assign, geometry, graphlap, kalman, sim
-from coopmot.core import (Detection, FrameBundle, Method, TrackerConfig, validate_detection,
-                          wrap_angle)
+from coopmot.core import Detection, FrameBundle, Method, TrackerConfig, wrap_angle
 from coopmot.io import Pose
 
 
@@ -130,17 +129,13 @@ def reference_generate(cfg):
     bundles = []
     with np.errstate(over="ignore"):  # overflows raise ValueError below
         for t in range(cfg.num_frames):
-            gt_row = []
-            positions = []
-            for oid, obj in enumerate(objects):
-                pos = obj.pos0 + t * obj.vel
-                positions.append(pos)
-                gt_row.append((oid, Detection(
-                    x=pos[0], y=pos[1], z=pos[2], theta=obj.theta,
-                    h=sim.CAR_H, w=sim.CAR_W, l=sim.CAR_L, score=1.0)))
+            positions = [obj.pos0 + t * obj.vel for obj in objects]
             if not np.isfinite(positions).all():
                 raise ValueError(f"ground-truth position is not finite at frame {t}")
-            gt_frames.append(gt_row)
+            gt_frames.append([(oid, Detection(
+                x=pos[0], y=pos[1], z=pos[2], theta=obj.theta,
+                h=sim.CAR_H, w=sim.CAR_W, l=sim.CAR_L, score=1.0))
+                for oid, (obj, pos) in enumerate(zip(objects, positions))])
 
             per_agent = {}
             for a, agent in enumerate(sim.AGENTS):
@@ -161,9 +156,9 @@ def reference_generate(cfg):
                         raise ValueError("detection position is not finite "
                                          f"at frame {t}, agent {agent}")
                     score = min(1.0, max(0.0, cfg.score_base + cfg.score_jitter * jitter))
-                    dets.append(validate_detection(Detection(
+                    dets.append(Detection(
                         x=x, y=y, z=z, theta=obj.theta,
-                        h=sim.CAR_H, w=sim.CAR_W, l=sim.CAR_L, score=score)))
+                        h=sim.CAR_H, w=sim.CAR_W, l=sim.CAR_L, score=score))
                 per_agent[agent] = dets
             bundles.append(FrameBundle(frame=t, detections_by_agent=per_agent))
     return gt_frames, bundles

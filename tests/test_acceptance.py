@@ -38,21 +38,24 @@ def _report(criterion, detail):
 
 def test_c01_laplacian_solver_matches_pinv_oracle(rng):
     """200 random frames, N <= 50, every anchor variant: relative error
-    < 1e-8 vs the pseudo-inverse of the explicit stacked [L; I] system."""
-    started = time.time()
+    < 1e-8 vs the pseudo-inverse of the explicit stacked [L; I] system. The
+    solver's own calls take under 1 s in all; the oracle is not timed."""
+    elapsed = 0.0
     worst = 0.0
     for _ in range(200):
         frame = random_graph_frame(rng, n_max=50)
         keys = node_keys(*frame[:2])
         for variant in VARIANTS:
-            v = by_key(refined_centroids(*frame, variant), keys)
+            started = time.perf_counter()
+            refined = refined_centroids(*frame, variant)
+            elapsed += time.perf_counter() - started
+            v = by_key(refined, keys)
             expected = by_key(oracle_centroids(*frame, variant), keys)
             rel = np.linalg.norm(v - expected) / max(np.linalg.norm(expected), 1e-30)
             worst = max(worst, rel)
             assert rel < 1e-8
-    elapsed = time.time() - started
-    assert elapsed < 5.0
-    _report(1, f"worst rel err {worst:.2e}, {elapsed:.2f}s")
+    assert elapsed < 1.0
+    _report(1, f"worst rel err {worst:.2e}, solver {elapsed:.2f}s")
 
 
 def test_c02_closed_form_pair_solves():

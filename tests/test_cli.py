@@ -693,7 +693,7 @@ def test_malformed_input_one_line_error(tmp_path, capsys, command, kind, content
 
 def test_only_exit_code_exceptions():
     # main tells failures apart by these two types (exit 2); every other
-    # failure is a ValueError or an OSError (exit 1)
+    # failure is a ValueError, an OSError or a MemoryError (exit 1)
     found = {obj for name in ("assign", "cli", "core", "geometry", "graphlap", "io",
                               "kalman", "metrics", "sim", "tracker")
              for obj in vars(importlib.import_module(f"coopmot.{name}")).values()
@@ -741,6 +741,34 @@ def test_huge_finite_boxes_eval_one_line(tmp_path, capsys, command):
         assert err == ""
     else:
         assert code == 1 and err == "error: cost matrix has non-finite entries\n"
+
+
+CAPPED = textwrap.dedent("""
+    import resource
+    import sys
+
+    resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))
+    from coopmot import cli
+    sys.exit(cli.main(sys.argv[1:]))
+""")
+
+
+def test_out_of_memory_one_line(tmp_path):
+    # two boxes a million frames apart, tracked in a process capped at 200 MB
+    # of address space: exit 0 if the frames fit, else one line, not a traceback
+    det = tmp_path / "det"
+    det.mkdir()
+    (det / "detections_a.jsonl").write_text(
+        record("detections", frame=0) + record("detections", frame=10**6))
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED, "track", "--detections", str(det),
+         "--out", str(tmp_path / "tracks.jsonl")],
+        env={**subprocess_env(), "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode in (0, 1)
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) <= 1
+    assert proc.stderr == "" or proc.stderr.startswith("error: ")
 
 
 NO_SCIPY = textwrap.dedent("""

@@ -21,50 +21,69 @@ def from_file(path) -> core.TrackerConfig:
 
 
 class TestValidateDetection:
+    # a Detection checks itself when built: by its constructor, by
+    # dataclasses.replace, and so by every reader and pipeline stage
     def test_angle_wrap(self):
-        d = core.validate_detection(make_box(theta=3 * math.pi / 2))
+        d = make_box(theta=3 * math.pi / 2)
         assert abs(d.theta - (-math.pi / 2)) < 1e-12
+        assert replace(d, theta=4.0).theta == core.wrap_angle(4.0)
 
     def test_degenerate_extent_rejected(self):
         with pytest.raises(ValueError, match="non-positive extent"):
-            core.validate_detection(make_box(h=0.0))
+            make_box(h=0.0)
+        with pytest.raises(ValueError, match=re.escape("(h=1.0, w=-1.0, l=1.0)")):
+            replace(make_box(), w=-1.0)
 
     def test_well_formed_unchanged(self):
         d = make_box(x=1.0, y=2.0, theta=0.5)
-        assert core.validate_detection(d) == d
+        assert (d.x, d.y, d.theta) == (1.0, 2.0, 0.5)
+        assert replace(d) == d
+        # a huge int is finite: accepted, where math.isfinite would overflow
+        assert make_box(x=10**400).x == 10**400
+        assert make_box(theta=-0.0).theta.hex() == (-0.0).hex()
 
     def test_non_finite_rejected(self):
-        for field in ("x", "theta", "l"):
+        for field in ("x", "theta", "l", "score"):
+            with pytest.raises(ValueError, match=f"^non-finite field in detection: {field}$"):
+                make_box(**{field: float("nan")})
+        for bad in (float("inf"), -float("inf")):
             with pytest.raises(ValueError, match="non-finite field"):
-                core.validate_detection(make_box(**{field: float("nan")}))
-        with pytest.raises(ValueError, match="non-finite field"):
-            core.validate_detection(make_box(x=float("inf")))
+                make_box(x=bad)
+            with pytest.raises(ValueError, match="non-finite field"):
+                make_box(h=bad)
 
     def test_non_finite_message_names_fields(self):
+        # the non-finite fields come first, ahead of the extent and the score
         with pytest.raises(ValueError) as info:
-            core.validate_detection(make_box(x=1e308 * 10, l=float("nan")))
+            make_box(x=1e308 * 10, h=-1.0, l=float("nan"), score=2.0)
         assert str(info.value) == "non-finite field in detection: x, l"
+        with pytest.raises(ValueError) as info:
+            make_box(x=10**400, h=-1.0, score=2.0)
+        assert str(info.value) == "non-positive extent (h=-1.0, w=1.0, l=1.0)"
 
     def test_score_range(self):
-        with pytest.raises(ValueError, match=re.escape("outside [0, 1]")):
-            core.validate_detection(make_box(score=1.5))
-        with pytest.raises(ValueError, match=re.escape("outside [0, 1]")):
-            core.validate_detection(make_box(score=-0.1))
+        with pytest.raises(ValueError, match=re.escape("score 1.5 outside [0, 1]")):
+            make_box(score=1.5)
+        with pytest.raises(ValueError, match=re.escape("score -0.1 outside [0, 1]")):
+            make_box(score=-0.1)
+        assert make_box(score=0.0).score == 0.0 and make_box(score=1).score == 1
 
     def test_fuzz_survivors_satisfy_invariants(self):
         rng = np.random.default_rng(7)
         for _ in range(500):
-            d = make_box(
+            values = dict(
                 x=rng.uniform(-100, 100), y=rng.uniform(-100, 100),
                 z=rng.uniform(-10, 10), theta=rng.uniform(-20, 20),
                 h=rng.uniform(-1, 5), w=rng.uniform(-1, 5),
                 l=rng.uniform(-1, 5), score=rng.uniform(-0.5, 1.5))
             try:
-                v = core.validate_detection(d)
+                v = make_box(**values)
             except ValueError:
-                assert d.h <= 0 or d.w <= 0 or d.l <= 0 or not 0 <= d.score <= 1
+                assert (min(values["h"], values["w"], values["l"]) <= 0
+                        or not 0 <= values["score"] <= 1)
                 continue
             assert -math.pi <= v.theta < math.pi
+            assert v.theta == core.wrap_angle(values["theta"])
             assert v.h > 0 and v.w > 0 and v.l > 0
             assert 0.0 <= v.score <= 1.0
 

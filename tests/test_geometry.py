@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from coopmot import geometry
 from coopmot.geometry import _pure
+from coopmot.io import BOX_FIELDS
 from helpers import iou3d, make_box, rand_box7
 from iou_oracle import iou3d_pair
 
@@ -225,9 +226,10 @@ class TestNonFiniteBoxes:
             geometry.as_box7_array(list(boxes))
         with pytest.raises(ValueError):
             geometry.as_box7_array([boxes[1]])
-        det = make_box(*boxes[1])
-        with pytest.raises(ValueError):
-            geometry.iou_matrix([det], boxes[:1])
+        # a Detection cannot hold the value: building one raises
+        message = f"^non-finite field in detection: {BOX_FIELDS[field]}$"
+        with pytest.raises(ValueError, match=message):
+            make_box(*boxes[1])
 
 
 def kernel_pair(a, b):

@@ -1,10 +1,12 @@
 import json
 import math
 import re
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coopmot import io, sim
@@ -285,6 +287,64 @@ class TestRoundTripProperty:
         assert flat(io.read_poses(path)) == flat(poses)
 
 
+# Any 8 floats either build a Detection that both box writers round-trip, or
+# raise the ValueError that a file's record of them raises after "line 1: ".
+EDGE = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -5e-324,
+                        2.2250738585072014e-308, 1.7976931348623157e308,
+                        -1.7976931348623157e308])
+
+
+@st.composite
+def eight_floats(draw):
+    """A valid box's 8 floats with any number of them swapped for any float."""
+    values = list(draw(st.tuples(COORD, COORD, COORD, COORD, EXTENT, EXTENT, EXTENT, SCORE)))
+    for i in draw(st.sets(st.integers(0, 7))):
+        values[i] = draw(st.floats() | EDGE)
+    return values
+
+
+def box_fault(values):
+    """The message of the first box rule that the 8 floats break, or None:
+    non-finite fields, then extents, then the score."""
+    bad = [name for name, v in zip(io.BOX_FIELDS + ("score",), values) if not math.isfinite(v)]
+    if bad:
+        return f"non-finite field in detection: {', '.join(bad)}"
+    x, y, z, theta, h, w, l, score = values
+    if min(h, w, l) <= 0:
+        return f"non-positive extent (h={h}, w={w}, l={l})"
+    if not 0.0 <= score <= 1.0:
+        return f"score {score} outside [0, 1]"
+    return None
+
+
+class TestAnyFloats:
+    @settings(max_examples=200, deadline=None)
+    @given(eight_floats())
+    @example([0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 7.5])  # each rule broken alone
+    @example([0.0, 0.0, 0.0, 0.0, 1.0, -0.0, 1.0, 0.5])
+    @example([math.nan, 0.0, 0.0, math.inf, 1.0, 1.0, 1.0, 2.0])
+    @example([5e-324, -0.0, 1.7976931348623157e308, 4.0, 5e-324, 1e308, 1.0, 0.0])
+    def test_box_builds_and_round_trips_or_fails_to_read(self, tmp_path_factory, values):
+        base = tmp_path_factory.mktemp("any")
+        fault = box_fault(values)
+        if fault is not None:
+            with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
+                Detection(*values)
+            path = base / "detections.jsonl"
+            path.write_text(json.dumps(dict(zip(("frame", "agent") + io.BOX_FIELDS + ("score",),
+                                                [0, "a", *values]))) + "\n")
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line 1: {fault}')}$"):
+                io.read_detections(path)
+            return
+        d = Detection(*values)
+        io.write_detections(base / "detections.jsonl", [FrameBundle(0, {"a": [d]})])
+        (back,) = io.read_detections(base / "detections.jsonl")[0].detections_by_agent["a"]
+        assert fields(back) == fields(d)
+        io.write_gt(base / "gt.jsonl", [[(7, d)]])
+        assert [(oid, fields(g)) for oid, g in io.read_gt(base / "gt.jsonl")[0]] == \
+            [(7, fields(replace(d, score=1.0)))]
+
+
 # The JSONL writers as they built a dict per row and wrote
 # json.dumps(record) + "\n": the oracle for the io writers, which must
 # write the same bytes. They live here, not in helpers.py, which the
@@ -324,7 +384,6 @@ def reference_write_tracks(path, outputs) -> None:
     } for out in outputs for tid, box, score in out.emitted))
 
 
-
 # The writers against the json.dumps(record) + "\n" writer they replaced
 # (reference_write_* above): the same bytes for any value, the same error
 # for a value json.dumps cannot write. Specials, ints, huge ints and float
@@ -338,9 +397,17 @@ AGENT = st.text(max_size=4) | st.sampled_from(['"', "\\", 'a"b\\c', "é", " ",
 
 
 def any_detection(draw):
-    """A Detection of plain floats half the time, else of any values."""
+    """A Detection of plain floats half the time, else of any values that
+    build one: ints, huge ints and np.float64 among them. (A Detection holds
+    no NaN or infinity; test_tracks writes those.)"""
     values = draw(st.sampled_from([ANY_FLOAT, ANY_VALUE]))
-    return Detection(*(draw(values) for _ in range(8)))
+    finite = values.filter(lambda v: -math.inf < v < math.inf)
+    extent = finite.map(abs).filter(bool)
+    score = SCORE if values is ANY_FLOAT else SCORE | SCORE.map(np.float64) | st.integers(0, 1)
+    # theta is wrapped as a float, which a huge int cannot become
+    theta = finite.filter(lambda v: abs(v) <= sys.float_info.max)
+    return Detection(draw(finite), draw(finite), draw(finite), draw(theta),
+                     draw(extent), draw(extent), draw(extent), draw(score))
 
 
 def written(write, path, data):

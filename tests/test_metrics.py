@@ -497,8 +497,10 @@ class TestThresholdScan:
 
     @pytest.mark.parametrize("score", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_score_rejected(self, score):
+        # the box is valid; the triple's own score is the bad value
         gt_frames, pred_frames = dropout_sequence()
-        pred_frames[3] = pred_row([(1, 6.0, 0.0, 0.9), (2, 94.0, 30.0, score)])
+        pred_frames[3] = pred_row([(1, 6.0, 0.0, 0.9)]) + [
+            (2, make_box(x=94.0, y=30.0, score=0.8, **CAR), score)]
         for evaluate in (metrics.amota_family, metrics.evaluate_sequence):
             with pytest.raises(ValueError, match="frame 3: prediction score"):
                 evaluate(gt_frames, pred_frames)

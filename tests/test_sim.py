@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coopmot import core, sim
-from coopmot.core import validate_detection
 from helpers import reference_generate
 
 FIELDS = ("x", "y", "z", "theta", "h", "w", "l", "score")
@@ -107,8 +106,8 @@ class TestGenerate:
         _, bundles = sim.generate(cfg)
         for b in bundles:
             for dets in b.detections_by_agent.values():
-                for d in dets:
-                    assert validate_detection(d) == d
+                for d in dets:  # rebuilt, each checks itself again and keeps every field
+                    assert replace(d) == d
 
     def test_occluded_objects_never_observed(self):
         sector = ((0.0, math.pi),)  # agent0 blind to the upper half plane

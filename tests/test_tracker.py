@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -272,14 +273,14 @@ class TestRunSequence:
         (dict(score=float("nan")), "non-finite field in detection: score"),
     ], ids=["width-negative", "height-zero", "score-above-one", "score-nan"])
     def test_detection_breaking_io_rules_rejected(self, bad, message):
-        # a Detection built in Python is checked like a file's record: a
-        # width of -1 would score IoU 1.0 against the same box with width 1,
-        # and a score of 7.5 would be written where io.read_tracks refuses it
-        good = make_box(**CAR)
-        frames = [FrameBundle(0, {"a": [good], "b": [good]}),
-                  FrameBundle(1, {"a": [good], "b": [make_box(**{**CAR, **bad})]})]
-        with pytest.raises(ValueError, match=f"^frame 1: {message}$"):
-            tracker.run_sequence(frames, TrackerConfig())
+        # a Detection built in Python is checked like a file's record, where
+        # it is built, so no frame can hand the tracker one: a width of -1
+        # would score IoU 1.0 against the same box with width 1, and a score
+        # of 7.5 would be written where io.read_tracks refuses it
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_box(**{**CAR, **bad})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replace(make_box(**CAR), **bad)
 
     def test_track_ids_never_reused(self):
         cfg = TrackerConfig(method=Method.BASELINE, warm_start=False)
