@@ -1,7 +1,9 @@
 """Shared domain types, configuration and validation.
 
-A Detection and a config dataclass check their fields when built, whether
-the values come from a file, from Python or from dataclasses.replace.
+core owns the box: BOX_FIELDS, Detection's first seven fields, is the column
+order of every box row, array and file; box_values and scored_values read
+them; v is finite exactly when -FLOAT_MAX <= v <= FLOAT_MAX. A Detection and
+a config dataclass check their fields when built, from any source.
 
 All types here are immutable value objects. The arrays that flow between
 the pipeline stages (refined boxes, the kalman.Tracks store) follow the
@@ -13,13 +15,18 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-_INF = math.inf
+FLOAT_MAX = sys.float_info.max
+BOX_FIELDS = ("x", "y", "z", "theta", "h", "w", "l")
+box_values = operator.attrgetter(*BOX_FIELDS)
+scored_values = operator.attrgetter(*BOX_FIELDS, "score")
 
 
 class ConfigParse(ValueError):
@@ -56,15 +63,17 @@ class Detection:
     score: float = 1.0
 
     def __post_init__(self):
-        # NaN fails every comparison; a huge int passes, as a finite number
-        if not (-_INF < self.x < _INF and -_INF < self.y < _INF and -_INF < self.z < _INF
-                and 0.0 < self.h < _INF and 0.0 < self.w < _INF and 0.0 < self.l < _INF
+        # NaN fails every comparison; an int no float holds lies beyond FLOAT_MAX
+        if not (-FLOAT_MAX <= self.x <= FLOAT_MAX and -FLOAT_MAX <= self.y <= FLOAT_MAX
+                and -FLOAT_MAX <= self.z <= FLOAT_MAX and 0.0 < self.h <= FLOAT_MAX
+                and 0.0 < self.w <= FLOAT_MAX and 0.0 < self.l <= FLOAT_MAX
                 and 0.0 <= self.score <= 1.0 and -math.pi <= self.theta < math.pi):
             self._refuse_or_wrap()
 
     def _refuse_or_wrap(self):
         """Raise the first broken rule's ValueError, else wrap theta."""
-        bad = [f.name for f in fields(self) if not -_INF < getattr(self, f.name) < _INF]
+        bad = [f.name for f in fields(self)
+               if not -FLOAT_MAX <= getattr(self, f.name) <= FLOAT_MAX]
         if bad:
             raise ValueError(f"non-finite field in detection: {', '.join(bad)}")
         if self.h <= 0 or self.w <= 0 or self.l <= 0:
@@ -75,8 +84,7 @@ class Detection:
 
     def box7(self) -> np.ndarray:
         """The [x y z theta h w l] vector."""
-        return np.array([self.x, self.y, self.z, self.theta,
-                         self.h, self.w, self.l], dtype=float)
+        return np.array(box_values(self), dtype=float)
 
 
 class Method(Enum):

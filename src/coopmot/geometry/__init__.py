@@ -31,7 +31,7 @@ def as_box7_array(objs) -> np.ndarray:
     """
     if not (isinstance(objs, np.ndarray) and objs.dtype == float and objs.ndim == 2
             and objs.shape[1] == 7):
-        rows = [(o.x, o.y, o.z, o.theta, o.h, o.w, o.l) if isinstance(o, core.Detection)
+        rows = [core.box_values(o) if isinstance(o, core.Detection)
                 else np.asarray(o, dtype=float).reshape(-1) for o in objs]
         for row in rows:
             if len(row) != 7:

@@ -116,8 +116,6 @@ def iou3d_matrix(rows, cols):
     pairs that pass both rejections reach the polygon clip (see module
     docstring).
     """
-    rows = np.asarray(rows, dtype=float)
-    cols = np.asarray(cols, dtype=float)
     n, m = rows.shape[0], cols.shape[0]
     if n == 0 or m == 0:
         return np.zeros((n, m), dtype=float)

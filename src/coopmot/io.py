@@ -1,6 +1,7 @@
 """Line-delimited JSON file formats and global-frame projection.
 
-One JSON object per line. Field names are part of the interface:
+One JSON object per line, a box's fields in the order of core.BOX_FIELDS.
+Field names are part of the interface:
 
 * detections: {"frame","agent","x","y","z","theta","h","w","l","score"}
 * poses:      {"frame","agent","x","y","z","yaw"}
@@ -22,9 +23,10 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .core import Detection, FrameBundle, wrap_angle
+from .core import (BOX_FIELDS, FLOAT_MAX, Detection, FrameBundle, box_values, scored_values,
+                   wrap_angle)
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,7 @@ class Pose:
     yaw: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.z, self.yaw)):
+        if not all(-FLOAT_MAX <= v <= FLOAT_MAX for v in (self.x, self.y, self.z, self.yaw)):
             raise ValueError(f"non-finite pose {self}")
         object.__setattr__(self, "yaw", wrap_angle(self.yaw))
 
@@ -45,14 +47,10 @@ class Pose:
 def to_global(d: Detection, p: Pose) -> Detection:
     """Project an agent-local detection into the global frame."""
     c, s = math.cos(p.yaw), math.sin(p.yaw)
-    gx = c * d.x - s * d.y + p.x
-    gy = s * d.x + c * d.y + p.y
-    gz = d.z + p.z
-    return Detection(x=gx, y=gy, z=gz, theta=d.theta + p.yaw,
-                     h=d.h, w=d.w, l=d.l, score=d.score)
+    return replace(d, x=c * d.x - s * d.y + p.x, y=s * d.x + c * d.y + p.y, z=d.z + p.z,
+                   theta=d.theta + p.yaw)
 
 
-BOX_FIELDS = ("x", "y", "z", "theta", "h", "w", "l")
 _decode = json.JSONDecoder().raw_decode
 _FLOAT = {float}  # the type set of values that are all exact floats
 
@@ -133,11 +131,9 @@ def _spell(values) -> tuple:
 
 
 # Rows as json.dumps(record) + "\n" writes them: keys in this order, ", ", ": ".
-_BOX_ROW = '"x": %s, "y": %s, "z": %s, "theta": %s, "h": %s, "w": %s, "l": %s'
+_BOX_ROW = ", ".join(f'"{name}": %s' for name in BOX_FIELDS)
 _GT_ROW = _BOX_ROW + "}\n"
 _SCORED_ROW = _BOX_ROW + ', "score": %s}\n'
-_box = operator.attrgetter(*BOX_FIELDS)
-_scored_box = operator.attrgetter(*BOX_FIELDS, "score")
 _seven = operator.itemgetter(*range(7))
 
 
@@ -170,7 +166,7 @@ def write_detections(path, bundles) -> None:
                 name = names.get(agent) or names.setdefault(agent, json.dumps(agent))
                 head = f'{{"frame": {frame}, "agent": {name}, '
                 for d in dets:
-                    fh.write(head + _SCORED_ROW % _spell(_scored_box(d)))
+                    fh.write(head + _SCORED_ROW % _spell(scored_values(d)))
 
 
 def read_gt(path) -> list:
@@ -186,7 +182,7 @@ def write_gt(path, gt_frames) -> None:
         for t, row in enumerate(gt_frames):
             for oid, d in row:
                 oid = oid if type(oid) is int else json.dumps(oid)
-                fh.write(f'{{"frame": {t}, "object_id": {oid}, ' + _GT_ROW % _spell(_box(d)))
+                fh.write(f'{{"frame": {t}, "object_id": {oid}, ' + _GT_ROW % _spell(box_values(d)))
 
 
 def read_tracks(path) -> list:

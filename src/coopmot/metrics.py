@@ -22,6 +22,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 
 from . import assign, geometry
+from .core import FLOAT_MAX
 
 IOU_THRESHOLD = 0.25
 NUM_THRESHOLDS = 40
@@ -93,7 +94,7 @@ def _matchers(gt_frames, pred_frames):
         if not gt and not pred:
             continue
         for p in pred:
-            if not math.isfinite(p[2]):
+            if not -FLOAT_MAX <= p[2] <= FLOAT_MAX:
                 raise ValueError(f"frame {t}: prediction score {p[2]} is not finite")
         m = _FrameMatcher(gt, pred)
         for kind, ids in (("object", m.gt_ids), ("track", m.tids)):

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import Detection, FrameBundle, config_kwargs, wrap_angle
+from .core import FLOAT_MAX, Detection, FrameBundle, config_kwargs, wrap_angle
 
 CAR_L, CAR_W, CAR_H = 4.5, 1.8, 1.6
 MIN_SPAWN_SEPARATION = 8.0  # centers; keeps >= 2 m box clearance
@@ -70,8 +69,7 @@ class ScenarioConfig:
             if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
                        for v in values):
                 raise ValueError(f"{key} must be a number")
-            # NaN, the infinities and ints too large for a float all fail
-            if not all(abs(v) <= sys.float_info.max for v in values):
+            if not all(-FLOAT_MAX <= v <= FLOAT_MAX for v in values):
                 raise ValueError(f"{key} must be finite")
         if self.world_extent < 0:
             raise ValueError("world_extent must be >= 0")

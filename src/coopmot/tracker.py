@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assign, graphlap, kalman
-from .core import FrameBundle, TrackerConfig, Method
+from .core import FrameBundle, Method, TrackerConfig, scored_values
 
 MODEL = kalman.default_model()
 
@@ -72,8 +72,7 @@ def _stacked(bundle: FrameBundle):
     scores and the detection count of each agent. A Detection checked
     itself when built, so the rows need no second check."""
     agents = bundle.detections_by_agent.values()
-    table = np.array([(d.x, d.y, d.z, d.theta, d.h, d.w, d.l, d.score)
-                      for dets in agents for d in dets], dtype=float).reshape(-1, 8)
+    table = np.array([scored_values(d) for dets in agents for d in dets], float).reshape(-1, 8)
     sizes = [len(dets) for dets in agents]
     return table[:, :kalman.MEAS_DIM], table[:, kalman.MEAS_DIM], sizes
 

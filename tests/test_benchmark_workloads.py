@@ -43,3 +43,11 @@ def test_benchmark_process_loads_no_test_runner():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout) == []
+
+
+def test_selftest_passes():
+    # the benchmark's own self-test, run as its docstring says, unedited
+    run = subprocess.run([sys.executable, os.path.join(ROOT, "perfbench", "selftest.py")],
+                         capture_output=True, text=True, timeout=300, cwd=ROOT)
+    assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
+    assert run.stdout.splitlines()[-1] == "all passed"

@@ -1,12 +1,14 @@
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from coopmot import core, tracker
+from coopmot import core, geometry, io, metrics, tracker
 from helpers import make_box, total_detections
 
 
@@ -38,8 +40,10 @@ class TestValidateDetection:
         d = make_box(x=1.0, y=2.0, theta=0.5)
         assert (d.x, d.y, d.theta) == (1.0, 2.0, 0.5)
         assert replace(d) == d
-        # a huge int is finite: accepted, where math.isfinite would overflow
-        assert make_box(x=10**400).x == 10**400
+        # an int a float holds is kept as given; one no float holds is refused
+        assert make_box(x=10**300).x == 10**300
+        with pytest.raises(ValueError, match="^non-finite field in detection: x$"):
+            make_box(x=10**400)
         assert make_box(theta=-0.0).theta.hex() == (-0.0).hex()
 
     def test_non_finite_rejected(self):
@@ -59,7 +63,7 @@ class TestValidateDetection:
         assert str(info.value) == "non-finite field in detection: x, l"
         with pytest.raises(ValueError) as info:
             make_box(x=10**400, h=-1.0, score=2.0)
-        assert str(info.value) == "non-positive extent (h=-1.0, w=1.0, l=1.0)"
+        assert str(info.value) == "non-finite field in detection: x"
 
     def test_score_range(self):
         with pytest.raises(ValueError, match=re.escape("score 1.5 outside [0, 1]")):
@@ -67,6 +71,15 @@ class TestValidateDetection:
         with pytest.raises(ValueError, match=re.escape("score -0.1 outside [0, 1]")):
             make_box(score=-0.1)
         assert make_box(score=0.0).score == 0.0 and make_box(score=1).score == 1
+
+    def test_box_fields_lead_the_detection(self):
+        # one field order for every box row, array and file, read by the getters
+        assert core.BOX_FIELDS == tuple(f.name for f in fields(core.Detection))[:7]
+        assert io.BOX_FIELDS is core.BOX_FIELDS
+        d = make_box(1.0, 2.0, 3.0, 0.5, 4.0, 5.0, 6.0, 0.25)
+        assert core.box_values(d) == (1.0, 2.0, 3.0, 0.5, 4.0, 5.0, 6.0)
+        assert core.scored_values(d) == (1.0, 2.0, 3.0, 0.5, 4.0, 5.0, 6.0, 0.25)
+        assert d.box7().tolist() == list(core.box_values(d))
 
     def test_fuzz_survivors_satisfy_invariants(self):
         rng = np.random.default_rng(7)
@@ -86,6 +99,74 @@ class TestValidateDetection:
             assert v.theta == core.wrap_angle(values["theta"])
             assert v.h > 0 and v.w > 0 and v.l > 0
             assert 0.0 <= v.score <= 1.0
+
+
+# Any number given to a box, a pose or a prediction score either builds or
+# raises ValueError where it is built, never OverflowError; a box that builds
+# raises nothing but ValueError in the pipelines and the IoU kernel. Each
+# explicit example raised OverflowError when a Detection let a huge int in.
+FLOAT_EDGES = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -5e-324,
+                               2.2250738585072014e-308, core.FLOAT_MAX, -core.FLOAT_MAX])
+BIG_INTS = st.sampled_from([10**300, -10**300, 10**400, -10**400])
+ANY_NUMBER = (st.floats() | FLOAT_EDGES | (st.floats() | FLOAT_EDGES).map(np.float64)
+              | st.integers(-2**70, 2**70) | BIG_INTS | st.booleans())
+ANY_NUMBER_RUNS = settings(max_examples=150, derandomize=True, deadline=None)
+
+
+def fits_a_float(value) -> bool:
+    """Whether value is a number that a finite float holds."""
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def built_or_refused(build):
+    """build(), or None when it raises ValueError; any other error escapes."""
+    try:
+        return build()
+    except ValueError:
+        return None
+
+
+class TestAnyNumber:
+    @ANY_NUMBER_RUNS
+    @given(field=st.sampled_from([f.name for f in fields(core.Detection)]), value=ANY_NUMBER)
+    @example(field="x", value=10**400)
+    @example(field="theta", value=10**400)
+    @example(field="y", value=-core.FLOAT_MAX)
+    def test_detection_field(self, field, value):
+        d = built_or_refused(lambda: make_box(**{field: value}))
+        assert built_or_refused(lambda: replace(make_box(), **{field: value})) == d
+        if d is not None:
+            built_or_refused(lambda: geometry.iou_matrix([d], [d, make_box()]))
+            frames = [core.FrameBundle(t, {"a": [d], "b": [make_box(x=0.5)]}) for t in range(3)]
+            for method in core.Method:
+                cfg = core.TrackerConfig(method=method)
+                built_or_refused(lambda: tracker.run_sequence(frames, cfg))
+        refused = not fits_a_float(value) or (
+            field in ("h", "w", "l") and value <= 0) or (field == "score" and not 0 <= value <= 1)
+        assert (d is None) == refused
+
+    @ANY_NUMBER_RUNS
+    @given(field=st.sampled_from(["x", "y", "z", "yaw"]), value=ANY_NUMBER)
+    @example(field="x", value=10**400)
+    def test_pose_field(self, field, value):
+        pose = built_or_refused(lambda: io.Pose(**{"x": 0.0, "y": 0.0, "z": 0.0, "yaw": 0.0,
+                                                   field: value}))
+        assert (pose is None) == (not fits_a_float(value))
+        if pose is not None:
+            built_or_refused(lambda: io.to_global(make_box(x=1.0, y=-2.0), pose))
+
+    @ANY_NUMBER_RUNS
+    @given(score=ANY_NUMBER)
+    @example(score=10**400)
+    def test_prediction_score(self, score):
+        gt = [[(1, make_box())], [(1, make_box())]]
+        pred = [[(7, make_box(), score)], [(7, make_box(x=0.1), 0.5)]]
+        for evaluate in (metrics.evaluate_sequence, metrics.amota_family):
+            result = built_or_refused(lambda: evaluate(gt, pred))
+            assert (result is None) == (not fits_a_float(score))
 
 
 class TestTrackerConfig:

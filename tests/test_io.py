@@ -1,7 +1,6 @@
 import json
 import math
 import re
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coopmot import io, sim
-from coopmot.core import Detection, FrameBundle
+from coopmot.core import FLOAT_MAX, Detection, FrameBundle
 from coopmot.tracker import FrameOutput
 from helpers import inverse_pose, make_box, total_detections, write_poses
 
@@ -398,15 +397,14 @@ AGENT = st.text(max_size=4) | st.sampled_from(['"', "\\", 'a"b\\c', "é", " ",
 
 def any_detection(draw):
     """A Detection of plain floats half the time, else of any values that
-    build one: ints, huge ints and np.float64 among them. (A Detection holds
-    no NaN or infinity; test_tracks writes those.)"""
-    values = draw(st.sampled_from([ANY_FLOAT, ANY_VALUE]))
-    finite = values.filter(lambda v: -math.inf < v < math.inf)
+    build one: ints, big ints such as 10**300 and np.float64 among them.
+    (A Detection holds no NaN, no infinity and no int that no float holds;
+    test_tracks writes those.)"""
+    values = draw(st.sampled_from([ANY_FLOAT, ANY_VALUE | st.just(10**300)]))
+    finite = values.filter(lambda v: -FLOAT_MAX <= v <= FLOAT_MAX)
     extent = finite.map(abs).filter(bool)
     score = SCORE if values is ANY_FLOAT else SCORE | SCORE.map(np.float64) | st.integers(0, 1)
-    # theta is wrapped as a float, which a huge int cannot become
-    theta = finite.filter(lambda v: abs(v) <= sys.float_info.max)
-    return Detection(draw(finite), draw(finite), draw(finite), draw(theta),
+    return Detection(draw(finite), draw(finite), draw(finite), draw(finite),
                      draw(extent), draw(extent), draw(extent), draw(score))
 
 
