@@ -27,12 +27,15 @@ def as_box7_array(objs) -> np.ndarray:
     Each box is a Detection or an array-like of exactly seven entries
     (x, y, z, theta, h, w, l). A float (N, 7) ndarray is already in that
     form and is returned as is. Raises ValueError when a box does not have
-    seven entries or a box value is NaN or infinite.
+    seven entries or a box value is not finite by core's rule.
     """
     if not (isinstance(objs, np.ndarray) and objs.dtype == float and objs.ndim == 2
             and objs.shape[1] == 7):
-        rows = [core.box_values(o) if isinstance(o, core.Detection)
-                else np.asarray(o, dtype=float).reshape(-1) for o in objs]
+        try:
+            rows = [core.box_values(o) if isinstance(o, core.Detection)
+                    else np.asarray(o, dtype=float).reshape(-1) for o in objs]
+        except OverflowError:  # an int beyond the float range
+            raise ValueError("box has a non-finite value") from None
         for row in rows:
             if len(row) != 7:
                 raise ValueError(f"expected a 7-vector box, got shape {row.shape}")

@@ -39,8 +39,9 @@ class Pose:
     yaw: float
 
     def __post_init__(self):
-        if not all(-FLOAT_MAX <= v <= FLOAT_MAX for v in (self.x, self.y, self.z, self.yaw)):
-            raise ValueError(f"non-finite pose {self}")
+        bad = [name for name, v in vars(self).items() if not -FLOAT_MAX <= v <= FLOAT_MAX]
+        if bad:
+            raise ValueError(f"non-finite pose field: {', '.join(bad)}")
         object.__setattr__(self, "yaw", wrap_angle(self.yaw))
 
 

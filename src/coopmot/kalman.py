@@ -98,7 +98,7 @@ def _wrap(theta: np.ndarray) -> np.ndarray:
 
 def init_track(boxes, scores, first_id: int, model: KalmanModel) -> Tracks:
     """Tentative zero-velocity tracks, one per box row, with ids first_id,
-    first_id + 1, ... and no hits: tracker.manage_lifecycle counts the first."""
+    first_id + 1, ... and no hits: tracker.step's lifecycle pass counts the first."""
     boxes = np.asarray(boxes, dtype=float).reshape(-1, MEAS_DIM)
     k = len(boxes)
     states = np.zeros((k, STATE_DIM))

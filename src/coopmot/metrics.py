@@ -95,7 +95,7 @@ def _matchers(gt_frames, pred_frames):
             continue
         for p in pred:
             if not -FLOAT_MAX <= p[2] <= FLOAT_MAX:
-                raise ValueError(f"frame {t}: prediction score {p[2]} is not finite")
+                raise ValueError(f"frame {t}: prediction score is not finite")
         m = _FrameMatcher(gt, pred)
         for kind, ids in (("object", m.gt_ids), ("track", m.tids)):
             if len(set(ids)) < len(ids):
@@ -213,15 +213,15 @@ def _smota(fp, fn, idsw, gt_total, recall_target):
     return min(1.0, max(0.0, value))
 
 
-def _operating_counts(matchers, full, gt_total, targets):
+def _operating_counts(matchers, full, targets):
     """[(threshold, FrameCounts)] of the reachable recall targets, in order.
 
     A frame's matching depends only on how many of its predictions are
     kept, which grows at a score only in the frames holding it. So the
     distinct scores are walked once from the highest down, and at each
     only the frames holding it are matched again (one that keeps all takes
-    full's pairs) and folded into a running TP total over gt_total, the
-    division of FrameCounts.recall. A target takes the first score whose
+    full's pairs) and folded into a running TP total over full's GT count,
+    the division of FrameCounts.recall. A target takes the first score whose
     recall reaches it, with that score's counts tallied from the current
     matchings. The walk stops once every target up to full's recall has one.
     """
@@ -237,7 +237,7 @@ def _operating_counts(matchers, full, gt_total, targets):
             pairs = full.matches[i] if kept == len(m.tids) else m.match(s)
             total_tp += len(pairs) - len(current[i][1])
             current[i] = kept, pairs
-        reached = bisect.bisect_right(targets, total_tp / gt_total)
+        reached = bisect.bisect_right(targets, total_tp / full.totals.gt_count)
         if reached > len(chosen):
             counts = _tally((len(m.gt_ids), *c) for m, c in zip(matchers, current))
             chosen += [(s, counts)] * (reached - len(chosen))
@@ -252,18 +252,16 @@ def amota_family(gt_frames, pred_frames) -> MetricsReport:
     For each target r = k/NUM_THRESHOLDS the score threshold achieving
     recall >= r with the fewest predictions is selected (the highest such
     threshold); targets no threshold can reach contribute zero. Frames
-    are aligned as in evaluate_sequence. Raises ValueError when a
-    prediction score is not finite or a frame repeats an id.
+    are aligned as in evaluate_sequence; the GT count is the full pass's.
+    Raises ValueError when a prediction score is not finite or a frame
+    repeats an id, then (mota_motp of the full pass) when GT is empty.
     """
-    gt_total = sum(len(f) for f in gt_frames)
-    if gt_total == 0:
-        raise ValueError("sequence has no ground-truth boxes")
-
     # the frames with boxes; their IoU matrices serve both passes of this call
     matchers = list(_matchers(gt_frames, pred_frames))
     full = _full_tally(matchers)
+    full_mota, full_motp = mota_motp(full.totals)
     targets = [k / NUM_THRESHOLDS for k in range(1, NUM_THRESHOLDS + 1)]
-    chosen = _operating_counts(matchers, full, gt_total, targets)
+    chosen = _operating_counts(matchers, full, targets)
 
     points = []
     amota_sum = amotp_sum = samota_sum = 0.0
@@ -273,22 +271,19 @@ def amota_family(gt_frames, pred_frames) -> MetricsReport:
             continue
         s, counts = chosen[k]
         mota, motp = mota_motp(counts)
-        smota = _smota(counts.fp, counts.fn, counts.idsw, gt_total, target)
+        smota = _smota(counts.fp, counts.fn, counts.idsw, counts.gt_count, target)
         amota_sum += mota
         amotp_sum += motp
         samota_sum += smota
         points.append(OperatingPoint(target, s, counts.recall, mota, motp, smota,
                                      counts.tp, counts.fp, counts.fn, counts.idsw))
 
-    mota, motp = mota_motp(full.totals)
-    mt = mostly_tracked(full.frames_present, full.frames_matched)
-
     return MetricsReport(
         amota=100.0 * amota_sum / NUM_THRESHOLDS,
         amotp=100.0 * amotp_sum / NUM_THRESHOLDS,
         samota=100.0 * samota_sum / NUM_THRESHOLDS,
-        mota=100.0 * mota,
-        motp=100.0 * motp,
-        mt=100.0 * mt,
+        mota=100.0 * full_mota,
+        motp=100.0 * full_motp,
+        mt=100.0 * mostly_tracked(full.frames_present, full.frames_matched),
         operating_points=tuple(points),
     )

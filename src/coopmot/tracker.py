@@ -13,9 +13,9 @@ Each step stacks the frame's detections once into (N, 7) box and (N,)
 score arrays; refinement, association, births and the Kalman update all
 work on those arrays, under one Kalman model, MODEL. A TrackSet stores the
 predictions for the frame about to be processed; both association stages
-read them, a track takes at most one Kalman update per frame, and
-manage_lifecycle alone moves the hit and miss counters, births' too. Each
-step ends by predicting every live track for the next frame.
+read them, a track takes at most one Kalman update per frame, and one
+manage_lifecycle pass over the updated tracks and the births alone moves
+the hit and miss counters. Each step ends by predicting every live track.
 """
 
 from __future__ import annotations
@@ -54,11 +54,11 @@ def new_trackset() -> TrackSet:
 def manage_lifecycle(tracks: kalman.Tracks, matched, cfg: TrackerConfig) -> kalman.Tracks:
     """Count hits and misses, confirm and drop tracks: the whole lifecycle.
 
-    matched is a bool mask over the rows. A matched track gets one more
-    hit and no misses, and is confirmed once its hits reach min_hits (a
-    birth, matched with 0 hits, at once when min_hits = 1). An unmatched
-    track loses its hit streak, gets one more miss, and is dropped once
-    misses reach max_age. Confirmed status is never revoked short of death.
+    matched is a bool mask over the rows, True for each birth. A matched
+    track gets one more hit and no misses, and is confirmed once its hits
+    reach min_hits (a birth, from 0 hits, at once when min_hits = 1). An
+    unmatched track loses its hit streak, gets one more miss, and is
+    dropped once misses reach max_age. Confirmation lasts until death.
     """
     hits = np.where(matched, tracks.hits + 1, 0)
     misses = np.where(matched, 0, tracks.misses + 1)
@@ -109,10 +109,11 @@ def step(ts: TrackSet, bundle: FrameBundle, cfg: TrackerConfig):
     predictions of the tracks stage 1 left unmatched with the second-variant
     boxes of cross-matched nodes whose stage-1 box went unmatched; with no
     cross-agent matches it is empty. The rows either stage matched take one
-    Kalman update, so a track takes at most one per frame. Stage 2 never
-    starts tracks: stage 1's unmatched boxes already did, and a second
-    birth of the same node would duplicate it. A frame with no boxes and
-    no live tracks only advances the step index.
+    Kalman update, so a track takes at most one per frame. Stage 1's
+    unmatched boxes are born after those rows, and one manage_lifecycle
+    pass ages them all, births as matched. Stage 2 never starts tracks: a
+    second birth of the same node would duplicate it. A frame with no
+    boxes and no live tracks only advances the step index.
     """
     boxes, scores, num_cross = _candidates(bundle, cfg)
     if not boxes.shape[1] and not len(ts.tracks):
@@ -131,18 +132,14 @@ def step(ts: TrackSet, bundle: FrameBundle, cfg: TrackerConfig):
         cols = np.concatenate([cols, retried])
         z = np.concatenate([z, boxes[1, retried]])
 
-    matched = np.zeros(len(ts.tracks), dtype=bool)
+    born = kalman.init_track(boxes[0, unmatched_cols], scores[unmatched_cols], ts.next_id,
+                             MODEL)
+    matched = np.arange(len(ts.tracks) + len(born)) >= len(ts.tracks)  # births count as matched
     matched[rows] = True
-    tracks = kalman.update(ts.tracks, rows, z, scores[cols], MODEL)
-    alive = manage_lifecycle(tracks, matched, cfg)
-    if len(unmatched_cols):
-        born = kalman.init_track(boxes[0, unmatched_cols], scores[unmatched_cols],
-                                 ts.next_id, MODEL)
-        # births take their own lifecycle call: one call on the concatenated
-        # rows raised cli's peak_rss_mb by about 0.18 MB on a 2-vCPU x86-64 host
-        alive = alive.concat(manage_lifecycle(born, np.ones(len(born), dtype=bool), cfg))
+    alive = manage_lifecycle(kalman.update(ts.tracks.concat(born), rows, z, scores[cols], MODEL),
+                             matched, cfg)
     output = _emit(ts, bundle.frame, alive, cfg)
-    return TrackSet(kalman.predict(alive, MODEL), ts.next_id + len(unmatched_cols),
+    return TrackSet(kalman.predict(alive, MODEL), ts.next_id + len(born),
                     ts.frame + 1), output
 
 

@@ -22,6 +22,8 @@ when, over at least ten pairs, the change wins at least nine tenths of them
 and the medians differ by more than the base's interquartile range.
 ``peak_rss_mb`` grows with the number of units a run fits into its time,
 so it is compared only over the pairs whose two runs have equal ``units``.
+After the table, one line gives BENCHMARK.json's end-to-end metrics in the
+form a change note quotes them.
 Standard library only.
 """
 
@@ -166,6 +168,23 @@ def format_rows(rows, n_pairs, ps=None) -> str:
     return "\n".join(out)
 
 
+def format_line(workload, rows, n_pairs, names) -> str:
+    """The named metrics' rows on one line, in the form a change note quotes:
+    "W: name median [q1, q3] → change median (wins/pairs), ...", with
+    "equal-unit pairs" after the count when fewer than n_pairs compare."""
+    parts = []
+    for name, _, used, base, change, wins, _ in rows:
+        if name not in names:
+            continue
+        if base is None:
+            parts.append(f"{name} no pair with equal units")
+            continue
+        q1, median, q3 = base
+        note = f"{wins}/{used}" + (" equal-unit pairs" if used < n_pairs else "")
+        parts.append(f"{name} {median:.4g} [{q1:.4g}, {q3:.4g}] → {change:.4g} ({note})")
+    return f"{workload}: " + ", ".join(parts)
+
+
 def run_tree(tree, workload, seconds) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
@@ -205,7 +224,10 @@ def main(argv=None) -> int:
     failed = [sum(run["failed"] for run in side) for side in zip(*pairs)]
     print(f"{args.workload}: {args.pairs} alternated pairs, base {args.base}, change "
           f"{args.change or 'working tree'}; failed operations {failed[0]} / {failed[1]}")
-    print(format_rows(summarize(pairs, better), args.pairs, sign_tests(pairs, better)))
+    rows = summarize(pairs, better)
+    print(format_rows(rows, args.pairs, sign_tests(pairs, better)))
+    print(format_line(args.workload, rows, args.pairs,
+                      [m["name"] for m in bench["end_to_end"]]))
     return 1 if failed[1] > failed[0] else 0
 
 

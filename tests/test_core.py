@@ -168,6 +168,22 @@ class TestAnyNumber:
             result = built_or_refused(lambda: evaluate(gt, pred))
             assert (result is None) == (not fits_a_float(score))
 
+    def test_huge_int_message_names_the_fault(self):
+        # the message says what is wrong and spells no 401-digit value
+        gt, pred = [[(1, make_box())]], [[(7, make_box(), 10**400)]]
+        for build, message in [
+                (lambda: make_box(x=10**400), "non-finite field in detection: x"),
+                (lambda: io.Pose(0, 10**400, 0, -10**400), "non-finite pose field: y, yaw"),
+                (lambda: metrics.evaluate_sequence(gt, pred),
+                 "frame 0: prediction score is not finite"),
+                (lambda: metrics.amota_family(gt, pred), "frame 0: prediction score is not finite"),
+                (lambda: geometry.iou_matrix([[10**400, 0, 0, 0, 1, 1, 1]], [make_box()]),
+                 "box has a non-finite value")]:
+            with pytest.raises(ValueError) as caught:
+                build()
+            text = str(caught.value)
+            assert text == message and len(text) < 60 and not re.search(r"\d{5}", text)
+
 
 class TestTrackerConfig:
     def test_empty_config_takes_defaults(self, tmp_path):

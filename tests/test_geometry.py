@@ -231,6 +231,15 @@ class TestNonFiniteBoxes:
         with pytest.raises(ValueError, match=message):
             make_box(*boxes[1])
 
+    @pytest.mark.parametrize("box", [[10**400, 0, 0, 0, 1, 1, 1], [0, 0, 0, 0, 1, 1, -10**400],
+                                     np.array([[0, 0, 10**400, 0, 1, 1, 1]], dtype=object)])
+    def test_int_no_float_holds(self, box):
+        # core's rule: an int beyond the float range is not finite
+        with pytest.raises(ValueError, match="^box has a non-finite value$"):
+            geometry.iou_matrix([box], [[0, 0, 0, 0, 1, 1, 1]])
+        with pytest.raises(ValueError, match="^box has a non-finite value$"):
+            geometry.iou_matrix([[0, 0, 0, 0, 1, 1, 1]], [box])
+
 
 def kernel_pair(a, b):
     """The active kernel's IoU of two boxes, as its 1 x 1 iou3d_matrix: an

@@ -257,6 +257,12 @@ class TestAmotaFamily:
     def test_no_ground_truth(self):
         with pytest.raises(ValueError, match="sequence has no ground-truth boxes"):
             metrics.amota_family([[], []], [[], []])
+        # predictions without ground truth are matched first, so a repeated
+        # id is reported before the missing ground truth
+        with pytest.raises(ValueError, match="^sequence has no ground-truth boxes$"):
+            metrics.amota_family([[], []], [[(7, make_box(), 0.5)], []])
+        with pytest.raises(ValueError, match="^frame 1: track id 7 appears twice$"):
+            metrics.amota_family([[], []], [[], [(7, make_box(), 0.5), (7, make_box(), 0.4)]])
 
     def test_dropout_sequence_matches_oracle_exactly(self):
         gt_frames, pred_frames = dropout_sequence()

@@ -108,3 +108,21 @@ def test_sign_test_p_on_canned_runs():
     text = pairs.format_rows(pairs.summarize(nine, BETTER), 10, pairs.sign_tests(nine, BETTER))
     line = next(li for li in text.splitlines() if li.startswith("wall_s"))
     assert line.split()[-3:] == ["9/10", "p=0.0215", "gain"]
+
+
+def test_format_line_pins_the_quoted_form():
+    # the change is 0.02 s slower in pairs 0-5 and 0.02 s faster in 6-9;
+    # pairs 0-2 ran a different number of units on each side
+    runs = [(pairs.parse_run(canned(10, 0.40 + k / 100, 43.0 + k / 100, 900.0, 0.03)),
+             pairs.parse_run(canned(10 + (k < 3), 0.40 + k / 100 + (0.02 if k < 6 else -0.02),
+                                    42.9 + k / 100, 900.0, 0.02)))
+            for k in range(10)]
+    line = pairs.format_line("directional", pairs.summarize(runs, BETTER), 10,
+                             ["setup_s", "wall_s", "peak_rss_mb"])
+    assert line == ("directional: wall_s 0.445 [0.4225, 0.4675] → 0.45 (4/10), "
+                    "peak_rss_mb 43.06 [43.05, 43.08] → 42.96 (7/7 equal-unit pairs)")
+
+    one = [(pairs.parse_run(canned(10, 0.4, 43.0, 900.0, 0.03)),
+            pairs.parse_run(canned(11, 0.3, 42.0, 900.0, 0.03)))]
+    line = pairs.format_line("cli", pairs.summarize(one, BETTER), 1, ["wall_s", "peak_rss_mb"])
+    assert line == "cli: wall_s 0.4 [0.4, 0.4] → 0.3 (1/1), peak_rss_mb no pair with equal units"

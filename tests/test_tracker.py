@@ -282,6 +282,19 @@ class TestRunSequence:
         with pytest.raises(ValueError, match=f"^{message}$"):
             replace(make_box(**CAR), **bad)
 
+    def test_one_lifecycle_pass_per_stepped_frame(self):
+        # births join the frame's updated tracks in one manage_lifecycle pass;
+        # frame 4 has no boxes and no live tracks, so it takes none
+        frames = [bundle(0, {"a": [(0.0, 0.0)]}), bundle(1, {"a": [(0.0, 0.0), (9.0, 0.0)]}),
+                  *[FrameBundle(t, {"a": []}) for t in (2, 3, 4)], bundle(5, {"a": [(0.0, 0.0)]})]
+        with mock.patch.object(tracker, "manage_lifecycle",
+                               wraps=tracker.manage_lifecycle) as spy:
+            outputs = tracker.run_sequence(frames, TrackerConfig(method=Method.BASELINE,
+                                                                 min_hits=1))
+        assert spy.call_count == 5
+        assert [[tid for tid, _, _ in o.emitted] for o in outputs] == [
+            [1], [1, 2], [1, 2], [], [], [3]]
+
     def test_track_ids_never_reused(self):
         cfg = TrackerConfig(method=Method.BASELINE, warm_start=False)
         frames = []
