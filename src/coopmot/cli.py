@@ -136,9 +136,8 @@ def cmd_eval(args) -> None:
 def cmd_analyze(args) -> None:
     started = time.perf_counter()
     gt_frames, pred_frames = io.read_gt(args.gt), io.read_tracks(args.tracks)
-    if sum(len(f) for f in gt_frames) == 0:
-        raise ValueError("sequence has no ground-truth boxes")
     tally = metrics.evaluate_sequence(gt_frames, pred_frames)
+    metrics.mota_motp(tally.totals)  # refuses a sequence with no ground truth, as eval does
 
     bins = {}
     for pairs in tally.matches:

@@ -2,8 +2,8 @@
 
 core owns the box: BOX_FIELDS, Detection's first seven fields, is the column
 order of every box row, array and file; box_values and scored_values read
-them; v is finite exactly when -FLOAT_MAX <= v <= FLOAT_MAX. A Detection and
-a config dataclass check their fields when built, from any source.
+them; store_floats holds each number of a box, a pose or a file to one rule.
+A Detection and a config dataclass check their fields when built, from any source.
 
 All types here are immutable value objects. The arrays that flow between
 the pipeline stages (refined boxes, the kalman.Tracks store) follow the
@@ -33,6 +33,22 @@ class ConfigParse(ValueError):
     """Config file missing, unreadable, or containing bad values."""
 
 
+def store_floats(obj, nonfinite: str) -> None:
+    """Store each field of the frozen dataclass obj as a float. A field must be
+    an int or a float, not a bool ("field 'x' must be a number"), that a
+    finite float holds ("<nonfinite>: x, y" names every field that is not)."""
+    values = [(f.name, getattr(obj, f.name)) for f in fields(obj)]
+    for name, v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"field {name!r} must be a number")
+    # NaN fails every comparison; an int no float holds lies beyond FLOAT_MAX
+    bad = [name for name, v in values if not -FLOAT_MAX <= v <= FLOAT_MAX]
+    if bad:
+        raise ValueError(f"{nonfinite}: {', '.join(bad)}")
+    for name, v in values:
+        object.__setattr__(obj, name, float(v))
+
+
 def wrap_angle(theta: float) -> float:
     """Wrap an angle to [-pi, pi); exact no-op for in-range values."""
     if -math.pi <= theta < math.pi:
@@ -49,8 +65,8 @@ class Detection:
 
     Positions are meters in the global frame, theta is radians in
     [-pi, pi), h/w/l are height, width, length in meters. Building one
-    raises ValueError when any field is non-finite, any extent is <= 0, or
-    the score lies outside [0, 1], and wraps an out-of-range theta.
+    stores each field as a float (store_floats), raises ValueError when an
+    extent is <= 0 or the score lies outside [0, 1], and wraps theta.
     """
 
     x: float
@@ -63,24 +79,19 @@ class Detection:
     score: float = 1.0
 
     def __post_init__(self):
-        # NaN fails every comparison; an int no float holds lies beyond FLOAT_MAX
-        if not (-FLOAT_MAX <= self.x <= FLOAT_MAX and -FLOAT_MAX <= self.y <= FLOAT_MAX
+        # a float passes its range test exactly when it is finite
+        if not (type(self.x) is type(self.y) is type(self.z) is type(self.theta)
+                is type(self.h) is type(self.w) is type(self.l) is type(self.score) is float
+                and -FLOAT_MAX <= self.x <= FLOAT_MAX and -FLOAT_MAX <= self.y <= FLOAT_MAX
                 and -FLOAT_MAX <= self.z <= FLOAT_MAX and 0.0 < self.h <= FLOAT_MAX
                 and 0.0 < self.w <= FLOAT_MAX and 0.0 < self.l <= FLOAT_MAX
                 and 0.0 <= self.score <= 1.0 and -math.pi <= self.theta < math.pi):
-            self._refuse_or_wrap()
-
-    def _refuse_or_wrap(self):
-        """Raise the first broken rule's ValueError, else wrap theta."""
-        bad = [f.name for f in fields(self)
-               if not -FLOAT_MAX <= getattr(self, f.name) <= FLOAT_MAX]
-        if bad:
-            raise ValueError(f"non-finite field in detection: {', '.join(bad)}")
-        if self.h <= 0 or self.w <= 0 or self.l <= 0:
-            raise ValueError(f"non-positive extent (h={self.h}, w={self.w}, l={self.l})")
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score {self.score} outside [0, 1]")
-        object.__setattr__(self, "theta", wrap_angle(self.theta))
+            store_floats(self, "non-finite field in detection")
+            if self.h <= 0 or self.w <= 0 or self.l <= 0:
+                raise ValueError(f"non-positive extent (h={self.h}, w={self.w}, l={self.l})")
+            if not 0.0 <= self.score <= 1.0:
+                raise ValueError(f"score {self.score} outside [0, 1]")
+            object.__setattr__(self, "theta", wrap_angle(self.theta))
 
     def box7(self) -> np.ndarray:
         """The [x y z theta h w l] vector."""

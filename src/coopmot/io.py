@@ -8,14 +8,15 @@ Field names are part of the interface:
 * ground truth: {"frame","object_id","x","y","z","theta","h","w","l"}
 * tracks:     {"frame","track_id","x","y","z","theta","h","w","l","score"}
 
-Files are UTF-8. Angles are radians, lengths meters. Writers format each
-row directly, floats by float.__repr__ as json.dumps does (so every file
-round-trips losslessly), and stream the rows to the file one by one; each
-row is the bytes of json.dumps(record) and a newline. Frames and ids are
-JSON integers (not booleans). Frame indices must be non-decreasing within
-a file; readers return dense frame lists from 0 to the maximum index, with
-gaps as empty frames. Every error on a line is a ValueError that reads
-"<path>: line N: <reason>".
+Files are UTF-8. Angles are radians, lengths meters. Readers and writers
+share one rule for numbers (core.store_floats) and one for frames, agents
+and ids (_key). Writers format each row directly, floats by float.__repr__
+as json.dumps does (so every file round-trips losslessly), and stream the
+rows to the file one by one; each row is the bytes of json.dumps(record)
+and a newline, and a row its reader refuses raises ValueError. Frame
+indices must be non-decreasing within a file; readers return dense frame
+lists from 0 to the maximum index, with gaps as empty frames. Every error
+on a line is a ValueError that reads "<path>: line N: <reason>".
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ import math
 import operator
 from dataclasses import dataclass, replace
 
-from .core import (BOX_FIELDS, FLOAT_MAX, Detection, FrameBundle, box_values, scored_values,
+from .core import (BOX_FIELDS, Detection, FrameBundle, box_values, scored_values, store_floats,
                    wrap_angle)
 
 
 @dataclass(frozen=True)
 class Pose:
-    """Agent pose in the global frame."""
+    """Agent pose in the global frame, held as floats (core.store_floats)."""
 
     x: float
     y: float
@@ -39,9 +40,7 @@ class Pose:
     yaw: float
 
     def __post_init__(self):
-        bad = [name for name, v in vars(self).items() if not -FLOAT_MAX <= v <= FLOAT_MAX]
-        if bad:
-            raise ValueError(f"non-finite pose field: {', '.join(bad)}")
+        store_floats(self, "non-finite pose field")
         object.__setattr__(self, "yaw", wrap_angle(self.yaw))
 
 
@@ -53,18 +52,26 @@ def to_global(d: Detection, p: Pose) -> Detection:
 
 
 _decode = json.JSONDecoder().raw_decode
-_FLOAT = {float}  # the type set of values that are all exact floats
+
+
+def _key(name, value, frame=None):
+    """value as a file holds the field name ("frame index", "agent" or an id):
+    an agent is a non-empty str; a frame or an id an int, not a bool (a numpy
+    int gives its int), and a frame is not negative. Else ValueError "bad
+    <name> <value!r>", after "frame <frame>: " when a writer names the frame."""
+    if (isinstance(value, str) and value if name == "agent" else
+            hasattr(type(value), "__index__") and not isinstance(value, bool)
+            and (name != "frame index" or value >= 0)):
+        return value if name == "agent" else operator.index(value)
+    raise ValueError(("" if frame is None else f"frame {frame}: ") + f"bad {name} {value!r}")
 
 
 def _records(path, key, fields, make):
-    """Yield (frame, key value, make(*floats)) for each record of a file.
-
-    floats holds the numeric fields in the order of fields. Every check on
-    a line is made here: UTF-8, JSON, object, fields present, frame index,
-    frame order, the key field (a non-empty agent string or an integer id),
-    numeric fields, and make's own ValueError. JSON booleans are neither
-    frames, ids nor numbers. Messages are built only when a check fails.
-    """
+    """Yield (frame, key value, make(*values)) for each record of a file, values
+    being its fields as JSON gives them. Every check on a line is made here:
+    UTF-8, JSON, object, fields present, frame index, frame order, the key
+    field (_key) and make's own ValueError (the number rule). Messages are
+    built only when a check fails."""
     names = frozenset(("frame", key) + fields)
     get = operator.itemgetter(*fields)
     last_frame = 0
@@ -87,31 +94,15 @@ def _records(path, key, fields, make):
             if not rec.keys() >= names:
                 missing = [f for f in ("frame", key) + fields if f not in rec]
                 raise ValueError(f"{path}: line {lineno}: missing fields {missing}")
-            frame, value = rec["frame"], rec[key]
-            if type(frame) is not int or frame < 0:
-                raise ValueError(f"{path}: line {lineno}: bad frame index {frame!r}")
-            if frame < last_frame:
-                raise ValueError(f"{path}: line {lineno}: frame {frame} after frame {last_frame}")
-            last_frame = frame
-            ok = isinstance(value, str) and value if key == "agent" else type(value) is int
-            if not ok:
-                raise ValueError(f"{path}: line {lineno}: bad {key} {value!r}")
-            floats = get(rec)
-            if set(map(type, floats)) != _FLOAT:  # ints, or a value that is no number
-                converted = []
-                for name, v in zip(fields, floats):
-                    if isinstance(v, bool) or not isinstance(v, (int, float)):
-                        raise ValueError(f"{path}: line {lineno}: field {name!r} must be a number")
-                    try:
-                        converted.append(float(v))
-                    except OverflowError as exc:  # an int beyond the float range
-                        raise ValueError(f"{path}: line {lineno}: field {name!r} is too large "
-                                         "for a float") from exc
-                floats = converted
             try:
-                obj = make(*floats)
+                frame = _key("frame index", rec["frame"])
+                if frame < last_frame:
+                    raise ValueError(f"frame {frame} after frame {last_frame}")
+                value = _key(key, rec[key])
+                obj = make(*get(rec))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+            last_frame = frame
             yield frame, value, obj
 
 
@@ -122,20 +113,10 @@ def _dense(frames: dict, empty) -> list:
             for t in range(max(frames, default=-1) + 1)]
 
 
-def _spell(values) -> tuple:
-    """values as json.dumps writes them: finite exact floats as they are,
-    since json.dumps writes them with float.__repr__, which is their str();
-    anything else (ints, float subclasses, NaN, infinities) by json.dumps."""
-    if set(map(type, values)) == _FLOAT and math.isfinite(sum(values)):
-        return values
-    return tuple(map(json.dumps, values))
-
-
 # Rows as json.dumps(record) + "\n" writes them: keys in this order, ", ", ": ".
 _BOX_ROW = ", ".join(f'"{name}": %s' for name in BOX_FIELDS)
 _GT_ROW = _BOX_ROW + "}\n"
 _SCORED_ROW = _BOX_ROW + ', "score": %s}\n'
-_seven = operator.itemgetter(*range(7))
 
 
 def read_detections(*paths) -> list:
@@ -159,15 +140,16 @@ def merge_detection_files(paths) -> list:
 
 
 def write_detections(path, bundles) -> None:
-    names = {}  # each agent name is escaped once
+    names = {}  # each agent name is checked and escaped once
     with open(path, "w", encoding="utf-8") as fh:
         for bundle in bundles:
-            frame = json.dumps(bundle.frame)
+            frame = _key("frame index", bundle.frame)
             for agent, dets in bundle.detections_by_agent.items():
-                name = names.get(agent) or names.setdefault(agent, json.dumps(agent))
+                name = names.get(agent) or names.setdefault(
+                    agent, json.dumps(_key("agent", agent, frame)))
                 head = f'{{"frame": {frame}, "agent": {name}, '
                 for d in dets:
-                    fh.write(head + _SCORED_ROW % _spell(scored_values(d)))
+                    fh.write(head + _SCORED_ROW % scored_values(d))
 
 
 def read_gt(path) -> list:
@@ -182,8 +164,8 @@ def write_gt(path, gt_frames) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for t, row in enumerate(gt_frames):
             for oid, d in row:
-                oid = oid if type(oid) is int else json.dumps(oid)
-                fh.write(f'{{"frame": {t}, "object_id": {oid}, ' + _GT_ROW % _spell(box_values(d)))
+                fh.write(f'{{"frame": {t}, "object_id": {_key("object_id", oid, t)}, '
+                         + _GT_ROW % box_values(d))
 
 
 def read_tracks(path) -> list:
@@ -195,13 +177,18 @@ def read_tracks(path) -> list:
 
 
 def write_tracks(path, outputs) -> None:
-    """Write FrameOutputs as a tracks file."""
+    """Write FrameOutputs as a tracks file. Each row's box, seven values (an
+    array's tolist()), and score build the Detection that is written."""
     with open(path, "w", encoding="utf-8") as fh:
         for out in outputs:
-            frame = json.dumps(out.frame)
+            frame = _key("frame index", out.frame)
             for tid, box, score in out.emitted:
-                fh.write(f'{{"frame": {frame}, "track_id": {int(tid)}, ' + _SCORED_ROW
-                         % _spell((*map(float, _seven(box)), float(score))))
+                tid = _key("track_id", tid, frame)
+                values = box.tolist() if hasattr(box, "tolist") else list(box)
+                if len(values) != 7:
+                    raise ValueError(f"frame {frame}: track {tid}: {len(values)} box values")
+                fh.write(f'{{"frame": {frame}, "track_id": {tid}, '
+                         + _SCORED_ROW % scored_values(Detection(*values, score)))
 
 
 def read_poses(*paths) -> dict:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TWO_PI
+from .geometry import as_box7_array
 
 STATE_DIM = 10
 MEAS_DIM = 7
@@ -98,8 +99,9 @@ def _wrap(theta: np.ndarray) -> np.ndarray:
 
 def init_track(boxes, scores, first_id: int, model: KalmanModel) -> Tracks:
     """Tentative zero-velocity tracks, one per box row, with ids first_id,
-    first_id + 1, ... and no hits: tracker.step's lifecycle pass counts the first."""
-    boxes = np.asarray(boxes, dtype=float).reshape(-1, MEAS_DIM)
+    first_id + 1, ... and no hits: tracker.step's lifecycle pass counts the first.
+    ValueError for a row that geometry.as_box7_array refuses."""
+    boxes = as_box7_array(boxes)
     k = len(boxes)
     states = np.zeros((k, STATE_DIM))
     states[:, :MEAS_DIM] = boxes

@@ -3,7 +3,7 @@
 
 Usage, from anywhere in a git checkout:
 
-    python3 studies/pairs.py --base REV [--change REV] --pairs N --workload W
+    python3 studies/pairs.py --base REV [--change REV] --pairs N --workload W [--native]
 
 Each side is extracted with ``git archive`` under ``bench_out/pairs/`` (the
 change side defaults to the working tree: tracked and untracked files that
@@ -12,7 +12,11 @@ Each pair runs both trees' own ``perfbench/run.py --trace 0`` for the
 workload, with the run length of the base tree's ``BENCHMARK.json``; the
 side that runs first alternates from pair to pair. The benchmark is a black
 box: only its ``manifest``, ``metric`` and last (JSON result) lines are read,
-and the parsed runs are kept in ``bench_out/pairs/runs-W.json``.
+and the parsed runs are kept in ``bench_out/pairs/runs-W.json``. With
+``--native``, ``python3 setup.py build_ext --inplace`` compiles the IoU kernel
+in both trees before the first run; a build that fails, or that ends without
+the module (setup.py's extension is optional), stops the script with one
+``error:`` line and exit code 2.
 
 Per metric it prints the base's median [q1, q3] and the change's median.
 For each metric that BENCHMARK.json declares, it adds the change's wins
@@ -30,6 +34,7 @@ Standard library only.
 from __future__ import annotations
 
 import argparse
+import importlib.machinery
 import json
 import math
 import os
@@ -41,6 +46,7 @@ import tarfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS_DIR = os.path.join(ROOT, "bench_out", "pairs")
+NATIVE = os.path.join("src", "coopmot", "geometry", "_native")  # the module, less its suffix
 UNIT_SENSITIVE = "peak_rss_mb"  # grows with units: compared at equal unit counts
 MIN_PAIRS = 10  # fewer pairs claim no gain
 SIGN = {"lower": -1.0, "higher": 1.0}  # a declared direction, as the sign of a win
@@ -70,6 +76,19 @@ def extract(side, rev) -> str:
         if proc.wait():
             raise RuntimeError(f"git archive {rev} failed")
     return tree
+
+
+def build_native(tree) -> None:
+    """Compile the IoU kernel in tree with setup.py build_ext --inplace;
+    RuntimeError, in one line, when the build fails or leaves no module."""
+    proc = subprocess.run([sys.executable, "setup.py", "build_ext", "--inplace"], cwd=tree,
+                          capture_output=True, text=True)
+    if proc.returncode == 0 and any(os.path.exists(os.path.join(tree, NATIVE + suffix))
+                                    for suffix in importlib.machinery.EXTENSION_SUFFIXES):
+        return
+    last = (proc.stderr.strip() or proc.stdout.strip()).splitlines()[-1:]
+    raise RuntimeError(f"native build failed in {tree} (exit {proc.returncode})"
+                       + "".join(f": {line.strip()}" for line in last))
 
 
 def parse_run(stdout: str) -> dict:
@@ -203,10 +222,19 @@ def main(argv=None) -> int:
     parser.add_argument("--change", help="the changed revision (default: the working tree)")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--workload", required=True)
+    parser.add_argument("--native", action="store_true",
+                        help="compile the IoU kernel in both trees before the first run")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     trees = extract("base", args.base), extract("change", args.change)
+    if args.native:
+        try:
+            for tree in trees:
+                build_native(tree)
+        except RuntimeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     with open(os.path.join(trees[0], "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}

@@ -552,7 +552,7 @@ MALFORMED = [
     ("bool-number", "eval", "tracks", record("tracks", score=True), 1,
      "line 1: field 'score' must be a number"),
     ("int-beyond-float", "track", "detections", record("detections", x=10 ** 320), 1,
-     "line 1: field 'x' is too large for a float"),
+     "line 1: non-finite field in detection: x"),
     ("frame-negative", "track", "detections", record("detections", frame=-1), 1,
      "line 1: bad frame index -1"),
     ("frame-float", "eval", "gt", record("gt", frame=1.5), 1,
@@ -689,6 +689,16 @@ def test_malformed_input_one_line_error(tmp_path, capsys, command, kind, content
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert err.startswith("error: ") and fragment in err
+
+
+@pytest.mark.parametrize("command", ["eval", "analyze"])
+def test_no_ground_truth_and_a_repeated_id(tmp_path, capsys, command):
+    # both commands match every frame before they refuse an empty ground truth
+    (tmp_path / "gt.jsonl").write_text("")
+    (tmp_path / "tracks.jsonl").write_text(record("tracks", track_id=7) * 2)
+    assert run_cli(command, "--tracks", str(tmp_path / "tracks.jsonl"),
+                   "--gt", str(tmp_path / "gt.jsonl"), "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == "error: frame 0: track id 7 appears twice\n"
 
 
 def test_only_exit_code_exceptions():

@@ -40,8 +40,8 @@ class TestValidateDetection:
         d = make_box(x=1.0, y=2.0, theta=0.5)
         assert (d.x, d.y, d.theta) == (1.0, 2.0, 0.5)
         assert replace(d) == d
-        # an int a float holds is kept as given; one no float holds is refused
-        assert make_box(x=10**300).x == 10**300
+        # an int a float holds is stored as its float; one no float holds is refused
+        assert make_box(x=10**300).x == float(10**300) and type(make_box(x=10**300).x) is float
         with pytest.raises(ValueError, match="^non-finite field in detection: x$"):
             make_box(x=10**400)
         assert make_box(theta=-0.0).theta.hex() == (-0.0).hex()
@@ -103,8 +103,9 @@ class TestValidateDetection:
 
 # Any number given to a box, a pose or a prediction score either builds or
 # raises ValueError where it is built, never OverflowError; a box that builds
-# raises nothing but ValueError in the pipelines and the IoU kernel. Each
-# explicit example raised OverflowError when a Detection let a huge int in.
+# raises nothing but ValueError in the pipelines and the IoU kernel. The
+# 10**400 examples raised OverflowError when a Detection let a huge int in.
+# A box or a pose builds from an int or a float, not a bool, and holds floats.
 FLOAT_EDGES = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -5e-324,
                                2.2250738585072014e-308, core.FLOAT_MAX, -core.FLOAT_MAX])
 BIG_INTS = st.sampled_from([10**300, -10**300, 10**400, -10**400])
@@ -114,7 +115,9 @@ ANY_NUMBER_RUNS = settings(max_examples=150, derandomize=True, deadline=None)
 
 
 def fits_a_float(value) -> bool:
-    """Whether value is a number that a finite float holds."""
+    """Whether value is a number (an int or a float, not a bool) that a finite float holds."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
     try:
         return math.isfinite(float(value))
     except OverflowError:  # an int beyond the float range
@@ -135,10 +138,15 @@ class TestAnyNumber:
     @example(field="x", value=10**400)
     @example(field="theta", value=10**400)
     @example(field="y", value=-core.FLOAT_MAX)
+    @example(field="h", value=3)
+    @example(field="z", value=np.float64(0.5))
+    @example(field="score", value=True)
+    @example(field="x", value=np.float32(0.5))
     def test_detection_field(self, field, value):
         d = built_or_refused(lambda: make_box(**{field: value}))
         assert built_or_refused(lambda: replace(make_box(), **{field: value})) == d
         if d is not None:
+            assert all(type(getattr(d, f.name)) is float for f in fields(d))
             built_or_refused(lambda: geometry.iou_matrix([d], [d, make_box()]))
             frames = [core.FrameBundle(t, {"a": [d], "b": [make_box(x=0.5)]}) for t in range(3)]
             for method in core.Method:
@@ -151,11 +159,16 @@ class TestAnyNumber:
     @ANY_NUMBER_RUNS
     @given(field=st.sampled_from(["x", "y", "z", "yaw"]), value=ANY_NUMBER)
     @example(field="x", value=10**400)
+    @example(field="y", value=10**300)
+    @example(field="z", value=np.float64(-2.5))
+    @example(field="yaw", value=1)
+    @example(field="x", value=False)
     def test_pose_field(self, field, value):
         pose = built_or_refused(lambda: io.Pose(**{"x": 0.0, "y": 0.0, "z": 0.0, "yaw": 0.0,
                                                    field: value}))
         assert (pose is None) == (not fits_a_float(value))
         if pose is not None:
+            assert all(type(getattr(pose, f.name)) is float for f in fields(pose))
             built_or_refused(lambda: io.to_global(make_box(x=1.0, y=-2.0), pose))
 
     @ANY_NUMBER_RUNS
@@ -166,7 +179,8 @@ class TestAnyNumber:
         pred = [[(7, make_box(), score)], [(7, make_box(x=0.1), 0.5)]]
         for evaluate in (metrics.evaluate_sequence, metrics.amota_family):
             result = built_or_refused(lambda: evaluate(gt, pred))
-            assert (result is None) == (not fits_a_float(score))
+            # a prediction score is compared, not stored: a bool counts as its int
+            assert (result is None) == (not fits_a_float(+score))
 
     def test_huge_int_message_names_the_fault(self):
         # the message says what is wrong and spells no 401-digit value

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coopmot import io, sim
-from coopmot.core import FLOAT_MAX, Detection, FrameBundle
+from coopmot.core import Detection, FrameBundle, scored_values
 from coopmot.tracker import FrameOutput
 from helpers import inverse_pose, make_box, total_detections, write_poses
 
@@ -344,116 +344,171 @@ class TestAnyFloats:
             [(7, fields(replace(d, score=1.0)))]
 
 
-# The JSONL writers as they built a dict per row and wrote
-# json.dumps(record) + "\n": the oracle for the io writers, which must
-# write the same bytes. They live here, not in helpers.py, which the
-# benchmark imports.
-def _reference_write(path, records) -> None:
-    """Write dicts as one JSON object per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
-
-
-def reference_write_detections(path, bundles) -> None:
-    _reference_write(path, ({
-        "frame": bundle.frame, "agent": agent,
-        "x": d.x, "y": d.y, "z": d.z, "theta": d.theta,
-        "h": d.h, "w": d.w, "l": d.l, "score": d.score,
-    } for bundle in bundles for agent, dets in bundle.detections_by_agent.items()
-        for d in dets))
-
-
-def reference_write_gt(path, gt_frames) -> None:
-    _reference_write(path, ({
-        "frame": t, "object_id": oid,
-        "x": d.x, "y": d.y, "z": d.z, "theta": d.theta,
-        "h": d.h, "w": d.w, "l": d.l,
-    } for t, row in enumerate(gt_frames) for oid, d in row))
-
-
-def reference_write_tracks(path, outputs) -> None:
-    """Write FrameOutputs as a tracks file."""
-    _reference_write(path, ({
-        "frame": out.frame, "track_id": int(tid),
-        "x": float(box[0]), "y": float(box[1]), "z": float(box[2]),
-        "theta": float(box[3]), "h": float(box[4]),
-        "w": float(box[5]), "l": float(box[6]),
-        "score": float(score),
-    } for out in outputs for tid, box, score in out.emitted))
-
-
-# The writers against the json.dumps(record) + "\n" writer they replaced
-# (reference_write_* above): the same bytes for any value, the same error
-# for a value json.dumps cannot write. Specials, ints, huge ints and float
-# subclasses leave the writers' fast path, so each is drawn often.
-WRITE_SAME = settings(max_examples=100, deadline=None)
+# The writers against json.dumps: a writer either writes every row as the
+# bytes of json.dumps(record) + "\n", and the records read back equal, or it
+# raises ValueError, which it does exactly when a row holds a value that the
+# reader refuses. A frame, an agent or an id is drawn bad one time in eight; a
+# track row's box or score now and then takes any value, or is cut or padded.
+WRITE_ANY = settings(max_examples=100, deadline=None)
 ANY_FLOAT = st.floats() | st.sampled_from([-0.0, 1e-300, 1e300, math.nan, math.inf, -math.inf])
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 1e-300, 1e300])
+BUILDS = FINITE | FINITE.map(np.float64) | st.integers(-2**70, 2**70) | st.just(10**300)
 ANY_VALUE = (ANY_FLOAT | ANY_FLOAT.map(np.float64) | st.integers(-2**70, 2**70)
-             | st.just(10**400))
-FRAME_OR_ID = st.integers(-2**70, 2**70) | st.booleans()
-AGENT = st.text(max_size=4) | st.sampled_from(['"', "\\", 'a"b\\c', "é", " ", "\x00"])
+             | st.sampled_from([10**300, 10**400, True, np.float32(0.5), "1.0", None]))
+ID = st.integers(-2**70, 2**70) | st.integers(-99, 99).map(np.int64)
+BAD_ID = st.sampled_from([True, False, 2.7, 3.0, np.float64(3.0), np.bool_(True), "3", None])
+BAD_FRAME = BAD_ID | st.sampled_from([-1, -2**70, np.int64(-1)])
+AGENT = st.text(min_size=1, max_size=4) | st.sampled_from(['"', "\\", 'a"b\\c', "é", " ", "\x00"])
+BAD_AGENT = st.sampled_from(["", 7, None, True])
+SCORED_FIELDS = io.BOX_FIELDS + ("score",)
+
+
+def drawn(data, good, bad, refused: list):
+    """A draw of good, or one time in eight a draw of bad, noted in refused."""
+    if data.draw(st.integers(0, 7)):
+        return data.draw(good)
+    refused.append(data.draw(bad))
+    return refused[-1]
 
 
 def any_detection(draw):
-    """A Detection of plain floats half the time, else of any values that
-    build one: ints, big ints such as 10**300 and np.float64 among them.
-    (A Detection holds no NaN, no infinity and no int that no float holds;
-    test_tracks writes those.)"""
-    values = draw(st.sampled_from([ANY_FLOAT, ANY_VALUE | st.just(10**300)]))
-    finite = values.filter(lambda v: -FLOAT_MAX <= v <= FLOAT_MAX)
-    extent = finite.map(abs).filter(bool)
-    score = SCORE if values is ANY_FLOAT else SCORE | SCORE.map(np.float64) | st.integers(0, 1)
-    return Detection(draw(finite), draw(finite), draw(finite), draw(finite),
+    """A Detection built from plain floats half the time, else from any
+    numbers that build one: ints, 10**300 and np.float64 among them."""
+    values = draw(st.sampled_from([FINITE, BUILDS]))
+    extent = values.map(abs).filter(bool)
+    score = SCORE if values is FINITE else SCORE | SCORE.map(np.float64) | st.integers(0, 1)
+    return Detection(draw(values), draw(values), draw(values), draw(values),
                      draw(extent), draw(extent), draw(extent), draw(score))
 
 
-def written(write, path, data):
-    """The bytes write leaves at path, and the error it raised, if any."""
+def track_row(data):
+    """A track's (box, score): a Detection's values as a list or a float
+    array, or now and then with one value swapped for any value, or the box
+    cut or padded."""
+    values = list(scored_values(any_detection(data.draw)))
+    if not data.draw(st.integers(0, 3)):
+        values[data.draw(st.integers(0, 7))] = data.draw(ANY_VALUE)
+    box, score = values[:7], values[7]
+    if not data.draw(st.integers(0, 7)):
+        box = (box + box)[:data.draw(st.integers(0, 10).filter(lambda n: n != 7))]
+    if data.draw(st.booleans()) and all(type(v) is float for v in box):
+        box = np.array(box)
+    return box, score
+
+
+def row_detection(box, score):
+    """The Detection of a track row's box and score, or None for a row that
+    read_tracks would refuse (any row whose box is not seven numbers)."""
+    values = box.tolist() if isinstance(box, np.ndarray) else box
     try:
-        write(path, data)
-        error = None
-    except (TypeError, ValueError, OverflowError) as exc:
-        error = (type(exc), str(exc))
-    return path.read_bytes(), error
+        return Detection(*values, score) if len(values) == 7 else None
+    except ValueError:
+        return None
+
+
+def writes_or_refuses(write, path, data, refused, records, read):
+    """write(path, data) raises ValueError if refused holds a value; else it
+    writes each of records(data) as json.dumps does, and records(read(path))
+    gives them back."""
+    if refused:
+        with pytest.raises(ValueError):
+            write(path, data)
+        return
+    write(path, data)
+    expected = "".join(json.dumps(rec) + "\n" for rec in records(data))
+    assert path.read_text(encoding="utf-8") == expected
+    assert "".join(json.dumps(rec) + "\n" for rec in records(read(path))) == expected  # -0.0 too
+
+
+def box_record(frame, key, value, d, names=SCORED_FIELDS) -> dict:
+    return {"frame": int(frame), key: value, **dict(zip(names, scored_values(d)))}
 
 
 class TestWritersMatchJsonDumps:
-    @WRITE_SAME
+    @WRITE_ANY
     @given(st.data())
     def test_detections(self, tmp_path_factory, data):
-        bundles = [FrameBundle(frame=data.draw(FRAME_OR_ID), detections_by_agent={
-            agent: [any_detection(data.draw) for _ in range(data.draw(st.integers(0, 3)))]
-            for agent in data.draw(st.lists(AGENT, max_size=3, unique=True))})
-            for _ in range(data.draw(st.integers(0, 3)))]
-        base = tmp_path_factory.mktemp("w")
-        assert written(io.write_detections, base / "new.jsonl", bundles) == \
-            written(reference_write_detections, base / "old.jsonl", bundles)
+        refused = []
+        bundles = [FrameBundle(
+            frame=drawn(data, st.sampled_from([t, np.int64(t)]), BAD_FRAME, refused),
+            detections_by_agent={
+                drawn(data, st.just(agent), BAD_AGENT, refused):
+                    [any_detection(data.draw) for _ in range(data.draw(st.integers(0, 3)))]
+                for agent in sorted(data.draw(st.lists(AGENT, max_size=3, unique=True)))})
+            for t in range(data.draw(st.integers(0, 3)))]
 
-    @WRITE_SAME
+        def records(bs):
+            return [box_record(b.frame, "agent", agent, d)
+                    for b in bs for agent, dets in b.detections_by_agent.items() for d in dets]
+        writes_or_refuses(io.write_detections, tmp_path_factory.mktemp("w") / "det.jsonl",
+                          bundles, refused, records, io.read_detections)
+
+    @WRITE_ANY
     @given(st.data())
     def test_gt(self, tmp_path_factory, data):
-        gt_frames = [[(data.draw(FRAME_OR_ID), any_detection(data.draw))
+        refused = []
+        gt_frames = [[(drawn(data, ID, BAD_ID, refused), any_detection(data.draw))
                       for _ in range(data.draw(st.integers(0, 3)))]
                      for _ in range(data.draw(st.integers(0, 4)))]
-        base = tmp_path_factory.mktemp("w")
-        assert written(io.write_gt, base / "new.jsonl", gt_frames) == \
-            written(reference_write_gt, base / "old.jsonl", gt_frames)
 
-    @WRITE_SAME
+        def records(frames):
+            return [box_record(t, "object_id", int(oid), d, io.BOX_FIELDS)
+                    for t, row in enumerate(frames) for oid, d in row]
+        writes_or_refuses(io.write_gt, tmp_path_factory.mktemp("w") / "gt.jsonl", gt_frames,
+                          refused, records, io.read_gt)
+
+    @WRITE_ANY
     @given(st.data())
     def test_tracks(self, tmp_path_factory, data):
-        def box():  # a track state row, or any sequence of values
-            if data.draw(st.booleans()):
-                return np.array(data.draw(st.lists(ANY_FLOAT, min_size=7, max_size=10)))
-            return data.draw(st.lists(ANY_VALUE, min_size=7, max_size=10))
-        outputs = [FrameOutput(frame=data.draw(FRAME_OR_ID), emitted=tuple(
-            (data.draw(st.integers(0, 2**70) | st.integers(0, 99).map(np.int64)),
-             box(), data.draw(ANY_VALUE)) for _ in range(data.draw(st.integers(0, 3)))))
-            for _ in range(data.draw(st.integers(0, 3)))]
-        base = tmp_path_factory.mktemp("w")
-        assert written(io.write_tracks, base / "new.jsonl", outputs) == \
-            written(reference_write_tracks, base / "old.jsonl", outputs)
+        refused = []
+        outputs = [FrameOutput(
+            frame=drawn(data, st.sampled_from([t, np.int64(t)]), BAD_FRAME, refused),
+            emitted=tuple((drawn(data, ID, BAD_ID, refused), *track_row(data))
+                          for _ in range(data.draw(st.integers(0, 3)))))
+            for t in range(data.draw(st.integers(0, 3)))]
+        refused += [row for out in outputs for row in out.emitted
+                    if row_detection(*row[1:]) is None]
+
+        def records(outs):
+            return [box_record(out.frame, "track_id", int(tid), row_detection(box, score))
+                    for out in outs for tid, box, score in out.emitted]
+
+        def read(path):
+            return [FrameOutput(t, tuple((tid, d.box7(), score) for tid, d, score in row))
+                    for t, row in enumerate(io.read_tracks(path))]
+        writes_or_refuses(io.write_tracks, tmp_path_factory.mktemp("w") / "tracks.jsonl",
+                          outputs, refused, records, read)
+
+
+def test_writer_refusals_name_the_frame_and_value(tmp_path):
+    box = make_box()
+    out = {"gt": io.write_gt, "tracks": io.write_tracks, "detections": io.write_detections}
+    for kind, rows, message in [
+            ("gt", [[], [(True, box)]], "frame 1: bad object_id True"),
+            ("gt", [[(3.0, box)]], "frame 0: bad object_id 3.0"),
+            ("gt", [[(3, box), ("a", box)]], "frame 0: bad object_id 'a'"),
+            ("tracks", [FrameOutput(2, ((2.7, box.box7(), 0.5),))], "frame 2: bad track_id 2.7"),
+            ("tracks", [FrameOutput(0, ((True, box.box7(), 0.5),))],
+             "frame 0: bad track_id True"),
+            ("tracks", [FrameOutput(-1, ())], "bad frame index -1"),
+            ("tracks", [FrameOutput(0, ((1, [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0],
+                                         0.5),))], "frame 0: track 1: 10 box values"),
+            ("tracks", [FrameOutput(0, ((1, [math.nan, *box.box7()[1:]], 0.5),))],
+             "non-finite field in detection: x"),
+            ("tracks", [FrameOutput(0, ((1, [0, 10**400, 0, 0, 1, 1, 1], 0.5),))],
+             "non-finite field in detection: y"),
+            ("detections", [FrameBundle(True, {"a": [box]})], "bad frame index True"),
+            ("detections", [FrameBundle(4, {"": []})], "frame 4: bad agent ''")]:
+        with pytest.raises(ValueError) as caught:
+            out[kind](tmp_path / "out.jsonl", rows)
+        assert str(caught.value) == message
+    io.write_gt(tmp_path / "gt.jsonl", [[(np.int64(3), box)]])
+    io.write_tracks(tmp_path / "tracks.jsonl", [FrameOutput(np.int64(1), (
+        (np.int64(7), np.array([0, 0, 0, 0, 1, 1, 1]), 1),))])
+    assert io.read_gt(tmp_path / "gt.jsonl")[0][0][0] == 3
+    assert (tmp_path / "tracks.jsonl").read_text() == (
+        '{"frame": 1, "track_id": 7, "x": 0.0, "y": 0.0, "z": 0.0, "theta": 0.0, '
+        '"h": 1.0, "w": 1.0, "l": 1.0, "score": 1.0}\n')
 
 
 GOOD = {"frame": 0, "agent": "a", "object_id": 3, "track_id": 4, "x": 0.5, "y": 0.0,
@@ -519,7 +574,7 @@ READ_ERRORS = [
     ("poses-yaw-inf", "poses", line("poses", yaw=-math.inf),
      "line 1: non-finite pose field: yaw"),
     ("det-y-too-large", "detections", line("detections", y=10 ** 320),
-     "line 1: field 'y' is too large for a float"),
+     "line 1: non-finite field in detection: y"),
 ]
 
 

@@ -57,6 +57,12 @@ class TestInitTrack:
     def test_score_copied(self, model):
         assert born(make_box(score=0.42), model).scores.tolist() == [0.42]
 
+    @pytest.mark.parametrize("row", [[math.nan, 0, 0, 0, 1, 1, 1], [0, 0, 0, 0, 1, 10**400, 1]])
+    def test_non_finite_row_refused(self, model, row):
+        # a NaN row made a NaN track, and 10**400 raised OverflowError
+        with pytest.raises(ValueError, match="^box has a non-finite value$"):
+            kalman.init_track([row], [1.0], 1, model)
+
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
 @example([math.pi, -math.pi, math.nextafter(math.pi, 0.0), math.nextafter(-math.pi, 0.0),

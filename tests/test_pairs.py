@@ -1,8 +1,10 @@
-"""studies/pairs.py's statistics, on canned run.py outputs (no benchmark runs)."""
+"""studies/pairs.py's statistics and --native wiring, on canned run.py outputs (no
+benchmark runs, no compiler)."""
 
 import importlib.util
 import json
 import os
+import shutil
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _spec = importlib.util.spec_from_file_location("pairs", os.path.join(ROOT, "studies", "pairs.py"))
@@ -126,3 +128,61 @@ def test_format_line_pins_the_quoted_form():
             pairs.parse_run(canned(11, 0.3, 42.0, 900.0, 0.03)))]
     line = pairs.format_line("cli", pairs.summarize(one, BETTER), 1, ["wall_s", "peak_rss_mb"])
     assert line == "cli: wall_s 0.4 [0.4, 0.4] → 0.3 (1/1), peak_rss_mb no pair with equal units"
+
+
+def fake_tree(path, setup_body):
+    """A tree whose setup.py runs setup_body after noting its arguments, and
+    whose BENCHMARK.json pairs.main reads."""
+    path.mkdir()
+    (path / "setup.py").write_text("import pathlib, sys\n"
+                                   "pathlib.Path('argv.txt').write_text(' '.join(sys.argv[1:]))\n"
+                                   + setup_body)
+    (path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "end_to_end": [{"name": "wall_s", "better": "lower"}],
+        "per_layer": []}))
+    return str(path)
+
+
+BUILDS = ("import importlib.machinery\n"
+          "module = pathlib.Path('src/coopmot/geometry/_native'"
+          " + importlib.machinery.EXTENSION_SUFFIXES[0])\n"
+          "module.parent.mkdir(parents=True)\n"
+          "module.write_text('')\n")
+
+
+def native_main(tmp_path, monkeypatch, setup_body):
+    """pairs.main with --native over two fake trees; (exit code, the trees'
+    state at each run)."""
+    trees = {side: fake_tree(tmp_path / side, setup_body) for side in ("base", "change")}
+    monkeypatch.setattr(pairs, "extract", lambda side, rev: trees[side])
+    monkeypatch.setattr(pairs, "PAIRS_DIR", str(tmp_path))
+    seen = []
+
+    def run_tree(tree, workload, seconds):
+        seen.append(sorted(os.listdir(tree)))
+        return pairs.parse_run(canned(10, 0.4, 43.0, 900.0, 0.03))
+    monkeypatch.setattr(pairs, "run_tree", run_tree)
+    code = pairs.main(["--base", "HEAD", "--pairs", "1", "--workload", "cli", "--native"])
+    return code, trees, seen
+
+
+def test_native_builds_both_trees_before_the_first_run(tmp_path, monkeypatch):
+    code, trees, seen = native_main(tmp_path, monkeypatch, BUILDS)
+    assert code == 0
+    assert seen == [["BENCHMARK.json", "argv.txt", "setup.py", "src"]] * 2
+    for tree in trees.values():
+        with open(os.path.join(tree, "argv.txt"), encoding="utf-8") as fh:
+            assert fh.read() == "build_ext --inplace"
+
+
+def test_native_build_failure_is_one_error_line(tmp_path, monkeypatch, capsys):
+    for setup_body, reason in [("print('cc: not found', file=sys.stderr)\nsys.exit(1)\n",
+                                "(exit 1): cc: not found"),
+                               ("print('building extension failed')\n", "(exit 0): building "
+                                "extension failed")]:
+        for side in ("base", "change"):
+            shutil.rmtree(tmp_path / side, ignore_errors=True)
+        code, trees, seen = native_main(tmp_path, monkeypatch, setup_body)
+        err = capsys.readouterr().err
+        assert (code, seen) == (2, [])
+        assert err == f"error: native build failed in {trees['base']} {reason}\n"
