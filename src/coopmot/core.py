@@ -1,9 +1,9 @@
 """Shared domain types, configuration and validation.
 
-core owns the box: BOX_FIELDS, Detection's first seven fields, is the column
-order of every box row, array and file; box_values and scored_values read
-them; store_floats holds each number of a box, a pose or a file to one rule.
-A Detection and a config dataclass check their fields when built, from any source.
+core owns the box and the number rule. BOX_FIELDS, Detection's first seven
+fields, is the column order of every box row, array and file (box_values and
+scored_values read it); real and integer check every number taken from
+outside, and a Detection or a config checks its fields when built, from any source.
 
 All types here are immutable value objects. The arrays that flow between
 the pipeline stages (refined boxes, the kalman.Tracks store) follow the
@@ -33,20 +33,41 @@ class ConfigParse(ValueError):
     """Config file missing, unreadable, or containing bad values."""
 
 
+def real(value) -> float:
+    """value as a float: an int or a float, not a bool, that a finite float
+    holds. Else TypeError "must be a number" or ValueError "must be finite"."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("must be a number")
+    if not -FLOAT_MAX <= value <= FLOAT_MAX:  # NaN fails every comparison
+        raise ValueError("must be finite")
+    return float(value)
+
+
+def integer(value) -> int:
+    """value as an int: what operator.index takes, not a bool, that a finite
+    float holds. Else TypeError "must be an integer" or ValueError as real."""
+    if isinstance(value, bool) or not (isinstance(value, int)
+                                       or hasattr(type(value), "__index__")):
+        raise TypeError("must be an integer")
+    value = operator.index(value)
+    if not -FLOAT_MAX <= value <= FLOAT_MAX:
+        raise ValueError("must be finite")
+    return value
+
+
 def store_floats(obj, nonfinite: str) -> None:
-    """Store each field of the frozen dataclass obj as a float. A field must be
-    an int or a float, not a bool ("field 'x' must be a number"), that a
-    finite float holds ("<nonfinite>: x, y" names every field that is not)."""
-    values = [(f.name, getattr(obj, f.name)) for f in fields(obj)]
-    for name, v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValueError(f"field {name!r} must be a number")
-    # NaN fails every comparison; an int no float holds lies beyond FLOAT_MAX
-    bad = [name for name, v in values if not -FLOAT_MAX <= v <= FLOAT_MAX]
+    """Store each field of the frozen dataclass obj as real gives it: ValueError
+    "field 'x' must be a number", else "<nonfinite>: x, y" naming each non-finite field."""
+    bad = []
+    for f in fields(obj):
+        try:
+            object.__setattr__(obj, f.name, real(getattr(obj, f.name)))
+        except TypeError as exc:
+            raise ValueError(f"field {f.name!r} {exc}") from None
+        except ValueError:
+            bad.append(f.name)
     if bad:
         raise ValueError(f"{nonfinite}: {', '.join(bad)}")
-    for name, v in values:
-        object.__setattr__(obj, name, float(v))
 
 
 def wrap_angle(theta: float) -> float:
@@ -104,9 +125,6 @@ class Method(Enum):
     TSA = "tsa"
 
 
-_ANNOTATION_TYPES = {"Method": Method, "float": (int, float), "int": int, "bool": bool}
-
-
 @dataclass(frozen=True)
 class TrackerConfig:
     """Tracker settings, checked when built; method may be given by its value, in any case."""
@@ -120,22 +138,25 @@ class TrackerConfig:
     warm_start: bool = True
 
     def __post_init__(self):
-        if isinstance(self.method, str):
-            try:
-                object.__setattr__(self, "method", Method(self.method.lower()))
-            except ValueError:
-                raise ConfigParse(f"unknown method {self.method!r}") from None
         for f in fields(self):
             value = getattr(self, f.name)
-            if (not isinstance(value, _ANNOTATION_TYPES[f.type])
-                    or (isinstance(value, bool) and f.type != "bool")):
-                raise ConfigParse(f"config key {f.name!r} has wrong type: {value!r}")
-        for key in ("iou_assoc_threshold", "cross_agent_iou_threshold"):
-            if not 0.0 < getattr(self, key) <= 1.0:
-                raise ConfigParse(f"{key} {getattr(self, key)} not in (0, 1]")
-        for key in ("min_hits", "max_age"):
-            if getattr(self, key) < 1:
-                raise ConfigParse(f"{key} {getattr(self, key)} must be >= 1")
+            try:
+                if f.type in ("float", "int"):
+                    value = (real if f.type == "float" else integer)(value)
+                elif f.type == "Method" and isinstance(value, str):
+                    value = Method(value.lower())
+                elif not isinstance(value, Method if f.type == "Method" else bool):
+                    raise TypeError
+            except TypeError:
+                raise ConfigParse(f"config key {f.name!r} has wrong type: {value!r}") from None
+            except ValueError as exc:
+                raise ConfigParse(f"unknown method {value!r}" if f.type == "Method"
+                                  else f"config key {f.name!r} {exc}") from None
+            if f.type == "float" and not 0.0 < value <= 1.0:  # the message spells it as given
+                raise ConfigParse(f"{f.name} {getattr(self, f.name)} not in (0, 1]")
+            if f.type == "int" and value < 1:
+                raise ConfigParse(f"{f.name} {value} must be >= 1")
+            object.__setattr__(self, f.name, value)
 
     def to_dict(self) -> dict:
         return {**asdict(self), "method": self.method.value}
@@ -153,8 +174,7 @@ def config_kwargs(cls, raw) -> dict:
 
 
 def config_from_dict(raw: dict) -> TrackerConfig:
-    """Build a TrackerConfig from a parsed JSON object; missing keys take
-    defaults."""
+    """Build a TrackerConfig from a parsed JSON object; missing keys take defaults."""
     return TrackerConfig(**config_kwargs(TrackerConfig, raw))
 
 

@@ -9,14 +9,13 @@ Field names are part of the interface:
 * tracks:     {"frame","track_id","x","y","z","theta","h","w","l","score"}
 
 Files are UTF-8. Angles are radians, lengths meters. Readers and writers
-share one rule for numbers (core.store_floats) and one for frames, agents
-and ids (_key). Writers format each row directly, floats by float.__repr__
-as json.dumps does (so every file round-trips losslessly), and stream the
-rows to the file one by one; each row is the bytes of json.dumps(record)
-and a newline, and a row its reader refuses raises ValueError. Frame
-indices must be non-decreasing within a file; readers return dense frame
-lists from 0 to the maximum index, with gaps as empty frames. Every error
-on a line is a ValueError that reads "<path>: line N: <reason>".
+share core's number rule (core.store_floats, and core.integer in _key, the
+rule for frames, agents and ids). Writers stream one row at a time, the
+bytes of json.dumps(record) and a newline (floats by float.__repr__, so
+files round-trip losslessly); a row its reader refuses raises ValueError.
+Frame indices must be non-decreasing within a file; readers return dense
+frame lists from 0 to the maximum index, with gaps as empty frames. Every
+error on a line is a ValueError that reads "<path>: line N: <reason>".
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ import math
 import operator
 from dataclasses import dataclass, replace
 
-from .core import (BOX_FIELDS, Detection, FrameBundle, box_values, scored_values, store_floats,
-                   wrap_angle)
+from .core import (BOX_FIELDS, Detection, FrameBundle, box_values, integer, scored_values,
+                   store_floats, wrap_angle)
 
 
 @dataclass(frozen=True)
@@ -56,14 +55,17 @@ _decode = json.JSONDecoder().raw_decode
 
 def _key(name, value, frame=None):
     """value as a file holds the field name ("frame index", "agent" or an id):
-    an agent is a non-empty str; a frame or an id an int, not a bool (a numpy
-    int gives its int), and a frame is not negative. Else ValueError "bad
-    <name> <value!r>", after "frame <frame>: " when a writer names the frame."""
-    if (isinstance(value, str) and value if name == "agent" else
-            hasattr(type(value), "__index__") and not isinstance(value, bool)
-            and (name != "frame index" or value >= 0)):
-        return value if name == "agent" else operator.index(value)
-    raise ValueError(("" if frame is None else f"frame {frame}: ") + f"bad {name} {value!r}")
+    an agent is a non-empty str; a frame or an id what core.integer gives, and
+    a frame is not negative. Else ValueError "bad <name> <value!r>", after
+    "frame <frame>: " when a writer names the frame."""
+    try:
+        key = (value if isinstance(value, str) and value else None) if name == "agent" \
+            else integer(value)
+    except (TypeError, ValueError):
+        key = None
+    if key is None or name == "frame index" and key < 0:
+        raise ValueError(("" if frame is None else f"frame {frame}: ") + f"bad {name} {value!r}")
+    return key
 
 
 def _records(path, key, fields, make):

@@ -9,7 +9,7 @@ they never write the arrays of their input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,19 +42,12 @@ class Tracks:
 
     def take(self, rows) -> "Tracks":
         """The rows picked by an index array or a bool mask, in order."""
-        return Tracks(self.states[rows], self.covariances[rows], self.ids[rows],
-                      self.hits[rows], self.misses[rows], self.confirmed[rows],
-                      self.scores[rows])
+        return Tracks(*(column[rows] for column in vars(self).values()))
 
     def concat(self, other: "Tracks") -> "Tracks":
         """This store's rows followed by other's."""
-        return Tracks(np.concatenate([self.states, other.states]),
-                      np.concatenate([self.covariances, other.covariances]),
-                      np.concatenate([self.ids, other.ids]),
-                      np.concatenate([self.hits, other.hits]),
-                      np.concatenate([self.misses, other.misses]),
-                      np.concatenate([self.confirmed, other.confirmed]),
-                      np.concatenate([self.scores, other.scores]))
+        return Tracks(*(np.concatenate(pair) for pair in zip(vars(self).values(),
+                                                             vars(other).values())))
 
 
 @dataclass(frozen=True)
@@ -124,8 +117,7 @@ def predict(tracks: Tracks, model: KalmanModel) -> Tracks:
     cov[:, :3] += cov[:, 7:]
     cov[:, :, :3] += cov[:, :, 7:]
     cov += model.Q
-    return Tracks(states, 0.5 * (cov + cov.swapaxes(1, 2)), tracks.ids, tracks.hits,
-                  tracks.misses, tracks.confirmed, tracks.scores)
+    return replace(tracks, states=states, covariances=0.5 * (cov + cov.swapaxes(1, 2)))
 
 
 def _orientation_residual(z_theta, pred_theta):
@@ -178,5 +170,4 @@ def update(tracks: Tracks, rows, z, scores, model: KalmanModel) -> Tracks:
     states[rows] = state
     covariances[rows] = 0.5 * (cov + cov.swapaxes(1, 2))
     new_scores[rows] = scores
-    return Tracks(states, covariances, tracks.ids, tracks.hits, tracks.misses,
-                  tracks.confirmed, new_scores)
+    return replace(tracks, states=states, covariances=covariances, scores=new_scores)

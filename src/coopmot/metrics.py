@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 
 from . import assign, geometry
-from .core import FLOAT_MAX
+from .core import real
 
 IOU_THRESHOLD = 0.25
 NUM_THRESHOLDS = 40
@@ -66,10 +66,10 @@ class _FrameMatcher:
 
     __slots__ = ("gt_ids", "tids", "scores", "ascending", "iou")
 
-    def __init__(self, gt, pred):
+    def __init__(self, gt, pred, scores):
         self.gt_ids = [g[0] for g in gt]
         self.tids = [p[0] for p in pred]
-        self.scores = [float(p[2]) for p in pred]
+        self.scores = scores
         self.ascending = sorted(self.scores)  # for bisect
         self.iou = geometry.iou_matrix([g[1] for g in gt], [p[1] for p in pred])
 
@@ -87,16 +87,17 @@ class _FrameMatcher:
 def _matchers(gt_frames, pred_frames):
     """Yield a _FrameMatcher per frame of the longer list that holds a box;
     the shorter list's missing tail frames are empty. Raises ValueError when
-    a prediction score is NaN or infinite, or a frame repeats an object id
-    or a track id."""
+    a prediction score breaks core.real ("frame 0: prediction score must be
+    finite"), or a frame repeats an object id or a track id."""
     for t, (gt, pred) in enumerate(itertools.zip_longest(gt_frames, pred_frames,
                                                           fillvalue=())):
         if not gt and not pred:
             continue
-        for p in pred:
-            if not -FLOAT_MAX <= p[2] <= FLOAT_MAX:
-                raise ValueError(f"frame {t}: prediction score is not finite")
-        m = _FrameMatcher(gt, pred)
+        try:
+            scores = [real(p[2]) for p in pred]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"frame {t}: prediction score {exc}") from None
+        m = _FrameMatcher(gt, pred, scores)
         for kind, ids in (("object", m.gt_ids), ("track", m.tids)):
             if len(set(ids)) < len(ids):
                 repeated = next(i for k, i in enumerate(ids) if i in ids[:k])
@@ -147,8 +148,8 @@ def evaluate_sequence(gt_frames, pred_frames) -> SequenceTally:
 
     gt_frames: per frame, a list of (object_id, box); pred_frames: per
     frame, a list of (track_id, box, score). Frames past the end of the
-    shorter list are empty. Raises ValueError when a prediction score is
-    not finite or a frame repeats an id.
+    shorter list are empty. Raises ValueError when core.real refuses a
+    prediction score or a frame repeats an id.
     """
     return _full_tally(_matchers(gt_frames, pred_frames))
 
@@ -253,7 +254,7 @@ def amota_family(gt_frames, pred_frames) -> MetricsReport:
     recall >= r with the fewest predictions is selected (the highest such
     threshold); targets no threshold can reach contribute zero. Frames
     are aligned as in evaluate_sequence; the GT count is the full pass's.
-    Raises ValueError when a prediction score is not finite or a frame
+    Raises ValueError when core.real refuses a prediction score or a frame
     repeats an id, then (mota_motp of the full pass) when GT is empty.
     """
     # the frames with boxes; their IoU matrices serve both passes of this call

@@ -5,24 +5,25 @@ centered on the origin. Both agents observe from the origin: an agent
 misses an object when its bearing falls in one of that agent's occlusion
 sectors, or with the agent's dropout probability. Observed centroids get
 independent Gaussian noise. Everything is deterministic per seed.
-ScenarioConfig checks its own fields; core.config_kwargs the root and keys.
+ScenarioConfig checks its fields (numbers by core.real and core.integer);
+core.config_kwargs the root and keys.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .core import FLOAT_MAX, Detection, FrameBundle, config_kwargs, wrap_angle
+from .core import Detection, FrameBundle, config_kwargs, integer, real, wrap_angle
 
 CAR_L, CAR_W, CAR_H = 4.5, 1.8, 1.6
 MIN_SPAWN_SEPARATION = 8.0  # centers; keeps >= 2 m box clearance
 MAX_SPAWN_ATTEMPTS = 10000
 
 AGENTS = ("agent0", "agent1")
+_LIST_DEPTH = {"sigma": 1, "dropout": 1, "occlusion_sectors": 3}  # lists per agent
 
 
 @dataclass(frozen=True)
@@ -41,38 +42,23 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # per agent: a value each, or a list of (lo, hi) sectors each
-        for key, depth in (("sigma", 1), ("dropout", 1), ("occlusion_sectors", 3)):
-            object.__setattr__(self, key, _tuples(key, getattr(self, key), depth))
-        for key in ("num_objects", "num_frames", "seed"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.num_frames < 1:
-            raise ValueError("num_frames must be >= 1")
-        if self.num_objects < 0:
-            raise ValueError("num_objects must be >= 0")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            try:
+                value = (_tuples(value, _LIST_DEPTH[f.name]) if f.name in _LIST_DEPTH
+                         else integer(value) if f.type == "int" else real(value))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{f.name} {exc}") from None
+            object.__setattr__(self, f.name, value)
+        for key, low in (("num_objects", 0), ("num_frames", 1), ("world_extent", 0), ("seed", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}")
         for key in ("sigma", "dropout", "occlusion_sectors"):
             if len(getattr(self, key)) != len(AGENTS):
                 raise ValueError(f"{key} needs one entry per agent ({len(AGENTS)})")
         for sector in (s for sectors in self.occlusion_sectors for s in sectors):
             if len(sector) != 2:
                 raise ValueError(f"occlusion sector {list(sector)} is not a (lo, hi) pair")
-        bounds = [b for sectors in self.occlusion_sectors for s in sectors for b in s]
-        for key, values in (("speed_min", [self.speed_min]), ("speed_max", [self.speed_max]),
-                            ("world_extent", [self.world_extent]), ("sigma", self.sigma),
-                            ("dropout", self.dropout), ("score_base", [self.score_base]),
-                            ("score_jitter", [self.score_jitter]),
-                            ("occlusion_sectors", bounds)):
-            if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                       for v in values):
-                raise ValueError(f"{key} must be a number")
-            if not all(-FLOAT_MAX <= v <= FLOAT_MAX for v in values):
-                raise ValueError(f"{key} must be finite")
-        if self.world_extent < 0:
-            raise ValueError("world_extent must be >= 0")
         if any(s < 0 for s in self.sigma):
             raise ValueError("sigma must be >= 0")
         if any(not 0.0 <= p <= 1.0 for p in self.dropout):
@@ -84,12 +70,12 @@ class ScenarioConfig:
         return asdict(self)
 
 
-def _tuples(key: str, value, depth: int) -> tuple:
-    """value, lists nested depth deep, as tuples; anything else where a list
-    belongs is refused, naming key."""
+def _tuples(value, depth: int) -> tuple:
+    """value, lists nested depth deep, as tuples of what real gives for each
+    leaf; TypeError "must be a list" where anything else stands for a list."""
     if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{key} must be a list")
-    return tuple(_tuples(key, v, depth - 1) if depth > 1 else v for v in value)
+        raise TypeError("must be a list")
+    return tuple(_tuples(v, depth - 1) if depth > 1 else real(v) for v in value)
 
 
 def scenario_from_dict(raw: dict) -> ScenarioConfig:

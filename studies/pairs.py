@@ -11,8 +11,8 @@ git does not ignore), so the checkout and ``.git`` are left as they are.
 Each pair runs both trees' own ``perfbench/run.py --trace 0`` for the
 workload, with the run length of the base tree's ``BENCHMARK.json``; the
 side that runs first alternates from pair to pair. The benchmark is a black
-box: only its ``manifest``, ``metric`` and last (JSON result) lines are read,
-and the parsed runs are kept in ``bench_out/pairs/runs-W.json``. With
+box: only its ``manifest``, ``FAILED``, ``metric`` and last (JSON result)
+lines are read, and the parsed runs are kept in ``bench_out/pairs/runs-W.json``. With
 ``--native``, ``python3 setup.py build_ext --inplace`` compiles the IoU kernel
 in both trees before the first run; a build that fails, or that ends without
 the module (setup.py's extension is optional), stops the script with one
@@ -26,8 +26,10 @@ when, over at least ten pairs, the change wins at least nine tenths of them
 and the medians differ by more than the base's interquartile range.
 ``peak_rss_mb`` grows with the number of units a run fits into its time,
 so it is compared only over the pairs whose two runs have equal ``units``.
-After the table, one line gives BENCHMARK.json's end-to-end metrics in the
-form a change note quotes them.
+The summary line counts each side's failed operations; after it, a side
+that failed any has its runs' ``FAILED`` lines printed with their pair
+numbers. After the table, one line gives BENCHMARK.json's end-to-end
+metrics in the form a change note quotes them.
 Standard library only.
 """
 
@@ -92,12 +94,15 @@ def build_native(tree) -> None:
 
 
 def parse_run(stdout: str) -> dict:
-    """{"units", "failed", "metrics": {name: value}, "units_of": {name: unit}}
-    from the standard output of one run.py --trace 0 run."""
-    run = {"metrics": {}, "units_of": {}}
+    """{"units", "failed", "problems", "metrics": {name: value}, "units_of":
+    {name: unit}} from the standard output of one run.py --trace 0 run;
+    problems holds the text of its FAILED lines, in order."""
+    run = {"problems": [], "metrics": {}, "units_of": {}}
     for line in stdout.splitlines():
         if line.startswith("manifest "):
             run["units"] = json.loads(line[len("manifest "):])["units"]
+        elif line.startswith("FAILED "):
+            run["problems"].append(line[len("FAILED "):])
         elif line.startswith("metric "):
             _, name, value, unit = line.split(" ", 3)
             run["metrics"][name] = float(value)
@@ -204,6 +209,17 @@ def format_line(workload, rows, n_pairs, names) -> str:
     return f"{workload}: " + ", ".join(parts)
 
 
+def format_problems(pairs) -> list:
+    """The FAILED lines of each side whose runs failed operations, as
+    "<side> pair <k>: FAILED <problem>", pairs numbered from 1."""
+    lines = []
+    for side, runs in zip(("base", "change"), zip(*pairs)):
+        if any(run["failed"] for run in runs):
+            lines += [f"{side} pair {k}: FAILED {problem}"
+                      for k, run in enumerate(runs, start=1) for problem in run["problems"]]
+    return lines
+
+
 def run_tree(tree, workload, seconds) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
@@ -252,6 +268,8 @@ def main(argv=None) -> int:
     failed = [sum(run["failed"] for run in side) for side in zip(*pairs)]
     print(f"{args.workload}: {args.pairs} alternated pairs, base {args.base}, change "
           f"{args.change or 'working tree'}; failed operations {failed[0]} / {failed[1]}")
+    for line in format_problems(pairs):
+        print(line)
     rows = summarize(pairs, better)
     print(format_rows(rows, args.pairs, sign_tests(pairs, better)))
     print(format_line(args.workload, rows, args.pairs,

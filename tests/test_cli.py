@@ -596,7 +596,7 @@ MALFORMED = [
     ("config-threshold-zero", "track", "config", '{"iou_assoc_threshold": 0}', 2,
      "iou_assoc_threshold 0 not in (0, 1]"),
     ("config-threshold-nan", "track", "config", '{"cross_agent_iou_threshold": NaN}', 2,
-     "cross_agent_iou_threshold nan not in (0, 1]"),
+     "config key 'cross_agent_iou_threshold' must be finite"),
     ("scenario-not-utf8", "simulate", "scenario", b"\xff", 2,
      "invalid scenario config"),
     # both configs take one root and key check; a JSON boolean is not a threshold

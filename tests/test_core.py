@@ -1,14 +1,19 @@
+import ast
 import json
 import math
 import re
+import warnings
 from dataclasses import fields, replace
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coopmot import core, geometry, io, metrics, tracker
+from coopmot import core, geometry, io, metrics, sim, tracker
+from coopmot.tracker import FrameOutput
 from helpers import make_box, total_detections
 
 
@@ -179,8 +184,7 @@ class TestAnyNumber:
         pred = [[(7, make_box(), score)], [(7, make_box(x=0.1), 0.5)]]
         for evaluate in (metrics.evaluate_sequence, metrics.amota_family):
             result = built_or_refused(lambda: evaluate(gt, pred))
-            # a prediction score is compared, not stored: a bool counts as its int
-            assert (result is None) == (not fits_a_float(+score))
+            assert (result is None) == (not fits_a_float(score))
 
     def test_huge_int_message_names_the_fault(self):
         # the message says what is wrong and spells no 401-digit value
@@ -189,14 +193,137 @@ class TestAnyNumber:
                 (lambda: make_box(x=10**400), "non-finite field in detection: x"),
                 (lambda: io.Pose(0, 10**400, 0, -10**400), "non-finite pose field: y, yaw"),
                 (lambda: metrics.evaluate_sequence(gt, pred),
-                 "frame 0: prediction score is not finite"),
-                (lambda: metrics.amota_family(gt, pred), "frame 0: prediction score is not finite"),
+                 "frame 0: prediction score must be finite"),
+                (lambda: metrics.amota_family(gt, pred),
+                 "frame 0: prediction score must be finite"),
                 (lambda: geometry.iou_matrix([[10**400, 0, 0, 0, 1, 1, 1]], [make_box()]),
                  "box has a non-finite value")]:
             with pytest.raises(ValueError) as caught:
                 build()
             text = str(caught.value)
             assert text == message and len(text) < 60 and not re.search(r"\d{5}", text)
+
+
+# The one number rule (core.real, core.integer) at every entry point that
+# takes a number from outside. Each entry builds from one value and returns
+# what it stores (None where nothing holds the value: evaluate_sequence).
+def scored(value):
+    """One frame, one ground-truth box and one prediction of score value."""
+    return [[(1, make_box())]], [[(7, make_box(), value)]]
+
+
+def read_line(tmp_path, read, record):
+    """read(path) of a file holding the one line json.dumps(record)."""
+    path = tmp_path / "in.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    return read(path)
+
+
+POSE_LINE = {"frame": 0, "agent": "a", "x": 0.0, "y": 0.0, "z": 0.0, "yaw": 0.0}
+GT_LINE = {"frame": 0, "object_id": 1, "x": 0.0, "y": 0.0, "z": 0.0, "theta": 0.0, "h": 1.0,
+           "w": 1.0, "l": 1.0}
+
+
+def written(tmp_path, write, rows, key):
+    """The key field of the one line that write(path, rows) writes, as JSON reads it."""
+    write(tmp_path / "out.jsonl", rows)
+    return json.loads((tmp_path / "out.jsonl").read_text())[key]
+
+
+def evaluated(value, _):
+    metrics.evaluate_sequence(*scored(value))  # holds no score to return
+
+
+REAL_ENTRIES = {
+    "detection-field": lambda v, _: make_box(x=v).x,
+    "pose-field": lambda v, _: io.Pose(v, 0.0, 0.0, 0.0).x,
+    "tracker-threshold": lambda v, _: core.TrackerConfig(
+        iou_assoc_threshold=v).iou_assoc_threshold,
+    "scenario-scalar": lambda v, _: sim.ScenarioConfig(speed_max=v).speed_max,
+    "scenario-list-leaf": lambda v, _: sim.ScenarioConfig(sigma=(0.3, v)).sigma[1],
+    "scenario-sector-bound": lambda v, _: sim.ScenarioConfig(
+        occlusion_sectors=(((0.0, v),), ())).occlusion_sectors[0][0][1],
+    "evaluate-score": evaluated,
+    "amota-score": lambda v, _: metrics.amota_family(*scored(v)).operating_points[0].threshold,
+}
+INTEGER_ENTRIES = {
+    "tracker-count": lambda v, _: core.TrackerConfig(min_hits=v).min_hits,
+    "scenario-integer": lambda v, _: sim.ScenarioConfig(num_frames=v).num_frames,
+    # read_poses builds no dense frame list, which a huge frame would make endless
+    "reader-frame": lambda v, tmp: next(iter(read_line(tmp, io.read_poses,
+                                                       {**POSE_LINE, "frame": v})))[0],
+    "reader-id": lambda v, tmp: read_line(tmp, io.read_gt, {**GT_LINE, "object_id": v})[0][0][0],
+    "writer-frame": lambda v, tmp: written(
+        tmp, io.write_tracks, [FrameOutput(v, ((1, make_box().box7(), 0.5),))], "frame"),
+    "writer-id": lambda v, tmp: written(tmp, io.write_gt, [[(v, make_box())]], "object_id"),
+}
+REFUSED = [True, np.float32(0.5), Fraction(1, 2), "0.5", None, math.nan, math.inf, -math.inf,
+           10**400]
+REALS = [1, 0.5, np.float64(0.5)]  # 1, not 3: a threshold lies in (0, 1]
+INTEGERS = [3, np.int64(3)]
+
+
+def json_holds(value) -> bool:
+    """Whether a JSON line can hold value: a reader entry sees no other."""
+    try:
+        json.dumps(value)
+    except TypeError:
+        return False
+    return True
+
+
+class TestOneNumberRule:
+    @pytest.mark.parametrize("entry", [*REAL_ENTRIES, *INTEGER_ENTRIES])
+    def test_every_entry_point(self, entry, tmp_path):
+        build = REAL_ENTRIES.get(entry) or INTEGER_ENTRIES[entry]
+        refused, accepted, kind = ((REFUSED, REALS, float) if entry in REAL_ENTRIES
+                                   else (REFUSED + [2.5], INTEGERS, int))
+        if entry.startswith("reader"):
+            refused = [v for v in refused if json_holds(v)]
+            accepted = [v for v in accepted if json_holds(v)]
+        error = core.ConfigParse if entry.startswith("tracker") else ValueError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # np.float32 once passed with a RuntimeWarning
+            for value in refused:
+                with pytest.raises(ValueError) as caught:
+                    build(value, tmp_path)
+                assert type(caught.value) is error, (entry, value)
+            for value in accepted:
+                stored = build(value, tmp_path)
+                if stored is not None:
+                    assert type(stored) is kind and stored == value, (entry, value)
+
+    def test_configs_hold_json_types(self):
+        # to_dict holds what json.dumps writes as given: no numpy scalars
+        cfgs = [core.TrackerConfig(iou_assoc_threshold=np.float64(0.5), min_hits=np.int64(2)),
+                sim.ScenarioConfig(num_objects=np.int64(3), speed_max=np.float64(0.5),
+                                   sigma=[1, np.float64(0.5)],
+                                   occlusion_sectors=[[[0, np.float64(1.5)]], []])]
+        for cfg in cfgs:
+            leaves = list(cfg.to_dict().values())
+            while any(isinstance(v, tuple) for v in leaves):
+                leaves = [x for v in leaves for x in (v if isinstance(v, tuple) else [v])]
+            assert {type(v) for v in leaves} <= {str, bool, int, float}
+        assert cfgs[0].min_hits == 2 and cfgs[1].sigma == (1.0, 0.5)
+
+
+def test_only_core_states_the_number_bound():
+    # core.real and core.integer are the one number rule: no other module of
+    # the package names FLOAT_MAX or imports numbers, so the rule cannot split
+    package = Path(core.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "core.py" and path.parent == package:
+            continue
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        named = ({n.id for n in nodes if isinstance(n, ast.Name)}
+                 | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+                 | {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names})
+        imported = ({a.name.split(".")[0] for n in nodes if isinstance(n, ast.Import)
+                     for a in n.names}
+                    | {n.module.split(".")[0] for n in nodes
+                       if isinstance(n, ast.ImportFrom) and n.level == 0})
+        assert "FLOAT_MAX" not in named, path
+        assert "numbers" not in imported, path
 
 
 class TestTrackerConfig:
@@ -244,8 +371,11 @@ class TestTrackerConfig:
     @pytest.mark.parametrize("value", [0.0, -0.1, 1.5, float("nan")])
     @pytest.mark.parametrize("field", ["iou_assoc_threshold", "cross_agent_iou_threshold"])
     def test_threshold_bounds(self, field, value):
-        # TrackerConfig is the one range check of both thresholds
-        with pytest.raises(core.ConfigParse, match=rf"{field} .* not in \(0, 1\]"):
+        # TrackerConfig is the one range check of both thresholds; NaN is no
+        # number a finite float holds, refused by core's rule before the range
+        message = (rf"^config key '{field}' must be finite$" if math.isnan(value)
+                   else rf"^{field} {value} not in \(0, 1\]$")
+        with pytest.raises(core.ConfigParse, match=message):
             core.TrackerConfig(**{field: value})
         assert getattr(core.TrackerConfig(**{field: 1.0}), field) == 1.0
 

@@ -14,11 +14,12 @@ _spec.loader.exec_module(pairs)
 BETTER = {"wall_s": "lower", "peak_rss_mb": "lower", "track_fps": "higher"}
 
 
-def canned(units, wall, rss, fps, eval_s, failed=0):
+def canned(units, wall, rss, fps, eval_s, failed=0, problems=()):
     """The standard output of one run.py --trace 0 run."""
     return "\n".join([
         "manifest " + json.dumps({"workload": "directional", "units": units}),
         "info speed 1.0",
+        *(f"FAILED {problem}" for problem in problems),
         f"ops attempted=10 failed={failed}",
         f"metric wall_s {wall!r} s",
         f"metric eval_s {eval_s!r} s",
@@ -30,7 +31,7 @@ def canned(units, wall, rss, fps, eval_s, failed=0):
 
 def test_parse_run():
     run = pairs.parse_run(canned(12, 0.45, 42.9, 880.5, 0.03, failed=1))
-    assert run["units"] == 12 and run["failed"] == 1
+    assert run["units"] == 12 and run["failed"] == 1 and run["problems"] == []
     assert run["metrics"] == {"wall_s": 0.45, "eval_s": 0.03, "track_fps": 880.5,
                               "peak_rss_mb": 42.9}
     assert run["units_of"]["track_fps"] == "frames/s"
@@ -186,3 +187,28 @@ def test_native_build_failure_is_one_error_line(tmp_path, monkeypatch, capsys):
         err = capsys.readouterr().err
         assert (code, seen) == (2, [])
         assert err == f"error: native build failed in {trees['base']} {reason}\n"
+
+
+def test_failed_lines_kept_and_printed(tmp_path, monkeypatch, capsys):
+    # the base's second run holds two FAILED lines; the change fails none
+    problems = ["cli: digest 1a2b != 3c4d", "cli: 12 lines but 11 rows read back"]
+    outputs = {("base", 1): canned(10, 0.4, 43.0, 900.0, 0.03, failed=3, problems=problems)}
+    trees = {side: fake_tree(tmp_path / side, "") for side in ("base", "change")}
+    monkeypatch.setattr(pairs, "extract", lambda side, rev: trees[side])
+    monkeypatch.setattr(pairs, "PAIRS_DIR", str(tmp_path))
+    calls = []
+
+    def run_tree(tree, workload, seconds):
+        side = "base" if tree == trees["base"] else "change"
+        calls.append(side)
+        k = calls.count(side) - 1
+        return pairs.parse_run(outputs.get((side, k), canned(10, 0.4, 43.0, 900.0, 0.03)))
+    monkeypatch.setattr(pairs, "run_tree", run_tree)
+    assert pairs.main(["--base", "HEAD", "--pairs", "2", "--workload", "cli"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("failed operations 3 / 0")
+    assert lines[1:3] == [f"base pair 2: FAILED {problem}" for problem in problems]
+    assert lines[3].startswith("metric ")
+    with open(tmp_path / "runs-cli.json", encoding="utf-8") as fh:
+        saved = json.load(fh)
+    assert [[run["problems"] for run in pair] for pair in saved] == [[[], []], [problems, []]]
