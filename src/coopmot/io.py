@@ -56,15 +56,21 @@ _decode = json.JSONDecoder().raw_decode
 def _key(name, value, frame=None):
     """value as a file holds the field name ("frame index", "agent" or an id):
     an agent is a non-empty str; a frame or an id what core.integer gives, and
-    a frame is not negative. Else ValueError "bad <name> <value!r>", after
-    "frame <frame>: " when a writer names the frame."""
+    a frame is not negative. Else ValueError "bad <name>: must be finite" for
+    an integer beyond the float range, or "bad <name> <value!r>" with the repr
+    cut to 24 characters; after "frame <frame>: " when a writer names the frame."""
+    fault = None
     try:
         key = (value if isinstance(value, str) and value else None) if name == "agent" \
             else integer(value)
-    except (TypeError, ValueError):
+    except TypeError:
         key = None
+    except ValueError as exc:  # too long to spell
+        key, fault = None, f": {exc}"
     if key is None or name == "frame index" and key < 0:
-        raise ValueError(("" if frame is None else f"frame {frame}: ") + f"bad {name} {value!r}")
+        text = repr(value)
+        fault = fault or " " + (text if len(text) <= 24 else text[:21] + "...")
+        raise ValueError(("" if frame is None else f"frame {frame}: ") + f"bad {name}{fault}")
     return key
 
 
@@ -209,7 +215,8 @@ def read_poses(*paths) -> dict:
 def apply_poses(bundles, poses: dict) -> list:
     """Project agent-local bundles into the global frame.
 
-    Every (frame, agent) with detections must have a pose.
+    Every (frame, agent) with detections must have a pose, and every
+    projected box must keep the box rule; a ValueError names the frame and agent.
     """
     projected = []
     for bundle in bundles:
@@ -218,6 +225,9 @@ def apply_poses(bundles, poses: dict) -> list:
             pose = poses.get((bundle.frame, agent))
             if dets and pose is None:
                 raise ValueError(f"missing pose for frame {bundle.frame}, agent {agent}")
-            per_agent[agent] = [to_global(d, pose) for d in dets]
+            try:  # a box the projection takes out of the float range
+                per_agent[agent] = [to_global(d, pose) for d in dets]
+            except ValueError as exc:
+                raise ValueError(f"frame {bundle.frame}, agent {agent}: {exc}") from None
         projected.append(FrameBundle(frame=bundle.frame, detections_by_agent=per_agent))
     return projected

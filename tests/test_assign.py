@@ -19,6 +19,8 @@ class TestHungarian:
 
     def test_dominant_diagonal(self):
         assert assign.hungarian_min_cost([[0.0, 9.0], [9.0, 0.0]]) == [(0, 0), (1, 1)]
+        # an entry in (0, 1) is positive: the whole matrix is one problem
+        assert assign.hungarian_min_cost([[0.5, 0.0], [0.0, 0.5]]) == [(0, 1), (1, 0)]
 
     def test_rectangular(self):
         pairs = assign.hungarian_min_cost([[0.0, 5.0, 5.0], [5.0, 0.0, 5.0]])
@@ -38,6 +40,8 @@ class TestHungarian:
             assign.hungarian_min_cost([[np.nan, 1.0], [1.0, 1.0]])
         with pytest.raises(ValueError, match="cost matrix has non-finite entries"):
             assign.hungarian_min_cost([[np.inf, 1.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="cost matrix has non-finite entries"):
+            assign.hungarian_min_cost([[-np.inf, -1.0]])  # no positive entry
 
     def test_optimal_on_random_matrices(self, rng):
         for _ in range(100):
@@ -124,15 +128,6 @@ class TestHungarianAgainstScipy:
 
     @ORACLE
     @given(sparse_costs(continuous=False))
-    def test_integer_total_equals_scipy(self, cost):
-        pairs = assign.hungarian_min_cost(cost)
-        rows, cols = [r for r, _ in pairs], [c for _, c in pairs]
-        assert rows == sorted(set(rows)) and len(set(cols)) == len(cols)
-        assert sum(cost[r, c] for r, c in pairs) == sum(
-            cost[r, c] for r, c in scipy_pairs(cost))
-
-    @ORACLE
-    @given(sparse_costs(continuous=False))
     def test_integer_ties_broken_as_scipy_per_component(self, cost):
         assert assign.hungarian_min_cost(cost) == per_component_scipy_pairs(cost)
 
@@ -162,6 +157,9 @@ class TestAssociate:
         assert matched_pairs(res) == []
         assert res.unmatched_rows.tolist() == [0]
         assert res.unmatched_cols.tolist() == [0]
+
+    def test_gate_keeps_an_iou_equal_to_the_threshold(self):
+        assert assign.gated_pairs(np.array([[0.25, 0.0]]), 0.25) == [(0, 0)]
 
     def test_three_by_three_two_gated_pairs(self):
         rows = [make_box(x=0.0), make_box(x=50.0), make_box(x=100.0)]

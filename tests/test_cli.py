@@ -62,9 +62,10 @@ class TestSimulate:
         wall = iter(range(10**9, 0, -3600))
         monkeypatch.setattr(cli.time, "time", lambda: float(next(wall)))
         out = tmp_path / "sim"
+        began = time.perf_counter()
         assert run_cli("simulate", "--config", scenario_cfg, "--out", str(out)) == 0
         duration = json.loads((out / "run_manifest.json").read_text())["duration_sec"]
-        assert isinstance(duration, float) and duration >= 0.0
+        assert isinstance(duration, float) and 0.0 <= duration <= time.perf_counter() - began
 
     def test_manifest_records_environment(self, tmp_path, scenario_cfg):
         out = tmp_path / "sim"
@@ -580,6 +581,10 @@ MALFORMED = [
      "line 1: missing fields ['yaw']"),
     ("missing-pose", "track", "poses", record("poses", agent="b"), 1,
      "missing pose for frame 0, agent a"),
+    # a box that its pose projects beyond the float range (content by input)
+    ("pose-projects-beyond-float", "track", "poses",
+     {"poses": record("poses", x=1e308), "detections": record("detections", x=1e308)}, 1,
+     "error: frame 0, agent a: non-finite field in detection: x"),
     # one pose per (frame, agent), even when the repeat is equal
     ("pose-repeated", "track", "poses", record("poses") + record("poses", x=1.0), 1,
      "poses_a.jsonl: frame 0, agent a has more than one pose"),
@@ -654,9 +659,10 @@ MALFORMED = [
 
 
 def run_malformed(tmp_path, command, kind, content):
-    """Run command on valid inputs with the kind input replaced by content;
-    return its exit code. The kind poses_b is a second pose file, beside a
-    valid poses_a.jsonl."""
+    """Run command on valid inputs with the kind input replaced by content (or
+    each input named in a content dict by its value); return its exit code. The
+    kind poses_b is a second pose file, beside a valid poses_a.jsonl."""
+    contents = content if isinstance(content, dict) else {kind: content}
     paths = {"detections": tmp_path / "det" / "detections_a.jsonl",
              "poses": tmp_path / "poses" / "poses_a.jsonl",
              "gt": tmp_path / "gt.jsonl", "tracks": tmp_path / "tracks.jsonl",
@@ -666,7 +672,7 @@ def run_malformed(tmp_path, command, kind, content):
         paths[kind] = tmp_path / "poses" / "poses_b.jsonl"
     for name, path in paths.items():
         os.makedirs(path.parent, exist_ok=True)
-        data = content if name == kind else (record(name) if name in GOOD else "{}")
+        data = contents.get(name, record(name) if name in GOOD else "{}")
         path.write_bytes(data if isinstance(data, bytes) else data.encode())
     out = str(tmp_path / "out" / "result")
     argv = {"simulate": ["--config", str(paths["scenario"]), "--out", out],
@@ -699,6 +705,16 @@ def test_no_ground_truth_and_a_repeated_id(tmp_path, capsys, command):
     assert run_cli(command, "--tracks", str(tmp_path / "tracks.jsonl"),
                    "--gt", str(tmp_path / "gt.jsonl"), "--out", str(tmp_path / "out")) == 1
     assert capsys.readouterr().err == "error: frame 0: track id 7 appears twice\n"
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["simulate"], ["track", "--out", "t"], ["track", "--detections", "d"],
+    *[[command, *argv] for command in ("eval", "analyze") for argv in (
+        ["--gt", "g", "--out", "o"], ["--tracks", "t", "--out", "o"], ["--tracks", "t", "--gt", "g"])]])
+def test_missing_command_or_option_exits_2(argv):
+    with pytest.raises(SystemExit) as caught:
+        run_cli(*argv)
+    assert caught.value.code == 2
 
 
 def test_only_exit_code_exceptions():
@@ -761,6 +777,14 @@ CAPPED = textwrap.dedent("""
     from coopmot import cli
     sys.exit(cli.main(sys.argv[1:]))
 """)
+
+
+def test_memory_error_is_one_line_exit_1(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError
+    monkeypatch.setattr(cli, "cmd_simulate", exhausted)
+    assert run_cli("simulate", "--out", "unused") == 1
+    assert capsys.readouterr().err == "error: out of memory in simulate\n"
 
 
 def test_out_of_memory_one_line(tmp_path):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coopmot import core, geometry, io, metrics, sim, tracker
+from coopmot import assign, core, geometry, graphlap, io, kalman, metrics, sim, tracker
 from coopmot.tracker import FrameOutput
 from helpers import make_box, total_detections
 
@@ -186,10 +186,17 @@ class TestAnyNumber:
             result = built_or_refused(lambda: evaluate(gt, pred))
             assert (result is None) == (not fits_a_float(score))
 
-    def test_huge_int_message_names_the_fault(self):
+    def test_huge_int_message_names_the_fault(self, tmp_path, monkeypatch):
         # the message says what is wrong and spells no 401-digit value
         gt, pred = [[(1, make_box())]], [[(7, make_box(), 10**400)]]
+        monkeypatch.chdir(tmp_path)  # a reader's message starts with its relative path
         for build, message in [
+                *[(lambda entry=entry: INTEGER_ENTRIES[entry](10**400, Path(".")), message)
+                  for entry, message in [
+                      ("reader-frame", "in.jsonl: line 1: bad frame index: must be finite"),
+                      ("reader-id", "in.jsonl: line 1: bad object_id: must be finite"),
+                      ("writer-frame", "bad frame index: must be finite"),
+                      ("writer-id", "frame 0: bad object_id: must be finite")]],
                 (lambda: make_box(x=10**400), "non-finite field in detection: x"),
                 (lambda: io.Pose(0, 10**400, 0, -10**400), "non-finite pose field: y, yaw"),
                 (lambda: metrics.evaluate_sequence(gt, pred),
@@ -293,6 +300,11 @@ class TestOneNumberRule:
                 if stored is not None:
                     assert type(stored) is kind and stored == value, (entry, value)
 
+    def test_the_float_range_is_closed(self):
+        # the largest finite float, and the int equal to it, are numbers the rule takes
+        for value in (core.FLOAT_MAX, -core.FLOAT_MAX):
+            assert core.integer(int(value)) == int(value) and core.real(value) == value
+
     def test_configs_hold_json_types(self):
         # to_dict holds what json.dumps writes as given: no numpy scalars
         cfgs = [core.TrackerConfig(iou_assoc_threshold=np.float64(0.5), min_hits=np.int64(2)),
@@ -305,6 +317,20 @@ class TestOneNumberRule:
                 leaves = [x for v in leaves for x in (v if isinstance(v, tuple) else [v])]
             assert {type(v) for v in leaves} <= {str, bool, int, float}
         assert cfgs[0].min_hits == 2 and cfgs[1].sigma == (1.0, 0.5)
+
+
+def test_value_types_are_frozen():
+    # the pipeline's value objects are immutable; the scene runs each module that defines one
+    gt, bundles = sim.generate(sim.ScenarioConfig(num_objects=2, num_frames=3))
+    tracks = [[(t, make_box(*b), s) for t, b, s in out.emitted]
+              for out in tracker.run_sequence(bundles, core.TrackerConfig())]
+    metrics.amota_family(gt, tracks)
+    io.Pose(0.0, 0.0, 0.0, 0.0)
+    types = [core.Detection, core.TrackerConfig, core.FrameBundle, assign.AssociationResult,
+             graphlap.Refined, io.Pose, kalman.Tracks, kalman.KalmanModel,
+             metrics.OperatingPoint, metrics.MetricsReport, sim.ScenarioConfig,
+             tracker.TrackSet, tracker.FrameOutput]
+    assert [t.__name__ for t in types if not t.__dataclass_params__.frozen] == []
 
 
 def test_only_core_states_the_number_bound():

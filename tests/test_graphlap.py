@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -322,6 +323,10 @@ class TestRefine:
                 assert np.array_equal(merged[0, :3], 0.5 * (full[0, :3] + full[1, :3]))
                 assert np.array_equal(merged[0, 3:], full[1, 3:])  # higher score: j
                 assert np.array_equal(merged[1:], full[2:])
+        # on equal scores agent i's member keeps its columns
+        tied = graphlap.refine(*stacked(dets_i, [replace(dets_j[0], score=0.5), dets_j[1]]),
+                               TrackerConfig(method=Method.TSA, dedup_matched_pairs=True))
+        assert tied.boxes[0, 0, 3] == refined.boxes[0, 0, 3] and tied.scores[0] == 0.5
 
     def test_zero_boxes_give_empty_arrays(self):
         refined = graphlap.refine(*stacked([], []), AOS)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coopmot import io, sim
-from coopmot.core import Detection, FrameBundle, scored_values
+from coopmot.core import Detection, FrameBundle, scored_values, wrap_angle
 from coopmot.tracker import FrameOutput
 from helpers import inverse_pose, make_box, total_detections, write_poses
 
@@ -45,6 +45,7 @@ class TestToGlobal:
             expected = rot @ np.array([d.x, d.y]) + np.array([p.x, p.y])
             assert abs(g.x - expected[0]) < 1e-12
             assert abs(g.y - expected[1]) < 1e-12
+            assert g.z == d.z + p.z and g.theta == wrap_angle(d.theta + p.yaw)
             assert g.h * g.w * g.l == d.h * d.w * d.l  # volume preserved
 
     def test_inverse_round_trip(self, rng):
@@ -89,6 +90,8 @@ class TestDetectionsRoundTrip:
         assert [b.frame for b in bundles] == [0, 1, 2, 3]
         assert total_detections(bundles[1]) == 0
         assert total_detections(bundles[2]) == 0
+        path.write_text("")
+        assert io.read_detections(path) == []
 
     def test_malformed_line_names_line(self, tmp_path):
         path = tmp_path / "detections.jsonl"
@@ -219,61 +222,14 @@ EXTENT = (st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
           | st.sampled_from([0.1 + 0.2, 1e-17, 1e300]))
 ANGLE = st.floats(min_value=-math.pi, max_value=math.pi, exclude_max=True)
 SCORE = st.floats(min_value=0.0, max_value=1.0)
-IDS = st.integers(-2**63, 2**63)
-
-
-def detections(score=SCORE):
-    return st.builds(Detection, COORD, COORD, COORD, ANGLE, EXTENT, EXTENT, EXTENT, score)
 
 
 def fields(d) -> tuple:
     return tuple(map(repr, (d.x, d.y, d.z, d.theta, d.h, d.w, d.l, d.score)))
 
 
-@st.composite
-def bundle_lists(draw):
-    agents = st.dictionaries(st.text(min_size=1, max_size=4),
-                             st.lists(detections(), min_size=1, max_size=3), max_size=3)
-    return [FrameBundle(frame=t, detections_by_agent=dict(sorted(draw(agents).items())))
-            for t in range(draw(st.integers(0, 4)))]
-
-
 class TestRoundTripProperty:
-    @ROUND_TRIP
-    @given(bundle_lists())
-    def test_detections(self, tmp_path_factory, bundles):
-        path = tmp_path_factory.mktemp("rt") / "detections.jsonl"
-        io.write_detections(path, bundles)
-
-        def flat(bs):
-            return [(b.frame, agent, fields(d))
-                    for b in bs for agent, dets in b.detections_by_agent.items() for d in dets]
-        assert flat(io.read_detections(path)) == flat(bundles)
-
-    @ROUND_TRIP
-    @given(st.lists(st.lists(st.tuples(IDS, detections(st.just(1.0))), max_size=3),
-                    max_size=4))
-    def test_gt(self, tmp_path_factory, gt_frames):
-        path = tmp_path_factory.mktemp("rt") / "gt.jsonl"
-        io.write_gt(path, gt_frames)
-
-        def flat(frames):
-            return [(t, oid, fields(d)) for t, row in enumerate(frames) for oid, d in row]
-        assert flat(io.read_gt(path)) == flat(gt_frames)
-
-    @ROUND_TRIP
-    @given(st.lists(st.lists(st.tuples(IDS, detections()), max_size=3), max_size=4))
-    def test_tracks(self, tmp_path_factory, rows):
-        outputs = [FrameOutput(frame=t, emitted=tuple(
-            (tid, d.box7(), d.score) for tid, d in row)) for t, row in enumerate(rows)]
-        path = tmp_path_factory.mktemp("rt") / "tracks.jsonl"
-        io.write_tracks(path, outputs)
-        back = io.read_tracks(path)
-        assert [(t, tid, fields(d), repr(score)) for t, row in enumerate(back)
-                for tid, d, score in row] == \
-            [(t, tid, fields(d), repr(d.score)) for t, row in enumerate(rows)
-             for tid, d in row]
-
+    # detections, gt and tracks: TestWritersMatchJsonDumps reads each back
     @ROUND_TRIP
     @given(st.dictionaries(st.tuples(st.integers(0, 5), st.text(min_size=1, max_size=4)),
                            st.builds(io.Pose, COORD, COORD, COORD, ANGLE), max_size=6))
@@ -351,7 +307,8 @@ class TestAnyFloats:
 # track row's box or score now and then takes any value, or is cut or padded.
 WRITE_ANY = settings(max_examples=100, deadline=None)
 ANY_FLOAT = st.floats() | st.sampled_from([-0.0, 1e-300, 1e300, math.nan, math.inf, -math.inf])
-FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 1e-300, 1e300])
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 1e-300, 1e300, 0.1 + 0.2, 1e-17, -1.7976931348623157e308])
 BUILDS = FINITE | FINITE.map(np.float64) | st.integers(-2**70, 2**70) | st.just(10**300)
 ANY_VALUE = (ANY_FLOAT | ANY_FLOAT.map(np.float64) | st.integers(-2**70, 2**70)
              | st.sampled_from([10**300, 10**400, True, np.float32(0.5), "1.0", None]))
@@ -435,7 +392,7 @@ class TestWritersMatchJsonDumps:
                 drawn(data, st.just(agent), BAD_AGENT, refused):
                     [any_detection(data.draw) for _ in range(data.draw(st.integers(0, 3)))]
                 for agent in sorted(data.draw(st.lists(AGENT, max_size=3, unique=True)))})
-            for t in range(data.draw(st.integers(0, 3)))]
+            for t in range(data.draw(st.integers(0, 4)))]
 
         def records(bs):
             return [box_record(b.frame, "agent", agent, d)
@@ -465,7 +422,7 @@ class TestWritersMatchJsonDumps:
             frame=drawn(data, st.sampled_from([t, np.int64(t)]), BAD_FRAME, refused),
             emitted=tuple((drawn(data, ID, BAD_ID, refused), *track_row(data))
                           for _ in range(data.draw(st.integers(0, 3)))))
-            for t in range(data.draw(st.integers(0, 3)))]
+            for t in range(data.draw(st.integers(0, 4)))]
         refused += [row for out in outputs for row in out.emitted
                     if row_detection(*row[1:]) is None]
 
@@ -487,6 +444,9 @@ def test_writer_refusals_name_the_frame_and_value(tmp_path):
             ("gt", [[], [(True, box)]], "frame 1: bad object_id True"),
             ("gt", [[(3.0, box)]], "frame 0: bad object_id 3.0"),
             ("gt", [[(3, box), ("a", box)]], "frame 0: bad object_id 'a'"),
+            # a repr past 24 characters is cut
+            ("gt", [[("x" * 22, box)]], "frame 0: bad object_id '" + "x" * 22 + "'"),
+            ("gt", [[("x" * 23, box)]], "frame 0: bad object_id '" + "x" * 20 + "..."),
             ("tracks", [FrameOutput(2, ((2.7, box.box7(), 0.5),))], "frame 2: bad track_id 2.7"),
             ("tracks", [FrameOutput(0, ((True, box.box7(), 0.5),))],
              "frame 0: bad track_id True"),

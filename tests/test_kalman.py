@@ -163,6 +163,9 @@ class TestInvariants:
             z = rng.uniform(-3 * np.pi, 3 * np.pi)
             residual = kalman._orientation_residual(z, pred)
             assert -np.pi / 2 <= residual <= np.pi / 2
+        # a quarter turn either way is kept, not flipped
+        assert kalman._orientation_residual(np.pi / 2, 0.0) == np.pi / 2
+        assert kalman._orientation_residual(-np.pi / 2, 0.0) == -np.pi / 2
 
     def test_flip_avoids_half_turn_innovation(self, model):
         # measurement reported with opposite heading: position unaffected,

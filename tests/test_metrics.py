@@ -236,6 +236,7 @@ class TestMostlyTracked:
 
     def test_empty(self):
         assert metrics.mostly_tracked({}, {}) == 0.0
+        assert metrics.mostly_tracked({0: 1}, {}) == 0.0  # never matched
 
 
 class TestAmotaFamily:
@@ -252,7 +253,7 @@ class TestAmotaFamily:
         gt_frames, _ = dropout_sequence()
         report = metrics.amota_family(gt_frames, [[] for _ in gt_frames])
         assert report.amota == 0.0 and report.samota == 0.0
-        assert report.mt == 0.0
+        assert report.mt == 0.0 and report.motp == 0.0  # no match: MOTP 0
 
     def test_no_ground_truth(self):
         with pytest.raises(ValueError, match="sequence has no ground-truth boxes"):
@@ -513,7 +514,8 @@ class TestThresholdScan:
 
     def test_repeated_track_id_rejected(self):
         gt_frames, pred_frames = dropout_sequence()
-        pred_frames[3] = pred_row([(1, 6.0, 0.0, 0.9), (1, 94.0, 30.0, 0.8)])
+        pred_frames[3] = pred_row([(2, 50.0, 0.0, 0.7), (1, 6.0, 0.0, 0.9),
+                                   (1, 94.0, 30.0, 0.8)])  # the message names the repeat
         for evaluate in (metrics.amota_family, metrics.evaluate_sequence):
             with pytest.raises(ValueError, match="frame 3: track id 1 appears twice"):
                 evaluate(gt_frames, pred_frames)

@@ -123,6 +123,9 @@ class TestGenerate:
                 if (d.x, d.y) in upper:
                     seen_any_upper = True
         assert seen_any_upper  # the other agent still covers that region
+        # a sector holds its lower bound and not its upper, also when it wraps past pi
+        assert sim._in_sector(0.0, 0.0, 1.0) and not sim._in_sector(1.0, 0.0, 1.0)
+        assert sim._in_sector(3.0, 3.0, -3.0) and not sim._in_sector(-3.0, 3.0, -3.0)
 
     def test_spawn_separation(self):
         cfg = sim.ScenarioConfig(num_objects=6, num_frames=1, world_extent=80.0)

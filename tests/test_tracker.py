@@ -89,7 +89,7 @@ class TestStepAos:
         ts, out = tracker.step(tracker.new_trackset(),
                                FrameBundle(frame=0, detections_by_agent={}), cfg)
         assert out.emitted == ()
-        assert len(ts.tracks) == 0
+        assert len(ts.tracks) == 0 and ts.frame == 1  # an empty step still counts
 
     def test_noiseless_static_object_confirms_at_frame_three(self):
         # both agents see one object; the pair dedups to a single box, so
