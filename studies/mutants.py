@@ -3,7 +3,7 @@
 
 Usage, from anywhere in a checkout:
 
-    python3 studies/mutants.py [--jobs 2]
+    python3 studies/mutants.py
 
 Each site of each Python module of ``src/coopmot`` gets one mutant: a
 comparison moved across its boundary, an arithmetic operator swapped (also
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import argparse
 import ast
-import importlib
+import importlib.util
 import io
 import json
 import os
@@ -58,6 +58,9 @@ COMPARE = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="),
 ARITH = {ast.Add: ("+", "-"), ast.Sub: ("-", "+"), ast.Mult: ("*", "/"),
          ast.Div: ("/", "*"), ast.FloorDiv: ("//", "/"), ast.Mod: ("%", "*"),
          ast.Pow: ("**", "*"), ast.BitAnd: ("&", "|"), ast.BitOr: ("|", "&")}
+JOBS = 2  # children at a time: both cores
+SEED = 0  # every child's --hypothesis-seed
+LIMIT_MB = 4096  # the address space of each child
 IGNORE = shutil.ignore_patterns(".git", "bench_out", "__pycache__", "*.so", "*.pyc",
                                 ".hypothesis", ".pytest_cache", "build")
 SITECUSTOMIZE = '''\
@@ -298,7 +301,7 @@ class Setup:
             log = os.open(".pytest.log", os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
             os.dup2(log, 1)
             os.dup2(log, 2)
-            resource.setrlimit(resource.RLIMIT_AS, (self.args.limit_mb << 20,) * 2)
+            resource.setrlimit(resource.RLIMIT_AS, (LIMIT_MB << 20,) * 2)
             parent = os.path.join(copy, os.path.dirname(self.args.package))
             sys.path.insert(0, parent)
             sys.dont_write_bytecode = True
@@ -318,7 +321,7 @@ class Setup:
                         if os.path.exists(name)), os.devnull)  # the copy's own, not a parent's
             code = pytest.main(["-q", "-p", "no:cacheprovider", "--rootdir", copy, "-c", ini,
                                 "--basetemp", ".tmp",
-                                f"--hypothesis-seed={self.args.seed}",
+                                f"--hypothesis-seed={SEED}",
                                 "--hypothesis-profile=mutants", *nodeids], plugins=[reporter])
             if trace:
                 sys.settrace(None)
@@ -340,7 +343,8 @@ class Job:
 
     def __init__(self, setup, copy, spec):
         self.setup, self.copy = setup, copy
-        self.todo, _, self.tag, self.stop = list(spec[0]), spec[1], spec[2], spec[3]
+        todo, _, self.tag, self.stop = spec
+        self.todo = list(todo)
         self.outcomes, self.began = {}, time.perf_counter()
         self.spawn()
 
@@ -439,9 +443,9 @@ def first_run(setup, copies):
     def tracing(on):
         return lambda copy: setattr(setup, "trace", {"site": site, "dir": trace_dir}
                                     if on else None)
-    tests = [setup.args.tests]
+    tests = ["tests"]
     ran = {tag: outcomes for tag, outcomes, _ in run_jobs(
-        setup, copies[:2], [(tests, tracing(True), "traced", False),
+        setup, copies, [(tests, tracing(True), "traced", False),
                             (tests, tracing(False), "plain", False)])}
     with open(os.path.join(trace_dir, "main.json")) as fh:
         trace = json.load(fh)
@@ -496,21 +500,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=ROOT, help="the tree to mutate (default: this checkout)")
     parser.add_argument("--package", default=os.path.join("src", "coopmot"))
-    parser.add_argument("--tests", default="tests")
     parser.add_argument("--survivors-of", help="mutate only the survivors of this matrix")
     parser.add_argument("--out", help="the matrix (default: <root>/studies/MUTANTS.json)")
-    parser.add_argument("--jobs", type=int, default=2, help="children at a time")
-    parser.add_argument("--seed", type=int, default=0, help="the --hypothesis-seed")
     parser.add_argument("--broad", type=float, default=0.1, help="share of the lines run")
     parser.add_argument("--slack", type=float, default=5.0)
     parser.add_argument("--grace", type=float, default=5.0, help="seconds")
-    parser.add_argument("--limit-mb", type=int, default=4096, help="address space per child")
     args = parser.parse_args(argv)
     root = os.path.abspath(args.root)
     out = args.out or os.path.join(root, "studies", "MUTANTS.json")
     scratch = os.path.join(root, "bench_out", "mutants")
     shutil.rmtree(scratch, ignore_errors=True)
-    copies = [os.path.join(scratch, f"w{k}") for k in range(max(2, args.jobs))]
+    copies = [os.path.join(scratch, f"w{k}") for k in range(JOBS)]
     for copy in copies:
         shutil.copytree(root, copy, ignore=IGNORE)
     os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
@@ -600,7 +600,7 @@ def main(argv=None) -> int:
         else:  # no test executes it
             mutant.update(seconds=0.0, ran=0, killed_by=[], limits={})
     done = len(mutants) - len(specs)
-    for (k, tier), got, seconds in run_jobs(setup, copies[:args.jobs], specs, then):
+    for (k, tier), got, seconds in run_jobs(setup, copies, specs, then):
         mutant = mutants[k]
         killers = {t: o for t, (o, _) in got.items() if o != "passed"}
         mutant["seconds"] = round(mutant.get("seconds", 0.0) + seconds, 2)
@@ -614,7 +614,7 @@ def main(argv=None) -> int:
                   f"{mutant['source']!r} -> {mutant['mutant']!r}: killed by "
                   f"{len(mutant['killed_by'])}", flush=True)
             if done % 25 == 0:  # what is done so far, should the run be cut
-                write_matrix(os.path.join(scratch, "MUTANTS.part.json"), args.seed, order,
+                write_matrix(os.path.join(scratch, "MUTANTS.part.json"), SEED, order,
                              [index[t] for t in broad],
                              [m for m in mutants if "ran" in m])
     old = {}
@@ -625,7 +625,7 @@ def main(argv=None) -> int:
         del mutant["span"]
         if not mutant["killed_by"] and old.get(key(mutant)):
             mutant["reason"] = old[key(mutant)]
-    write_matrix(out, args.seed, order, [index[t] for t in broad], mutants)
+    write_matrix(out, SEED, order, [index[t] for t in broad], mutants)
     survivors = [m for m in mutants if not m["killed_by"]]
     bare = [m for m in survivors if not m.get("reason")]
     print(f"{len(mutants) - len(survivors)} of {len(mutants)} mutants killed; "

@@ -44,6 +44,13 @@ def scenario_cfg(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def sim_dir(tmp_path, scenario_cfg):
+    """The directory that simulate writes for scenario_cfg."""
+    assert run_cli("simulate", "--config", scenario_cfg, "--out", str(tmp_path / "sim")) == 0
+    return tmp_path / "sim"
+
+
 class TestSimulate:
     def test_writes_outputs(self, tmp_path, scenario_cfg):
         out = tmp_path / "sim"
@@ -179,9 +186,7 @@ class TestSimulate:
 
 
 class TestTrack:
-    def test_pipeline_smoke(self, tmp_path, scenario_cfg):
-        sim_dir = tmp_path / "sim"
-        run_cli("simulate", "--config", scenario_cfg, "--out", str(sim_dir))
+    def test_pipeline_smoke(self, tmp_path, sim_dir):
         tracks = tmp_path / "tracks.jsonl"
         assert run_cli("track", "--method", "tsa", "--detections", str(sim_dir),
                        "--out", str(tracks)) == 0
@@ -195,10 +200,9 @@ class TestTrack:
                        "--out", str(tmp_path / "t.jsonl")) == 1
 
     @pytest.mark.parametrize("unreadable", ["detections_zz.jsonl", "poses_a.jsonl"])
-    def test_input_directory_exits_1(self, tmp_path, capsys, scenario_cfg, unreadable):
+    def test_input_directory_exits_1(self, tmp_path, capsys, sim_dir, unreadable):
         # a directory whose name matches an input glob cannot be read as a file
-        sim_dir, poses_dir = tmp_path / "sim", tmp_path / "poses"
-        run_cli("simulate", "--config", scenario_cfg, "--out", str(sim_dir))
+        poses_dir = tmp_path / "poses"
         poses = unreadable.startswith("poses")
         os.makedirs((poses_dir if poses else sim_dir) / unreadable)
         capsys.readouterr()
@@ -223,11 +227,10 @@ class TestTrack:
                        "--out", str(out)) == 0
         assert out.read_text()
 
-    def test_manifest_lists_each_pose_file(self, tmp_path, scenario_cfg):
+    def test_manifest_lists_each_pose_file(self, tmp_path, sim_dir):
         # the inputs are the files read, pose files as well as detections
         from coopmot.io import Pose
-        sim_dir, poses_dir = tmp_path / "sim", tmp_path / "poses"
-        run_cli("simulate", "--config", scenario_cfg, "--out", str(sim_dir))
+        poses_dir = tmp_path / "poses"
         os.makedirs(poses_dir)
         for agent in ("agent0", "agent1"):
             write_poses(poses_dir / f"poses_{agent}.jsonl",
@@ -247,18 +250,14 @@ class TestTrack:
                     "--detections", str(tmp_path), "--out", str(tmp_path / "t"))
         assert exc.value.code == 2
 
-    def test_bad_tracker_config_exits_2(self, tmp_path, scenario_cfg):
-        sim_dir = tmp_path / "sim"
-        run_cli("simulate", "--config", scenario_cfg, "--out", str(sim_dir))
+    def test_bad_tracker_config_exits_2(self, tmp_path, sim_dir):
         cfg = tmp_path / "tracker.json"
         cfg.write_text('{"min_hits": 0}')
         assert run_cli("track", "--method", "aos", "--detections", str(sim_dir),
                        "--out", str(tmp_path / "t.jsonl"),
                        "--config", str(cfg)) == 2
 
-    def test_method_override_keeps_file_config(self, tmp_path, scenario_cfg):
-        sim_dir = tmp_path / "sim"
-        run_cli("simulate", "--config", scenario_cfg, "--out", str(sim_dir))
+    def test_method_override_keeps_file_config(self, tmp_path, sim_dir):
         file_cfg = {"method": "tsa", "iou_assoc_threshold": 0.3,
                     "cross_agent_iou_threshold": 0.2, "min_hits": 2, "max_age": 4,
                     "dedup_matched_pairs": True, "warm_start": False}
@@ -270,14 +269,12 @@ class TestTrack:
         manifest = json.loads((out.parent / "run_manifest.json").read_text())
         assert manifest["config"] == {**file_cfg, "method": "aos"}
 
-    def test_poses_project_local_detections(self, tmp_path, scenario_cfg):
+    def test_poses_project_local_detections(self, tmp_path, sim_dir):
         # rewrite the global detections into an agent-local frame, hand the
         # pose file to the tracker, and expect the same tracks as the
         # global-frame run
         import math
         from coopmot import io as cio
-        sim_dir = tmp_path / "sim"
-        run_cli("simulate", "--config", scenario_cfg, "--out", str(sim_dir))
         global_tracks = tmp_path / "tracks_global.jsonl"
         run_cli("track", "--method", "aos", "--detections", str(sim_dir),
                 "--out", str(global_tracks))
@@ -342,6 +339,17 @@ class TestTrack:
         assert elapsed < 8.0  # stepping each empty frame in full takes about 24 s
 
 
+def perfect_tracks(sim_dir, tmp_path):
+    """A tracks file holding the ground truth of sim_dir, each box as a track of score 0.9."""
+    lines = []
+    for line in (sim_dir / "gt.jsonl").read_text().splitlines():
+        rec = json.loads(line)
+        rec["track_id"], rec["score"] = rec.pop("object_id") + 1, 0.9
+        lines.append(json.dumps(rec) + "\n")
+    (tmp_path / "tracks.jsonl").write_text("".join(lines))
+    return tmp_path / "tracks.jsonl"
+
+
 class TestEvalAndAnalyze:
     def test_long_gap_is_scored_without_work(self, tmp_path):
         # Two objects at frames 0 and gap; object 2 changes track id across
@@ -373,9 +381,7 @@ class TestEvalAndAnalyze:
         assert elapsed < 2.5  # with a matcher per empty frame it took about 5 s
 
     @pytest.fixture
-    def tracked(self, tmp_path, scenario_cfg):
-        sim_dir = tmp_path / "sim"
-        run_cli("simulate", "--config", scenario_cfg, "--out", str(sim_dir))
+    def tracked(self, tmp_path, sim_dir):
         tracks = tmp_path / "tracks.jsonl"
         run_cli("track", "--method", "tsa", "--detections", str(sim_dir),
                 "--out", str(tracks))
@@ -393,18 +399,8 @@ class TestEvalAndAnalyze:
         table = capsys.readouterr().out
         assert "AMOTA" in table and "MT" in table
 
-    def test_perfect_tracks_score_100(self, tmp_path, scenario_cfg):
-        sim_dir = tmp_path / "sim"
-        run_cli("simulate", "--config", scenario_cfg, "--out", str(sim_dir))
-        # use the GT itself as the tracks file
-        gt_lines = (sim_dir / "gt.jsonl").read_text().splitlines()
-        tracks = tmp_path / "tracks.jsonl"
-        with open(tracks, "w") as fh:
-            for line in gt_lines:
-                rec = json.loads(line)
-                rec["track_id"] = rec.pop("object_id") + 1
-                rec["score"] = 0.9
-                fh.write(json.dumps(rec) + "\n")
+    def test_perfect_tracks_score_100(self, tmp_path, sim_dir):
+        tracks = perfect_tracks(sim_dir, tmp_path)
         report_path = tmp_path / "report.json"
         assert run_cli("eval", "--tracks", str(tracks),
                        "--gt", str(sim_dir / "gt.jsonl"),
@@ -453,18 +449,10 @@ class TestEvalAndAnalyze:
             assert len(lines) == 1 and "stdout" in lines[0] and "r.json" not in lines[0]
             assert report_path.exists() and (tmp_path / "run_manifest.json").exists()
 
-    def test_analyze_single_bin_for_uniform_scenario(self, tmp_path, scenario_cfg):
+    def test_analyze_single_bin_for_uniform_scenario(self, tmp_path, sim_dir):
         # perfect tracks over a scenario with a constant object count give
         # a single TP-count bin
-        sim_dir = tmp_path / "sim"
-        run_cli("simulate", "--config", scenario_cfg, "--out", str(sim_dir))
-        tracks = tmp_path / "tracks.jsonl"
-        with open(tracks, "w") as fh:
-            for line in (sim_dir / "gt.jsonl").read_text().splitlines():
-                rec = json.loads(line)
-                rec["track_id"] = rec.pop("object_id") + 1
-                rec["score"] = 0.9
-                fh.write(json.dumps(rec) + "\n")
+        tracks = perfect_tracks(sim_dir, tmp_path)
         out_csv = tmp_path / "motp.csv"
         assert run_cli("analyze", "--tracks", str(tracks),
                        "--gt", str(sim_dir / "gt.jsonl"),
@@ -503,9 +491,8 @@ class TestEvalAndAnalyze:
 
 
 @pytest.mark.parametrize("command", ["simulate", "track", "eval", "analyze"])
-def test_unwritable_output_exits_2(tmp_path, capsys, scenario_cfg, command):
-    sim_dir, tracks = tmp_path / "sim", tmp_path / "tracks.jsonl"
-    run_cli("simulate", "--config", scenario_cfg, "--out", str(sim_dir))
+def test_unwritable_output_exits_2(tmp_path, capsys, scenario_cfg, sim_dir, command):
+    tracks = tmp_path / "tracks.jsonl"
     run_cli("track", "--detections", str(sim_dir), "--out", str(tracks))
     capsys.readouterr()
     gt = str(sim_dir / "gt.jsonl")
@@ -737,10 +724,15 @@ def test_huge_finite_boxes_no_warning(tmp_path, capsys, method):
                            ("b", {"h": 1e308, "w": 1e308, "l": 1e308})):
         (det / f"detections_{agent}.jsonl").write_text("".join(
             record("detections", frame=f, agent=agent, **changes) for f in range(3)))
+    no_warning_one_line(capsys, "track", "--method", method, "--detections", str(det),
+                        "--out", str(tmp_path / "tracks.jsonl"))
+
+
+def no_warning_one_line(capsys, *argv):
+    """Run argv: no RuntimeWarning, and exit 0 silently or exit 1 with the cost matrix line."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = run_cli("track", "--method", method, "--detections", str(det),
-                       "--out", str(tmp_path / "tracks.jsonl"))
+        code = run_cli(*argv)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     if code == 0:
@@ -757,16 +749,8 @@ def test_huge_finite_boxes_eval_one_line(tmp_path, capsys, command):
     gt, tracks = tmp_path / "gt.jsonl", tmp_path / "tracks.jsonl"
     gt.write_text("".join(record("gt", frame=f, **huge) for f in range(3)))
     tracks.write_text("".join(record("tracks", frame=f, **huge) for f in range(3)))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = run_cli(command, "--tracks", str(tracks), "--gt", str(gt),
-                       "--out", str(tmp_path / "out"))
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    err = capsys.readouterr().err
-    if code == 0:
-        assert err == ""
-    else:
-        assert code == 1 and err == "error: cost matrix has non-finite entries\n"
+    no_warning_one_line(capsys, command, "--tracks", str(tracks), "--gt", str(gt),
+                        "--out", str(tmp_path / "out"))
 
 
 CAPPED = textwrap.dedent("""

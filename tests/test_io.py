@@ -14,6 +14,12 @@ from coopmot.tracker import FrameOutput
 from helpers import inverse_pose, make_box, total_detections, write_poses
 
 
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    """One directory for the property tests: each example overwrites its own files."""
+    return tmp_path_factory.mktemp("examples")
+
+
 @pytest.fixture
 def scenario():
     cfg = sim.ScenarioConfig(num_objects=4, num_frames=6, sigma=(0.3, 0.2),
@@ -68,24 +74,13 @@ class TestDetectionsRoundTrip:
         assert len(back) == len(bundles)
         for orig, rt in zip(bundles, back):
             assert rt.frame == orig.frame
-            assert sorted(rt.detections_by_agent) == sorted(
-                a for a, v in orig.detections_by_agent.items())
-            for agent, dets in orig.detections_by_agent.items():
-                got = rt.detections_by_agent.get(agent, [])
-                assert [(d.x, d.y, d.z, d.theta, d.h, d.w, d.l, d.score)
-                        for d in got] == \
-                    [(d.x, d.y, d.z, d.theta, d.h, d.w, d.l, d.score)
-                     for d in dets]
+            assert {agent: list(map(fields, dets)) for agent, dets in
+                    rt.detections_by_agent.items()} == {
+                agent: list(map(fields, dets)) for agent, dets in orig.detections_by_agent.items()}
 
     def test_missing_frames_become_empty_bundles(self, tmp_path):
         path = tmp_path / "detections.jsonl"
-        rows = [
-            {"frame": 0, "agent": "a", "x": 0.0, "y": 0.0, "z": 0.0,
-             "theta": 0.0, "h": 1.0, "w": 1.0, "l": 1.0, "score": 0.5},
-            {"frame": 3, "agent": "a", "x": 1.0, "y": 0.0, "z": 0.0,
-             "theta": 0.0, "h": 1.0, "w": 1.0, "l": 1.0, "score": 0.5},
-        ]
-        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        path.write_text(line("detections") + line("detections", frame=3, x=1.0))
         bundles = io.read_detections(path)
         assert [b.frame for b in bundles] == [0, 1, 2, 3]
         assert total_detections(bundles[1]) == 0
@@ -94,37 +89,24 @@ class TestDetectionsRoundTrip:
         assert io.read_detections(path) == []
 
     def test_malformed_line_names_line(self, tmp_path):
-        path = tmp_path / "detections.jsonl"
-        good = {"frame": 0, "agent": "a", "x": 0.0, "y": 0.0, "z": 0.0,
-                "theta": 0.0, "h": 1.0, "w": 1.0, "l": 1.0, "score": 0.5}
-        path.write_text(json.dumps(good) + "\n{broken\n")
+        (tmp_path / "d.jsonl").write_text(line("detections") + "{broken\n")
         with pytest.raises(ValueError, match="line 2"):
-            io.read_detections(path)
+            io.read_detections(tmp_path / "d.jsonl")
 
     def test_missing_field_rejected(self, tmp_path):
-        path = tmp_path / "detections.jsonl"
-        bad = {"frame": 0, "agent": "a", "x": 0.0, "y": 0.0, "z": 0.0,
-               "theta": 0.0, "h": 1.0, "w": 1.0}  # no l, no score
-        path.write_text(json.dumps(bad) + "\n")
+        (tmp_path / "d.jsonl").write_text(line("detections", l=None, score=None))
         with pytest.raises(ValueError, match="missing fields"):
-            io.read_detections(path)
+            io.read_detections(tmp_path / "d.jsonl")
 
     def test_out_of_order_frames_rejected(self, tmp_path):
-        path = tmp_path / "detections.jsonl"
-        row = {"agent": "a", "x": 0.0, "y": 0.0, "z": 0.0, "theta": 0.0,
-               "h": 1.0, "w": 1.0, "l": 1.0, "score": 0.5}
-        path.write_text(json.dumps({"frame": 2, **row}) + "\n"
-                        + json.dumps({"frame": 1, **row}) + "\n")
+        (tmp_path / "d.jsonl").write_text(line("detections", frame=2) + line("detections", frame=1))
         with pytest.raises(ValueError, match="frame 1 after frame 2"):
-            io.read_detections(path)
+            io.read_detections(tmp_path / "d.jsonl")
 
     def test_degenerate_box_rejected(self, tmp_path):
-        path = tmp_path / "detections.jsonl"
-        bad = {"frame": 0, "agent": "a", "x": 0.0, "y": 0.0, "z": 0.0,
-               "theta": 0.0, "h": 0.0, "w": 1.0, "l": 1.0, "score": 0.5}
-        path.write_text(json.dumps(bad) + "\n")
+        (tmp_path / "d.jsonl").write_text(line("detections", h=0.0))
         with pytest.raises(ValueError, match="line 1"):
-            io.read_detections(path)
+            io.read_detections(tmp_path / "d.jsonl")
 
     def test_merge_per_agent_files(self, scenario, tmp_path):
         _, bundles = scenario
@@ -142,9 +124,7 @@ class TestDetectionsRoundTrip:
             assert list(rt.detections_by_agent) == sorted(orig.detections_by_agent)
 
         def row(frame, agent, x):
-            return json.dumps({"frame": frame, "agent": agent, "x": x, "y": 0.0, "z": 0.0,
-                               "theta": 0.0, "h": 1.0, "w": 1.0, "l": 1.0,
-                               "score": 0.5}) + "\n"
+            return line("detections", frame=frame, agent=agent, x=x)
 
         # the second file restarts at frame 0, and agent b, in both files,
         # keeps its detections in path order
@@ -233,8 +213,8 @@ class TestRoundTripProperty:
     @ROUND_TRIP
     @given(st.dictionaries(st.tuples(st.integers(0, 5), st.text(min_size=1, max_size=4)),
                            st.builds(io.Pose, COORD, COORD, COORD, ANGLE), max_size=6))
-    def test_poses(self, tmp_path_factory, poses):
-        path = tmp_path_factory.mktemp("rt") / "poses.jsonl"
+    def test_poses(self, scratch, poses):
+        path = scratch / "poses.jsonl"
         write_poses(path, poses)
 
         def flat(ps):
@@ -279,24 +259,23 @@ class TestAnyFloats:
     @example([0.0, 0.0, 0.0, 0.0, 1.0, -0.0, 1.0, 0.5])
     @example([math.nan, 0.0, 0.0, math.inf, 1.0, 1.0, 1.0, 2.0])
     @example([5e-324, -0.0, 1.7976931348623157e308, 4.0, 5e-324, 1e308, 1.0, 0.0])
-    def test_box_builds_and_round_trips_or_fails_to_read(self, tmp_path_factory, values):
-        base = tmp_path_factory.mktemp("any")
+    def test_box_builds_and_round_trips_or_fails_to_read(self, scratch, values):
         fault = box_fault(values)
         if fault is not None:
             with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
                 Detection(*values)
-            path = base / "detections.jsonl"
+            path = scratch / "detections.jsonl"
             path.write_text(json.dumps(dict(zip(("frame", "agent") + io.BOX_FIELDS + ("score",),
                                                 [0, "a", *values]))) + "\n")
             with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line 1: {fault}')}$"):
                 io.read_detections(path)
             return
         d = Detection(*values)
-        io.write_detections(base / "detections.jsonl", [FrameBundle(0, {"a": [d]})])
-        (back,) = io.read_detections(base / "detections.jsonl")[0].detections_by_agent["a"]
+        io.write_detections(scratch / "detections.jsonl", [FrameBundle(0, {"a": [d]})])
+        (back,) = io.read_detections(scratch / "detections.jsonl")[0].detections_by_agent["a"]
         assert fields(back) == fields(d)
-        io.write_gt(base / "gt.jsonl", [[(7, d)]])
-        assert [(oid, fields(g)) for oid, g in io.read_gt(base / "gt.jsonl")[0]] == \
+        io.write_gt(scratch / "gt.jsonl", [[(7, d)]])
+        assert [(oid, fields(g)) for oid, g in io.read_gt(scratch / "gt.jsonl")[0]] == \
             [(7, fields(replace(d, score=1.0)))]
 
 
@@ -328,12 +307,16 @@ def drawn(data, good, bad, refused: list):
     return refused[-1]
 
 
+# (values, extents, scores): plain floats, or any numbers that build a Detection
+DETECTION_NUMBERS = st.sampled_from([
+    (FINITE, FINITE.map(abs).filter(bool), SCORE),
+    (BUILDS, BUILDS.map(abs).filter(bool), SCORE | SCORE.map(np.float64) | st.integers(0, 1))])
+
+
 def any_detection(draw):
     """A Detection built from plain floats half the time, else from any
     numbers that build one: ints, 10**300 and np.float64 among them."""
-    values = draw(st.sampled_from([FINITE, BUILDS]))
-    extent = values.map(abs).filter(bool)
-    score = SCORE if values is FINITE else SCORE | SCORE.map(np.float64) | st.integers(0, 1)
+    values, extent, score = draw(DETECTION_NUMBERS)
     return Detection(draw(values), draw(values), draw(values), draw(values),
                      draw(extent), draw(extent), draw(extent), draw(score))
 
@@ -384,7 +367,7 @@ def box_record(frame, key, value, d, names=SCORED_FIELDS) -> dict:
 class TestWritersMatchJsonDumps:
     @WRITE_ANY
     @given(st.data())
-    def test_detections(self, tmp_path_factory, data):
+    def test_detections(self, scratch, data):
         refused = []
         bundles = [FrameBundle(
             frame=drawn(data, st.sampled_from([t, np.int64(t)]), BAD_FRAME, refused),
@@ -397,12 +380,12 @@ class TestWritersMatchJsonDumps:
         def records(bs):
             return [box_record(b.frame, "agent", agent, d)
                     for b in bs for agent, dets in b.detections_by_agent.items() for d in dets]
-        writes_or_refuses(io.write_detections, tmp_path_factory.mktemp("w") / "det.jsonl",
+        writes_or_refuses(io.write_detections, scratch / "det.jsonl",
                           bundles, refused, records, io.read_detections)
 
     @WRITE_ANY
     @given(st.data())
-    def test_gt(self, tmp_path_factory, data):
+    def test_gt(self, scratch, data):
         refused = []
         gt_frames = [[(drawn(data, ID, BAD_ID, refused), any_detection(data.draw))
                       for _ in range(data.draw(st.integers(0, 3)))]
@@ -411,12 +394,12 @@ class TestWritersMatchJsonDumps:
         def records(frames):
             return [box_record(t, "object_id", int(oid), d, io.BOX_FIELDS)
                     for t, row in enumerate(frames) for oid, d in row]
-        writes_or_refuses(io.write_gt, tmp_path_factory.mktemp("w") / "gt.jsonl", gt_frames,
+        writes_or_refuses(io.write_gt, scratch / "gt.jsonl", gt_frames,
                           refused, records, io.read_gt)
 
     @WRITE_ANY
     @given(st.data())
-    def test_tracks(self, tmp_path_factory, data):
+    def test_tracks(self, scratch, data):
         refused = []
         outputs = [FrameOutput(
             frame=drawn(data, st.sampled_from([t, np.int64(t)]), BAD_FRAME, refused),
@@ -433,7 +416,7 @@ class TestWritersMatchJsonDumps:
         def read(path):
             return [FrameOutput(t, tuple((tid, d.box7(), score) for tid, d, score in row))
                     for t, row in enumerate(io.read_tracks(path))]
-        writes_or_refuses(io.write_tracks, tmp_path_factory.mktemp("w") / "tracks.jsonl",
+        writes_or_refuses(io.write_tracks, scratch / "tracks.jsonl",
                           outputs, refused, records, read)
 
 
@@ -497,6 +480,8 @@ READ_ERRORS = [
     ("tracks-extra-data", "tracks", line("tracks").strip() + "  []\n",
      "line 1: invalid JSON (Extra data: line 1 column 118 (char 117))"),
     ("gt-bom", "gt", "﻿" + line("gt"), "line 1: invalid JSON (Unexpected UTF-8 BOM "
+     "(decode using utf-8-sig): line 1 column 1 (char 0))"),
+    ("tracks-bom-only", "tracks", "\ufeff\n", "line 1: invalid JSON (Unexpected UTF-8 BOM "
      "(decode using utf-8-sig): line 1 column 1 (char 0))"),
     ("poses-bad-json-line-3", "poses", "\n  \n nul\n",
      "line 3: invalid JSON (Expecting value: line 1 column 1 (char 0))"),
