@@ -12,31 +12,29 @@ or a ``not`` dropped, a number changed (0 to 1, 1 to 0, else c + 1) or a
 bool flipped (tables COMPARE and ARITH). Annotations and f-strings are left
 alone; ``_native.c`` is outside the matrix.
 
-The tree is copied once per job under ``<root>/bench_out/mutants/`` and
-mutated only there. A first pytest run records, with ``sys.settrace``, the
-package lines each test executes, in its own process and in the Python
-processes it starts. A mutant runs the tests that execute its lines (for a
-value computed at import: the function a default belongs to, else the
-module and the modules importing from it). A test executing more than
-``--broad`` of the suite's lines is broad: broad tests run only when no
-narrow test kills the mutant, fastest first, and stop at the first kill.
-Children are forked from this process with a fixed ``--hypothesis-seed``,
-an address-space limit and a time limit per test (``--slack`` times its
-first-run time plus ``--grace``); a test that hits a limit, or that the
-mutant leaves uncollected, kills it and is named in ``limits``.
+The tree holding this script is copied once per job under
+``bench_out/mutants/`` and mutated only there. A first pytest run records,
+with ``sys.settrace``, the package lines each test executes, in its own
+process and in the Python processes it starts. A mutant runs the tests that
+execute its lines (for a value computed at import: the function a default
+belongs to, else the module and the modules importing from it). A test
+executing more than BROAD of the suite's lines is broad: broad tests run
+only when no narrow test kills the mutant, in suite order, and stop at the
+first kill, so a broad test's kill set is partial. Children are forked from
+this process with a fixed ``--hypothesis-seed``, an address-space limit and
+a time limit per test (SLACK times its first-run time plus GRACE seconds);
+a test that hits a limit, or that the mutant leaves uncollected, kills it
+and is named in ``limits``.
 
-``--out`` (default ``studies/MUTANTS.json``) holds the tests, the broad ones
-and one line per mutant: its site, operator, seconds, tests run and killing
-tests. A survivor's hand-written ``reason`` (``equivalent: ...`` or
-``FOUND: ...``) is kept when a rebuild still finds it surviving.
-``--survivors-of MATRIX`` runs only that matrix's survivors, such as after a
-test is added or on another tree, into another ``--out``. Standard
-library only; the tests it runs need pytest and hypothesis.
+``studies/MUTANTS.json`` holds the tests, the broad ones and one line per
+mutant: its site, operator, seconds, tests run and killing tests. A
+survivor's hand-written ``reason`` (``equivalent: ...`` or ``FOUND: ...``)
+is kept when a rebuild still finds it surviving. Standard library only;
+the tests it runs need pytest and hypothesis.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import importlib.util
 import io
@@ -58,6 +56,9 @@ COMPARE = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="),
 ARITH = {ast.Add: ("+", "-"), ast.Sub: ("-", "+"), ast.Mult: ("*", "/"),
          ast.Div: ("/", "*"), ast.FloorDiv: ("//", "/"), ast.Mod: ("%", "*"),
          ast.Pow: ("**", "*"), ast.BitAnd: ("&", "|"), ast.BitOr: ("|", "&")}
+PACKAGE = os.path.join("src", "coopmot")
+BROAD = 0.1  # share of the suite's lines a broad test executes
+SLACK, GRACE = 5.0, 5.0  # a test's time limit: SLACK * its first-run time + GRACE s
 JOBS = 2  # children at a time: both cores
 SEED = 0  # every child's --hypothesis-seed
 LIMIT_MB = 4096  # the address space of each child
@@ -281,11 +282,11 @@ def _reporter(fd, prefix):
 class Setup:
     """What the children of one run share."""
 
-    def __init__(self, args):
-        self.args, self.times, self.unknown, self.trace = args, {}, 600.0, None
+    def __init__(self):
+        self.times, self.unknown, self.trace = {}, 600.0, None
 
     def limit(self, nodeid):
-        return self.args.slack * self.times.get(nodeid, self.unknown) + self.args.grace
+        return SLACK * self.times.get(nodeid, self.unknown) + GRACE
 
     def fork(self, copy, nodeids):
         """Fork a child that runs pytest on nodeids in copy; return (pid, fd)."""
@@ -302,14 +303,14 @@ class Setup:
             os.dup2(log, 1)
             os.dup2(log, 2)
             resource.setrlimit(resource.RLIMIT_AS, (LIMIT_MB << 20,) * 2)
-            parent = os.path.join(copy, os.path.dirname(self.args.package))
+            parent = os.path.join(copy, os.path.dirname(PACKAGE))
             sys.path.insert(0, parent)
             sys.dont_write_bytecode = True
             trace, prefix = self.trace, None
             os.environ["PYTHONPATH"] = os.pathsep.join(
                 p for p in (trace and trace["site"], parent, os.environ.get("PYTHONPATH")) if p)
             if trace:
-                prefix = os.path.join(copy, self.args.package) + os.sep
+                prefix = os.path.join(copy, PACKAGE) + os.sep
                 os.environ.update(MUTANTS_TRACE=trace["dir"], MUTANTS_PREFIX=prefix)
             import pytest
             from hypothesis import HealthCheck, Phase, settings
@@ -353,7 +354,7 @@ class Job:
         self.buffer, self.current, self.since = b"", None, time.perf_counter()
 
     def deadline(self):  # collecting takes up to a minute
-        limit = self.setup.limit(self.current) if self.current else 60 + self.setup.args.grace
+        limit = self.setup.limit(self.current) if self.current else 60 + GRACE
         return self.since + limit
 
     def feed(self):
@@ -482,11 +483,10 @@ def preimport(modules, trees):
                 pass
 
 
-def write_matrix(path, seed, order, broad, mutants):
+def write_matrix(path, order, broad, mutants):
     """One line per test and per mutant."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{{"seed": {seed}, "broad": {json.dumps(broad)},\n"tests": [\n'
+        fh.write(f'{{"seed": {SEED}, "broad": {json.dumps(broad)},\n"tests": [\n'
                  + ",\n".join(map(json.dumps, order)) + '],\n"mutants": [\n'
                  + ",\n".join(map(json.dumps, mutants)) + "]}\n")
 
@@ -496,38 +496,28 @@ def key(mutant):
                                      "occurrence"))
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--root", default=ROOT, help="the tree to mutate (default: this checkout)")
-    parser.add_argument("--package", default=os.path.join("src", "coopmot"))
-    parser.add_argument("--survivors-of", help="mutate only the survivors of this matrix")
-    parser.add_argument("--out", help="the matrix (default: <root>/studies/MUTANTS.json)")
-    parser.add_argument("--broad", type=float, default=0.1, help="share of the lines run")
-    parser.add_argument("--slack", type=float, default=5.0)
-    parser.add_argument("--grace", type=float, default=5.0, help="seconds")
-    args = parser.parse_args(argv)
-    root = os.path.abspath(args.root)
-    out = args.out or os.path.join(root, "studies", "MUTANTS.json")
-    scratch = os.path.join(root, "bench_out", "mutants")
+def main() -> int:
+    out = os.path.join(ROOT, "studies", "MUTANTS.json")
+    scratch = os.path.join(ROOT, "bench_out", "mutants")
     shutil.rmtree(scratch, ignore_errors=True)
     copies = [os.path.join(scratch, f"w{k}") for k in range(JOBS)]
     for copy in copies:
-        shutil.copytree(root, copy, ignore=IGNORE)
+        shutil.copytree(ROOT, copy, ignore=IGNORE)
     os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     import pytest  # noqa: F401 -- once here, not in every child
 
     began = time.perf_counter()
-    setup = Setup(args)
+    setup = Setup()
     order, outcomes, lines, trace, untraced = first_run(setup, copies)
     broken = [t for t in order if outcomes.get(t, ("not run",))[0] != "passed"]
     if broken:
         print(f"error: {len(broken)} tests fail unmutated, first {broken[0]}", file=sys.stderr)
         return 1
     setup.times, setup.unknown = {t: outcomes[t][1] for t in order}, 0.0
-    preimport(trace["modules"], [root, scratch])
+    preimport(trace["modules"], [ROOT, scratch])
 
-    package = os.path.join(root, args.package)
-    base = os.path.dirname(os.path.join(copies[0], args.package))
+    package = os.path.join(ROOT, PACKAGE)
+    base = os.path.dirname(os.path.join(copies[0], PACKAGE))
     by_line = {}
     for t in order:
         for f, ls in lines[t].items():
@@ -535,8 +525,7 @@ def main(argv=None) -> int:
                 by_line.setdefault((os.path.relpath(f, base), n), set()).add(t)
     at_import = {(os.path.relpath(f, base), n) for f, ls in trace["import"].items() for n in ls}
     reach = {t: sum(t in ts for ts in by_line.values()) for t in order}
-    broad = sorted((t for t in order if reach[t] > args.broad * len(by_line)),
-                   key=setup.times.get)
+    broad = [t for t in order if reach[t] > BROAD * len(by_line)]
     sources, found = {}, {}
     for dirpath, dirnames, filenames in os.walk(package):
         dirnames.sort()
@@ -549,10 +538,6 @@ def main(argv=None) -> int:
     readers = {m: {n for n in sources if n == m or os.path.basename(
                    os.path.dirname(m) if m.endswith("__init__.py") else m[:-3]) in imports[n]}
                for m in sources}
-    keep = None
-    if args.survivors_of:
-        with open(args.survivors_of, encoding="utf-8") as fh:
-            keep = {key(m) for m in json.load(fh)["mutants"] if not m["killed_by"]}
     mutants, chosen = [], []
     for module, module_sites in found.items():
         seen = {}
@@ -563,21 +548,17 @@ def main(argv=None) -> int:
             if span & at_import:  # a default is read in its body, else where imported
                 span = ({(module, n) for n in range(body[0], body[1] + 1)} if body else
                         {line for line in by_line if line[0] in readers[module]})
-            tests = untraced | set().union(*(by_line.get(line, ()) for line in span))
             text = (site["function"], site["operator"], site["source"], site["mutant"])
             seen[text] = seen.get(text, -1) + 1
-            mutant = {"module": module, **site, "occurrence": seen[text]}
-            if keep is not None and key(mutant) not in keep:
-                continue
-            mutants.append(mutant)
-            chosen.append(tests)
+            mutants.append({"module": module, **site, "occurrence": seen[text]})
+            chosen.append(untraced | set().union(*(by_line.get(line, ()) for line in span)))
     print(f"{len(mutants)} mutants, {len(order)} tests ({len(broad)} broad); first run "
           f"{time.perf_counter() - began:.0f} s", flush=True)
 
     def prepare(mutant):
         def write(copy):
             for module, source in sources.items():  # and undo the copy's last mutant
-                target = os.path.join(copy, os.path.dirname(args.package), module)
+                target = os.path.join(copy, os.path.dirname(PACKAGE), module)
                 with open(target, "w", encoding="utf-8") as fh:
                     fh.write(mutate(source, mutant["span"], mutant["mutant"])
                              if module == mutant["module"] else source)
@@ -613,10 +594,6 @@ def main(argv=None) -> int:
             print(f"[{done}/{len(mutants)}] {mutant['module']}:{mutant['line']} "
                   f"{mutant['source']!r} -> {mutant['mutant']!r}: killed by "
                   f"{len(mutant['killed_by'])}", flush=True)
-            if done % 25 == 0:  # what is done so far, should the run be cut
-                write_matrix(os.path.join(scratch, "MUTANTS.part.json"), SEED, order,
-                             [index[t] for t in broad],
-                             [m for m in mutants if "ran" in m])
     old = {}
     if os.path.exists(out):
         with open(out, encoding="utf-8") as fh:
@@ -625,7 +602,7 @@ def main(argv=None) -> int:
         del mutant["span"]
         if not mutant["killed_by"] and old.get(key(mutant)):
             mutant["reason"] = old[key(mutant)]
-    write_matrix(out, SEED, order, [index[t] for t in broad], mutants)
+    write_matrix(out, order, [index[t] for t in broad], mutants)
     survivors = [m for m in mutants if not m["killed_by"]]
     bare = [m for m in survivors if not m.get("reason")]
     print(f"{len(mutants) - len(survivors)} of {len(mutants)} mutants killed; "

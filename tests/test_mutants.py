@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -52,15 +53,16 @@ def test_kill_matrix_of_a_tiny_package(tmp_path):
         (tmp_path / name).write_text(textwrap.dedent(text).lstrip())
     out = tmp_path / "studies" / "MUTANTS.json"
     out.parent.mkdir()
+    shutil.copy(os.path.join(ROOT, "studies", "mutants.py"), out.parent)
     # a survivor's reason is kept when the matrix is rebuilt
     out.write_text(json.dumps({"mutants": [
         {"module": "tiny/__init__.py", "function": "is_big", "operator": "constant",
          "source": "40", "mutant": "41", "occurrence": 0, "reason": "equivalent: kept"}]}))
     before = digests(tmp_path / "src") | digests(tmp_path / "tests")
     # test_is_big executes 4 of the 7 lines run: the one broad test
-    run = subprocess.run([sys.executable, os.path.join(ROOT, "studies", "mutants.py"),
-                          "--root", str(tmp_path), "--package", "src/tiny", "--broad", "0.5",
-                          "--slack", "2", "--grace", "0.2"],
+    run = subprocess.run([sys.executable, "-c", "import sys, mutants; mutants.PACKAGE = "
+                          "'src/tiny'; mutants.BROAD, mutants.SLACK, mutants.GRACE = 0.5, 2, 0.2; "
+                          "sys.exit(mutants.main())"], cwd=out.parent,
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert digests(tmp_path / "src") | digests(tmp_path / "tests") == before

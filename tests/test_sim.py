@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -159,6 +160,41 @@ class TestGenerate:
     def test_config_root_must_be_object(self, raw):
         with pytest.raises(core.ConfigParse, match="config root must be a JSON object"):
             sim.scenario_from_dict(raw)
+
+
+class FixedDraws:
+    """An rng whose spawn positions cycle through `spots`; every other uniform
+    draw is its lower bound, random() is `u` and normals are 0."""
+
+    def __init__(self, spots, u=0.0):
+        self.spots, self.u, self.positions = itertools.cycle(spots), u, 0
+
+    def uniform(self, lo, hi, size=None):
+        if size is None:
+            return lo
+        self.positions += 1
+        return np.array(next(self.spots), dtype=float)
+
+    def random(self):
+        return self.u
+
+    def normal(self, loc, scale, size):
+        return np.zeros(size)
+
+
+def test_spawn_and_dropout_edges(monkeypatch):
+    cfg = sim.ScenarioConfig(num_objects=2, num_frames=1, dropout=(0.5, 0.5))
+    # centres exactly MIN_SPAWN_SEPARATION apart are both placed
+    spawned = sim._spawn_objects(cfg, FixedDraws([(0, 0), (8, 0)]))
+    assert [(x, y) for x, y, *_ in spawned] == [(0.0, 0.0), (8.0, 0.0)]
+    rng = FixedDraws([(0, 0)])
+    with pytest.raises(ValueError, match="world too small"):
+        sim._spawn_objects(cfg, rng)
+    assert rng.positions == 10_000  # the last position tried is the 10 000th
+    # a uniform draw equal to the dropout rate keeps the detection
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedDraws([(0, 0), (8, 0)], 0.5))
+    _, bundles = sim.generate(cfg)
+    assert [len(d) for d in bundles[0].detections_by_agent.values()] == [2, 2]
 
 
 def centroid_errors(gt_frames, bundles, agent):
