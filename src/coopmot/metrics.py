@@ -33,12 +33,12 @@ MT_COVERAGE = 0.8
 class FrameCounts:
     """The counts of one evaluation pass, summed over its frames."""
 
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
-    idsw: int = 0
-    matched_iou_sum: float = 0.0
-    gt_count: int = 0
+    tp: int
+    fp: int
+    fn: int
+    idsw: int
+    matched_iou_sum: float
+    gt_count: int
 
     @property
     def recall(self) -> float:

@@ -29,8 +29,10 @@ and is named in ``limits``.
 ``studies/MUTANTS.json`` holds the tests, the broad ones and one line per
 mutant: its site, operator, seconds, tests run and killing tests. A
 survivor's hand-written ``reason`` (``equivalent: ...`` or ``FOUND: ...``)
-is kept when a rebuild still finds it surviving. Standard library only;
-the tests it runs need pytest and hypothesis.
+is kept when a rebuild still finds it surviving. A mutant that the matrix
+being replaced records as killed and that survives the rebuild is a lost
+kill: the rebuild still writes the matrix, prints each lost kill and exits
+1. Standard library only; the tests it runs need pytest and hypothesis.
 """
 
 from __future__ import annotations
@@ -597,22 +599,24 @@ def main() -> int:
     old = {}
     if os.path.exists(out):
         with open(out, encoding="utf-8") as fh:
-            old = {key(m): m.get("reason") for m in json.load(fh)["mutants"]}
+            old = {key(m): m for m in json.load(fh)["mutants"]}
     for mutant in mutants:
         del mutant["span"]
-        if not mutant["killed_by"] and old.get(key(mutant)):
-            mutant["reason"] = old[key(mutant)]
+        reason = old.get(key(mutant), {}).get("reason")
+        if not mutant["killed_by"] and reason:
+            mutant["reason"] = reason
     write_matrix(out, order, [index[t] for t in broad], mutants)
     survivors = [m for m in mutants if not m["killed_by"]]
     bare = [m for m in survivors if not m.get("reason")]
+    lost = [m for m in survivors if old.get(key(m), {}).get("killed_by")]
     print(f"{len(mutants) - len(survivors)} of {len(mutants)} mutants killed; "
-          f"{len(survivors)} survive, {len(bare)} without a reason; "
+          f"{len(survivors)} survive, {len(bare)} without a reason, {len(lost)} killed before; "
           f"{time.perf_counter() - began:.0f} s")
     for m in bare:
-        print(f"survivor {m['module']}:{m['line']}:{m['col']} {m['function']} "
-              f"{m['source']!r} -> {m['mutant']!r}")
+        print(f"{'lost kill' if m in lost else 'survivor'} {m['module']}:{m['line']}:{m['col']} "
+              f"{m['function']} {m['source']!r} -> {m['mutant']!r}")
     shutil.rmtree(scratch, ignore_errors=True)
-    return 0
+    return 1 if lost else 0
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -682,6 +683,14 @@ def test_malformed_input_one_line_error(tmp_path, capsys, command, kind, content
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert err.startswith("error: ") and fragment in err
+
+
+def test_every_reader_keeps_a_malformed_row():
+    # read_detections, read_poses, read_gt and read_tracks each keep a row
+    # through cli.main that exits 1 with the reader's message naming the line
+    pinned = {kind for _, _, kind, _, code, fragment in MALFORMED
+              if code == 1 and re.search(r"line \d+: ", fragment)}
+    assert {"detections", "poses", "gt", "tracks"} <= pinned
 
 
 @pytest.mark.parametrize("command", ["eval", "analyze"])

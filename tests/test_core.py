@@ -106,11 +106,12 @@ class TestValidateDetection:
             assert 0.0 <= v.score <= 1.0
 
 
-# Any number given to a box, a pose or a prediction score either builds or
-# raises ValueError where it is built, never OverflowError; a box that builds
-# raises nothing but ValueError in the pipelines and the IoU kernel. The
-# 10**400 examples raised OverflowError when a Detection let a huge int in.
-# A box or a pose builds from an int or a float, not a bool, and holds floats.
+# Any number given to a box or a pose either builds or raises ValueError
+# where it is built, never OverflowError; a box that builds raises nothing
+# but ValueError in the pipelines and the IoU kernel. The 10**400 examples
+# raised OverflowError when a Detection let a huge int in. A box or a pose
+# builds from an int or a float, not a bool, and holds floats. Prediction
+# scores take the same rule: TestOneNumberRule's evaluate and amota entries.
 FLOAT_EDGES = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -5e-324,
                                2.2250738585072014e-308, core.FLOAT_MAX, -core.FLOAT_MAX])
 BIG_INTS = st.sampled_from([10**300, -10**300, 10**400, -10**400])
@@ -175,16 +176,6 @@ class TestAnyNumber:
         if pose is not None:
             assert all(type(getattr(pose, f.name)) is float for f in fields(pose))
             built_or_refused(lambda: io.to_global(make_box(x=1.0, y=-2.0), pose))
-
-    @ANY_NUMBER_RUNS
-    @given(score=ANY_NUMBER)
-    @example(score=10**400)
-    def test_prediction_score(self, score):
-        gt = [[(1, make_box())], [(1, make_box())]]
-        pred = [[(7, make_box(), score)], [(7, make_box(x=0.1), 0.5)]]
-        for evaluate in (metrics.evaluate_sequence, metrics.amota_family):
-            result = built_or_refused(lambda: evaluate(gt, pred))
-            assert (result is None) == (not fits_a_float(score))
 
     def test_huge_int_message_names_the_fault(self, tmp_path, monkeypatch):
         # the message says what is wrong and spells no 401-digit value

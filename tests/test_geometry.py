@@ -1,5 +1,4 @@
 import math
-from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
@@ -14,74 +13,46 @@ from helpers import iou3d, make_box, rand_box7
 from iou_oracle import iou3d_pair
 
 
-@dataclass(frozen=True)
-class BevPolygon:
-    """Convex birds-eye-view quad, counter-clockwise corners (4, 2).
-
-    Checks the corners of _pure._bev: construction fails unless they form
-    a convex counter-clockwise quad with non-zero area.
-    """
-
-    corners: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.corners, dtype=float)
-        if c.shape != (4, 2):
-            raise ValueError(f"BEV polygon needs 4 corners, got {c.shape}")
-        if self.signed_area_of(c) <= 0.0:
-            raise ValueError("BEV polygon must be counter-clockwise with non-zero area")
-        edges = np.roll(c, -1, axis=0) - c
-        cross = edges[:, 0] * np.roll(edges, -1, axis=0)[:, 1] \
-            - edges[:, 1] * np.roll(edges, -1, axis=0)[:, 0]
-        if np.any(cross <= 0.0):
-            raise ValueError("BEV polygon must be convex")
-        object.__setattr__(self, "corners", c)
-
-    @staticmethod
-    def signed_area_of(corners) -> float:
-        x, y = corners[:, 0], corners[:, 1]
-        return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-    @property
-    def area(self) -> float:
-        return self.signed_area_of(self.corners)
+def turns(corners):
+    """The cross product of each edge of a quad (4, 2) with the next one:
+    all positive when the quad is convex and counter-clockwise."""
+    edge = np.roll(corners, -1, axis=0) - corners
+    after = np.roll(edge, -1, axis=0)
+    return edge[:, 0] * after[:, 1] - edge[:, 1] * after[:, 0]
 
 
-def box_to_bev(d) -> BevPolygon:
-    """BEV rectangle of a detection: extent l x w at (x, y), rotated by theta."""
+def box_to_bev(d):
+    """The BEV corners (4, 2) that _pure._bev gives a detection, asserted
+    convex and counter-clockwise."""
     x, y, _, theta, _, w, l = geometry.as_box7_array([d])[0].tolist()
-    return BevPolygon(np.array(_pure._bev(x, y, theta, w, l)[0]))
+    corners = np.array(_pure._bev(x, y, theta, w, l)[0])
+    assert (turns(corners) > 0.0).all()
+    return corners
 
 
 class TestBoxToBev:
     def test_axis_aligned(self):
-        poly = box_to_bev(make_box(l=2.0, w=1.0))
+        corners = box_to_bev(make_box(l=2.0, w=1.0))
         expected = {(1.0, 0.5), (-1.0, 0.5), (-1.0, -0.5), (1.0, -0.5)}
-        got = {(round(x, 12), round(y, 12)) for x, y in poly.corners}
+        got = {(round(x, 12), round(y, 12)) for x, y in corners}
         assert got == expected
 
     def test_quarter_turn(self):
-        poly = box_to_bev(make_box(l=2.0, w=1.0, theta=math.pi / 2))
-        got = {(round(x, 12), round(y, 12)) for x, y in poly.corners}
+        corners = box_to_bev(make_box(l=2.0, w=1.0, theta=math.pi / 2))
+        got = {(round(x, 12), round(y, 12)) for x, y in corners}
         assert got == {(0.5, 1.0), (-0.5, 1.0), (-0.5, -1.0), (0.5, -1.0)}
 
     def test_diagonal_square(self):
         # hand-rotated corners of an l=w=sqrt(2) square at 45 degrees
         s = math.sqrt(2.0)
-        poly = box_to_bev(make_box(l=s, w=s, theta=math.pi / 4))
-        got = {(round(x, 12), round(y, 12)) for x, y in poly.corners}
+        corners = box_to_bev(make_box(l=s, w=s, theta=math.pi / 4))
+        got = {(round(x, 12), round(y, 12)) for x, y in corners}
         assert got == {(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)}
 
     def test_ccw_orientation_enforced(self):
-        poly = box_to_bev(make_box(l=3.0, w=2.0, theta=0.7))
-        assert poly.area > 0
-        with pytest.raises(ValueError):
-            BevPolygon(poly.corners[::-1].copy())
-
-    def test_non_convex_rejected(self):
-        bowtie = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError):
-            BevPolygon(bowtie)
+        # box_to_bev asserts a left turn at every corner; reversed, each turn is right
+        corners = box_to_bev(make_box(l=3.0, w=2.0, theta=0.7))
+        assert (turns(corners[::-1]) < 0.0).all()
 
 
 def bev_corners(box7):
@@ -399,8 +370,7 @@ class TestPureMatrixGate:
         out = _pure.iou3d_matrix(rows, cols)
         assert out.shape == (n, m) and out.dtype == float
 
-    def test_clip_runs_only_on_pairs_that_pass_both_rejections(
-            self, rng, monkeypatch):
+    def test_clip_runs_only_on_pairs_that_pass_both_rejections(self, rng):
         rows = np.stack([rand_box7(rng, center_scale=60.0) for _ in range(40)]
                         + [np.array(Z_TOUCH[0]), np.array(CIRCLE_TOUCH[0])])
         cols = np.stack([rand_box7(rng, center_scale=60.0) for _ in range(50)]
@@ -414,15 +384,7 @@ class TestPureMatrixGate:
                 reach = (math.hypot(a[5], a[6]) + math.hypot(b[5], b[6])) / 2
                 if dz > 0 and math.hypot(a[0] - b[0], a[1] - b[1]) <= reach:
                     expected += 1
-        calls = []
-        clip = _pure._clip_polygon
-
-        def counting_clip(subject, clip_poly):
-            calls.append(1)
-            return clip(subject, clip_poly)
-
-        monkeypatch.setattr(_pure, "_clip_polygon", counting_clip)
-        m = _pure.iou3d_matrix(rows, cols)
+        m, calls = clipped(_pure.iou3d_matrix, rows, cols)
         # the eight perturbed copies and the circle-touching pair pass; the
         # z-touching pair does not
         assert 9 <= expected < rows.shape[0] * cols.shape[0] // 50

@@ -88,11 +88,6 @@ class TestDetectionsRoundTrip:
         path.write_text("")
         assert io.read_detections(path) == []
 
-    def test_malformed_line_names_line(self, tmp_path):
-        (tmp_path / "d.jsonl").write_text(line("detections") + "{broken\n")
-        with pytest.raises(ValueError, match="line 2"):
-            io.read_detections(tmp_path / "d.jsonl")
-
     def test_missing_field_rejected(self, tmp_path):
         (tmp_path / "d.jsonl").write_text(line("detections", l=None, score=None))
         with pytest.raises(ValueError, match="missing fields"):
@@ -101,11 +96,6 @@ class TestDetectionsRoundTrip:
     def test_out_of_order_frames_rejected(self, tmp_path):
         (tmp_path / "d.jsonl").write_text(line("detections", frame=2) + line("detections", frame=1))
         with pytest.raises(ValueError, match="frame 1 after frame 2"):
-            io.read_detections(tmp_path / "d.jsonl")
-
-    def test_degenerate_box_rejected(self, tmp_path):
-        (tmp_path / "d.jsonl").write_text(line("detections", h=0.0))
-        with pytest.raises(ValueError, match="line 1"):
             io.read_detections(tmp_path / "d.jsonl")
 
     def test_merge_per_agent_files(self, scenario, tmp_path):
@@ -140,19 +130,6 @@ class TestDetectionsRoundTrip:
         message = f"{second}: line 3: frame 1 after frame 2"
         with pytest.raises(ValueError, match=re.escape(message)):
             io.merge_detection_files([first, second])
-
-
-class TestGtAndTracksRoundTrip:
-    def test_full_precision_round_trip(self, tmp_path):
-        x = 0.1 + 0.2  # 0.30000000000000004
-        out = FrameOutput(frame=0, emitted=((5, np.array([x, math.pi, -0.0, 1e-17, 1.6, 1.8, 4.5]), 1 / 3),))
-        path = tmp_path / "tracks.jsonl"
-        io.write_tracks(path, [out])
-        back = io.read_tracks(path)
-        tid, d, score = back[0][0]
-        assert d.x == x
-        assert d.y == math.pi
-        assert score == 1 / 3
 
 
 class TestPoses:

@@ -223,8 +223,10 @@ class TestMotaMotp:
         assert metrics.mota_motp(counts)[1] == 0.5
 
     def test_no_ground_truth(self):
+        counts = metrics.FrameCounts(tp=0, fp=0, fn=0, idsw=0,
+                                     matched_iou_sum=0.0, gt_count=0)
         with pytest.raises(ValueError, match="sequence has no ground-truth boxes"):
-            metrics.mota_motp(metrics.FrameCounts())
+            metrics.mota_motp(counts)
 
 
 class TestMostlyTracked:
